@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
           *s, s->ff_xrf, params,
           strprintf("%s, max_terms %u", s->name.c_str(), max_terms));
       const mate::EvalResult e = h.pipe().evaluate(
-          r.set, s->conv_trace, false,
+          r.set, s->conv_trace,
           strprintf("%s, max_terms %u, conv", s->name.c_str(), max_terms));
       cells.push_back(fmt_percent(e.masked_fraction()));
       cells.push_back(strprintf("%.1f", e.avg_inputs));
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
           *s, s->ff_xrf, params,
           strprintf("%s, budget %zu", s->name.c_str(), cap));
       const mate::EvalResult e = h.pipe().evaluate(
-          r.set, s->conv_trace, false,
+          r.set, s->conv_trace,
           strprintf("%s, budget %zu, conv", s->name.c_str(), cap));
       cells.push_back(fmt_percent(e.masked_fraction()));
       cells.push_back(fmt_count(r.total_candidates));

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
                               strprintf("%s, depth %u", s->name.c_str(),
                                         depth));
       const mate::EvalResult e = h.pipe().evaluate(
-          r.set, s->fib_trace, false,
+          r.set, s->fib_trace,
           strprintf("%s, depth %u, fib", s->name.c_str(), depth));
       cells.push_back(fmt_percent(e.masked_fraction()));
       cells.push_back(fmt_count(r.set.mates.size()));

@@ -1,8 +1,7 @@
 // Shared harness for the benchmark binaries, built on the campaign pipeline
 // (src/pipeline): option parsing (--csv, --cache-dir, --threads, --depth,
 // --cycles, --no-cache, --report=json), stage observers for progress output
-// and the JSON report, and the spec-driven core setup that replaced the
-// separate make_avr_setup/make_msp430_setup code paths.
+// and the JSON report, and the spec-driven core setup.
 #pragma once
 
 #include <cstdarg>
@@ -56,7 +55,7 @@ public:
     }
     try {
       pipe_.emplace(opts_.config());
-    } catch (const Error& e) { // bad flag value, e.g. --eval-engine=typo
+    } catch (const Error& e) { // bad flag value, e.g. --trace-chunk-cycles=100
       std::fprintf(stderr, "%s: %s\nsee --help\n", program_.c_str(),
                    e.what());
       std::exit(2);
@@ -157,36 +156,5 @@ private:
   /// in the destructor (its own dtor uninstalls).
   std::unique_ptr<obs::TraceRecorder> recorder_;
 };
-
-// --- compatibility shims --------------------------------------------------
-// Thin wrappers over the spec-driven pipeline path, kept for tests and code
-// that only needs a CoreSetup without the harness.
-
-inline CoreSetup make_avr_setup(std::size_t cycles = kTraceCycles) {
-  pipeline::CampaignPipeline pipe;
-  return pipe.setup({CoreKind::Avr, cycles});
-}
-
-inline CoreSetup make_msp430_setup(std::size_t cycles = kTraceCycles) {
-  pipeline::CampaignPipeline pipe;
-  return pipe.setup({CoreKind::Msp430, cycles});
-}
-
-/// True when "--csv" appears on the command line (legacy scan; new code
-/// reads Harness::csv()).
-inline bool want_csv(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--csv") return true;
-  }
-  return false;
-}
-
-inline void emit(const TablePrinter& table, bool csv) {
-  if (csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-}
 
 } // namespace ripple::bench

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
 
   std::cout << render_fault_grid(n, r.set, trace);
 
-  const EvalResult eval = h.pipe().evaluate(r.set, trace, false, "figure-1");
+  const EvalResult eval = h.pipe().evaluate(r.set, trace, "figure-1");
   std::cout << "\nfault space: " << eval.fault_space() << " points, benign: "
             << eval.masked_faults << " ("
             << fmt_percent(eval.masked_fraction()) << ")\n";

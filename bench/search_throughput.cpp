@@ -1,30 +1,27 @@
 // Microbenchmark: per-wire oracle vs isomorphic-cone-dedup MATE search.
 //
-// Runs find_mates twice per fault population — --search-dedup=off (every
-// wire searched from scratch, the oracle) and on (one search per
-// cone-isomorphism class, cubes remapped onto the members) — over two
-// populations of the selected core: the full flop set and the register
-// file. The netlist is built directly (no workload traces: this stage is
-// pure structure). Wall times take the best of --reps runs per mode, so a
-// noisy scheduler cannot manufacture or hide a speedup.
+// Runs the search twice per fault population — the per-wire oracle of
+// tests/support (every wire searched from scratch) and find_mates (one
+// search per cone-isomorphism class, cubes remapped onto the members) —
+// over two populations of the selected core: the full flop set and the
+// register file. The netlist is built directly (no workload traces: this
+// stage is pure structure). Wall times take the best of --reps runs per
+// mode and are reported, never gated on.
 //
 // The two populations tell the two halves of the dedup story. The register
 // file is the structurally duplicated fault space (on the AVR: 256 flops in
 // 32 classes) where class dedup turns directly into wall clock; the full
 // flop set adds the structurally unique cones (instruction register, decode
-// state) whose searches still run one by one, so its wall gain is bounded
-// by how much of the budget the duplicated population carries.
+// state) whose searches still run one by one.
 //
 // Doubles as the dedup end-to-end cross-check: the MATE set, the per-wire
 // outcomes (status, counts) and the Table 1 aggregates must be identical
 // between the two modes on both populations; any mismatch fails the run.
-// With --check the binary additionally exits non-zero if the regfile-
-// population speedup falls below --min-speedup-pct while the grouping found
-// real duplication (at least 2 wires per class on average). On cores whose
-// regfile cones are all structurally unique (the MSP430: every register has
-// a special role) the floor is skipped with a note — dedup is neutral
-// there, and the identity check still guards it. The search_bench_smoke
-// ctest target runs `--smoke --check` on trimmed search parameters.
+// With --check the binary additionally exits non-zero unless both
+// populations group into exactly the expected number of classes — a
+// structural property of the netlist, independent of search parameters,
+// threads and machine load. The search_bench_smoke ctest target runs
+// `--smoke --check` on trimmed search parameters.
 #include "bench/common.hpp"
 
 #include <cstdio>
@@ -32,6 +29,7 @@
 #include "cores/avr/core.hpp"
 #include "cores/msp430/core.hpp"
 #include "mate/search.hpp"
+#include "support/oracles.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
@@ -40,7 +38,7 @@ namespace {
 using namespace ripple;
 using namespace ripple::bench;
 
-/// Everything that must be byte-identical between dedup on and off: the
+/// Everything that must be byte-identical between oracle and dedup: the
 /// merged MATE set and the per-wire / aggregate bookkeeping, timing and the
 /// informational dedup_classes/threads_used fields excluded.
 bool results_identical(const mate::SearchResult& a,
@@ -68,20 +66,26 @@ struct ModeTiming {
   double best_seconds = 0.0;
 };
 
-/// Runs find_mates `reps` times and keeps the best wall time (the runs are
+/// Runs `search` `reps` times and keeps the best wall time (the runs are
 /// deterministic, so every repetition returns the same result).
-ModeTiming run_mode(const netlist::Netlist& n,
-                    const std::vector<WireId>& wires,
-                    const mate::SearchParams& params, std::size_t reps) {
+template <typename Search>
+ModeTiming run_mode(std::size_t reps, Search&& search) {
   ModeTiming t;
   t.best_seconds = 1e300;
   for (std::size_t r = 0; r < reps; ++r) {
     Stopwatch watch;
-    t.result = mate::find_mates(n, wires, params);
+    t.result = search();
     t.best_seconds = std::min(t.best_seconds, watch.seconds());
   }
   return t;
 }
+
+/// Flop wires and isomorphism classes per population, fixed by the core
+/// netlists: what --check asserts.
+struct ExpectedClasses {
+  std::size_t wires;
+  std::size_t classes;
+};
 
 std::vector<WireId> regfile_wires(const netlist::Netlist& n,
                                   std::string_view prefix) {
@@ -99,7 +103,6 @@ int main(int argc, char** argv) {
   std::size_t reps = 3;
   bool check = false;
   bool smoke = false;
-  std::size_t min_speedup_pct = 200; // --check floor: dedup >= 2x oracle
   Harness h(argc, argv, "search_throughput",
             "per-wire oracle vs isomorphic-cone-dedup MATE search",
             [&](OptionParser& parser) {
@@ -109,14 +112,11 @@ int main(int argc, char** argv) {
                                "repetitions per mode (best wall time wins)",
                                &reps);
               parser.add_flag("check",
-                              "exit non-zero if the regfile dedup speedup "
-                              "is below --min-speedup-pct",
+                              "exit non-zero unless both populations group "
+                              "into the expected number of iso classes",
                               &check);
               parser.add_flag("smoke",
                               "trimmed search parameters for CI", &smoke);
-              parser.add_value("min-speedup-pct",
-                               "--check speedup floor in percent (200 = 2x)",
-                               &min_speedup_pct);
             });
   if (core != "avr" && core != "msp430") {
     std::fprintf(stderr, "search_throughput: unknown --core '%s'\n",
@@ -148,19 +148,25 @@ int main(int argc, char** argv) {
   TablePrinter t({"search_throughput " + std::string(core), "wall",
                   "wires/s", "classes", "speedup"});
   bool identical = true;
-  double rf_speedup = 0.0;
-  std::size_t rf_classes = 0;
+  bool classes_ok = true;
 
+  const bool avr = core == "avr";
   const struct {
     const char* name;
     const std::vector<WireId>* wires;
-  } populations[] = {{"full flops", &all_flops}, {"regfile", &regfile}};
+    ExpectedClasses expected;
+  } populations[] = {
+      {"full flops", &all_flops, avr ? ExpectedClasses{305, 81}
+                                     : ExpectedClasses{311, 296}},
+      {"regfile", &regfile, avr ? ExpectedClasses{256, 32}
+                                : ExpectedClasses{224, 224}},
+  };
   for (const auto& pop : populations) {
-    mate::SearchParams p = params;
-    p.dedup = false;
-    const ModeTiming off = run_mode(n, *pop.wires, p, reps);
-    p.dedup = true;
-    const ModeTiming on = run_mode(n, *pop.wires, p, reps);
+    const ModeTiming off = run_mode(reps, [&] {
+      return mate::find_mates_per_wire(n, *pop.wires, params);
+    });
+    const ModeTiming on = run_mode(
+        reps, [&] { return mate::find_mates(n, *pop.wires, params); });
 
     if (!results_identical(off.result, on.result)) {
       std::fprintf(stderr,
@@ -172,11 +178,11 @@ int main(int argc, char** argv) {
 
     const double wires = static_cast<double>(pop.wires->size());
     const double speedup = off.best_seconds / std::max(on.best_seconds, 1e-9);
-    t.add_row({std::string(pop.name) + ", dedup off",
+    t.add_row({std::string(pop.name) + ", per-wire oracle",
                strprintf("%.3f s", off.best_seconds),
                strprintf("%.1f", wires / std::max(off.best_seconds, 1e-9)),
                "-", "1.0x"});
-    t.add_row({std::string(pop.name) + ", dedup on",
+    t.add_row({std::string(pop.name) + ", dedup",
                strprintf("%.3f s", on.best_seconds),
                strprintf("%.1f", wires / std::max(on.best_seconds, 1e-9)),
                fmt_count(on.result.dedup_classes),
@@ -192,33 +198,25 @@ int main(int argc, char** argv) {
                                                       r.threads_used) *
                                                       r.seconds,
                                                   1e-9)));
-    if (std::string_view(pop.name) == "regfile") {
-      rf_speedup = speedup;
-      rf_classes = r.dedup_classes;
+    if (pop.wires->size() != pop.expected.wires ||
+        r.dedup_classes != pop.expected.classes) {
+      std::fprintf(stderr,
+                   "search_throughput: %s %s: %zu wires in %zu iso classes, "
+                   "expected %zu in %zu\n",
+                   core.c_str(), pop.name, pop.wires->size(),
+                   r.dedup_classes, pop.expected.wires,
+                   pop.expected.classes);
+      classes_ok = false;
     }
   }
   h.emit(t);
 
   if (!identical) return 1;
-  if (check) {
-    // The floor asserts that structural duplication converts into wall
-    // clock. It only applies where duplication exists: on average at least
-    // two regfile wires per class.
-    const bool duplicated = rf_classes * 2 <= regfile.size();
-    const double floor = static_cast<double>(min_speedup_pct) / 100.0;
-    if (duplicated && rf_speedup < floor) {
-      std::fprintf(stderr,
-                   "search_throughput: --check FAILED — regfile dedup "
-                   "speedup %.2fx below the %.2fx floor\n",
-                   rf_speedup, floor);
-      return 1;
-    }
-    if (!duplicated) {
-      h.progress("search_throughput: %s regfile cones are structurally "
-                 "unique (%zu classes / %zu wires) — speedup floor not "
-                 "applicable, identity check passed",
-                 core.c_str(), rf_classes, regfile.size());
-    }
+  if (check && !classes_ok) {
+    std::fprintf(stderr,
+                 "search_throughput: --check FAILED — iso class counts "
+                 "differ from the expected ones\n");
+    return 1;
   }
   return 0;
 }

@@ -36,9 +36,9 @@ inline void run_mate_performance_table(Harness& h, const CoreSetup& setup,
   for (SetEval* e : {&ff, &xrf}) {
     const char* set_name = e == &ff ? "FF" : "FF w/o RF";
     e->fib = pipe.evaluate(e->search.set, setup.fib_trace, setup.fib_trace_fp,
-                           false, strprintf("%s, fib", set_name));
+                           strprintf("%s, fib", set_name));
     e->conv = pipe.evaluate(e->search.set, setup.conv_trace,
-                            setup.conv_trace_fp, false,
+                            setup.conv_trace_fp,
                             strprintf("%s, conv", set_name));
     e->sel_fib = pipe.select(e->search.set, setup.fib_trace,
                              setup.fib_trace_fp,
@@ -76,7 +76,7 @@ inline void run_mate_performance_table(Harness& h, const CoreSetup& setup,
         const mate::MateSet sub = mate::top_n(e.search.set, sel, n);
         const mate::EvalResult r = pipe.evaluate(
             sub, eval_fib ? setup.fib_trace : setup.conv_trace,
-            eval_fib ? setup.fib_trace_fp : setup.conv_trace_fp, false,
+            eval_fib ? setup.fib_trace_fp : setup.conv_trace_fp,
             strprintf("%s top-%zu sel. %s, %s", &e == &ff ? "FF" : "FF w/o RF",
                       n, select_on_fib ? "fib" : "conv",
                       eval_fib ? "fib" : "conv"));

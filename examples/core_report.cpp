@@ -35,7 +35,7 @@ void report(pipeline::CampaignPipeline& pipe,
   const mate::SearchResult search = pipe.find_mates(
       setup, setup.ff, opts.search_params(), setup.name + " FF");
   const mate::EvalResult eval =
-      pipe.evaluate(search.set, setup.fib_trace, false, setup.name + ", fib");
+      pipe.evaluate(search.set, setup.fib_trace, setup.name + ", fib");
   std::cout << "  MATEs: " << search.set.mates.size() << " (merged), masked "
             << 100.0 * eval.masked_fraction() << " % of the fault space\n\n";
 

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
                       all_ff, opts.search_params(), "MSP430 FF");
 
   const mate::EvalResult eval =
-      pipe.evaluate(search.set, trace, false, "conv trace");
+      pipe.evaluate(search.set, trace, "conv trace");
   std::cout << "  " << search.set.mates.size() << " MATEs, "
             << eval.effective_mates << " effective on this trace\n"
             << "  fault space " << eval.fault_space() << ", benign "

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       });
 
   const mate::EvalResult eval =
-      pipe.evaluate(result.set, trace, false, "random-stimulus trace");
+      pipe.evaluate(result.set, trace, "random-stimulus trace");
   std::cout << "\nfault space: " << eval.fault_space() << " (flip-flops x "
             << eval.num_cycles << " cycles)\n"
             << "proven benign by MATEs: " << eval.masked_faults << " ("

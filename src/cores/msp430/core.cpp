@@ -80,6 +80,7 @@ netlist::Netlist elaborate() {
   (void)d_is_sr;
 
   const WireId as_reg = m.equals_const(as_field, 0b00);
+  (void)as_reg;
   const WireId as_idx = m.equals_const(as_field, 0b01);
   const WireId as_ind = m.equals_const(as_field, 0b10);
   const WireId as_inc = m.equals_const(as_field, 0b11);

@@ -1,30 +1,10 @@
 #include "mate/eval.hpp"
 
 #include "mate/stream.hpp"
-
-#include <algorithm>
-#include <array>
-#include <cmath>
-#include <thread>
-#include <unordered_map>
-
+#include "sim/transposed.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ripple::mate {
-namespace {
-
-/// Faulty wire -> dense index for the per-cycle union bitset.
-std::unordered_map<WireId, std::size_t> build_fault_index(const MateSet& set) {
-  std::unordered_map<WireId, std::size_t> fault_index;
-  fault_index.reserve(set.faulty_wires.size());
-  for (std::size_t i = 0; i < set.faulty_wires.size(); ++i) {
-    fault_index.emplace(set.faulty_wires[i], i);
-  }
-  return fault_index;
-}
-
-} // namespace
 
 namespace detail {
 
@@ -43,211 +23,11 @@ void finalize_eval(const MateSet& set, EvalResult& result) {
 
 } // namespace detail
 
-using detail::finalize_eval;
-
-const char* eval_engine_name(EvalEngine engine) {
-  switch (engine) {
-    case EvalEngine::Scalar: return "scalar";
-    case EvalEngine::BitParallel: return "bitpar";
-    case EvalEngine::Streaming: return "stream";
-  }
-  return "?";
-}
-
-EvalResult evaluate_mates_scalar(const MateSet& set, const sim::Trace& trace,
-                                 bool keep_trigger_lists) {
-  EvalResult result;
-  result.num_cycles = trace.num_cycles();
-  result.num_faulty_wires = set.faulty_wires.size();
-  result.per_mate.resize(set.mates.size());
-
-  const std::unordered_map<WireId, std::size_t> fault_index =
-      build_fault_index(set);
-
-  // Pre-resolve each MATE's masked wires to dense indices.
-  std::vector<std::vector<std::uint32_t>> masked_idx(set.mates.size());
-  for (std::size_t m = 0; m < set.mates.size(); ++m) {
-    for (WireId w : set.mates[m].masked_wires) {
-      const auto it = fault_index.find(w);
-      RIPPLE_ASSERT(it != fault_index.end(),
-                    "MATE masks a wire outside the faulty set");
-      masked_idx[m].push_back(static_cast<std::uint32_t>(it->second));
-    }
-  }
-
-  if (keep_trigger_lists) {
-    result.triggered_by_cycle.resize(trace.num_cycles());
-  }
-
-  BitVec masked(set.faulty_wires.size());
-  for (std::size_t cycle = 0; cycle < trace.num_cycles(); ++cycle) {
-    const BitVec& values = trace.cycle_values(cycle);
-    masked.clear_all();
-    for (std::size_t m = 0; m < set.mates.size(); ++m) {
-      if (!set.mates[m].cube.eval(values)) continue;
-      MateTraceStats& stats = result.per_mate[m];
-      ++stats.triggers;
-      stats.masked_total += masked_idx[m].size();
-      for (std::uint32_t idx : masked_idx[m]) masked.set(idx, true);
-      if (keep_trigger_lists) {
-        result.triggered_by_cycle[cycle].push_back(
-            static_cast<std::uint32_t>(m));
-      }
-    }
-    result.masked_faults += masked.popcount();
-  }
-
-  finalize_eval(set, result);
-  return result;
-}
-
-EvalResult evaluate_mates_bitpar(const MateSet& set,
-                                 const sim::TransposedTrace& trace,
-                                 bool keep_trigger_lists,
-                                 std::size_t threads) {
-  EvalResult result;
-  result.num_cycles = trace.num_cycles();
-  result.num_faulty_wires = set.faulty_wires.size();
-  result.per_mate.resize(set.mates.size());
-  if (keep_trigger_lists) {
-    result.triggered_by_cycle.resize(trace.num_cycles());
-  }
-
-  const std::unordered_map<WireId, std::size_t> fault_index =
-      build_fault_index(set);
-
-  // Per MATE: the literal streams (wire stream pointer + invert mask so a
-  // 0-literal becomes XOR ~0) and the masked-fault bitset over the dense
-  // faulty-wire indices.
-  struct MatePlan {
-    std::vector<std::pair<const std::uint64_t*, std::uint64_t>> literals;
-    BitVec mask;
-  };
-  std::vector<MatePlan> plans(set.mates.size());
-  for (std::size_t m = 0; m < set.mates.size(); ++m) {
-    MatePlan& plan = plans[m];
-    plan.mask = BitVec(set.faulty_wires.size());
-    for (WireId w : set.mates[m].masked_wires) {
-      const auto it = fault_index.find(w);
-      RIPPLE_ASSERT(it != fault_index.end(),
-                    "MATE masks a wire outside the faulty set");
-      plan.mask.set(it->second, true);
-    }
-    plan.literals.reserve(set.mates[m].cube.size());
-    for (const Literal& l : set.mates[m].cube.literals()) {
-      plan.literals.emplace_back(
-          trace.wire_stream(l.wire.index()).data(),
-          l.value ? 0 : ~std::uint64_t{0});
-    }
-  }
-
-  const std::size_t blocks = trace.num_blocks();
-
-  // One chunk of contiguous 64-cycle blocks per worker; partial trigger
-  // counts merge in chunk order, so the result is independent of scheduling.
-  struct Partial {
-    std::vector<std::size_t> triggers;
-    std::size_t masked_faults = 0;
-  };
-
-  const auto run_blocks = [&](std::size_t begin, std::size_t end,
-                              Partial& out) {
-    out.triggers.assign(set.mates.size(), 0);
-    std::array<BitVec, 64> acc; // per-cycle masked union, reused per block
-    for (std::size_t b = begin; b < end; ++b) {
-      const std::size_t base_cycle = b * 64;
-      const std::uint64_t valid = trace.block_mask(b);
-      std::uint64_t used = 0; // cycles of this block with >= 1 trigger
-      for (std::size_t m = 0; m < plans.size(); ++m) {
-        const MatePlan& plan = plans[m];
-        std::uint64_t trig = valid;
-        for (const auto& [stream, invert] : plan.literals) {
-          trig &= stream[b] ^ invert;
-          if (trig == 0) break;
-        }
-        if (trig == 0) continue;
-        out.triggers[m] +=
-            static_cast<std::size_t>(__builtin_popcountll(trig));
-        for (std::uint64_t w = trig; w != 0; w &= w - 1) {
-          const unsigned c =
-              static_cast<unsigned>(__builtin_ctzll(w));
-          if ((used >> c) & 1u) {
-            acc[c] |= plan.mask;
-          } else {
-            acc[c] = plan.mask; // copy-assign reuses capacity
-            used |= std::uint64_t{1} << c;
-          }
-          if (keep_trigger_lists) {
-            // MATE loop is outermost, so each per-cycle list stays sorted
-            // ascending by MATE index, exactly like the scalar engine's.
-            result.triggered_by_cycle[base_cycle + c].push_back(
-                static_cast<std::uint32_t>(m));
-          }
-        }
-      }
-      for (std::uint64_t w = used; w != 0; w &= w - 1) {
-        const unsigned c = static_cast<unsigned>(__builtin_ctzll(w));
-        out.masked_faults += acc[c].popcount();
-      }
-    }
-  };
-
-  // Worker count: enough blocks per worker to amortize scheduling; a short
-  // trace runs inline without spinning up the pool.
-  constexpr std::size_t kMinBlocksPerWorker = 8;
-  const std::size_t hw = std::max<std::size_t>(
-      1, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      std::min({threads == 0 ? hw : threads,
-                (blocks + kMinBlocksPerWorker - 1) / kMinBlocksPerWorker,
-                blocks});
-
-  std::vector<Partial> partials(std::max<std::size_t>(workers, 1));
-  if (workers <= 1) {
-    run_blocks(0, blocks, partials[0]);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for_index(
-        workers,
-        [&](std::size_t chunk) {
-          const std::size_t begin = chunk * blocks / workers;
-          const std::size_t end = (chunk + 1) * blocks / workers;
-          run_blocks(begin, end, partials[chunk]);
-        },
-        /*grain=*/1);
-  }
-
-  for (const Partial& p : partials) {
-    if (p.triggers.empty()) continue; // untouched chunk (blocks == 0)
-    result.masked_faults += p.masked_faults;
-    for (std::size_t m = 0; m < set.mates.size(); ++m) {
-      result.per_mate[m].triggers += p.triggers[m];
-    }
-  }
-  for (std::size_t m = 0; m < set.mates.size(); ++m) {
-    result.per_mate[m].masked_total =
-        result.per_mate[m].triggers * set.mates[m].masked_wires.size();
-  }
-
-  finalize_eval(set, result);
-  return result;
-}
-
 EvalResult evaluate_mates(const MateSet& set, const sim::Trace& trace,
-                          bool keep_trigger_lists, EvalEngine engine,
                           std::size_t threads) {
-  if (engine == EvalEngine::Scalar) {
-    return evaluate_mates_scalar(set, trace, keep_trigger_lists);
-  }
   const sim::TransposedTrace tt(trace);
-  if (engine == EvalEngine::Streaming && !keep_trigger_lists) {
-    // Chunked replay of the in-memory trace through the accumulator; the
-    // streaming engine never materializes whole-trace trigger lists, so
-    // keep_trigger_lists falls through to the whole-trace engine below.
-    sim::TransposedTraceSource source(tt);
-    return evaluate_mates_stream(set, source, threads, /*overlap=*/false);
-  }
-  return evaluate_mates_bitpar(set, tt, keep_trigger_lists, threads);
+  sim::TransposedTraceSource source(tt);
+  return evaluate_mates_stream(set, source, threads, /*overlap=*/false);
 }
 
 } // namespace ripple::mate

@@ -5,15 +5,11 @@
 // quantification of the paper's evaluation and — applied cycle-by-cycle in
 // the simulator — the online pruning a HAFI platform would perform.
 //
-// Two engines produce identical results:
-//   * Scalar      -- the literal-by-literal reference oracle: per cycle, per
-//                    MATE, per literal (O(cycles x mates x literals) bit ops);
-//   * BitParallel -- 64 cycles per machine word over a sim::TransposedTrace:
-//                    a MATE's trigger stream for a 64-cycle block is the AND
-//                    over its literals of (wire_stream ^ invert_mask), after
-//                    which trigger counts are popcounts and the per-cycle
-//                    masked-fault unions are word-wide ORs, fanned out over
-//                    the ThreadPool in 64-cycle blocks.
+// There is one engine: the word-parallel streaming accumulator of
+// mate/stream.hpp (64 cycles per machine word; a MATE's trigger stream for a
+// 64-cycle block is the AND over its literals of (wire_stream ^
+// invert_mask)). evaluate_mates is its in-memory entry point. The literal
+// scalar oracle it is tested against lives in tests/support.
 #pragma once
 
 #include <cstddef>
@@ -21,24 +17,8 @@
 
 #include "mate/mate.hpp"
 #include "sim/trace.hpp"
-#include "sim/transposed.hpp"
 
 namespace ripple::mate {
-
-/// Which evaluate/rank implementation to run. All three return identical
-/// results (enforced by eval_bitpar_test, eval_stream_test and the
-/// eval_bench_smoke ctest target):
-///   * Scalar      -- the reference oracle (per cycle, per MATE, per literal);
-///   * BitParallel -- whole-trace word-parallel engine over a
-///                    sim::TransposedTrace;
-///   * Streaming   -- the bit-parallel kernel applied chunk-by-chunk through
-///                    an EvalAccumulator (mate/stream.hpp), so only
-///                    O(chunk x wires) trace bits are resident and evaluation
-///                    overlaps simulation. The pipeline default.
-enum class EvalEngine { Scalar, BitParallel, Streaming };
-
-/// "scalar" / "bitpar" / "stream" (the --eval-engine spelling).
-[[nodiscard]] const char* eval_engine_name(EvalEngine engine);
 
 struct MateTraceStats {
   std::size_t triggers = 0;       // cycles in which the cube held
@@ -77,38 +57,20 @@ struct EvalResult {
 
   std::vector<MateTraceStats> per_mate; // indexed like MateSet::mates
 
-  /// Per cycle, the indices of triggered MATEs (in MateSet order). Retained
-  /// for the selection pass; empty when `keep_trigger_lists` was false.
-  std::vector<std::vector<std::uint32_t>> triggered_by_cycle;
-
   bool operator==(const EvalResult&) const = default;
 };
 
-/// Evaluate with the chosen engine. The BitParallel engine transposes the
-/// trace internally; when evaluating several MATE sets against the same
-/// trace, build one sim::TransposedTrace and call evaluate_mates_bitpar
-/// directly (the campaign pipeline does this). `threads` only affects the
-/// BitParallel engine (0 = hardware concurrency).
-[[nodiscard]] EvalResult evaluate_mates(
-    const MateSet& set, const sim::Trace& trace,
-    bool keep_trigger_lists = false,
-    EvalEngine engine = EvalEngine::BitParallel, std::size_t threads = 0);
-
-/// The scalar reference oracle (the pre-word-parallel implementation).
-[[nodiscard]] EvalResult evaluate_mates_scalar(const MateSet& set,
-                                               const sim::Trace& trace,
-                                               bool keep_trigger_lists = false);
-
-/// The bit-parallel engine over a prebuilt transposed trace; 64 cycles per
-/// word, blocks fanned out across `threads` workers.
-[[nodiscard]] EvalResult evaluate_mates_bitpar(
-    const MateSet& set, const sim::TransposedTrace& trace,
-    bool keep_trigger_lists = false, std::size_t threads = 0);
+/// Evaluate `set` over an in-memory trace: the trace is transposed once and
+/// replayed through the streaming accumulator. `threads` = 0 selects
+/// hardware concurrency.
+[[nodiscard]] EvalResult evaluate_mates(const MateSet& set,
+                                        const sim::Trace& trace,
+                                        std::size_t threads = 0);
 
 namespace detail {
-/// Derived tail (effective_mates, avg/sd inputs) shared by every engine:
-/// identical arithmetic on identical integer counters keeps the engines
-/// byte-for-byte equivalent, doubles included.
+/// Derived tail (effective_mates, avg/sd inputs) of every EvalResult:
+/// identical arithmetic on identical integer counters keeps the accumulator
+/// and the test oracles byte-for-byte equivalent, doubles included.
 void finalize_eval(const MateSet& set, EvalResult& result);
 } // namespace detail
 

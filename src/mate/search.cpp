@@ -369,105 +369,96 @@ SearchResult find_mates(const netlist::Netlist& n,
   SearchResult result;
   result.outcomes.resize(faulty_wires.size());
   std::vector<std::vector<Cube>> cubes_per_wire(faulty_wires.size());
-  // Wire index -> isomorphism class (dedup mode only): lets the cross-wire
-  // merge below reuse one class member's resolved mate indices for the next.
-  // same_as_rep marks members whose remapped cube list is provably the
-  // representative's own (identity remap on every used border rank); their
-  // cubes are never materialized at all.
-  std::vector<std::size_t> class_of;
-  std::vector<std::uint8_t> same_as_rep;
+  // Wire index -> isomorphism class: lets the cross-wire merge below reuse
+  // one class member's resolved mate indices for the next. same_as_rep marks
+  // members whose remapped cube list is provably the representative's own
+  // (identity remap on every used border rank); their cubes are never
+  // materialized at all.
+  std::vector<std::size_t> class_of(faulty_wires.size());
+  std::vector<std::uint8_t> same_as_rep(faulty_wires.size(), 0);
 
   ThreadPool pool(params.threads);
   SearcherPool searchers(n, params, topo);
-  const auto search_wire = [&](std::size_t i) {
-    Stopwatch wire_watch;
-    std::unique_ptr<WireSearch> search = searchers.acquire();
-    cubes_per_wire[i] = search->run(faulty_wires[i], result.outcomes[i]);
-    searchers.release(std::move(search));
-    result.outcomes[i].seconds = wire_watch.seconds();
-  };
 
-  if (params.dedup) {
-    const IsoGrouping grouping =
-        group_isomorphic_cones(n, faulty_wires, pool);
-    result.dedup_classes = grouping.classes.size();
-    result.busy_seconds += grouping.busy_seconds;
-    class_of.resize(faulty_wires.size());
-    for (std::size_t c = 0; c < grouping.classes.size(); ++c) {
-      for (std::size_t m : grouping.classes[c].members) class_of[m] = c;
-    }
-    same_as_rep.assign(faulty_wires.size(), 0);
-
-    // Largest cone first: a few big unique cones dominate wall time, so
-    // they must start before the swarm of small register-file classes, not
-    // after them (tail latency). grain=1 keeps the schedule order intact.
-    std::vector<std::size_t> schedule(grouping.classes.size());
-    for (std::size_t i = 0; i < schedule.size(); ++i) schedule[i] = i;
-    std::sort(schedule.begin(), schedule.end(),
-              [&](std::size_t a, std::size_t b) {
-                const std::size_t ga = grouping.classes[a].cone_gates;
-                const std::size_t gb = grouping.classes[b].cone_gates;
-                if (ga != gb) return ga > gb;
-                return a < b;
-              });
-
-    pool.parallel_for_index(
-        schedule.size(),
-        [&](std::size_t si) {
-          const IsoClass& cls = grouping.classes[schedule[si]];
-          const std::size_t rep = cls.members[0];
-          search_wire(rep);
-
-          // Border ranks the representative's literals actually touch: a
-          // member whose border wires agree with the rep's on every used
-          // rank gets the identity remap, so its cube list IS the rep's —
-          // no cube is materialized and the merge reuses the rep's mate
-          // indices verbatim.
-          const std::vector<WireId>& rep_borders = grouping.borders[rep];
-          std::vector<std::uint32_t> used_ranks;
-          for (const Cube& c : cubes_per_wire[rep]) {
-            for (const Literal& l : c.literals()) {
-              const auto it = std::lower_bound(rep_borders.begin(),
-                                               rep_borders.end(), l.wire);
-              used_ranks.push_back(
-                  static_cast<std::uint32_t>(it - rep_borders.begin()));
-            }
-          }
-          std::sort(used_ranks.begin(), used_ranks.end());
-          used_ranks.erase(
-              std::unique(used_ranks.begin(), used_ranks.end()),
-              used_ranks.end());
-
-          // Members inherit the representative's outcome (identical by
-          // isomorphism) and its cubes, translated over the rank-preserving
-          // border correspondence.
-          for (std::size_t k = 1; k < cls.members.size(); ++k) {
-            const std::size_t m = cls.members[k];
-            Stopwatch member_watch;
-            WireOutcome& o = result.outcomes[m];
-            o = result.outcomes[rep];
-            o.wire = faulty_wires[m];
-            const std::vector<WireId>& mem_borders = grouping.borders[m];
-            const bool identity = std::all_of(
-                used_ranks.begin(), used_ranks.end(), [&](std::uint32_t r) {
-                  return mem_borders[r] == rep_borders[r];
-                });
-            if (identity) {
-              same_as_rep[m] = 1;
-            } else {
-              cubes_per_wire[m].reserve(cubes_per_wire[rep].size());
-              for (const Cube& c : cubes_per_wire[rep]) {
-                cubes_per_wire[m].push_back(
-                    remap_cube(c, rep_borders, mem_borders));
-              }
-            }
-            o.seconds = member_watch.seconds();
-          }
-        },
-        /*grain=*/1);
-  } else {
-    pool.parallel_for_index(faulty_wires.size(), search_wire);
+  const IsoGrouping grouping = group_isomorphic_cones(n, faulty_wires, pool);
+  result.dedup_classes = grouping.classes.size();
+  result.busy_seconds += grouping.busy_seconds;
+  for (std::size_t c = 0; c < grouping.classes.size(); ++c) {
+    for (std::size_t m : grouping.classes[c].members) class_of[m] = c;
   }
+
+  // Largest cone first: a few big unique cones dominate wall time, so
+  // they must start before the swarm of small register-file classes, not
+  // after them (tail latency). grain=1 keeps the schedule order intact.
+  std::vector<std::size_t> schedule(grouping.classes.size());
+  for (std::size_t i = 0; i < schedule.size(); ++i) schedule[i] = i;
+  std::sort(schedule.begin(), schedule.end(),
+            [&](std::size_t a, std::size_t b) {
+              const std::size_t ga = grouping.classes[a].cone_gates;
+              const std::size_t gb = grouping.classes[b].cone_gates;
+              if (ga != gb) return ga > gb;
+              return a < b;
+            });
+
+  pool.parallel_for_index(
+      schedule.size(),
+      [&](std::size_t si) {
+        const IsoClass& cls = grouping.classes[schedule[si]];
+        const std::size_t rep = cls.members[0];
+        Stopwatch rep_watch;
+        std::unique_ptr<WireSearch> search = searchers.acquire();
+        cubes_per_wire[rep] =
+            search->run(faulty_wires[rep], result.outcomes[rep]);
+        searchers.release(std::move(search));
+        result.outcomes[rep].seconds = rep_watch.seconds();
+
+        // Border ranks the representative's literals actually touch: a
+        // member whose border wires agree with the rep's on every used
+        // rank gets the identity remap, so its cube list IS the rep's —
+        // no cube is materialized and the merge reuses the rep's mate
+        // indices verbatim.
+        const std::vector<WireId>& rep_borders = grouping.borders[rep];
+        std::vector<std::uint32_t> used_ranks;
+        for (const Cube& c : cubes_per_wire[rep]) {
+          for (const Literal& l : c.literals()) {
+            const auto it = std::lower_bound(rep_borders.begin(),
+                                             rep_borders.end(), l.wire);
+            used_ranks.push_back(
+                static_cast<std::uint32_t>(it - rep_borders.begin()));
+          }
+        }
+        std::sort(used_ranks.begin(), used_ranks.end());
+        used_ranks.erase(
+            std::unique(used_ranks.begin(), used_ranks.end()),
+            used_ranks.end());
+
+        // Members inherit the representative's outcome (identical by
+        // isomorphism) and its cubes, translated over the rank-preserving
+        // border correspondence.
+        for (std::size_t k = 1; k < cls.members.size(); ++k) {
+          const std::size_t m = cls.members[k];
+          Stopwatch member_watch;
+          WireOutcome& o = result.outcomes[m];
+          o = result.outcomes[rep];
+          o.wire = faulty_wires[m];
+          const std::vector<WireId>& mem_borders = grouping.borders[m];
+          const bool identity = std::all_of(
+              used_ranks.begin(), used_ranks.end(), [&](std::uint32_t r) {
+                return mem_borders[r] == rep_borders[r];
+              });
+          if (identity) {
+            same_as_rep[m] = 1;
+          } else {
+            cubes_per_wire[m].reserve(cubes_per_wire[rep].size());
+            for (const Cube& c : cubes_per_wire[rep]) {
+              cubes_per_wire[m].push_back(
+                  remap_cube(c, rep_borders, mem_borders));
+            }
+          }
+          o.seconds = member_watch.seconds();
+        }
+      },
+      /*grain=*/1);
 
   for (const WireOutcome& o : result.outcomes) {
     result.busy_seconds += o.seconds;
@@ -477,7 +468,7 @@ SearchResult find_mates(const netlist::Netlist& n,
   // benign (Section 4, step 3). Mate indices are assigned in first-seen
   // order, so the hashed index produces the exact ordered-map output.
   //
-  // Dedup fast path: isomorphic siblings usually carry literally identical
+  // Class fast path: isomorphic siblings usually carry literally identical
   // cube lists (masking terms live on shared control wires — write enables,
   // address decodes — not on the per-bit wires the remap renames), so the
   // first-processed member's resolved mate indices are memoized per class
@@ -498,10 +489,10 @@ SearchResult find_mates(const netlist::Netlist& n,
     result.total_mates += o.mates_found;
     if (o.status == WireStatus::Unmaskable) ++result.unmaskable_wires;
 
-    ClassMergeMemo* m = class_of.empty() ? nullptr : &memo[class_of[i]];
-    if (m != nullptr && m->cubes != nullptr &&
-        (same_as_rep[i] != 0 || *m->cubes == cubes_per_wire[i])) {
-      for (std::size_t id : m->mate_ids) {
+    ClassMergeMemo& m = memo[class_of[i]];
+    if (m.cubes != nullptr &&
+        (same_as_rep[i] != 0 || *m.cubes == cubes_per_wire[i])) {
+      for (std::size_t id : m.mate_ids) {
         result.set.mates[id].masked_wires.push_back(faulty_wires[i]);
       }
       continue;
@@ -519,9 +510,9 @@ SearchResult find_mates(const netlist::Netlist& n,
     // Only the class's first-merged member (the representative: members are
     // ascending and the rep is members[0]) seeds the memo, so the memo and
     // the same_as_rep flags always refer to the same cube list.
-    if (m != nullptr && m->cubes == nullptr) {
-      m->cubes = &cubes_per_wire[i];
-      m->mate_ids = ids_scratch;
+    if (m.cubes == nullptr) {
+      m.cubes = &cubes_per_wire[i];
+      m.mate_ids = ids_scratch;
     }
   }
   result.set.faulty_wires = faulty_wires;

@@ -9,7 +9,12 @@
 //      path is a MATE
 //   5. merge identical cubes across wires (one MATE may mask many faults)
 //
-// The search parallelizes over faulty wires, as the paper's prototype did.
+// Steps 1-4 run once per cone-isomorphism class (mate/iso.hpp): every faulty
+// wire's cone is fingerprinted, one representative per class of structurally
+// identical cones is searched, and its cubes are remapped onto the other
+// members over the border-wire correspondence. The result is byte-identical
+// to searching every wire on its own (the per-wire oracle of tests/support).
+// The classes fan out over a thread pool, largest cone first.
 #pragma once
 
 #include <cstddef>
@@ -36,15 +41,9 @@ struct SearchParams {
   /// Implementation bounds (documented deviations; see DESIGN.md).
   std::size_t max_paths_per_wire = 50000;
   std::size_t max_mates_per_wire = 256;
-  /// Worker threads; 0 = hardware concurrency.
+  /// Worker threads; 0 = hardware concurrency. Not part of any cache key:
+  /// the thread count changes wall time, never results.
   std::size_t threads = 0;
-  /// Exploit cone isomorphism (mate/iso.hpp): fingerprint every faulty
-  /// wire's cone, run the search once per structural class and remap the
-  /// representative's cubes onto the members over the border-wire
-  /// correspondence. Byte-identical to the per-wire oracle, which stays
-  /// reachable via `--search-dedup=off`; like `threads`, this flag is not
-  /// part of any cache key.
-  bool dedup = true;
 };
 
 enum class WireStatus {
@@ -63,8 +62,7 @@ struct WireOutcome {
   std::size_t candidates_tried = 0;
   std::size_t mates_found = 0;
   /// Wall time spent on this wire: the full search for class
-  /// representatives (and every wire with dedup off), just the cube remap
-  /// for other class members.
+  /// representatives, just the cube remap for other class members.
   double seconds = 0.0;
 };
 
@@ -80,9 +78,8 @@ struct SearchResult {
   /// Worker threads the search ran with (pool size; informational only, not
   /// part of any cache key — thread count does not change the result).
   std::size_t threads_used = 0;
-  /// Isomorphism classes the dedup stage searched (0 when dedup was off).
-  /// Informational only, like threads_used: the MATE output is identical
-  /// either way.
+  /// Isomorphism classes searched (one representative each). Informational
+  /// only, like threads_used: not part of the MATE output.
   std::size_t dedup_classes = 0;
   /// Worker-busy seconds (cone fingerprinting + per-wire search + remap);
   /// the numerator of the pipeline's search_utilization stat.

@@ -3,11 +3,9 @@
 #include "mate/stream.hpp"
 
 #include <algorithm>
-#include <thread>
-#include <unordered_map>
 
+#include "sim/transposed.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ripple::mate {
 namespace detail {
@@ -34,26 +32,6 @@ std::vector<std::size_t> visit_rank(const MateSet& set,
   return rank_of;
 }
 
-/// Dense masked-wire bitsets, one per MATE, over the faulty-wire universe.
-std::vector<BitVec> mate_masks(const MateSet& set) {
-  std::unordered_map<WireId, std::size_t> fault_index;
-  fault_index.reserve(set.faulty_wires.size());
-  for (std::size_t i = 0; i < set.faulty_wires.size(); ++i) {
-    fault_index.emplace(set.faulty_wires[i], i);
-  }
-  std::vector<BitVec> masks(set.mates.size());
-  for (std::size_t m = 0; m < set.mates.size(); ++m) {
-    masks[m] = BitVec(set.faulty_wires.size());
-    for (WireId w : set.mates[m].masked_wires) {
-      const auto it = fault_index.find(w);
-      RIPPLE_ASSERT(it != fault_index.end(),
-                    "MATE masks a wire outside the faulty set");
-      masks[m].set(it->second, true);
-    }
-  }
-  return masks;
-}
-
 std::vector<std::size_t> ranking_from_hits(
     const std::vector<std::size_t>& hits) {
   std::vector<std::size_t> ranking(hits.size());
@@ -68,128 +46,11 @@ std::vector<std::size_t> ranking_from_hits(
 
 } // namespace detail
 
-using detail::mate_masks;
-using detail::ranking_from_hits;
-using detail::visit_rank;
-
-SelectionResult rank_mates_scalar(const MateSet& set,
-                                  const sim::Trace& trace) {
-  // Pass 1: whole-trace masking volume per MATE + per-cycle trigger lists.
-  // The result is owned, so pass 2 sorts the trigger lists in place instead
-  // of copying each cycle's list before sorting it.
-  EvalResult eval =
-      evaluate_mates_scalar(set, trace, /*keep_trigger_lists=*/true);
-  const std::vector<std::size_t> rank_of = visit_rank(set, eval);
-
-  std::unordered_map<WireId, std::size_t> fault_index;
-  for (std::size_t i = 0; i < set.faulty_wires.size(); ++i) {
-    fault_index.emplace(set.faulty_wires[i], i);
-  }
-
-  // Pass 2: per-cycle marginal gains.
-  SelectionResult out;
-  out.hits.assign(set.mates.size(), 0);
-  BitVec masked(set.faulty_wires.size());
-  for (std::size_t cycle = 0; cycle < trace.num_cycles(); ++cycle) {
-    std::vector<std::uint32_t>& triggered = eval.triggered_by_cycle[cycle];
-    if (triggered.empty()) continue;
-    std::sort(triggered.begin(), triggered.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return rank_of[a] < rank_of[b];
-              });
-    masked.clear_all();
-    for (std::uint32_t m : triggered) {
-      std::size_t gained = 0;
-      for (WireId w : set.mates[m].masked_wires) {
-        const std::size_t idx = fault_index.at(w);
-        if (!masked.get(idx)) {
-          masked.set(idx, true);
-          ++gained;
-        }
-      }
-      out.hits[m] += gained;
-    }
-  }
-
-  out.ranking = ranking_from_hits(out.hits);
-  return out;
-}
-
-SelectionResult rank_mates_bitpar(const MateSet& set,
-                                  const sim::TransposedTrace& trace,
-                                  std::size_t threads) {
-  // Pass 1: word-parallel trigger evaluation (64 cycles per word).
-  EvalResult eval =
-      evaluate_mates_bitpar(set, trace, /*keep_trigger_lists=*/true, threads);
-  const std::vector<std::size_t> rank_of = visit_rank(set, eval);
-  const std::vector<BitVec> masks = mate_masks(set);
-
-  // Pass 2: per-cycle marginal gains. Cycles are independent (the masked
-  // union restarts every cycle), so chunks of cycles fan out across the
-  // pool; per-chunk hit counters merge in chunk order for determinism.
-  // The gain of a MATE is or_count: one word-level OR+popcount pass over
-  // the dense masked set instead of a per-wire get/set loop.
-  const std::size_t num_cycles = trace.num_cycles();
-  const auto run_cycles = [&](std::size_t begin, std::size_t end,
-                              std::vector<std::size_t>& hits) {
-    hits.assign(set.mates.size(), 0);
-    BitVec masked(set.faulty_wires.size());
-    for (std::size_t cycle = begin; cycle < end; ++cycle) {
-      std::vector<std::uint32_t>& triggered = eval.triggered_by_cycle[cycle];
-      if (triggered.empty()) continue;
-      std::sort(triggered.begin(), triggered.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return rank_of[a] < rank_of[b];
-                });
-      masked.clear_all();
-      for (std::uint32_t m : triggered) {
-        hits[m] += masked.or_count(masks[m]);
-      }
-    }
-  };
-
-  constexpr std::size_t kMinCyclesPerWorker = 512;
-  const std::size_t hw = std::max<std::size_t>(
-      1, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      std::min({threads == 0 ? hw : threads,
-                (num_cycles + kMinCyclesPerWorker - 1) / kMinCyclesPerWorker,
-                std::max<std::size_t>(num_cycles, 1)});
-
-  SelectionResult out;
-  std::vector<std::vector<std::size_t>> partials(
-      std::max<std::size_t>(workers, 1));
-  if (workers <= 1) {
-    run_cycles(0, num_cycles, partials[0]);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for_index(
-        workers,
-        [&](std::size_t chunk) {
-          const std::size_t begin = chunk * num_cycles / workers;
-          const std::size_t end = (chunk + 1) * num_cycles / workers;
-          run_cycles(begin, end, partials[chunk]);
-        },
-        /*grain=*/1);
-  }
-
-  out.hits.assign(set.mates.size(), 0);
-  for (const std::vector<std::size_t>& p : partials) {
-    for (std::size_t m = 0; m < p.size(); ++m) out.hits[m] += p[m];
-  }
-  out.ranking = ranking_from_hits(out.hits);
-  return out;
-}
-
 SelectionResult rank_mates(const MateSet& set, const sim::Trace& trace,
-                           EvalEngine engine, std::size_t threads) {
-  if (engine == EvalEngine::Scalar) return rank_mates_scalar(set, trace);
+                           std::size_t threads) {
   const sim::TransposedTrace tt(trace);
-  if (engine == EvalEngine::Streaming) {
-    sim::TransposedTraceSource source(tt);
-    return rank_mates_stream(set, source, threads, /*overlap=*/false);
-  }
-  return rank_mates_bitpar(set, tt, threads);
+  sim::TransposedTraceSource source(tt);
+  return rank_mates_stream(set, source, threads, /*overlap=*/false);
 }
 
 MateSet top_n(const MateSet& set, const SelectionResult& sel, std::size_t n) {

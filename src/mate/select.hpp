@@ -6,10 +6,11 @@
 // gain). The top-N MATEs by accumulated credit form the subset synthesized
 // into the HAFI platform.
 //
-// Like evaluate_mates, ranking comes in two equivalent engines: the scalar
-// reference oracle and the bit-parallel one, whose pass 1 is the word-wide
-// trigger evaluation and whose pass 2 computes marginal gains with word-level
-// BitVec ops (or_count), fanned out across cycles on the ThreadPool.
+// Like evaluate_mates, ranking has one engine: the streaming RankAccumulator
+// of mate/stream.hpp, whose pass 1 is the word-wide trigger evaluation and
+// whose pass 2 computes marginal gains with word-level BitVec ops (or_count).
+// rank_mates is its in-memory entry point; the scalar oracle it is tested
+// against lives in tests/support.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +19,6 @@
 #include "mate/eval.hpp"
 #include "mate/mate.hpp"
 #include "sim/trace.hpp"
-#include "sim/transposed.hpp"
 
 namespace ripple::mate {
 
@@ -31,21 +31,12 @@ struct SelectionResult {
   bool operator==(const SelectionResult&) const = default;
 };
 
-/// Rank with the chosen engine (identical results either way). `threads`
-/// only affects the BitParallel engine (0 = hardware concurrency).
-[[nodiscard]] SelectionResult rank_mates(
-    const MateSet& set, const sim::Trace& trace,
-    EvalEngine engine = EvalEngine::BitParallel, std::size_t threads = 0);
-
-/// The scalar reference oracle.
-[[nodiscard]] SelectionResult rank_mates_scalar(const MateSet& set,
-                                                const sim::Trace& trace);
-
-/// The bit-parallel engine over a prebuilt transposed trace (reusable
-/// across evaluate and select runs on the same trace).
-[[nodiscard]] SelectionResult rank_mates_bitpar(
-    const MateSet& set, const sim::TransposedTrace& trace,
-    std::size_t threads = 0);
+/// Rank `set` over an in-memory trace: the trace is transposed once and
+/// streamed twice through the RankAccumulator. `threads` = 0 selects
+/// hardware concurrency.
+[[nodiscard]] SelectionResult rank_mates(const MateSet& set,
+                                         const sim::Trace& trace,
+                                         std::size_t threads = 0);
 
 /// The top-N subset of `set` according to a ranking (N is clamped to the set
 /// size). Faulty-wire universe is preserved.
@@ -53,17 +44,14 @@ struct SelectionResult {
                             std::size_t n);
 
 namespace detail {
-// Shared between the whole-trace engines and the streaming RankAccumulator
-// (mate/stream.hpp); identical inputs must produce identical orderings for
-// the engines to stay byte-equivalent.
+// Shared between the streaming RankAccumulator (mate/stream.hpp) and the
+// scalar test oracle; identical inputs must produce identical orderings for
+// the two to stay byte-equivalent.
 
 /// Global visit order: most-masking MATE first, MATE index as tie-break.
 /// Returns rank_of[mate] = position.
 [[nodiscard]] std::vector<std::size_t> visit_rank(const MateSet& set,
                                                   const EvalResult& eval);
-
-/// Dense masked-wire bitsets, one per MATE, over the faulty-wire universe.
-[[nodiscard]] std::vector<BitVec> mate_masks(const MateSet& set);
 
 /// Ranking sorted by hits desc, MATE index asc.
 [[nodiscard]] std::vector<std::size_t> ranking_from_hits(

@@ -11,17 +11,35 @@
 namespace ripple::mate {
 namespace {
 
-/// Worker count for a block range, mirroring the whole-trace engine's
-/// heuristic so scheduling (not results — those are merge-order independent
-/// integers) matches its behavior.
-constexpr std::size_t kMinBlocksPerWorker = 8;
-
-std::size_t block_workers(std::size_t threads, std::size_t blocks) {
+/// Runs `fn(begin, end, partial)` over the 64-cycle blocks [0, blocks),
+/// split into one contiguous range per worker. Each worker gets enough
+/// blocks to amortize scheduling, so a short chunk runs inline without
+/// spinning up a pool. Partials come back in range order; merging them in
+/// that order keeps results independent of scheduling.
+template <typename Partial, typename Fn>
+std::vector<Partial> run_block_ranges(std::size_t threads, std::size_t blocks,
+                                      const Fn& fn) {
+  constexpr std::size_t kMinBlocksPerWorker = 8;
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return std::min({threads == 0 ? hw : threads,
-                   (blocks + kMinBlocksPerWorker - 1) / kMinBlocksPerWorker,
-                   blocks});
+  const std::size_t workers =
+      std::min({threads == 0 ? hw : threads,
+                (blocks + kMinBlocksPerWorker - 1) / kMinBlocksPerWorker,
+                blocks});
+  std::vector<Partial> partials(std::max<std::size_t>(workers, 1));
+  if (workers <= 1) {
+    fn(0, blocks, partials[0]);
+  } else {
+    ThreadPool pool(workers);
+    pool.parallel_for_index(
+        workers,
+        [&](std::size_t chunk) {
+          fn(chunk * blocks / workers, (chunk + 1) * blocks / workers,
+             partials[chunk]);
+        },
+        /*grain=*/1);
+  }
+  return partials;
 }
 
 } // namespace
@@ -77,8 +95,10 @@ void EvalAccumulator::consume(const sim::TransposedSlice& slice,
     std::size_t masked_faults = 0;
   };
 
-  // Same kernel as evaluate_mates_bitpar::run_blocks, reading literal
-  // streams through the slice instead of whole-trace pointers.
+  // One 64-cycle block at a time: per MATE, AND the literal words into a
+  // trigger word; OR the masks of the MATEs that held into a per-cycle
+  // union and popcount it. Partials merge in worker order, so the result is
+  // independent of scheduling.
   const auto run_blocks = [&](std::size_t begin, std::size_t end,
                               Partial& out) {
     out.triggers.assign(plans_.size(), 0);
@@ -113,23 +133,8 @@ void EvalAccumulator::consume(const sim::TransposedSlice& slice,
     }
   };
 
-  const std::size_t workers = block_workers(threads_, blocks);
-  std::vector<Partial> partials(std::max<std::size_t>(workers, 1));
-  if (workers <= 1) {
-    run_blocks(0, blocks, partials[0]);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for_index(
-        workers,
-        [&](std::size_t chunk) {
-          const std::size_t begin = chunk * blocks / workers;
-          const std::size_t end = (chunk + 1) * blocks / workers;
-          run_blocks(begin, end, partials[chunk]);
-        },
-        /*grain=*/1);
-  }
-
-  for (const Partial& p : partials) {
+  for (const Partial& p : run_block_ranges<Partial>(threads_, blocks,
+                                                    run_blocks)) {
     if (p.triggers.empty()) continue;
     masked_faults_ += p.masked_faults;
     for (std::size_t m = 0; m < triggers_.size(); ++m) {
@@ -170,7 +175,6 @@ void RankAccumulator::begin_gains() {
   gains_begun_ = true;
   eval_ = volumes_.finish();
   rank_of_ = detail::visit_rank(*volumes_.set_, eval_);
-  masks_ = detail::mate_masks(*volumes_.set_);
   hits_.assign(volumes_.set_->mates.size(), 0);
 }
 
@@ -188,14 +192,14 @@ void RankAccumulator::consume_gains(const sim::TransposedSlice& slice,
   // Per block: re-derive the trigger words (same AND-tree as pass 1), build
   // the 64 per-cycle trigger lists locally, then credit marginal gains in
   // global visit order. MATE loop outermost keeps each list ascending by
-  // MATE index before the rank_of sort, exactly like the whole-trace
-  // engines (rank_of is a strict total order, so the sorted order — and
-  // therefore every credit — is identical).
+  // MATE index before the rank_of sort, exactly like the scalar oracle
+  // (rank_of is a strict total order, so the sorted order — and therefore
+  // every credit — is identical).
   const auto run_blocks = [&](std::size_t begin, std::size_t end,
                               std::vector<std::size_t>& hits) {
     hits.assign(plans.size(), 0);
     std::array<std::vector<std::uint32_t>, 64> triggered;
-    BitVec masked(masks_.empty() ? 0 : masks_[0].size());
+    BitVec masked(volumes_.set_->faulty_wires.size());
     for (std::size_t b = begin; b < end; ++b) {
       const std::uint64_t valid = slice.block_mask(b);
       std::uint64_t used = 0;
@@ -220,30 +224,16 @@ void RankAccumulator::consume_gains(const sim::TransposedSlice& slice,
                   });
         masked.clear_all();
         for (std::uint32_t m : list) {
-          hits[m] += masked.or_count(masks_[m]);
+          hits[m] += masked.or_count(plans[m].mask);
         }
         list.clear();
       }
     }
   };
 
-  const std::size_t workers = block_workers(volumes_.threads_, blocks);
-  std::vector<std::vector<std::size_t>> partials(
-      std::max<std::size_t>(workers, 1));
-  if (workers <= 1) {
-    run_blocks(0, blocks, partials[0]);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for_index(
-        workers,
-        [&](std::size_t chunk) {
-          const std::size_t begin = chunk * blocks / workers;
-          const std::size_t end = (chunk + 1) * blocks / workers;
-          run_blocks(begin, end, partials[chunk]);
-        },
-        /*grain=*/1);
-  }
-  for (const std::vector<std::size_t>& p : partials) {
+  for (const std::vector<std::size_t>& p :
+       run_block_ranges<std::vector<std::size_t>>(volumes_.threads_, blocks,
+                                                  run_blocks)) {
     for (std::size_t m = 0; m < p.size(); ++m) hits_[m] += p[m];
   }
   gain_cycles_ += slice.num_cycles;

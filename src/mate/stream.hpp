@@ -1,21 +1,20 @@
-// Streaming MATE evaluation over chunked transposed traces (the bounded-
-// memory engine behind EvalEngine::Streaming).
+// Streaming MATE evaluation over chunked transposed traces: the one
+// evaluate/select engine.
 //
-// The whole-trace bit-parallel engines (mate/eval.cpp, mate/select.cpp) need
-// the full sim::TransposedTrace resident — O(cycles x wires) bits — which
-// caps the workloads they can score. The streaming engine consumes the same
-// word-parallel kernel chunk-by-chunk from a sim::TraceSource: only one
-// chunk of trace bits is resident at a time, and with a sim::AsyncTraceSink
-// in front the simulator produces chunk k+1 while the accumulator scores
-// chunk k.
+// The accumulators score a trace chunk-by-chunk from a sim::TraceSource with
+// the word-parallel kernel (64 cycles per machine word): only one chunk of
+// trace bits is resident at a time, and with a sim::AsyncTraceSink in front
+// the simulator produces chunk k+1 while the accumulator scores chunk k. The
+// in-memory entry points evaluate_mates / rank_mates replay a whole
+// sim::TransposedTrace through the same accumulators.
 //
 // Equivalence contract: chunk boundaries are 64-cycle aligned (enforced by
 // the recorder), so each chunk's block masks and per-block words are exactly
 // the corresponding span of the whole-trace transpose. All merged state is
 // integer counters (commutative, exact), and the derived doubles go through
-// the same detail::finalize_eval tail — the streaming results are therefore
-// byte-for-byte identical to evaluate_mates_bitpar / rank_mates_bitpar and
-// to the scalar oracle (eval_stream_test asserts this).
+// detail::finalize_eval — the results are therefore byte-for-byte
+// identical for every chunk size, thread count and overlap setting, and to
+// the scalar oracles of tests/support (eval_stream_test asserts this).
 #pragma once
 
 #include <cstddef>
@@ -37,8 +36,7 @@ namespace ripple::mate {
 ///   EvalResult r = acc.finish();
 ///
 /// Chunks must arrive in cycle order with no gaps; every chunk except the
-/// last must cover a multiple of 64 cycles. Trigger lists are never kept
-/// (they are whole-trace state — use evaluate_mates_bitpar for those).
+/// last must cover a multiple of 64 cycles.
 class EvalAccumulator {
  public:
   explicit EvalAccumulator(const MateSet& set, std::size_t threads = 0);
@@ -80,10 +78,10 @@ class EvalAccumulator {
 ///   for each chunk: acc.consume_gains(slice, base);     // pass 2
 ///   SelectionResult r = acc.finish();
 ///
-/// Unlike rank_mates_bitpar, no whole-trace trigger lists are materialized:
-/// pass 2 re-derives each block's trigger words from the chunk (cheap — the
-/// same AND-tree as pass 1) and builds only 64 cycles of trigger lists at a
-/// time, keeping memory O(chunk x wires).
+/// No whole-trace trigger lists are materialized: pass 2 re-derives each
+/// block's trigger words from the chunk (cheap — the same AND-tree as pass
+/// 1) and builds only 64 cycles of trigger lists at a time, keeping memory
+/// O(chunk x wires).
 class RankAccumulator {
  public:
   explicit RankAccumulator(const MateSet& set, std::size_t threads = 0);
@@ -108,7 +106,6 @@ class RankAccumulator {
   EvalAccumulator volumes_;
   EvalResult eval_;                  // valid after begin_gains()
   std::vector<std::size_t> rank_of_; // valid after begin_gains()
-  std::vector<BitVec> masks_;        // valid after begin_gains()
   std::vector<std::size_t> hits_;    // per MATE marginal-gain credit
   std::size_t gain_cycles_ = 0;
   bool gains_begun_ = false;

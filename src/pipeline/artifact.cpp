@@ -304,11 +304,6 @@ void write_eval_result(ByteWriter& w, const mate::EvalResult& eval) {
     w.u64(m.triggers);
     w.u64(m.masked_total);
   }
-  w.u64(eval.triggered_by_cycle.size());
-  for (const auto& cycle : eval.triggered_by_cycle) {
-    w.u64(cycle.size());
-    for (std::uint32_t idx : cycle) w.u32(idx);
-  }
 }
 
 mate::EvalResult read_eval_result(ByteReader& r) {
@@ -326,15 +321,6 @@ mate::EvalResult read_eval_result(ByteReader& r) {
     m.triggers = static_cast<std::size_t>(r.u64());
     m.masked_total = static_cast<std::size_t>(r.u64());
     eval.per_mate.push_back(m);
-  }
-  const std::size_t num_cycles = r.count(8);
-  eval.triggered_by_cycle.reserve(num_cycles);
-  for (std::size_t c = 0; c < num_cycles; ++c) {
-    const std::size_t n = r.count(4);
-    std::vector<std::uint32_t> cycle;
-    cycle.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) cycle.push_back(r.u32());
-    eval.triggered_by_cycle.push_back(std::move(cycle));
   }
   return eval;
 }

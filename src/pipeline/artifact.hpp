@@ -32,9 +32,10 @@
 
 namespace ripple::pipeline {
 
-/// Bump when any payload layout below changes; part of every cache key, so
-/// stale cache directories invalidate themselves.
-inline constexpr std::uint32_t kArtifactVersion = 2;
+/// Bump when any payload layout below changes; part of every cache key and
+/// of every frame, so stale cache directories invalidate themselves and a
+/// file from another version reads as a miss.
+inline constexpr std::uint32_t kArtifactVersion = 3;
 
 // --- payload serializers (symmetrical write/read pairs) -------------------
 

@@ -16,8 +16,6 @@ PipelineConfig PipelineOptions::config() const {
   }
   config.use_cache = !no_cache;
   config.threads = threads;
-  config.eval_engine = engine();
-  config.search_dedup = dedup_enabled();
   if (trace_chunk_cycles != 0) {
     RIPPLE_CHECK(trace_chunk_cycles % 64 == 0,
                  "--trace-chunk-cycles must be a multiple of 64, got ",
@@ -27,23 +25,6 @@ PipelineConfig PipelineOptions::config() const {
   return config;
 }
 
-mate::EvalEngine PipelineOptions::engine() const {
-  if (eval_engine.empty() || eval_engine == "stream") {
-    return mate::EvalEngine::Streaming;
-  }
-  if (eval_engine == "bitpar") return mate::EvalEngine::BitParallel;
-  RIPPLE_CHECK(eval_engine == "scalar", "unknown --eval-engine '",
-               eval_engine, "' (expected 'stream', 'bitpar' or 'scalar')");
-  return mate::EvalEngine::Scalar;
-}
-
-bool PipelineOptions::dedup_enabled() const {
-  if (search_dedup.empty() || search_dedup == "on") return true;
-  RIPPLE_CHECK(search_dedup == "off", "unknown --search-dedup '",
-               search_dedup, "' (expected 'on' or 'off')");
-  return false;
-}
-
 mate::SearchParams PipelineOptions::search_params() const {
   return apply(mate::SearchParams{});
 }
@@ -51,7 +32,6 @@ mate::SearchParams PipelineOptions::search_params() const {
 mate::SearchParams PipelineOptions::apply(mate::SearchParams params) const {
   if (depth != 0) params.path_depth = static_cast<unsigned>(depth);
   if (threads != 0) params.threads = threads;
-  params.dedup = dedup_enabled();
   return params;
 }
 
@@ -114,14 +94,6 @@ void register_pipeline_options(OptionParser& parser, PipelineOptions& opts) {
   parser.add_value("depth", "override the path-depth heuristic parameter",
                    &opts.depth);
   parser.add_value("cycles", "override the trace length", &opts.cycles);
-  parser.add_value("eval-engine",
-                   "MATE evaluation engine: stream (default), bitpar or "
-                   "scalar",
-                   &opts.eval_engine);
-  parser.add_value("search-dedup",
-                   "cone-isomorphism dedup in the MATE search: on (default) "
-                   "or off (per-wire oracle)",
-                   &opts.search_dedup);
   parser.add_value("trace-chunk-cycles",
                    "streaming trace chunk length in cycles (multiple of 64; "
                    "0 = default 65536)",

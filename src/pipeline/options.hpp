@@ -1,17 +1,12 @@
 // The shared pipeline command line.
 //
-// Every bench/example binary registers this flag set on its OptionParser
-// (replacing the old ad-hoc `want_csv` argv scan):
+// Every bench/example binary registers this flag set on its OptionParser:
 //   --csv              machine-readable tables on stdout
 //   --cache-dir=DIR    artifact cache directory (default: $RIPPLE_CACHE_DIR)
 //   --no-cache         disable the artifact cache for this run
 //   --threads=N        MATE-search worker threads (0 = hardware concurrency)
 //   --depth=N          override SearchParams::path_depth
 //   --cycles=N         override the trace length
-//   --eval-engine=E    MATE evaluation engine: stream (default), bitpar or
-//                      scalar
-//   --search-dedup=M   cone-isomorphism dedup in the MATE search: on
-//                      (default) or off (per-wire oracle)
 //   --trace-chunk-cycles=N  streaming trace chunk length (multiple of 64)
 //   --report=json[:F]  emit the stage/cache report as JSON (stderr, or file F)
 //   --trace-out=FILE   record spans and export a Chrome trace-event JSON
@@ -34,22 +29,13 @@ struct PipelineOptions {
   std::size_t threads = 0;
   std::size_t depth = 0;  // 0 = keep SearchParams default
   std::size_t cycles = 0; // 0 = keep the binary's default
-  std::string eval_engine; // "", "stream", "bitpar" or "scalar"
-  std::string search_dedup; // "", "on" or "off"
   std::string report;     // "", "json" or "json:FILE"
   std::size_t trace_chunk_cycles = 0; // 0 = kDefaultChunkCycles
   std::string trace_out;  // empty = span recording off (near-zero cost)
 
   /// PipelineConfig derived from the flags (env fallback applied). Throws
-  /// ripple::Error on an unknown --eval-engine value.
+  /// ripple::Error on a --trace-chunk-cycles that is not a multiple of 64.
   [[nodiscard]] PipelineConfig config() const;
-
-  /// --eval-engine parsed ("" defaults to stream).
-  [[nodiscard]] mate::EvalEngine engine() const;
-
-  /// --search-dedup parsed ("" defaults to on). Throws ripple::Error on an
-  /// unknown value.
-  [[nodiscard]] bool dedup_enabled() const;
 
   /// Default SearchParams with --depth/--threads applied.
   [[nodiscard]] mate::SearchParams search_params() const;

@@ -61,10 +61,8 @@ std::uint64_t search_key(std::uint64_t netlist_fp,
   h.update_value(netlist_fp);
   h.update_value(static_cast<std::uint64_t>(faulty.size()));
   for (WireId wire : faulty) h.update_value(wire.value());
-  // Every result-affecting parameter; `threads` and `dedup` are
-  // deliberately absent (they change wall time, never results — dedup on
-  // and off are byte-identical by construction, search_iso_test verifies
-  // it), so neither flag splits the cache.
+  // Every result-affecting parameter; `threads` is deliberately absent (it
+  // changes wall time, never results), so --threads never splits the cache.
   h.update_value(static_cast<std::uint32_t>(p.path_depth));
   h.update_value(static_cast<std::uint32_t>(p.max_terms));
   h.update_value(static_cast<std::uint64_t>(p.max_candidates_per_wire));
@@ -73,21 +71,12 @@ std::uint64_t search_key(std::uint64_t netlist_fp,
   return h.digest();
 }
 
-std::uint64_t select_key(std::uint64_t set_fp, std::uint64_t trace_fp) {
+/// Key of the evaluate and select stages (the stage kind tells them apart).
+std::uint64_t score_key(std::uint64_t set_fp, std::uint64_t trace_fp) {
   Hasher h;
   h.update_value(kArtifactVersion);
   h.update_value(set_fp);
   h.update_value(trace_fp);
-  return h.digest();
-}
-
-std::uint64_t eval_key(std::uint64_t set_fp, std::uint64_t trace_fp,
-                       bool keep_trigger_lists) {
-  Hasher h;
-  h.update_value(kArtifactVersion);
-  h.update_value(set_fp);
-  h.update_value(trace_fp);
-  h.update_value(static_cast<std::uint8_t>(keep_trigger_lists ? 1 : 0));
   return h.digest();
 }
 
@@ -123,7 +112,72 @@ void fill_search_counters(StageStats& stats, const mate::SearchResult& r) {
   };
 }
 
+/// An in-memory trace as a replayable chunk source. The transpose is
+/// requested on the first stream() call, so a stage that hits the cache
+/// never pays for it.
+class LazyTransposedSource final : public sim::TraceSource {
+public:
+  LazyTransposedSource(const sim::Trace& trace, std::size_t chunk_cycles,
+                       std::function<const sim::TransposedTrace&()> transpose)
+      : trace_(&trace), chunk_cycles_(chunk_cycles),
+        transpose_(std::move(transpose)) {}
+
+  [[nodiscard]] std::size_t num_wires() const override {
+    return trace_->num_wires();
+  }
+  [[nodiscard]] std::size_t num_cycles() const override {
+    return trace_->num_cycles();
+  }
+  [[nodiscard]] std::size_t chunk_cycles() const override {
+    return chunk_cycles_;
+  }
+  void stream(sim::TraceSink& sink) override {
+    sim::TransposedTraceSource(transpose_(), chunk_cycles_).stream(sink);
+  }
+
+private:
+  const sim::Trace* trace_;
+  std::size_t chunk_cycles_;
+  std::function<const sim::TransposedTrace&()> transpose_;
+};
+
 } // namespace
+
+template <typename T, typename Compute, typename Counters>
+T CampaignPipeline::cached_stage(const char* span_name, const CacheKey& key,
+                                 std::string detail, T (*read)(ByteReader&),
+                                 void (*write)(ByteWriter&, const T&),
+                                 Compute&& compute, Counters&& counters) {
+  StageStats stats;
+  stats.stage = key.stage;
+  stats.detail = std::move(detail);
+  stats.cacheable = cache_->enabled();
+  obs::Span span("pipeline", span_name);
+  if (span.active()) span.set_detail(stats.detail);
+  notify_begin(stats.stage, stats.detail);
+  Stopwatch watch;
+
+  T result = [&] {
+    if (auto payload = cache_->load(key)) {
+      ByteReader r(*payload);
+      T loaded = read(r);
+      r.expect_done();
+      stats.cache_hit = true;
+      return loaded;
+    }
+    T computed = compute();
+    if (cache_->enabled()) {
+      ByteWriter w;
+      write(w, computed);
+      cache_->store(key, w.bytes());
+    }
+    return computed;
+  }();
+  stats.seconds = watch.seconds();
+  counters(stats, result);
+  notify_end(std::move(stats));
+  return result;
+}
 
 std::string_view core_name(CoreKind kind) {
   switch (kind) {
@@ -215,25 +269,27 @@ CoreSetup CampaignPipeline::setup(const CoreSetupSpec& spec) {
 
   CoreSetup s;
   s.name = name;
+  // Ends the build_core stage; the traces follow as record_trace stages.
+  const auto built = [&](const netlist::Netlist& n) {
+    s.fingerprint = fingerprint(n);
+    s.ff = mate::all_flop_wires(n);
+    StageStats stats;
+    stats.stage = "build_core";
+    stats.detail = name;
+    stats.seconds = watch.seconds();
+    stats.counters = {
+        {"wires", static_cast<double>(n.num_wires())},
+        {"gates", static_cast<double>(n.num_gates())},
+        {"flops", static_cast<double>(n.num_flops())},
+    };
+    notify_end(stats);
+  };
 
   if (spec.kind == CoreKind::Avr) {
     cores::avr::AvrCore core = cores::avr::build_avr_core(spec.optimized);
-    s.fingerprint = fingerprint(core.netlist);
-    s.ff = mate::all_flop_wires(core.netlist);
     s.ff_xrf = mate::flop_wires_excluding_prefix(core.netlist,
                                                  cores::avr::kRegfilePrefix);
-    {
-      StageStats stats;
-      stats.stage = "build_core";
-      stats.detail = name;
-      stats.seconds = watch.seconds();
-      stats.counters = {
-          {"wires", static_cast<double>(core.netlist.num_wires())},
-          {"gates", static_cast<double>(core.netlist.num_gates())},
-          {"flops", static_cast<double>(core.netlist.num_flops())},
-      };
-      notify_end(stats);
-    }
+    built(core.netlist);
     s.fib_trace =
         record_trace(s.fingerprint, "fib", spec.trace_cycles, [&core, &spec] {
           cores::avr::AvrSystem sys(core, cores::avr::fib_program());
@@ -244,28 +300,13 @@ CoreSetup CampaignPipeline::setup(const CoreSetupSpec& spec) {
           cores::avr::AvrSystem sys(core, cores::avr::conv_program());
           return sys.run_trace(spec.trace_cycles);
         });
-    s.fib_trace_fp = fingerprint(s.fib_trace);
-    s.conv_trace_fp = fingerprint(s.conv_trace);
     s.netlist = std::move(core.netlist);
   } else {
     cores::msp430::Msp430Core core =
         cores::msp430::build_msp430_core(spec.optimized);
-    s.fingerprint = fingerprint(core.netlist);
-    s.ff = mate::all_flop_wires(core.netlist);
     s.ff_xrf = mate::flop_wires_excluding_prefix(
         core.netlist, cores::msp430::kRegfilePrefix);
-    {
-      StageStats stats;
-      stats.stage = "build_core";
-      stats.detail = name;
-      stats.seconds = watch.seconds();
-      stats.counters = {
-          {"wires", static_cast<double>(core.netlist.num_wires())},
-          {"gates", static_cast<double>(core.netlist.num_gates())},
-          {"flops", static_cast<double>(core.netlist.num_flops())},
-      };
-      notify_end(stats);
-    }
+    built(core.netlist);
     s.fib_trace =
         record_trace(s.fingerprint, "fib", spec.trace_cycles, [&core, &spec] {
           cores::msp430::Msp430System sys(core, cores::msp430::fib_image());
@@ -276,50 +317,26 @@ CoreSetup CampaignPipeline::setup(const CoreSetupSpec& spec) {
           cores::msp430::Msp430System sys(core, cores::msp430::conv_image());
           return sys.run_trace(spec.trace_cycles);
         });
-    s.fib_trace_fp = fingerprint(s.fib_trace);
-    s.conv_trace_fp = fingerprint(s.conv_trace);
     s.netlist = std::move(core.netlist);
   }
+  s.fib_trace_fp = fingerprint(s.fib_trace);
+  s.conv_trace_fp = fingerprint(s.conv_trace);
   return s;
 }
 
 sim::Trace CampaignPipeline::record_trace(
     std::uint64_t netlist_fingerprint, std::string_view workload,
     std::size_t cycles, const std::function<sim::Trace()>& run) {
-  const CacheKey key{"record_trace",
-                     trace_key(netlist_fingerprint, workload, cycles)};
-  StageStats stats;
-  stats.stage = "record_trace";
-  stats.detail = strprintf("%.*s, %zu cycles",
-                           static_cast<int>(workload.size()), workload.data(),
-                           cycles);
-  stats.cacheable = cache_->enabled();
-  obs::Span span("pipeline", "stage:record_trace");
-  if (span.active()) span.set_detail(stats.detail);
-  notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
-
-  if (auto payload = cache_->load(key)) {
-    ByteReader r(*payload);
-    sim::Trace t = read_trace(r);
-    r.expect_done();
-    stats.cache_hit = true;
-    stats.seconds = watch.seconds();
-    stats.counters = {{"cycles", static_cast<double>(t.num_cycles())},
-                      {"wires", static_cast<double>(t.num_wires())}};
-    notify_end(stats);
-    return t;
-  }
-
-  sim::Trace t = run();
-  ByteWriter w;
-  write_trace(w, t);
-  cache_->store(key, w.bytes());
-  stats.seconds = watch.seconds();
-  stats.counters = {{"cycles", static_cast<double>(t.num_cycles())},
-                    {"wires", static_cast<double>(t.num_wires())}};
-  notify_end(stats);
-  return t;
+  return cached_stage(
+      "stage:record_trace",
+      {"record_trace", trace_key(netlist_fingerprint, workload, cycles)},
+      strprintf("%.*s, %zu cycles", static_cast<int>(workload.size()),
+                workload.data(), cycles),
+      read_trace, write_trace, run,
+      [](StageStats& stats, const sim::Trace& t) {
+        stats.counters = {{"cycles", static_cast<double>(t.num_cycles())},
+                          {"wires", static_cast<double>(t.num_wires())}};
+      });
 }
 
 mate::SearchResult CampaignPipeline::find_mates(
@@ -333,111 +350,44 @@ mate::SearchResult CampaignPipeline::find_mates(
     const netlist::Netlist& n, std::uint64_t netlist_fingerprint,
     std::span<const WireId> faulty, const mate::SearchParams& params,
     std::string detail) {
-  mate::SearchParams run_params = apply_threads(params);
-  run_params.dedup = config_.search_dedup;
-  const CacheKey key{"find_mates",
-                     search_key(netlist_fingerprint, faulty, run_params)};
-  StageStats stats;
-  stats.stage = "find_mates";
-  stats.detail = std::move(detail);
-  stats.cacheable = cache_->enabled();
-  obs::Span span("pipeline", "stage:find_mates");
-  if (span.active()) span.set_detail(stats.detail);
-  notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
-
-  if (auto payload = cache_->load(key)) {
-    ByteReader r(*payload);
-    mate::SearchResult result = read_search_result(r);
-    r.expect_done();
-    stats.cache_hit = true;
-    stats.seconds = watch.seconds();
-    fill_search_counters(stats, result);
-    notify_end(stats);
-    return result;
-  }
-
-  mate::SearchResult result = mate::find_mates(
-      n, std::vector<WireId>(faulty.begin(), faulty.end()), run_params);
-  ByteWriter w;
-  write_search_result(w, result);
-  cache_->store(key, w.bytes());
-
-  stats.seconds = watch.seconds();
-  stats.threads = std::max<std::size_t>(result.threads_used, 1);
-  if (stats.seconds > 0.0) {
-    stats.utilization =
-        std::min(1.0, result.busy_seconds /
-                          (static_cast<double>(stats.threads) * stats.seconds));
-  }
-  fill_search_counters(stats, result);
-  stats.counters.emplace_back("search_utilization", stats.utilization);
-  notify_end(stats);
-  return result;
+  const mate::SearchParams run_params = apply_threads(params);
+  return cached_stage(
+      "stage:find_mates",
+      {"find_mates", search_key(netlist_fingerprint, faulty, run_params)},
+      std::move(detail), read_search_result, write_search_result,
+      [&] {
+        return mate::find_mates(
+            n, std::vector<WireId>(faulty.begin(), faulty.end()), run_params);
+      },
+      [](StageStats& stats, const mate::SearchResult& result) {
+        fill_search_counters(stats, result);
+        if (stats.cache_hit) return;
+        stats.threads = std::max<std::size_t>(result.threads_used, 1);
+        if (stats.seconds > 0.0) {
+          stats.utilization = std::min(
+              1.0, result.busy_seconds /
+                       (static_cast<double>(stats.threads) * stats.seconds));
+        }
+        stats.counters.emplace_back("search_utilization", stats.utilization);
+      });
 }
 
 mate::EvalResult CampaignPipeline::evaluate(const mate::MateSet& set,
                                             const sim::Trace& trace,
-                                            bool keep_trigger_lists,
                                             std::string detail) {
-  return evaluate(set, trace, fingerprint(trace), keep_trigger_lists,
-                  std::move(detail));
+  return evaluate(set, trace, fingerprint(trace), std::move(detail));
 }
 
 mate::EvalResult CampaignPipeline::evaluate(const mate::MateSet& set,
                                             const sim::Trace& trace,
                                             std::uint64_t trace_fingerprint,
-                                            bool keep_trigger_lists,
                                             std::string detail) {
-  const CacheKey key{
-      "evaluate",
-      eval_key(fingerprint(set), trace_fingerprint, keep_trigger_lists)};
-  StageStats stats;
-  stats.stage = "evaluate";
-  stats.detail = std::move(detail);
-  stats.cacheable = cache_->enabled();
-  obs::Span span("pipeline", "stage:evaluate");
-  if (span.active()) span.set_detail(stats.detail);
-  notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
-
-  if (auto payload = cache_->load(key)) {
-    ByteReader r(*payload);
-    mate::EvalResult result = read_eval_result(r);
-    r.expect_done();
-    stats.cache_hit = true;
-    stats.seconds = watch.seconds();
-    fill_eval_counters(stats, result);
-    notify_end(stats);
-    return result;
-  }
-
-  mate::EvalResult result;
-  if (config_.eval_engine == mate::EvalEngine::Scalar) {
-    result = mate::evaluate_mates_scalar(set, trace, keep_trigger_lists);
-  } else if (config_.eval_engine == mate::EvalEngine::Streaming &&
-             !keep_trigger_lists) {
-    // Chunked replay of the memoized transposed trace (borrowed slices, no
-    // copies). Trigger lists are whole-trace state, so that variant stays
-    // on the whole-trace engine below.
-    sim::TransposedTraceSource source(transposed(trace, trace_fingerprint),
-                                      config_.trace_chunk_cycles);
-    result = mate::evaluate_mates_stream(set, source, config_.threads,
-                                         /*overlap=*/false);
-  } else {
-    result = mate::evaluate_mates_bitpar(
-        set, transposed(trace, trace_fingerprint), keep_trigger_lists,
-        config_.threads);
-  }
-  ByteWriter w;
-  write_eval_result(w, result);
-  cache_->store(key, w.bytes());
-
-  stats.seconds = watch.seconds();
-  fill_eval_counters(stats, result);
-  fill_throughput_counters(stats, result.num_cycles, set.mates.size());
-  notify_end(stats);
-  return result;
+  LazyTransposedSource source(
+      trace, config_.trace_chunk_cycles,
+      [&]() -> const sim::TransposedTrace& {
+        return transposed(trace, trace_fingerprint);
+      });
+  return evaluate_stream(set, source, trace_fingerprint, std::move(detail));
 }
 
 mate::SelectionResult CampaignPipeline::select(const mate::MateSet& set,
@@ -450,48 +400,12 @@ mate::SelectionResult CampaignPipeline::select(const mate::MateSet& set,
                                                const sim::Trace& trace,
                                                std::uint64_t trace_fingerprint,
                                                std::string detail) {
-  const CacheKey key{"select",
-                     select_key(fingerprint(set), trace_fingerprint)};
-  StageStats stats;
-  stats.stage = "select";
-  stats.detail = std::move(detail);
-  stats.cacheable = cache_->enabled();
-  obs::Span span("pipeline", "stage:select");
-  if (span.active()) span.set_detail(stats.detail);
-  notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
-
-  if (auto payload = cache_->load(key)) {
-    ByteReader r(*payload);
-    mate::SelectionResult result = read_selection(r);
-    r.expect_done();
-    stats.cache_hit = true;
-    stats.seconds = watch.seconds();
-    stats.counters = {{"ranked", static_cast<double>(result.ranking.size())}};
-    notify_end(stats);
-    return result;
-  }
-
-  mate::SelectionResult result;
-  if (config_.eval_engine == mate::EvalEngine::Scalar) {
-    result = mate::rank_mates_scalar(set, trace);
-  } else if (config_.eval_engine == mate::EvalEngine::Streaming) {
-    sim::TransposedTraceSource source(transposed(trace, trace_fingerprint),
-                                      config_.trace_chunk_cycles);
-    result = mate::rank_mates_stream(set, source, config_.threads,
-                                     /*overlap=*/false);
-  } else {
-    result = mate::rank_mates_bitpar(
-        set, transposed(trace, trace_fingerprint), config_.threads);
-  }
-  ByteWriter w;
-  write_selection(w, result);
-  cache_->store(key, w.bytes());
-  stats.seconds = watch.seconds();
-  stats.counters = {{"ranked", static_cast<double>(result.ranking.size())}};
-  fill_throughput_counters(stats, trace.num_cycles(), set.mates.size());
-  notify_end(stats);
-  return result;
+  LazyTransposedSource source(
+      trace, config_.trace_chunk_cycles,
+      [&]() -> const sim::TransposedTrace& {
+        return transposed(trace, trace_fingerprint);
+      });
+  return select_stream(set, source, trace_fingerprint, std::move(detail));
 }
 
 namespace {
@@ -662,83 +576,46 @@ std::unique_ptr<ChunkedTraceStream> CampaignPipeline::trace_stream(
 mate::EvalResult CampaignPipeline::evaluate_stream(
     const mate::MateSet& set, sim::TraceSource& source,
     std::uint64_t stream_fingerprint, std::string detail) {
-  const CacheKey key{
-      "evaluate",
-      eval_key(fingerprint(set), stream_fingerprint,
-               /*keep_trigger_lists=*/false)};
-  StageStats stats;
-  stats.stage = "evaluate";
-  stats.detail = std::move(detail);
-  stats.cacheable = cache_->enabled();
-  obs::Span span("pipeline", "stage:evaluate");
-  if (span.active()) span.set_detail(stats.detail);
-  notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
-
-  if (auto payload = cache_->load(key)) {
-    ByteReader r(*payload);
-    mate::EvalResult result = read_eval_result(r);
-    r.expect_done();
-    stats.cache_hit = true;
-    stats.seconds = watch.seconds();
-    fill_eval_counters(stats, result);
-    notify_end(stats);
-    return result;
-  }
-
-  mate::EvalResult result =
-      mate::evaluate_mates_stream(set, source, config_.threads,
-                                  /*overlap=*/true);
-  ByteWriter w;
-  write_eval_result(w, result);
-  cache_->store(key, w.bytes());
-
-  stats.seconds = watch.seconds();
-  fill_eval_counters(stats, result);
-  fill_throughput_counters(stats, result.num_cycles, set.mates.size());
-  notify_end(stats);
-  return result;
+  return cached_stage(
+      "stage:evaluate",
+      {"evaluate", score_key(fingerprint(set), stream_fingerprint)},
+      std::move(detail), read_eval_result, write_eval_result,
+      [&] {
+        return mate::evaluate_mates_stream(set, source, config_.threads,
+                                           /*overlap=*/true);
+      },
+      [&](StageStats& stats, const mate::EvalResult& result) {
+        fill_eval_counters(stats, result);
+        if (!stats.cache_hit) {
+          fill_throughput_counters(stats, result.num_cycles,
+                                   set.mates.size());
+        }
+      });
 }
 
 mate::SelectionResult CampaignPipeline::select_stream(
     const mate::MateSet& set, sim::TraceSource& source,
     std::uint64_t stream_fingerprint, std::string detail) {
-  const CacheKey key{"select",
-                     select_key(fingerprint(set), stream_fingerprint)};
-  StageStats stats;
-  stats.stage = "select";
-  stats.detail = std::move(detail);
-  stats.cacheable = cache_->enabled();
-  obs::Span span("pipeline", "stage:select");
-  if (span.active()) span.set_detail(stats.detail);
-  notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
-
-  if (auto payload = cache_->load(key)) {
-    ByteReader r(*payload);
-    mate::SelectionResult result = read_selection(r);
-    r.expect_done();
-    stats.cache_hit = true;
-    stats.seconds = watch.seconds();
-    stats.counters = {{"ranked", static_cast<double>(result.ranking.size())}};
-    notify_end(stats);
-    return result;
-  }
-
-  mate::SelectionResult result =
-      mate::rank_mates_stream(set, source, config_.threads, /*overlap=*/true);
-  ByteWriter w;
-  write_selection(w, result);
-  cache_->store(key, w.bytes());
-  stats.seconds = watch.seconds();
-  stats.counters = {{"ranked", static_cast<double>(result.ranking.size())}};
-  fill_throughput_counters(stats, source.num_cycles(), set.mates.size());
-  notify_end(stats);
-  return result;
+  return cached_stage(
+      "stage:select",
+      {"select", score_key(fingerprint(set), stream_fingerprint)},
+      std::move(detail), read_selection, write_selection,
+      [&] {
+        return mate::rank_mates_stream(set, source, config_.threads,
+                                       /*overlap=*/true);
+      },
+      [&](StageStats& stats, const mate::SelectionResult& result) {
+        stats.counters = {
+            {"ranked", static_cast<double>(result.ranking.size())}};
+        if (!stats.cache_hit) {
+          fill_throughput_counters(stats, source.num_cycles(),
+                                   set.mates.size());
+        }
+      });
 }
 
-hafi::CampaignResult CampaignPipeline::campaign(
-    ::ripple::pipeline::CampaignSpec spec, std::string detail) {
+hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
+                                               std::string detail) {
   // The pipeline's --threads applies when the spec leaves the campaign
   // thread count at "hardware concurrency" (0). Never part of any key.
   if (spec.config.threads == 0) spec.config.threads = config_.threads;
@@ -928,7 +805,7 @@ hafi::CampaignResult CampaignPipeline::run(const CampaignRequest& request,
   CoreRuntime rt = CoreRegistry::global().make(request.core, request.workload);
   if (detail.empty()) detail = request_summary(request);
 
-  ::ripple::pipeline::CampaignSpec spec;
+  CampaignSpec spec;
   spec.factory = rt.factory;
   spec.batch_factory = rt.batch_factory;
   spec.config = request.config;

@@ -37,6 +37,11 @@
 #include "sim/trace.hpp"
 #include "sim/transposed.hpp"
 
+namespace ripple {
+class ByteReader;
+class ByteWriter;
+} // namespace ripple
+
 namespace ripple::pipeline {
 
 /// The paper's trace length (Tables 2 and 3: "Both programs ran for 8500
@@ -47,8 +52,7 @@ enum class CoreKind { Avr, Msp430 };
 
 [[nodiscard]] std::string_view core_name(CoreKind kind);
 
-/// Everything that determines a core setup; replaces the parallel
-/// make_avr_setup/make_msp430_setup code paths.
+/// Everything that determines a core setup.
 struct CoreSetupSpec {
   CoreKind kind = CoreKind::Avr;
   std::size_t trace_cycles = kDefaultTraceCycles;
@@ -74,15 +78,9 @@ struct PipelineConfig {
   /// Artifact cache directory; empty disables caching.
   std::filesystem::path cache_dir;
   bool use_cache = true; // `--no-cache` clears this
-  /// Worker threads for the MATE search; 0 = hardware concurrency.
+  /// Worker threads for the MATE search and the evaluate/select
+  /// accumulators; 0 = hardware concurrency. Never part of a cache key.
   std::size_t threads = 0;
-  /// Engine for the evaluate/select stages (`--eval-engine`). Deliberately
-  /// absent from the cache keys: all engines produce identical results.
-  mate::EvalEngine eval_engine = mate::EvalEngine::Streaming;
-  /// Cone-isomorphism dedup in the find_mates stage (`--search-dedup`).
-  /// Deliberately absent from the search cache key, like `threads`: on and
-  /// off produce byte-identical MATE results, only wall time changes.
-  bool search_dedup = true;
   /// Chunk length of the streaming trace path (`--trace-chunk-cycles`);
   /// must be a positive multiple of 64.
   std::size_t trace_chunk_cycles = sim::kDefaultChunkCycles;
@@ -216,22 +214,20 @@ public:
                                               std::string detail = {});
 
   /// Trace evaluation stage (fault-space quantification), cached by (MATE
-  /// set fingerprint, trace fingerprint, keep_trigger_lists). The first
-  /// overload fingerprints the trace itself; pass a precomputed
-  /// `trace_fingerprint` (e.g. CoreSetup::fib_trace_fp) when evaluating
-  /// many MATE sets against the same long trace.
+  /// set fingerprint, trace fingerprint): evaluate_stream over the
+  /// in-memory trace. The first overload fingerprints the trace itself;
+  /// pass a precomputed `trace_fingerprint` (e.g. CoreSetup::fib_trace_fp)
+  /// when evaluating many MATE sets against the same long trace.
   [[nodiscard]] mate::EvalResult evaluate(const mate::MateSet& set,
                                           const sim::Trace& trace,
-                                          bool keep_trigger_lists = false,
                                           std::string detail = {});
   [[nodiscard]] mate::EvalResult evaluate(const mate::MateSet& set,
                                           const sim::Trace& trace,
                                           std::uint64_t trace_fingerprint,
-                                          bool keep_trigger_lists,
                                           std::string detail);
 
   /// Greedy top-N ranking stage, cached by (MATE set fingerprint, trace
-  /// fingerprint).
+  /// fingerprint): select_stream over the in-memory trace.
   [[nodiscard]] mate::SelectionResult select(const mate::MateSet& set,
                                              const sim::Trace& trace,
                                              std::string detail = {});
@@ -252,10 +248,10 @@ public:
       bool optimized = true);
 
   /// Streaming evaluate/select: consume a chunked trace source through the
-  /// streaming engine with simulation/evaluation overlap. Results are
-  /// byte-identical to the whole-trace stages and cached under the same
-  /// evaluate/select stage kinds, keyed by `stream_fingerprint`
-  /// (ChunkedTraceStream::fingerprint()).
+  /// streaming accumulators with simulation/evaluation overlap, cached under
+  /// the evaluate/select stage kinds keyed by `stream_fingerprint`
+  /// (ChunkedTraceStream::fingerprint()). The whole-trace evaluate/select
+  /// are these stages over the in-memory trace, keyed by its fingerprint.
   [[nodiscard]] mate::EvalResult evaluate_stream(const mate::MateSet& set,
                                                  sim::TraceSource& source,
                                                  std::uint64_t stream_fingerprint,
@@ -264,20 +260,12 @@ public:
       const mate::MateSet& set, sim::TraceSource& source,
       std::uint64_t stream_fingerprint, std::string detail = {});
 
-  /// Deprecated name for the promoted top-level pipeline::CampaignSpec;
-  /// kept one release so out-of-tree call sites migrate gracefully.
-  using CampaignSpec [[deprecated(
-      "use pipeline::CampaignSpec (or the serializable "
-      "pipeline::CampaignRequest with run())")]] = ::ripple::pipeline::
-      CampaignSpec;
-
   /// Run the campaign stage: shard fan-out per CampaignConfig::threads
   /// (0 falls back to the pipeline's --threads), per-shard progress with
   /// injections/sec, pruned-rate and ETA via the observers, and optional
   /// shard checkpointing per `spec.resume`. Throws hafi::SoundnessError
   /// (with its per-shard violation report) in Validate mode.
-  [[nodiscard]] hafi::CampaignResult campaign(::ripple::pipeline::CampaignSpec
-                                                  spec,
+  [[nodiscard]] hafi::CampaignResult campaign(CampaignSpec spec,
                                               std::string detail = {});
 
   /// Run a full serializable request end-to-end: resolve the core through
@@ -307,18 +295,30 @@ public:
   [[nodiscard]] mate::SearchParams apply_threads(
       mate::SearchParams params) const;
 
-  /// Column-major view of `trace` for the bit-parallel engine, built on
-  /// first use and memoized by trace fingerprint so repeated evaluate/select
-  /// stages against the same trace transpose it only once.
-  [[nodiscard]] const sim::TransposedTrace& transposed(
-      const sim::Trace& trace, std::uint64_t trace_fingerprint);
-
 private:
   friend class ChunkedTraceStream;
 
   void notify_begin(std::string_view stage, std::string_view detail);
   void notify_end(StageStats stats);
   void notify_campaign_progress(const CampaignProgress& progress);
+
+  /// The one body of every whole-artifact cached stage: span `span_name`
+  /// (a string literal — obs::Span keeps the pointer), begin notification,
+  /// stopwatch, then load → `read` on a hit or `compute` → `write` → store
+  /// on a miss, then `counters(stats, result)` (stats.seconds and
+  /// stats.cache_hit already set) and the end notification. The stage name
+  /// is key.stage.
+  template <typename T, typename Compute, typename Counters>
+  T cached_stage(const char* span_name, const CacheKey& key,
+                 std::string detail, T (*read)(ByteReader&),
+                 void (*write)(ByteWriter&, const T&), Compute&& compute,
+                 Counters&& counters);
+
+  /// Column-major view of `trace`, built on first use and memoized by trace
+  /// fingerprint so repeated evaluate/select stages against the same trace
+  /// (40 per trace in Tables 2 and 3) transpose it only once.
+  [[nodiscard]] const sim::TransposedTrace& transposed(
+      const sim::Trace& trace, std::uint64_t trace_fingerprint);
 
   [[nodiscard]] sim::Trace record_trace(
       std::uint64_t netlist_fingerprint, std::string_view workload,

@@ -1,6 +1,6 @@
 // The serializable campaign request — the unit of work of the campaign
-// service (and the promoted successor of the old nested
-// CampaignPipeline::CampaignSpec).
+// service, lowered onto the in-process pipeline::CampaignSpec by
+// CampaignPipeline::run().
 //
 // A CampaignRequest is pure data: a core *name* (resolved through the
 // CoreRegistry, which owns every function-pointer/factory that used to live

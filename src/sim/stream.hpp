@@ -15,9 +15,9 @@
 //                                                               │
 //                                                      mate::EvalAccumulator
 //
-// Chunk boundaries are 64-aligned, so the per-block arithmetic of the
-// bit-parallel engines is unchanged and streaming results stay byte-identical
-// to the whole-trace engines. All resident trace bytes are tracked by the
+// Chunk boundaries are 64-aligned, so the word-parallel kernel sees exactly
+// the per-block words of the whole-trace transpose and results do not depend
+// on the chunk size. All resident trace bytes are tracked by the
 // trace_memory counters, which is what the pipeline's `trace_bytes_peak`
 // stage counter and the stream_smoke memory bound are measured from.
 #pragma once
@@ -224,8 +224,8 @@ private:
 };
 
 /// A whole in-memory TransposedTrace replayed as borrowed chunk slices
-/// (no copies): adapts the memoized whole-trace path and the equivalence
-/// tests onto the streaming engines.
+/// (no copies): adapts in-memory traces (evaluate_mates/rank_mates, the
+/// pipeline's whole-trace stages) onto the streaming accumulators.
 class TransposedTraceSource final : public TraceSource {
 public:
   /// `trace` must outlive the source. chunk_cycles must be a positive

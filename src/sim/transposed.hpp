@@ -1,12 +1,13 @@
 // Column-major ("transposed") traces for bit-parallel MATE evaluation.
 //
 // A Trace stores one wire-value BitVec per cycle (row-major: the natural
-// output order of the simulator). The bit-parallel evaluation engine wants
-// the opposite layout: per wire, one cycle-packed bitstream, so that 64
-// cycles of a literal test collapse into a single XOR+AND on machine words.
-// A TransposedTrace is built once from a Trace (64x64 bit-matrix block
-// transpose) and is reusable across evaluate_mates and rank_mates runs on
-// the same trace.
+// output order of the simulator). The bit-parallel evaluation kernel
+// (mate/stream.hpp) wants the opposite layout: per wire, one cycle-packed
+// bitstream, so that 64 cycles of a literal test collapse into a single
+// XOR+AND on machine words. A TransposedTrace is built once from a Trace
+// (64x64 bit-matrix block transpose) and is reusable across evaluate and
+// select runs on the same trace; streamed trace chunks are TransposedTraces
+// of their cycle ranges.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
-// Minimal command-line option parser shared by the bench and example
-// binaries (replaces the ad-hoc `want_csv` argv scan).
+// Minimal command-line option parser shared by the bench, example and tool
+// binaries.
 //
 // Supports long options only ("--name", "--name=value", "--name value"),
 // a built-in "--help", and free positional arguments. Each binary registers

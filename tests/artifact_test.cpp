@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mate/example.hpp"
 #include "pipeline/artifact.hpp"
 #include "sim/trace.hpp"
@@ -181,7 +183,6 @@ TEST(Artifact, EvalResultRoundTrip) {
   eval.avg_inputs = 3.5;
   eval.sd_inputs = 1.25;
   eval.per_mate = {{10, 100}, {0, 0}, {7, 21}};
-  eval.triggered_by_cycle = {{0, 2}, {}, {1}};
   expect_roundtrip(eval, write_eval_result,
                    [](ByteReader& r) { return read_eval_result(r); });
 }
@@ -233,6 +234,24 @@ TEST(Artifact, FrameRejectsTampering) {
   // Not an artifact at all.
   const std::vector<std::uint8_t> junk = {'j', 'u', 'n', 'k'};
   EXPECT_FALSE(unframe_artifact("search", junk).has_value());
+}
+
+TEST(Artifact, FrameFromAnotherVersionIsAMiss) {
+  // An intact envelope written under another kArtifactVersion (a cache
+  // directory left by an older build) unframes to nullopt, so the cache
+  // treats it as a miss instead of decoding a foreign payload layout.
+  const std::vector<std::uint8_t> payload = {4, 5, 6};
+  std::vector<std::uint8_t> file = frame_artifact("eval", payload);
+  ASSERT_TRUE(unframe_artifact("eval", file).has_value());
+  // The u32 version follows the 4-byte magic, little-endian.
+  ByteWriter other;
+  other.u32(kArtifactVersion - 1);
+  std::copy(other.bytes().begin(), other.bytes().end(), file.begin() + 4);
+  EXPECT_FALSE(unframe_artifact("eval", file).has_value());
+  ByteWriter newer;
+  newer.u32(kArtifactVersion + 1);
+  std::copy(newer.bytes().begin(), newer.bytes().end(), file.begin() + 4);
+  EXPECT_FALSE(unframe_artifact("eval", file).has_value());
 }
 
 } // namespace

@@ -48,16 +48,16 @@ TEST(AvrIsa, EncodeRejectsBadOperands) {
   Instruction i;
   i.mnemonic = Mnemonic::Ldi;
   i.rd = 3; // must be r16..r31
-  EXPECT_THROW(encode(i), Error);
+  EXPECT_THROW((void)encode(i), Error);
 
   i.mnemonic = Mnemonic::Rjmp;
   i.offset = 5000;
-  EXPECT_THROW(encode(i), Error);
+  EXPECT_THROW((void)encode(i), Error);
 
   i.mnemonic = Mnemonic::Brbs;
   i.offset = 100;
   i.sreg_bit = kC;
-  EXPECT_THROW(encode(i), Error);
+  EXPECT_THROW((void)encode(i), Error);
 }
 
 TEST(AvrIsa, DecodeUnknownIsNullopt) {

@@ -81,18 +81,6 @@ TEST(MateEval, ManualExpectations) {
   EXPECT_EQ(eval.effective_mates, 1u);
 }
 
-TEST(MateEval, TriggerListsKeptOnRequest) {
-  const Figure1Circuit fig = build_figure1_circuit();
-  const std::vector<WireId> faulty = {fig.a, fig.b, fig.d};
-  const SearchResult r = find_mates(fig.netlist, faulty, {});
-  const sim::Trace trace = fig1_trace(fig, {0, 0, 0xff, 0xff, 0});
-  const EvalResult with = evaluate_mates(r.set, trace, true);
-  EXPECT_EQ(with.triggered_by_cycle.size(), 8u);
-  const EvalResult without = evaluate_mates(r.set, trace, false);
-  EXPECT_TRUE(without.triggered_by_cycle.empty());
-  EXPECT_EQ(with.masked_faults, without.masked_faults);
-}
-
 TEST(MateSelect, TopNMatchesFullSetWhenNLarge) {
   const Figure1Circuit fig = build_figure1_circuit();
   const std::vector<WireId> faulty = {fig.a, fig.b, fig.c, fig.d, fig.e};

@@ -1,10 +1,12 @@
-// Equivalence of the streaming (chunked) MATE evaluation engine with the
-// whole-trace engines: evaluate_mates_stream / rank_mates_stream must be
-// byte-for-byte identical (EvalResult / SelectionResult operator==) to both
-// the scalar oracle and the bit-parallel engine, across chunk sizes that do
-// and do not divide the trace length, cycle counts straddling chunk edges,
-// overlap on/off, any thread count, recorder-driven re-simulating sources,
-// and manual accumulator feeding. Also covers the chunk producer machinery:
+// Equivalence of the streaming (chunked, word-parallel) MATE evaluation
+// engine with the scalar oracle of tests/support: evaluate_mates_stream /
+// rank_mates_stream and the in-memory evaluate_mates / rank_mates must be
+// byte-for-byte identical (EvalResult / SelectionResult operator==) to the
+// oracle across chunk sizes that do and do not divide the trace length,
+// cycle counts straddling block and chunk edges, overlap on/off, any thread
+// count, recorder-driven re-simulating sources, manual accumulator feeding,
+// constant-true and empty MATE sets, and searched MATEs on Figure 1 and on
+// random circuits. Also covers the chunk producer machinery:
 // ChunkedTraceRecorder output vs the whole-trace transpose, trace_memory
 // accounting, and consumer-error propagation through AsyncTraceSink.
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include "sim/stream.hpp"
 #include "sim/trace.hpp"
 #include "sim/transposed.hpp"
+#include "support/oracles.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -43,8 +46,10 @@ sim::Trace random_trace(const Netlist& n, std::size_t cycles, Rng& rng) {
   });
 }
 
-/// Same synthetic MATE shapes as eval_bitpar_test: cubes of 0..4 literals
-/// (0 = constant-true), masked wires from a small faulty-wire universe.
+/// A synthetic MATE set over random wires of `n`: cubes of 0..4 literals
+/// (0 = the constant-true cube), masked wires drawn from a small faulty-wire
+/// universe. Exercises shapes the search never emits (empty cubes, repeated
+/// wires across MATEs) on purpose.
 MateSet random_mate_set(const Netlist& n, std::size_t num_mates, Rng& rng) {
   MateSet set;
   const std::size_t universe = std::min<std::size_t>(8, n.num_wires());
@@ -122,16 +127,13 @@ struct CollectSink final : sim::TraceSink {
   }
 };
 
-/// Stream == scalar == bitpar for every chunk size / overlap / thread combo.
+/// Stream == scalar oracle for every chunk size / overlap / thread combo.
 /// Chunk sizes include ones that do not divide the trace length (the final
 /// chunk is then a partial, possibly non-multiple-of-64 tail).
 void expect_stream_matches(const MateSet& set, const sim::Trace& trace) {
   const sim::TransposedTrace tt(trace);
-  const EvalResult scalar = evaluate_mates_scalar(set, trace, false);
-  const EvalResult bitpar = evaluate_mates_bitpar(set, tt, false);
-  ASSERT_EQ(scalar, bitpar);
+  const EvalResult scalar = evaluate_mates_scalar(set, trace);
   const SelectionResult scalar_sel = rank_mates_scalar(set, trace);
-  ASSERT_EQ(scalar_sel, rank_mates_bitpar(set, tt));
 
   for (const std::size_t chunk : {64u, 128u, 192u, 4096u}) {
     sim::TransposedTraceSource source(tt, chunk);
@@ -223,6 +225,74 @@ TEST(EvalStream, SearchedMatesOnFigure1) {
   }
 }
 
+// The word-parallel kernel's edge inputs: random sets on traces as short as
+// one cycle, the empty and the constant-true MATE set, and searched MATEs
+// on the shortest Figure-1 traces and on random circuits.
+TEST(EvalBitpar, RandomizedEquivalence) {
+  Rng rng(42);
+  for (std::size_t round = 0; round < 6; ++round) {
+    const Netlist n = netlist::random_circuit({.num_inputs = 4, .num_flops = 6,
+                                      .num_gates = 40},
+                                     rng);
+    // Cycle counts straddling the block boundary, never only multiples of 64.
+    const std::size_t cycles = 1 + rng.next_below(200);
+    const sim::Trace trace = random_trace(n, cycles, rng);
+    const MateSet set = random_mate_set(n, 1 + rng.next_below(12), rng);
+    expect_stream_matches(set, trace);
+  }
+}
+
+TEST(EvalBitpar, ConstantTrueAndEmptySets) {
+  Rng rng(7);
+  const Netlist n = netlist::random_circuit({.num_inputs = 3, .num_flops = 4,
+                                    .num_gates = 20},
+                                   rng);
+  const sim::Trace trace = random_trace(n, 130, rng);
+
+  // Empty MATE set.
+  MateSet empty;
+  empty.faulty_wires = {WireId{0}, WireId{1}};
+  expect_stream_matches(empty, trace);
+
+  // A single constant-true MATE must trigger every cycle.
+  MateSet constant = empty;
+  Mate m;
+  m.cube = Cube{};
+  m.masked_wires = {WireId{0}};
+  constant.mates.push_back(m);
+  expect_stream_matches(constant, trace);
+  const EvalResult eval = evaluate_mates(constant, trace);
+  EXPECT_EQ(eval.per_mate[0].triggers, trace.num_cycles());
+  EXPECT_EQ(eval.masked_faults, trace.num_cycles());
+}
+
+TEST(EvalBitpar, SearchedMatesOnFigure1) {
+  const Figure1Circuit fig = build_figure1_circuit();
+  const SearchResult r =
+      find_mates(fig.netlist, {fig.a, fig.b, fig.c, fig.d, fig.e}, {});
+  Rng rng(98);
+  // The shortest streams: one cycle, a partial block, exactly one block.
+  for (const std::size_t cycles : {1u, 8u, 64u}) {
+    expect_stream_matches(r.set, random_trace(fig.netlist, cycles, rng));
+  }
+}
+
+TEST(EvalBitpar, SearchedMatesOnRandomCircuits) {
+  Rng rng(123);
+  for (std::size_t round = 0; round < 3; ++round) {
+    const Netlist n = netlist::random_circuit({.num_inputs = 4, .num_flops = 8,
+                                      .num_gates = 60, .allow_xor = false},
+                                     rng);
+    const std::vector<WireId> faulty = all_flop_wires(n);
+    SearchParams params;
+    params.path_depth = 8;
+    params.max_candidates_per_wire = 2000;
+    const SearchResult r = find_mates(n, faulty, params);
+    const std::size_t cycles = 65 + rng.next_below(150);
+    expect_stream_matches(r.set, random_trace(n, cycles, rng));
+  }
+}
+
 TEST(EvalStream, RecorderDrivenSourceMatchesWholeTrace) {
   Rng rng(77);
   const Netlist n = netlist::random_circuit({.num_inputs = 4, .num_flops = 6,
@@ -234,7 +304,7 @@ TEST(EvalStream, RecorderDrivenSourceMatchesWholeTrace) {
   const sim::Trace trace = random_trace(n, cycles, drive);
   const MateSet set = random_mate_set(n, 8, rng);
 
-  const EvalResult scalar = evaluate_mates_scalar(set, trace, false);
+  const EvalResult scalar = evaluate_mates_scalar(set, trace);
   const SelectionResult scalar_sel = rank_mates_scalar(set, trace);
   // Chunks come straight off a re-simulating recorder (owned storage), not
   // from slicing an in-memory transpose; 128 does not divide 300, so the
@@ -256,7 +326,7 @@ TEST(EvalStream, ManualAccumulatorFeeding) {
   const sim::Trace trace = random_trace(n, 250, rng);
   const sim::TransposedTrace tt(trace);
   const MateSet set = random_mate_set(n, 6, rng);
-  const EvalResult scalar = evaluate_mates_scalar(set, trace, false);
+  const EvalResult scalar = evaluate_mates_scalar(set, trace);
   const SelectionResult scalar_sel = rank_mates_scalar(set, trace);
 
   // Mixed chunk sizes in one stream (64 + 128 + 58-cycle tail): the contract
@@ -299,16 +369,16 @@ TEST(EvalStream, DispatcherStreamingEngine) {
                                    rng);
   const sim::Trace trace = random_trace(n, 200, rng);
   const MateSet set = random_mate_set(n, 10, rng);
-  // keep_trigger_lists=false runs the true streaming path; =true falls back
-  // to the bit-parallel engine (trigger lists are whole-trace state). Both
-  // must match the scalar oracle.
-  for (const bool keep : {false, true}) {
-    EXPECT_EQ(evaluate_mates(set, trace, keep, EvalEngine::Scalar),
-              evaluate_mates(set, trace, keep, EvalEngine::Streaming))
-        << "keep=" << keep;
+  // The in-memory entry points hand the transposed trace to the streaming
+  // accumulators; any thread count must match the scalar oracle.
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}}) {
+    EXPECT_EQ(evaluate_mates_scalar(set, trace),
+              evaluate_mates(set, trace, threads))
+        << "threads=" << threads;
+    EXPECT_EQ(rank_mates_scalar(set, trace), rank_mates(set, trace, threads))
+        << "threads=" << threads;
   }
-  EXPECT_EQ(rank_mates(set, trace, EvalEngine::Scalar),
-            rank_mates(set, trace, EvalEngine::Streaming));
 }
 
 TEST(TraceMemory, ChunkAccountingReturnsToBaseline) {

@@ -60,7 +60,7 @@ void run_once(const std::filesystem::path& cache_dir, RunResult& out) {
   const mate::SearchResult search =
       pipe.find_mates(setup, faulty, params, "smoke");
   const mate::EvalResult eval = pipe.evaluate(
-      search.set, setup.fib_trace, setup.fib_trace_fp, false, "smoke");
+      search.set, setup.fib_trace, setup.fib_trace_fp, "smoke");
   (void)eval;
   const mate::SelectionResult sel = pipe.select(
       search.set, setup.fib_trace, setup.fib_trace_fp, "smoke");

@@ -14,7 +14,9 @@
 #include "pipeline/pipeline.hpp"
 #include "sim/stream.hpp"
 #include "sim/transposed.hpp"
+#include "support/oracles.hpp"
 #include "util/options.hpp"
+#include "util/serialize.hpp"
 
 namespace ripple::pipeline {
 namespace {
@@ -279,6 +281,65 @@ TEST(Pipeline, ChunkedStreamMatchesWholeTraceRecording) {
       }
     }
   }
+}
+
+std::vector<std::uint8_t> bytes(const mate::EvalResult& eval) {
+  ByteWriter w;
+  write_eval_result(w, eval);
+  return w.take();
+}
+
+std::vector<std::uint8_t> bytes(const mate::SelectionResult& sel) {
+  ByteWriter w;
+  write_selection(w, sel);
+  return w.take();
+}
+
+/// The evaluate/select oracles on a real core (fib, 1024 cycles, full flop
+/// set): the scalar oracle, the whole-trace stages and the streamed stages
+/// over a chunked trace_stream produce byte-identical artifacts.
+void expect_stages_match_oracle(CoreKind kind) {
+  constexpr std::size_t kCycles = 1024;
+  PipelineConfig config;           // no cache: every stage computes
+  config.trace_chunk_cycles = 256; // four chunks per stream
+  CampaignPipeline pipe(config);
+  const CoreSetup setup = pipe.setup({kind, kCycles});
+
+  // Trimmed search parameters keep the MATE set CI-sized.
+  mate::SearchParams params = pipe.default_params();
+  params.path_depth = 8;
+  params.max_candidates_per_wire = 2000;
+  const mate::MateSet set =
+      pipe.find_mates(setup, setup.ff, params, setup.name + " FF").set;
+  ASSERT_FALSE(set.mates.empty());
+
+  const std::vector<std::uint8_t> oracle_eval =
+      bytes(mate::evaluate_mates_scalar(set, setup.fib_trace));
+  const std::vector<std::uint8_t> oracle_sel =
+      bytes(mate::rank_mates_scalar(set, setup.fib_trace));
+
+  EXPECT_EQ(bytes(pipe.evaluate(set, setup.fib_trace, setup.fib_trace_fp,
+                                "whole")),
+            oracle_eval);
+  EXPECT_EQ(
+      bytes(pipe.select(set, setup.fib_trace, setup.fib_trace_fp, "whole")),
+      oracle_sel);
+
+  const auto stream = pipe.trace_stream(kind, "fib", kCycles);
+  EXPECT_EQ(bytes(pipe.evaluate_stream(set, *stream, stream->fingerprint(),
+                                       "stream")),
+            oracle_eval);
+  EXPECT_EQ(bytes(pipe.select_stream(set, *stream, stream->fingerprint(),
+                                     "stream")),
+            oracle_sel);
+}
+
+TEST(Pipeline, AvrEvalSelectStagesMatchScalarOracle) {
+  expect_stages_match_oracle(CoreKind::Avr);
+}
+
+TEST(Pipeline, Msp430EvalSelectStagesMatchScalarOracle) {
+  expect_stages_match_oracle(CoreKind::Msp430);
 }
 
 TEST(PipelineOptions, ParsesSharedFlags) {

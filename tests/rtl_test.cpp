@@ -335,9 +335,9 @@ TEST(Rtl, NamedOutputsResolvable) {
   name_output(m, a[0], "bit0");
   netlist::Netlist n = m.take();
   EXPECT_NO_THROW(find_bus(n, "echo", 4));
-  EXPECT_NO_THROW(find_wire_checked(n, "bit0"));
+  EXPECT_NO_THROW((void)find_wire_checked(n, "bit0"));
   EXPECT_THROW(find_bus(n, "echo", 5), Error);
-  EXPECT_THROW(find_wire_checked(n, "nope"), Error);
+  EXPECT_THROW((void)find_wire_checked(n, "nope"), Error);
 }
 
 } // namespace

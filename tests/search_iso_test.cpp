@@ -1,7 +1,8 @@
 // Cone-isomorphism dedup (mate/iso.hpp): canonical fingerprints, cube
 // remapping, the both-direction minimality recorder, and the end-to-end
-// guarantee that find_mates with dedup on is byte-identical to the per-wire
-// oracle — on hand-built twins, random circuits and both cores' flop sets.
+// guarantee that find_mates is byte-identical to the per-wire oracle of
+// tests/support — on hand-built twins, random circuits and both cores' flop
+// sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "mate/iso.hpp"
 #include "mate/search.hpp"
 #include "netlist/random.hpp"
+#include "support/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace ripple::mate {
@@ -54,9 +56,10 @@ TwinCircuit build_twins() {
   return t;
 }
 
-/// Everything that must be byte-identical between dedup on and off. Timing
-/// fields and the informational threads_used/dedup_classes are excluded,
-/// exactly like the cached-artifact replay path treats them.
+/// Everything that must be byte-identical between the per-wire oracle and
+/// the dedup search. Timing fields and the informational
+/// threads_used/dedup_classes are excluded, exactly like the cached-artifact
+/// replay path treats them.
 void expect_identical(const SearchResult& oracle, const SearchResult& dedup) {
   EXPECT_EQ(oracle.set.mates.size(), dedup.set.mates.size());
   EXPECT_TRUE(oracle.set == dedup.set);
@@ -75,12 +78,6 @@ void expect_identical(const SearchResult& oracle, const SearchResult& dedup) {
   EXPECT_EQ(oracle.total_candidates, dedup.total_candidates);
   EXPECT_EQ(oracle.total_mates, dedup.total_mates);
   EXPECT_EQ(oracle.unmaskable_wires, dedup.unmaskable_wires);
-}
-
-SearchResult run_mode(const Netlist& n, const std::vector<WireId>& wires,
-                      SearchParams params, bool dedup) {
-  params.dedup = dedup;
-  return find_mates(n, wires, params);
 }
 
 TEST(IsoFingerprint, TwinConesMatchDifferentShapesDont) {
@@ -187,10 +184,10 @@ TEST(SearchIso, DedupMatchesOracleOnTwins) {
                                      t.n.flop(t.fc).q};
   SearchParams params;
   params.threads = 2;
-  const SearchResult oracle = run_mode(t.n, wires, params, false);
-  const SearchResult dedup = run_mode(t.n, wires, params, true);
+  const SearchResult oracle = find_mates_per_wire(t.n, wires, params);
+  const SearchResult dedup = find_mates(t.n, wires, params);
   expect_identical(oracle, dedup);
-  EXPECT_EQ(oracle.dedup_classes, 0u);
+  EXPECT_EQ(oracle.dedup_classes, 3u); // every wire its own class
   EXPECT_EQ(dedup.dedup_classes, 2u);
 
   // The remapped member MATE mentions *its* border wire, not the rep's.
@@ -218,8 +215,8 @@ TEST(SearchIso, RandomCircuitsByteIdentical) {
     SearchParams params;
     params.threads = 2;
     const std::vector<WireId> wires = all_flop_wires(n);
-    const SearchResult oracle = run_mode(n, wires, params, false);
-    const SearchResult dedup = run_mode(n, wires, params, true);
+    const SearchResult oracle = find_mates_per_wire(n, wires, params);
+    const SearchResult dedup = find_mates(n, wires, params);
     SCOPED_TRACE("seed " + std::to_string(seed));
     expect_identical(oracle, dedup);
     EXPECT_GE(dedup.dedup_classes, 1u);
@@ -259,8 +256,8 @@ protected:
 TEST_F(SearchIsoCores, AvrFlopSetByteIdentical) {
   const Netlist n = cores::avr::build_avr_core(true).netlist;
   const std::vector<WireId> wires = all_flop_wires(n);
-  const SearchResult oracle = run_mode(n, wires, core_params(), false);
-  const SearchResult dedup = run_mode(n, wires, core_params(), true);
+  const SearchResult oracle = find_mates_per_wire(n, wires, core_params());
+  const SearchResult dedup = find_mates(n, wires, core_params());
   expect_identical(oracle, dedup);
   EXPECT_GT(dedup.dedup_classes, 0u);
   EXPECT_LT(dedup.dedup_classes, wires.size() / 2)
@@ -270,8 +267,8 @@ TEST_F(SearchIsoCores, AvrFlopSetByteIdentical) {
 TEST_F(SearchIsoCores, Msp430FlopSetByteIdentical) {
   const Netlist n = cores::msp430::build_msp430_core(true).netlist;
   const std::vector<WireId> wires = all_flop_wires(n);
-  const SearchResult oracle = run_mode(n, wires, core_params(), false);
-  const SearchResult dedup = run_mode(n, wires, core_params(), true);
+  const SearchResult oracle = find_mates_per_wire(n, wires, core_params());
+  const SearchResult dedup = find_mates(n, wires, core_params());
   expect_identical(oracle, dedup);
   EXPECT_GT(dedup.dedup_classes, 0u);
   EXPECT_LT(dedup.dedup_classes, wires.size());

@@ -2,7 +2,8 @@
 // rippled daemon binary, drive it with real ripple-client processes over a
 // temp Unix socket, and assert the service path is byte-identical to an
 // in-process CampaignPipeline::run of the same request — including a
-// concurrent two-client submission deduped onto one execution. Binary paths
+// concurrent two-client submission deduped onto one execution — and that the
+// daemon rejects the shared pipeline flags it would ignore. Binary paths
 // arrive via $RIPPLED_BIN / $RIPPLE_CLIENT_BIN (set by tests/CMakeLists.txt
 // from the build's target files). Workload scaled down under RIPPLE_SANITIZED
 // so the TSan build stays in the seconds range.
@@ -168,6 +169,20 @@ TEST(ServeSmoke, RealDaemonMatchesInProcessRunByteForByte) {
   ByteWriter w;
   pipeline::write_campaign_result(w, pipe.run(request));
   EXPECT_EQ(bytes1, w.take());
+}
+
+TEST(ServeSmoke, DaemonRejectsFlagsItWouldIgnore) {
+  const std::string rippled = required_env("RIPPLED_BIN");
+  if (rippled.empty()) GTEST_SKIP();
+
+  // The campaign shape (depth, cycles, ...) arrives with each request, so
+  // the daemon registers no such flag: passing one is a usage error (exit
+  // 2) before anything binds, not a silently dropped setting.
+  TempDir dir;
+  const std::string socket = (dir.path / "d.sock").string();
+  EXPECT_EQ(wait_exit(spawn({rippled, "--socket=" + socket, "--depth=3"})),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(socket));
 }
 
 } // namespace

@@ -4,12 +4,23 @@
 #include "sim/levelize.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "sim/transposed.hpp"
+#include "util/rng.hpp"
 
 namespace ripple::sim {
 namespace {
 
 using netlist::Kind;
 using netlist::Netlist;
+
+/// Randomly driven trace of `cycles` cycles.
+Trace random_trace(const Netlist& n, std::size_t cycles, Rng& rng) {
+  Simulator sim(n);
+  const std::span<const WireId> ins = n.primary_inputs();
+  return record_trace(sim, cycles, [&](Simulator& s, std::size_t) {
+    for (const WireId w : ins) s.set_input(w, rng.next_bool());
+  });
+}
 
 TEST(Levelize, OrdersDependencies) {
   Netlist n;
@@ -211,6 +222,50 @@ TEST(Trace, AlignMissingWireThrows) {
   Trace foreign = make_trace_for_names({"a"});
   foreign.append(BitVec(1));
   EXPECT_THROW(align_trace(foreign, n), Error);
+}
+
+TEST(TransposedTrace, MatchesTraceBitForBit) {
+  Rng rng(11);
+  const Netlist n = netlist::random_circuit({.num_inputs = 3, .num_flops = 5,
+                                    .num_gates = 30},
+                                   rng);
+  // Lengths around the 64-cycle block boundary, including partial blocks.
+  for (const std::size_t cycles : {1u, 7u, 63u, 64u, 65u, 130u, 257u}) {
+    const Trace trace = random_trace(n, cycles, rng);
+    const TransposedTrace tt(trace);
+    ASSERT_EQ(tt.num_wires(), trace.num_wires());
+    ASSERT_EQ(tt.num_cycles(), cycles);
+    ASSERT_EQ(tt.num_blocks(), (cycles + 63) / 64);
+    for (std::size_t c = 0; c < cycles; ++c) {
+      for (std::size_t w = 0; w < trace.num_wires(); ++w) {
+        ASSERT_EQ(tt.value(c, WireId{static_cast<std::uint32_t>(w)}),
+                  trace.value(c, WireId{static_cast<std::uint32_t>(w)}))
+            << "cycle " << c << " wire " << w << " of " << cycles;
+      }
+    }
+  }
+}
+
+TEST(TransposedTrace, TailBitsPastEndAreZero) {
+  Rng rng(12);
+  const Netlist n = netlist::random_circuit({.num_inputs = 2, .num_flops = 3,
+                                    .num_gates = 10},
+                                   rng);
+  const Trace trace = random_trace(n, 70, rng);
+  const TransposedTrace tt(trace);
+  const std::uint64_t mask = tt.block_mask(1);
+  EXPECT_EQ(mask, (std::uint64_t{1} << 6) - 1); // 70 - 64 = 6 tail cycles
+  EXPECT_EQ(tt.block_mask(0), ~std::uint64_t{0});
+  for (std::size_t w = 0; w < tt.num_wires(); ++w) {
+    EXPECT_EQ(tt.wire_stream(w)[1] & ~mask, 0u) << "wire " << w;
+  }
+}
+
+TEST(TransposedTrace, EmptyTrace) {
+  const Trace trace;
+  const TransposedTrace tt(trace);
+  EXPECT_EQ(tt.num_cycles(), 0u);
+  EXPECT_EQ(tt.num_blocks(), 0u);
 }
 
 } // namespace

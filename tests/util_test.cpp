@@ -78,6 +78,39 @@ TEST(BitVec, ResizeGrowWithValue) {
   EXPECT_TRUE(v.get(79));
 }
 
+TEST(BitVecWordOps, MatchBitwiseDefinitions) {
+  Rng rng(13);
+  for (const std::size_t bits : {1u, 64u, 65u, 200u}) {
+    BitVec a(bits), b(bits);
+    for (std::size_t i = 0; i < bits; ++i) {
+      if (rng.next_bool()) a.set(i, true);
+      if (rng.next_bool()) b.set(i, true);
+    }
+    std::size_t expect_and = 0, expect_or = 0, expect_new = 0;
+    bool subset = true;
+    for (std::size_t i = 0; i < bits; ++i) {
+      expect_and += a.get(i) && b.get(i) ? 1 : 0;
+      expect_or += a.get(i) || b.get(i) ? 1 : 0;
+      expect_new += !a.get(i) && b.get(i) ? 1 : 0;
+      if (a.get(i) && !b.get(i)) subset = false;
+    }
+    EXPECT_EQ(a.popcount_and(b), expect_and);
+    EXPECT_EQ(a.popcount_or(b), expect_or);
+    EXPECT_EQ(a.is_subset_of(b), subset);
+
+    BitVec or_acc = a;
+    EXPECT_EQ(or_acc.or_count(b), expect_new); // newly set bits
+    EXPECT_EQ(or_acc.popcount(), expect_or);   // and the OR result itself
+    EXPECT_EQ(or_acc.or_count(b), 0u);         // second OR adds nothing
+
+    BitVec diff = a;
+    diff.and_not(b);
+    for (std::size_t i = 0; i < bits; ++i) {
+      EXPECT_EQ(diff.get(i), a.get(i) && !b.get(i));
+    }
+  }
+}
+
 TEST(Rng, Deterministic) {
   Rng a(42);
   Rng b(42);

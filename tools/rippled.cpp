@@ -43,7 +43,23 @@ int main(int argc, char** argv) {
       "concurrent clients, and dedupes identical in-flight requests.");
   parser.add_value("socket", "Unix-domain socket path to listen on",
                    &socket_path);
-  pipeline::register_pipeline_options(parser, opts);
+  // Only the flags the daemon honours: the campaign shape (depth, cycles,
+  // chunking, ...) arrives with each request.
+  parser.add_value("cache-dir",
+                   "shared artifact cache directory (default: "
+                   "$RIPPLE_CACHE_DIR)",
+                   &opts.cache_dir);
+  parser.add_flag("no-cache", "disable the artifact cache", &opts.no_cache);
+  parser.add_value("threads",
+                   "shared worker pool size (0 = hardware concurrency)",
+                   &opts.threads);
+  parser.add_value("report",
+                   "on exit, emit the service and stage report: json[:FILE]",
+                   &opts.report);
+  parser.add_value("trace-out",
+                   "export spans of every execution as Chrome trace-event "
+                   "JSON to FILE on exit",
+                   &opts.trace_out);
   switch (parser.parse(argc, argv)) {
     case OptionParser::Result::Ok: break;
     case OptionParser::Result::Help: return 0;
@@ -56,17 +72,11 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig config;
   config.socket_path = socket_path;
-  try {
-    // Reuse the shared flag set's cache-dir resolution ($RIPPLE_CACHE_DIR
-    // fallback, --no-cache).
-    const pipeline::PipelineConfig pipeline_config = opts.config();
-    config.cache_dir =
-        pipeline_config.use_cache ? pipeline_config.cache_dir : "";
-    config.threads = opts.threads;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "rippled: %s\nsee --help\n", e.what());
-    return 2;
-  }
+  // Reuse the shared flag set's cache-dir resolution ($RIPPLE_CACHE_DIR
+  // fallback, --no-cache).
+  const pipeline::PipelineConfig pipeline_config = opts.config();
+  config.cache_dir = pipeline_config.use_cache ? pipeline_config.cache_dir : "";
+  config.threads = opts.threads;
 
   // Span recording across every execution the daemon runs; exported once at
   // shutdown. Off (default) the spans cost one branch each.
