@@ -5,12 +5,11 @@
 // register file, and their union prunes far more than either alone.
 #include "bench/common.hpp"
 #include "cores/avr/core.hpp"
-#include "cores/avr/programs.hpp"
-#include "hafi/avr_dut.hpp"
 #include "hafi/campaign.hpp"
 #include "hafi/defuse.hpp"
 #include "mate/eval.hpp"
 #include "mate/faultspace.hpp"
+#include "pipeline/registry.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
@@ -99,20 +98,13 @@ int main(int argc, char** argv) {
   cfg.run_cycles = 600;
   cfg.sample = 400;
   cfg.seed = 11;
-  try {
-    cfg = copts.apply(cfg);
-  } catch (const Error& e) { // bad flag value, e.g. --dut-engine=typo
-    std::fprintf(stderr, "combined_pruning: %s\nsee --help\n", e.what());
-    return 2;
-  }
+  cfg = copts.apply(cfg);
   cfg.mode = hafi::CampaignMode::Validate;
 
-  const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
-  const cores::avr::Program program = cores::avr::fib_program();
-
+  const pipeline::CoreRuntime target =
+      pipeline::CoreRegistry::global().make("avr", "fib");
   pipeline::CampaignSpec spec;
-  spec.factory = hafi::make_avr_factory(core, program);
-  spec.batch_factory = hafi::make_avr_batch_factory(core, program);
+  spec.target = target.target();
   spec.config = cfg;
   spec.mates = &search.set;
   spec.netlist_fingerprint = avr.fingerprint;

@@ -1,26 +1,25 @@
-// Microbenchmark: scalar vs 64-lane bit-parallel DUT engine throughput.
+// Microbenchmark: 64-lane batch DUT engine throughput, cross-checked against
+// the one-boot-per-experiment scalar oracle (tests/support).
 //
-// Runs the same baseline fault-injection campaign (identical plan, seed and
-// thread count) once per engine on each core and reports wall time, retired
-// injections/sec, DUT passes, lane utilization and the bitpar speedup. One
-// bitpar pass evaluates the netlist word-wide, retiring up to 63 experiments
-// plus the golden lane per gate-level sweep.
+// Runs the same baseline fault-injection campaign on each core's registered
+// target (CoreRegistry) and reports wall time, retired injections/sec, DUT
+// passes, lane utilization and early retirements, next to the serial
+// scalar oracle's wall time. One batch pass evaluates the netlist word-wide,
+// retiring up to 63 experiments plus the golden lane per gate-level sweep.
 //
-// Doubles as the engines' end-to-end cross-check: the serialized
-// CampaignResults are compared byte-for-byte and any mismatch fails the run.
-// With --check the binary exits non-zero if the bit-parallel engine is
-// slower than scalar — the dut_bench_smoke ctest target runs
-// `--smoke --check` on a trimmed setup.
+// Every run checks that the serialized CampaignResult is byte-identical to
+// the oracle's. With --check it also asserts the lane accounting per shard
+// (dut_passes == ceil(executed / 63), lane_slots == 63 x dut_passes) and
+// exits non-zero on any failure; walls are printed, never gated on. The
+// dut_bench_smoke ctest target runs `--smoke --check`.
 #include "bench/common.hpp"
 
 #include <cstdio>
 
-#include "cores/avr/programs.hpp"
-#include "cores/msp430/programs.hpp"
-#include "hafi/avr_dut.hpp"
 #include "hafi/campaign.hpp"
-#include "hafi/msp430_dut.hpp"
 #include "pipeline/artifact.hpp"
+#include "pipeline/registry.hpp"
+#include "support/scalar_campaign.hpp"
 #include "util/serialize.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -36,6 +35,7 @@ struct EngineRun {
   std::size_t dut_passes = 0;
   std::size_t lane_slots = 0;
   std::size_t lanes_retired_early = 0;
+  std::size_t bad_shards = 0; // shards whose lane accounting is off
   std::vector<std::uint8_t> bytes;
 
   [[nodiscard]] double inj_per_sec() const {
@@ -48,20 +48,28 @@ struct EngineRun {
   }
 };
 
-EngineRun run_engine(const hafi::DutFactory& factory,
-                     const hafi::BatchDutFactory& batch_factory,
-                     hafi::CampaignConfig cfg, hafi::DutEngine engine,
-                     std::size_t reps) {
-  cfg.dut_engine = engine;
+std::vector<std::uint8_t> result_bytes(const hafi::CampaignResult& result) {
+  ByteWriter w;
+  pipeline::write_campaign_result(w, result);
+  return w.take();
+}
+
+EngineRun run_engine(const hafi::CampaignTarget& target,
+                     const hafi::CampaignConfig& cfg, std::size_t reps) {
   EngineRun r;
   Stopwatch watch;
   for (std::size_t i = 0; i < reps; ++i) {
-    hafi::Campaign campaign(factory, cfg);
-    campaign.set_batch_factory(batch_factory);
+    hafi::Campaign campaign(target, cfg);
     hafi::Campaign::ShardHooks hooks;
     const bool record = i == 0; // stats are identical across reps
     hooks.progress = [&](const hafi::Campaign::ShardProgress& p) {
       if (!record) return;
+      const std::size_t passes =
+          (p.executed + hafi::kExperimentLanes - 1) / hafi::kExperimentLanes;
+      if (p.dut_passes != passes ||
+          p.lane_slots != hafi::kExperimentLanes * p.dut_passes) {
+        ++r.bad_shards;
+      }
       r.dut_passes += p.dut_passes;
       r.lane_slots += p.lane_slots;
       r.lanes_retired_early += p.lanes_retired_early;
@@ -69,9 +77,7 @@ EngineRun run_engine(const hafi::DutFactory& factory,
     const hafi::CampaignResult result = campaign.run(hooks);
     if (record) {
       r.executed = result.executed;
-      ByteWriter w;
-      pipeline::write_campaign_result(w, result);
-      r.bytes = w.take();
+      r.bytes = result_bytes(result);
     }
   }
   r.seconds = watch.seconds() / static_cast<double>(reps);
@@ -92,15 +98,17 @@ int main(int argc, char** argv) {
   bool check = false;
   bool smoke = false;
   Harness h(argc, argv, "dut_throughput",
-            "scalar vs 64-lane bit-parallel DUT engine throughput",
+            "64-lane batch DUT engine throughput vs the scalar oracle",
             [&](OptionParser& parser) {
               parser.add_value("core",
                                "core to benchmark: avr, msp430 or both",
                                &core);
-              parser.add_value("reps", "repetitions per engine", &reps);
-              parser.add_flag(
-                  "check",
-                  "exit non-zero if bitpar is slower than scalar", &check);
+              parser.add_value("reps", "repetitions of the batch campaign",
+                               &reps);
+              parser.add_flag("check",
+                              "exit non-zero if the per-shard lane "
+                              "accounting is off",
+                              &check);
               parser.add_flag(
                   "smoke",
                   "trimmed setup for CI (small sample, short runs)", &smoke);
@@ -114,71 +122,59 @@ int main(int argc, char** argv) {
 
   hafi::CampaignConfig cfg;
   cfg.run_cycles = smoke ? 250 : 800;
-  cfg.sample = smoke ? 48 : 504; // 504 = 8 full 63-lane passes
+  cfg.sample = smoke ? 150 : 504; // 504 = 8 full 63-lane passes
   cfg.seed = 23;
   cfg.threads = h.options().threads;
-  cfg.shard_size = 63; // one full batch pass per shard
+  cfg.shard_size = 2 * hafi::kExperimentLanes; // two batch passes per shard
 
-  TablePrinter t({"dut_throughput", "scalar", "bitpar", "speedup",
-                  "passes (scalar/bitpar)", "lane util", "retired early"});
-  double worst_speedup = 1e30;
+  TablePrinter t({"dut_throughput", "batch", "scalar oracle", "speedup",
+                  "passes", "lane util", "retired early"});
+  bool failed = false;
 
-  for (const CoreKind kind : {CoreKind::Avr, CoreKind::Msp430}) {
-    if (core == "avr" && kind != CoreKind::Avr) continue;
-    if (core == "msp430" && kind != CoreKind::Msp430) continue;
+  for (const std::string name : {"avr", "msp430"}) {
+    if (core != "both" && core != name) continue;
+    const pipeline::CoreRuntime target =
+        pipeline::CoreRegistry::global().make(name, "fib");
 
-    hafi::DutFactory factory;
-    hafi::BatchDutFactory batch_factory;
-    const char* name = "";
-    if (kind == CoreKind::Avr) {
-      static const cores::avr::AvrCore avr = cores::avr::build_avr_core(true);
-      static const cores::avr::Program program = cores::avr::fib_program();
-      factory = hafi::make_avr_factory(avr, program);
-      batch_factory = hafi::make_avr_batch_factory(avr, program);
-      name = "AVR fib";
-    } else {
-      static const cores::msp430::Msp430Core msp =
-          cores::msp430::build_msp430_core(true);
-      static const cores::msp430::Image image = cores::msp430::fib_image();
-      factory = hafi::make_msp430_factory(msp, image);
-      batch_factory = hafi::make_msp430_batch_factory(msp, image);
-      name = "MSP430 fib";
-    }
+    h.progress("dut_throughput: %s fib, %zu injections x %zu cycles, "
+               "%zu reps...",
+               name.c_str(), cfg.sample, cfg.run_cycles, reps);
+    const EngineRun batch = run_engine(target.target(), cfg, reps);
+    hafi::Campaign planner(target.target(), cfg);
+    Stopwatch oracle_watch;
+    const hafi::CampaignResult oracle = hafi::run_scalar_campaign(
+        hafi::make_oracle_factory(name, "fib"), cfg, planner.plan().points);
+    const double oracle_seconds = oracle_watch.seconds();
 
-    h.progress("dut_throughput: %s, %zu injections x %zu cycles, "
-               "%zu reps/engine...",
-               name, cfg.sample, cfg.run_cycles, reps);
-    const EngineRun scalar = run_engine(factory, batch_factory, cfg,
-                                        hafi::DutEngine::Scalar, reps);
-    const EngineRun bitpar = run_engine(factory, batch_factory, cfg,
-                                        hafi::DutEngine::BitParallel, reps);
-    if (scalar.bytes != bitpar.bytes) {
+    if (batch.bytes != result_bytes(oracle)) {
       std::fprintf(stderr,
-                   "dut_throughput: ENGINE MISMATCH on %s — bit-parallel "
+                   "dut_throughput: ENGINE MISMATCH on %s — the batch "
                    "campaign differs from the scalar oracle\n",
-                   name);
+                   name.c_str());
       return 1;
     }
+    if (batch.bad_shards > 0) {
+      std::fprintf(stderr,
+                   "dut_throughput: %s: %zu shard(s) with dut_passes != "
+                   "ceil(executed / 63) or lane_slots != 63 x dut_passes\n",
+                   name.c_str(), batch.bad_shards);
+      failed = true;
+    }
 
-    const double speedup = scalar.seconds / std::max(bitpar.seconds, 1e-9);
-    worst_speedup = std::min(worst_speedup, speedup);
-    t.add_row({name,
-               strprintf("%.3f s (%s)", scalar.seconds,
-                         fmt_rate(scalar.inj_per_sec()).c_str()),
-               strprintf("%.3f s (%s)", bitpar.seconds,
-                         fmt_rate(bitpar.inj_per_sec()).c_str()),
-               strprintf("%.1fx", speedup),
-               strprintf("%zu / %zu", scalar.dut_passes, bitpar.dut_passes),
-               strprintf("%.1f %%", 100.0 * bitpar.utilization()),
-               fmt_count(bitpar.lanes_retired_early)});
+    t.add_row({name + " fib",
+               strprintf("%.3f s (%s)", batch.seconds,
+                         fmt_rate(batch.inj_per_sec()).c_str()),
+               strprintf("%.3f s", oracle_seconds),
+               strprintf("%.1fx",
+                         oracle_seconds / std::max(batch.seconds, 1e-9)),
+               fmt_count(batch.dut_passes),
+               strprintf("%.1f %%", 100.0 * batch.utilization()),
+               fmt_count(batch.lanes_retired_early)});
   }
   h.emit(t);
 
-  if (check && worst_speedup < 1.0) {
-    std::fprintf(stderr,
-                 "dut_throughput: --check FAILED — bit-parallel engine "
-                 "slower than scalar (%.2fx)\n",
-                 worst_speedup);
+  if (check && failed) {
+    std::fprintf(stderr, "dut_throughput: --check FAILED\n");
     return 1;
   }
   return 0;

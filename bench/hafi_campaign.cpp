@@ -5,69 +5,15 @@
 // pruned injection is executed anyway and the engine aborts on any that is
 // not benign. `--resume` checkpoints finished shards to the artifact cache
 // so a killed campaign picks up where it left off.
-#include <optional>
-
 #include "bench/common.hpp"
-#include "cores/avr/core.hpp"
-#include "cores/avr/programs.hpp"
-#include "cores/avr/system.hpp"
-#include "cores/msp430/core.hpp"
-#include "cores/msp430/programs.hpp"
-#include "cores/msp430/system.hpp"
-#include "hafi/avr_dut.hpp"
 #include "hafi/campaign.hpp"
-#include "hafi/msp430_dut.hpp"
 #include "mate/select.hpp"
-#include "pipeline/artifact.hpp"
+#include "pipeline/registry.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
 using namespace ripple::bench;
-
-namespace {
-
-/// Everything the campaign needs from one core build: a thread-safe DUT
-/// factory, the netlist (for the MATE search) and a workload trace for the
-/// selection pass.
-struct CampaignTarget {
-  std::optional<cores::avr::AvrCore> avr;
-  std::optional<cores::avr::Program> avr_program;
-  std::optional<cores::msp430::Msp430Core> msp430;
-  std::optional<cores::msp430::Image> msp430_image;
-
-  hafi::DutFactory factory;
-  hafi::BatchDutFactory batch_factory;
-  const netlist::Netlist* netlist = nullptr;
-  std::uint64_t fingerprint = 0;
-  sim::Trace trace;
-};
-
-CampaignTarget make_target(CoreKind kind, std::size_t trace_cycles) {
-  CampaignTarget t;
-  if (kind == CoreKind::Avr) {
-    t.avr.emplace(cores::avr::build_avr_core(true));
-    t.avr_program.emplace(cores::avr::fib_program());
-    t.netlist = &t.avr->netlist;
-    t.factory = hafi::make_avr_factory(*t.avr, *t.avr_program);
-    t.batch_factory = hafi::make_avr_batch_factory(*t.avr, *t.avr_program);
-    cores::avr::AvrSystem tracer(*t.avr, *t.avr_program);
-    t.trace = tracer.run_trace(trace_cycles);
-  } else {
-    t.msp430.emplace(cores::msp430::build_msp430_core(true));
-    t.msp430_image.emplace(cores::msp430::fib_image());
-    t.netlist = &t.msp430->netlist;
-    t.factory = hafi::make_msp430_factory(*t.msp430, *t.msp430_image);
-    t.batch_factory =
-        hafi::make_msp430_batch_factory(*t.msp430, *t.msp430_image);
-    cores::msp430::Msp430System tracer(*t.msp430, *t.msp430_image);
-    t.trace = tracer.run_trace(trace_cycles);
-  }
-  t.fingerprint = pipeline::fingerprint(*t.netlist);
-  return t;
-}
-
-} // namespace
 
 int main(int argc, char** argv) {
   pipeline::CampaignOptions copts;
@@ -83,41 +29,38 @@ int main(int argc, char** argv) {
                          "skip the serial reference run of the baseline "
                          "campaign", &no_speedup);
             });
-  const CoreKind kind = core_name == "msp430" ? CoreKind::Msp430
-                                              : CoreKind::Avr;
 
   hafi::CampaignConfig cfg;
   cfg.run_cycles = 1500;
   cfg.sample = 3000;
   cfg.seed = 42;
+  cfg = copts.apply(cfg);
+
+  h.progress("hafi_campaign: building %s core...", core_name.c_str());
+  pipeline::CoreRuntime target;
   try {
-    cfg = copts.apply(cfg);
-  } catch (const Error& e) { // bad flag value, e.g. --dut-engine=typo
+    target = pipeline::CoreRegistry::global().make(core_name, "fib");
+  } catch (const Error& e) { // unknown --core
     std::fprintf(stderr, "hafi_campaign: %s\nsee --help\n", e.what());
     return 2;
   }
+  const netlist::Netlist& netlist = *target.netlist;
 
-  h.progress("hafi_campaign: building %s core...",
-             kind == CoreKind::Avr ? "AVR" : "MSP430");
-  CampaignTarget target = make_target(kind, cfg.run_cycles);
-
-  const auto faulty = mate::all_flop_wires(*target.netlist);
   const mate::SearchResult search =
-      h.pipe().find_mates(*target.netlist, target.fingerprint, faulty,
-                          h.params(), core_name + " FF");
+      h.pipe().find_mates(netlist, target.fingerprint,
+                          mate::all_flop_wires(netlist), h.params(),
+                          core_name + " FF");
   const mate::SelectionResult sel =
-      h.pipe().select(search.set, target.trace, core_name + " FF, fib");
+      h.pipe().select(search.set, target.record_trace(cfg.run_cycles),
+                      core_name + " FF, fib");
   const mate::MateSet top50 = mate::top_n(search.set, sel, 50);
 
   // One plan, shared by every campaign below: baseline and pruned runs
   // inject the exact same (flop, cycle) points.
-  hafi::Campaign planner(target.factory, cfg);
+  hafi::Campaign planner(target.target(), cfg);
   const hafi::CampaignPlan plan = planner.plan();
-  h.progress("hafi_campaign: %zu injection points in %zu shards of %zu "
-             "(--dut-engine=%.*s)",
-             plan.points.size(), plan.num_shards(), plan.shard_size,
-             static_cast<int>(hafi::dut_engine_name(cfg.dut_engine).size()),
-             hafi::dut_engine_name(cfg.dut_engine).data());
+  h.progress("hafi_campaign: %zu injection points in %zu shards of %zu",
+             plan.points.size(), plan.num_shards(), plan.shard_size);
 
   TablePrinter t({"campaign", "experiments", "executed", "pruned", "benign",
                   "latent", "SDC", "pruned&confirmed", "time [s]"});
@@ -132,8 +75,7 @@ int main(int argc, char** argv) {
   const auto spec_for = [&](hafi::CampaignMode mode,
                             const mate::MateSet* mates) {
     pipeline::CampaignSpec spec;
-    spec.factory = target.factory;
-    spec.batch_factory = target.batch_factory;
+    spec.target = target.target();
     spec.config = cfg;
     spec.config.mode = mode;
     spec.mates = mates;

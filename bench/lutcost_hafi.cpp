@@ -4,13 +4,11 @@
 // pruned campaign on the AVR top-50 set then turns the cost into a rate:
 // experiments saved per LUT spent on the fabric.
 #include "bench/common.hpp"
-#include "cores/avr/core.hpp"
-#include "cores/avr/programs.hpp"
-#include "hafi/avr_dut.hpp"
 #include "hafi/campaign.hpp"
 #include "mate/eval.hpp"
 #include "mate/lut_cost.hpp"
 #include "mate/select.hpp"
+#include "pipeline/registry.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
@@ -71,20 +69,13 @@ int main(int argc, char** argv) {
   cfg.run_cycles = 600;
   cfg.sample = 400;
   cfg.seed = 17;
-  try {
-    cfg = copts.apply(cfg);
-  } catch (const Error& e) { // bad flag value, e.g. --dut-engine=typo
-    std::fprintf(stderr, "lutcost_hafi: %s\nsee --help\n", e.what());
-    return 2;
-  }
+  cfg = copts.apply(cfg);
   cfg.mode = copts.pruned_mode();
 
-  const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
-  const cores::avr::Program program = cores::avr::fib_program();
-
+  const pipeline::CoreRuntime target =
+      pipeline::CoreRegistry::global().make("avr", "fib");
   pipeline::CampaignSpec spec;
-  spec.factory = hafi::make_avr_factory(core, program);
-  spec.batch_factory = hafi::make_avr_batch_factory(core, program);
+  spec.target = target.target();
   spec.config = cfg;
   spec.mates = &avr_top50;
   spec.netlist_fingerprint = avr_fingerprint;

@@ -10,13 +10,13 @@
 #include <iostream>
 #include <memory>
 
-#include "hafi/avr_dut.hpp"
+#include "cores/avr/assembler.hpp"
 #include "hafi/campaign.hpp"
 #include "mate/search.hpp"
 #include "mate/select.hpp"
-#include "pipeline/artifact.hpp"
 #include "pipeline/options.hpp"
 #include "pipeline/pipeline.hpp"
+#include "pipeline/registry.hpp"
 
 using namespace ripple;
 
@@ -61,32 +61,34 @@ sum:
     rjmp start
 )");
 
+  // The workload becomes a core target of its own, assembled by the
+  // CoreRegistry exactly like the built-in "avr" and "msp430".
+  pipeline::CoreRegistry::global().register_core(
+      "avr-checksum", [program](std::string_view) {
+        return pipeline::avr_runtime(program, "checksum");
+      });
   std::cout << "building AVR core..." << std::endl;
-  const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
+  const pipeline::CoreRuntime target =
+      pipeline::CoreRegistry::global().make("avr-checksum");
+  const netlist::Netlist& netlist = *target.netlist;
 
-  const mate::SearchResult search = pipe.find_mates(
-      core.netlist, pipeline::fingerprint(core.netlist),
-      mate::all_flop_wires(core.netlist), opts.search_params(), "AVR FF");
+  const mate::SearchResult search =
+      pipe.find_mates(netlist, target.fingerprint,
+                      mate::all_flop_wires(netlist), opts.search_params(),
+                      "AVR FF");
   std::cout << "  " << search.set.mates.size() << " MATEs, "
             << search.unmaskable_wires << " unmaskable flip-flops\n";
 
   std::cout << "recording trace and selecting top-50..." << std::endl;
-  cores::avr::AvrSystem tracer(core, program);
-  const sim::Trace trace = tracer.run_trace(1500);
-  const mate::SelectionResult sel =
-      pipe.select(search.set, trace, "checksum workload");
+  const mate::SelectionResult sel = pipe.select(
+      search.set, target.record_trace(1500), "checksum workload");
   const mate::MateSet top50 = mate::top_n(search.set, sel, 50);
 
   hafi::CampaignConfig cfg;
   cfg.run_cycles = 1000;
   cfg.sample = sample;
   cfg.seed = 7;
-  try {
-    cfg = copts.apply(cfg);
-  } catch (const Error& e) { // bad flag value, e.g. --dut-engine=typo
-    std::cerr << "avr_campaign: " << e.what() << "\nsee --help\n";
-    return 2;
-  }
+  cfg = copts.apply(cfg);
 
   const auto report = [](const char* name, const hafi::CampaignResult& r) {
     std::cout << name << ": " << r.total << " injections, executed "
@@ -97,19 +99,17 @@ sum:
 
   // Both campaigns share one plan so they inject the exact same points;
   // with --resume, finished shards checkpoint to the artifact cache.
-  const std::uint64_t netlist_fp = pipeline::fingerprint(core.netlist);
-  hafi::Campaign planner(hafi::make_avr_factory(core, program), cfg);
+  hafi::Campaign planner(target.target(), cfg);
   const hafi::CampaignPlan plan = planner.plan();
 
   const auto spec_for = [&](hafi::CampaignMode mode,
                             const mate::MateSet* mates) {
     pipeline::CampaignSpec spec;
-    spec.factory = hafi::make_avr_factory(core, program);
-    spec.batch_factory = hafi::make_avr_batch_factory(core, program);
+    spec.target = target.target();
     spec.config = cfg;
     spec.config.mode = mode;
     spec.mates = mates;
-    spec.netlist_fingerprint = netlist_fp;
+    spec.netlist_fingerprint = target.fingerprint;
     spec.resume = copts.resume;
     spec.plan = plan;
     return spec;

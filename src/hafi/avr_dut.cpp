@@ -1,39 +1,43 @@
 #include "hafi/avr_dut.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <memory>
-
-#include "util/strings.hpp"
+#include <vector>
 
 namespace ripple::hafi {
+namespace {
 
-std::string AvrDut::observable() const {
-  std::string out;
-  for (const cores::avr::IoEvent& e : system_.io_log()) {
-    out += strprintf("%llu:%02x=%02x;", static_cast<unsigned long long>(
-                                            e.cycle),
-                     e.addr, e.data);
-  }
-  return out;
-}
+class AvrBatchDut final : public BatchDut {
+public:
+  AvrBatchDut(const cores::avr::AvrCore& core,
+              const cores::avr::Program& program);
 
-std::string AvrDut::architectural_state() const {
-  const auto& dmem = system_.dmem();
-  return std::string(reinterpret_cast<const char*>(dmem.data()), dmem.size());
-}
+  [[nodiscard]] std::vector<Outcome> run(std::span<const InjectionPoint> points,
+                                         std::size_t run_cycles,
+                                         BatchRunStats* stats) override;
 
-DutFactory make_avr_factory(const cores::avr::AvrCore& core,
-                            const cores::avr::Program& program) {
-  return [&core, &program] { return std::make_unique<AvrDut>(core, program); };
-}
+private:
+  static constexpr std::size_t kDmemBytes = 256;
 
-BatchAvrDut::BatchAvrDut(const cores::avr::AvrCore& core,
+  const cores::avr::AvrCore* core_;
+  std::vector<std::uint16_t> imem_; // shared across lanes (read-only)
+  std::vector<std::uint8_t> dmem_;  // lane-major: [lane * kDmemBytes + addr]
+  sim::BatchSimulator sim_;
+  BatchLaneState lanes_;
+  // Per-lane staging for drive_bus / commit (index = lane).
+  std::array<std::uint64_t, sim::kBatchLanes> instr_{};
+  std::array<std::uint64_t, sim::kBatchLanes> rdata_{};
+  std::array<std::uint64_t, sim::kBatchLanes> daddr_{};
+};
+
+AvrBatchDut::AvrBatchDut(const cores::avr::AvrCore& core,
                          const cores::avr::Program& program)
     : core_(&core), imem_(program.words),
       dmem_(sim::kBatchLanes * kDmemBytes, 0), sim_(core.netlist) {}
 
-std::vector<Outcome> BatchAvrDut::run(std::span<const InjectionPoint> points,
+std::vector<Outcome> AvrBatchDut::run(std::span<const InjectionPoint> points,
                                       std::size_t run_cycles,
                                       BatchRunStats* stats) {
   const cores::avr::AvrPorts& p = core_->ports;
@@ -84,8 +88,8 @@ std::vector<Outcome> BatchAvrDut::run(std::span<const InjectionPoint> points,
       const auto l_data = static_cast<std::uint8_t>(
           l_we ? sim_.read_bus(p.dmem_wdata, lane) : 0);
       if (lanes_.is_armed(lane)) {
-        // Observable compare: the scalar engine's io_log strings embed the
-        // cycle number, so any event mismatch at this cycle is permanent.
+        // Observable compare: the serialized I/O log embeds the cycle
+        // number, so any event mismatch at this cycle is permanent.
         const bool l_io = (io_we >> lane) & 1u;
         if (l_io != g_io ||
             (l_io && (sim_.read_bus(p.io_addr, lane) != g_io_addr ||
@@ -115,10 +119,12 @@ std::vector<Outcome> BatchAvrDut::run(std::span<const InjectionPoint> points,
   return lanes_.finish(stats);
 }
 
+} // namespace
+
 BatchDutFactory make_avr_batch_factory(const cores::avr::AvrCore& core,
                                        const cores::avr::Program& program) {
   return [&core, &program] {
-    return std::make_unique<BatchAvrDut>(core, program);
+    return std::make_unique<AvrBatchDut>(core, program);
   };
 }
 

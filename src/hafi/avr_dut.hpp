@@ -1,75 +1,19 @@
-// Dut adapter for the AVR core + its memory/I/O environment.
+// The AVR core + its memory/I/O environment as a 64-lane batch DUT.
 #pragma once
 
-#include <array>
-#include <vector>
-
-#include "cores/avr/system.hpp"
+#include "cores/avr/assembler.hpp"
+#include "cores/avr/core.hpp"
 #include "hafi/batch_dut.hpp"
-#include "hafi/dut.hpp"
 
 namespace ripple::hafi {
 
-class AvrDut final : public Dut {
-public:
-  AvrDut(const cores::avr::AvrCore& core, const cores::avr::Program& program)
-      : system_(core, program) {}
-
-  [[nodiscard]] const netlist::Netlist& netlist() const override {
-    return system_.core().netlist;
-  }
-  [[nodiscard]] sim::Simulator& simulator() override {
-    return system_.simulator();
-  }
-  void step(sim::Trace* trace = nullptr) override { system_.step(trace); }
-  [[nodiscard]] std::string observable() const override;
-  [[nodiscard]] std::string architectural_state() const override;
-
-  [[nodiscard]] cores::avr::AvrSystem& system() { return system_; }
-
-private:
-  cores::avr::AvrSystem system_;
-};
-
-/// Factory capturing core and program by reference (both must outlive the
-/// campaign).
-[[nodiscard]] DutFactory make_avr_factory(const cores::avr::AvrCore& core,
-                                          const cores::avr::Program& program);
-
-/// 64-lane batch counterpart of AvrDut: one BatchSimulator pass carries the
-/// golden run in lane 0 and up to 63 injection experiments in lanes 1..63.
-/// Instruction memory is read-only and shared; data memory is vectorized per
-/// lane. The per-cycle environment service mirrors AvrSystem::step exactly,
-/// with the I/O log folded into an incremental per-lane compare against the
-/// golden lane's event of the same cycle.
-class BatchAvrDut final : public BatchDut {
-public:
-  BatchAvrDut(const cores::avr::AvrCore& core,
-              const cores::avr::Program& program);
-
-  [[nodiscard]] const netlist::Netlist& netlist() const override {
-    return core_->netlist;
-  }
-  [[nodiscard]] std::vector<Outcome> run(std::span<const InjectionPoint> points,
-                                         std::size_t run_cycles,
-                                         BatchRunStats* stats) override;
-
-private:
-  static constexpr std::size_t kDmemBytes = 256;
-
-  const cores::avr::AvrCore* core_;
-  std::vector<std::uint16_t> imem_; // shared across lanes (read-only)
-  std::vector<std::uint8_t> dmem_;  // lane-major: [lane * kDmemBytes + addr]
-  sim::BatchSimulator sim_;
-  BatchLaneState lanes_;
-  // Per-lane staging for drive_bus / commit (index = lane).
-  std::array<std::uint64_t, sim::kBatchLanes> instr_{};
-  std::array<std::uint64_t, sim::kBatchLanes> rdata_{};
-  std::array<std::uint64_t, sim::kBatchLanes> daddr_{};
-};
-
-/// Batch factory capturing core and program by reference (both must outlive
-/// the campaign).
+/// One BatchSimulator pass carries the golden run in lane 0 and up to 63
+/// injection experiments in lanes 1..63. Instruction memory is read-only and
+/// shared; data memory is vectorized per lane. The per-cycle environment
+/// service mirrors AvrSystem::step exactly, with the I/O log folded into an
+/// incremental per-lane compare against the golden lane's event of the same
+/// cycle. The factory captures core and program by reference (both must
+/// outlive the campaign).
 [[nodiscard]] BatchDutFactory make_avr_batch_factory(
     const cores::avr::AvrCore& core, const cores::avr::Program& program);
 

@@ -1,13 +1,13 @@
-// 64-lane batch device-under-test abstraction.
+// 64-lane batch device-under-test: the campaign's one injection engine.
 //
-// A BatchDut is the parallel-fault counterpart of Dut: one boot of the
-// target system whose simulator carries 64 lanes — lane 0 is the golden
-// (fault-free) run, lanes 1..63 each carry one injection experiment — so a
-// single gate-level pass retires a whole batch of the campaign's injection
-// points. All lanes share the boot sequence (every lane starts from the
-// same reset state and program image); environment state that can diverge
-// per lane (data memory, the I/O event log) is vectorized per lane inside
-// the implementation.
+// A BatchDut is one boot of the target system whose simulator carries 64
+// lanes — lane 0 is the golden (fault-free) run, lanes 1..63 each carry one
+// injection experiment — so a single gate-level pass retires a whole batch of
+// the campaign's injection points, the way the paper's FPGA fabric checks
+// every run against the golden run online. All lanes share the boot sequence
+// (every lane starts from the same reset state and program image);
+// environment state that can diverge per lane (data memory, the I/O event
+// log) is vectorized per lane inside the implementation.
 //
 // Divergence handling, per cycle:
 //   * an I/O event that deviates from the golden lane's event stream pins
@@ -18,9 +18,11 @@
 //     from here on is identical to the golden run — and retires as Benign;
 //   * at the end of the run, surviving lanes classify as Latent when their
 //     memory still differs from the golden lane's, Benign otherwise.
-// The classification is exactly Dut::observable()/architectural_state()
-// equality folded into incremental per-lane bookkeeping, so a BatchDut
-// produces byte-identical campaign outcomes to the scalar engine.
+// The classification is exactly the equality of the serialized I/O log
+// (observable) and of the final memory (architectural state) folded into
+// incremental per-lane bookkeeping, so a BatchDut produces byte-identical
+// campaign outcomes to the one-boot-per-experiment scalar oracle in
+// tests/support.
 #pragma once
 
 #include <algorithm>
@@ -31,11 +33,26 @@
 #include <span>
 #include <vector>
 
-#include "hafi/dut.hpp"
 #include "sim/batch.hpp"
 #include "util/assert.hpp"
 
 namespace ripple::hafi {
+
+/// One point of the fault space: flip `flop`'s state at the start of `cycle`
+/// (the SEU corrupts the value the flop carries *into* that cycle).
+struct InjectionPoint {
+  FlopId flop;
+  std::uint64_t cycle;
+
+  bool operator==(const InjectionPoint&) const = default;
+};
+
+/// Classification of one executed injection against the golden run.
+enum class Outcome {
+  Benign,     // observable and architectural state match the golden run
+  Latent,     // observable matches, architectural state differs at the end
+  Sdc,        // observable diverged: silent data corruption / wrong output
+};
 
 /// Lane 0 always carries the fault-free reference run.
 inline constexpr unsigned kGoldenLane = 0;
@@ -181,8 +198,6 @@ private:
 class BatchDut {
 public:
   virtual ~BatchDut() = default;
-
-  [[nodiscard]] virtual const netlist::Netlist& netlist() const = 0;
 
   /// Execute one batch pass: boot every lane from reset, flip points[i]'s
   /// flop in lane i+1 at the start of points[i].cycle, run `run_cycles`

@@ -25,13 +25,11 @@ std::string_view outcome_name(Outcome o) {
 /// Default shard size: aim for enough shards that the fan-out load-balances
 /// well past 8 workers, but keep shards large enough that the per-shard
 /// bookkeeping (hook calls, checkpoint artifacts) stays negligible. The size
-/// depends only on the point count — never on the thread count or the DUT
-/// engine — so shard boundaries (and therefore checkpoint artifacts) are
-/// stable across --threads values and interchangeable between engines.
-/// Generous shards are aligned up to the 63-lane batch width so the default
-/// plan of a large campaign packs full bit-parallel passes; small campaigns
-/// keep fine-grained shards for thread-level parallelism (a half-empty pass
-/// still beats 63 scalar boots there).
+/// depends only on the point count — never on the thread count — so shard
+/// boundaries (and therefore checkpoint artifacts) are stable across
+/// --threads values. Generous shards are aligned up to the 63-lane batch
+/// width so the default plan of a large campaign packs full passes; small
+/// campaigns keep fine-grained shards for thread-level parallelism.
 std::size_t auto_shard_size(std::size_t num_points) {
   constexpr std::size_t kTargetShards = 64;
   constexpr std::size_t kMaxShardSize = 504; // 8 full 63-lane passes
@@ -41,16 +39,6 @@ std::size_t auto_shard_size(std::size_t num_points) {
   }
   return std::clamp<std::size_t>(size, 1, kMaxShardSize);
 }
-
-/// Golden-run reference shared read-only by all shard workers.
-struct GoldenRun {
-  std::string observable;
-  std::string state;
-  /// mode != Baseline: benign[fault row][cycle] per mate::benign_matrix,
-  /// plus the flop -> fault-row mapping.
-  std::vector<std::vector<bool>> benign;
-  std::unordered_map<FlopId, std::size_t> fault_index;
-};
 
 } // namespace
 
@@ -63,29 +51,25 @@ std::string_view mode_name(CampaignMode mode) {
   return "?";
 }
 
-std::string_view dut_engine_name(DutEngine engine) {
-  switch (engine) {
-    case DutEngine::Scalar: return "scalar";
-    case DutEngine::BitParallel: return "bitpar";
-  }
-  return "?";
-}
-
-Campaign::Campaign(DutFactory factory, CampaignConfig config,
+Campaign::Campaign(CampaignTarget target, CampaignConfig config,
                    const mate::MateSet* mates)
-    : factory_(std::move(factory)), config_(config), mates_(mates) {
+    : target_(std::move(target)), config_(config), mates_(mates) {
+  RIPPLE_CHECK(target_.netlist != nullptr, "campaign needs a netlist");
+  RIPPLE_CHECK(target_.batch_factory != nullptr,
+               "campaign needs a 64-lane batch DUT factory");
   RIPPLE_CHECK(config_.run_cycles > 0, "campaign needs at least one cycle");
-  RIPPLE_CHECK(config_.mode == CampaignMode::Baseline || mates_ != nullptr,
-               "campaign mode '", mode_name(config_.mode),
-               "' needs a MATE set");
+  if (config_.mode != CampaignMode::Baseline) {
+    RIPPLE_CHECK(mates_ != nullptr, "campaign mode '", mode_name(config_.mode),
+                 "' needs a MATE set");
+    RIPPLE_CHECK(target_.record_trace != nullptr, "campaign mode '",
+                 mode_name(config_.mode), "' needs a golden-trace recorder");
+  }
 }
 
 const CampaignPlan& Campaign::plan() {
   if (plan_.has_value()) return *plan_;
 
-  // Boot one DUT to size the fault space (flops x cycles).
-  const std::unique_ptr<Dut> dut = factory_();
-  const netlist::Netlist& n = dut->netlist();
+  const netlist::Netlist& n = *target_.netlist;
 
   CampaignPlan plan;
   const std::size_t space = n.num_flops() * config_.run_cycles;
@@ -118,42 +102,31 @@ void Campaign::use_plan(CampaignPlan plan) {
   plan_ = std::move(plan);
 }
 
-void Campaign::set_batch_factory(BatchDutFactory factory) {
-  batch_factory_ = std::move(factory);
-}
-
 CampaignResult Campaign::run(const ShardHooks& hooks) {
-  return run_impl(hooks);
-}
-
-CampaignResult Campaign::run_impl(const ShardHooks& hooks) {
   const CampaignPlan& plan = this->plan();
   const bool pruning = config_.mode != CampaignMode::Baseline;
 
-  // --- golden run -----------------------------------------------------------
-  auto golden_dut = factory_();
-  const netlist::Netlist& n = golden_dut->netlist();
-
-  // Record the golden trace when pruning: the per-cycle MATE evaluation is
-  // exactly what the FPGA fabric would compute online.
-  sim::Trace golden_trace(n);
-  for (std::size_t c = 0; c < config_.run_cycles; ++c) {
-    golden_dut->step(pruning ? &golden_trace : nullptr);
-  }
-
-  GoldenRun golden;
-  golden.observable = golden_dut->observable();
-  golden.state = golden_dut->architectural_state();
+  // --- golden trace ---------------------------------------------------------
+  // Pruning decisions evaluate the MATEs on the fault-free run, exactly what
+  // the FPGA fabric would compute online: benign[fault row][cycle] per
+  // mate::benign_matrix, plus the flop -> fault-row mapping. Baseline needs
+  // neither; every batch pass carries its own golden lane.
+  std::vector<std::vector<bool>> benign;
+  std::unordered_map<FlopId, std::size_t> fault_index;
   if (pruning) {
-    golden.benign = mate::benign_matrix(*mates_, golden_trace);
+    const netlist::Netlist& n = *target_.netlist;
+    const sim::Trace golden = target_.record_trace(config_.run_cycles);
+    RIPPLE_CHECK(golden.num_cycles() == config_.run_cycles &&
+                     golden.num_wires() == n.num_wires(),
+                 "golden trace does not match the campaign target");
+    benign = mate::benign_matrix(*mates_, golden);
     for (std::size_t i = 0; i < mates_->faulty_wires.size(); ++i) {
       const netlist::Wire& w = n.wire(mates_->faulty_wires[i]);
       RIPPLE_CHECK(w.driver_kind == netlist::DriverKind::Flop,
                    "campaign MATE sets must target flop outputs");
-      golden.fault_index.emplace(w.driver_flop, i);
+      fault_index.emplace(w.driver_flop, i);
     }
   }
-  golden_dut.reset();
 
   // --- shard fan-out --------------------------------------------------------
   const std::size_t num_shards = plan.num_shards();
@@ -170,9 +143,6 @@ CampaignResult Campaign::run_impl(const ShardHooks& hooks) {
     std::uint64_t lane_cycles_saved = 0;
   };
   std::vector<ShardLaneStats> lane_stats(num_shards);
-
-  const bool use_batch = config_.dut_engine == DutEngine::BitParallel &&
-                         batch_factory_ != nullptr;
 
   // Resume pass: collect previously persisted shards before spinning up
   // workers. A stale artifact (points that no longer match the plan) is
@@ -202,30 +172,8 @@ CampaignResult Campaign::run_impl(const ShardHooks& hooks) {
 
   const auto is_pruned = [&](const InjectionPoint& point) {
     if (!pruning) return false;
-    const auto it = golden.fault_index.find(point.flop);
-    return it != golden.fault_index.end() &&
-           golden.benign[it->second][point.cycle];
-  };
-
-  const auto execute_scalar = [&](Experiment& exp) {
-    auto dut = factory_();
-    const InjectionPoint& point = exp.point;
-    for (std::size_t c = 0; c < point.cycle; ++c) dut->step();
-    // Flip the flop's state at the start of the injection cycle, i.e. the
-    // SEU corrupts the value the flop carries *into* this cycle.
-    dut->simulator().flip_flop(point.flop);
-    for (std::size_t c = point.cycle; c < config_.run_cycles; ++c) {
-      dut->step();
-    }
-    exp.executed = true;
-
-    if (dut->observable() != golden.observable) {
-      exp.outcome = Outcome::Sdc;
-    } else if (dut->architectural_state() != golden.state) {
-      exp.outcome = Outcome::Latent;
-    } else {
-      exp.outcome = Outcome::Benign;
-    }
+    const auto it = fault_index.find(point.flop);
+    return it != fault_index.end() && benign[it->second][point.cycle];
   };
 
   std::mutex hook_mutex; // serializes store/progress hook invocations
@@ -268,7 +216,7 @@ CampaignResult Campaign::run_impl(const ShardHooks& hooks) {
     const std::span<const InjectionPoint> points = plan.shard(s);
 
     // Pruning decisions first; then the executed subset, packed 63 at a
-    // time into batch passes (or run one by one on the scalar oracle).
+    // time into batch passes.
     result.experiments.reserve(points.size());
     std::vector<std::size_t> exec;
     exec.reserve(points.size());
@@ -283,8 +231,8 @@ CampaignResult Campaign::run_impl(const ShardHooks& hooks) {
     }
 
     ShardLaneStats& stats = lane_stats[s];
-    if (use_batch && !exec.empty()) {
-      const auto batch_dut = batch_factory_();
+    if (!exec.empty()) {
+      const auto batch_dut = target_.batch_factory();
       std::vector<InjectionPoint> group;
       group.reserve(kExperimentLanes);
       for (std::size_t g = 0; g < exec.size(); g += kExperimentLanes) {
@@ -310,13 +258,6 @@ CampaignResult Campaign::run_impl(const ShardHooks& hooks) {
         stats.lanes_retired_early += pass.lanes_retired_early;
         stats.lane_cycles_saved += pass.lane_cycles_saved;
       }
-    } else {
-      obs::Span pass_span("hafi", "dut_pass", "scalar");
-      for (const std::size_t i : exec) {
-        execute_scalar(result.experiments[i]);
-      }
-      stats.dut_passes = exec.size();
-      stats.lane_slots = exec.size();
     }
     shard_seconds[s] = watch.seconds();
 

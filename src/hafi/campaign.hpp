@@ -9,13 +9,13 @@
 //
 // Every injection is independent, so the engine partitions the injection-
 // point list into fixed shards and fans them out across a ThreadPool; each
-// worker boots its own DUT instances through the DutFactory. With the
-// default BitParallel engine a shard's executed points are additionally
-// packed 63 at a time into 64-lane BatchDut passes (lane 0 carries the
-// golden run), so one gate-level pass retires a whole batch. Shards are
-// merged in shard-index order, so the CampaignResult — including the
-// per-experiment outcome list — is byte-identical for any thread count,
-// either engine, and any resume pattern.
+// worker boots its own 64-lane BatchDut through the target's factory and
+// packs the shard's executed points 63 at a time into batch passes (lane 0
+// carries the golden run), so one gate-level pass retires a whole batch.
+// Shards are merged in shard-index order, so the CampaignResult — including
+// the per-experiment outcome list — is byte-identical for any thread count
+// and any resume pattern, and to the one-boot-per-experiment scalar oracle
+// in tests/support.
 // Shard hooks let callers persist finished shards (the pipeline layer stores
 // them as versioned artifacts) and skip them on resume after an interrupt.
 #pragma once
@@ -29,8 +29,9 @@
 #include <vector>
 
 #include "hafi/batch_dut.hpp"
-#include "hafi/dut.hpp"
 #include "mate/mate.hpp"
+#include "netlist/netlist.hpp"
+#include "sim/trace.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -45,16 +46,21 @@ enum class CampaignMode {
 
 [[nodiscard]] std::string_view mode_name(CampaignMode mode);
 
-/// How injections are executed. Never affects results: the batch engine's
-/// incremental classification is equivalent to the scalar string compares,
-/// so CampaignResult is byte-identical either way (campaign_batch_test pins
-/// this down).
-enum class DutEngine {
-  Scalar,      // one DUT boot per experiment; the reference oracle
-  BitParallel, // 64-lane batch passes retire up to 63 experiments each
-};
+/// Records `cycles` cycles of the target's fault-free run: the golden trace
+/// on which Pruned and Validate campaigns evaluate their MATEs, as the FPGA
+/// fabric would online.
+using TraceRecorder = std::function<sim::Trace(std::size_t cycles)>;
 
-[[nodiscard]] std::string_view dut_engine_name(DutEngine engine);
+/// The system a campaign injects into.
+struct CampaignTarget {
+  /// Sizes the fault space (flops x cycles) and maps MATE wires to flops.
+  /// Borrowed: must outlive the campaign.
+  const netlist::Netlist* netlist = nullptr;
+  /// Boots the 64-lane DUT (same netlist) that executes the injections.
+  BatchDutFactory batch_factory;
+  /// Required for Pruned and Validate; Baseline runs no golden trace.
+  TraceRecorder record_trace;
+};
 
 struct Experiment {
   InjectionPoint point;
@@ -80,10 +86,6 @@ struct CampaignConfig {
   /// Injection points per shard; 0 picks a size from the plan (deterministic
   /// in the point count, independent of the thread count).
   std::size_t shard_size = 0;
-  /// Execution engine. BitParallel needs a batch factory (set_batch_factory)
-  /// and silently falls back to Scalar without one, so Dut-only callers keep
-  /// working unchanged.
-  DutEngine dut_engine = DutEngine::BitParallel;
 
   bool operator==(const CampaignConfig&) const = default;
 };
@@ -97,10 +99,10 @@ using ShardExecutor = std::function<void(
     std::size_t n, const std::function<void(std::size_t)>& task)>;
 
 /// The campaign's work list: the sampled (or exhaustive) injection points
-/// plus the shard partition over them. Produced by the campaign itself —
-/// callers no longer rebuild a throwaway DUT to get at the netlist — and
-/// stable for a fixed config, so baseline and pruned campaigns (and the
-/// benches' like-for-like comparisons) share one plan.
+/// plus the shard partition over them. Produced by the campaign itself from
+/// the target's netlist, and stable for a fixed config, so baseline and
+/// pruned campaigns (and the benches' like-for-like comparisons) share one
+/// plan.
 struct CampaignPlan {
   std::vector<InjectionPoint> points;
   std::size_t shard_size = 1; // resolved: never 0
@@ -172,21 +174,17 @@ struct CampaignResult {
 
 class Campaign {
 public:
-  /// `mates` must be non-null for Pruned/Validate mode and target flop Q
-  /// wires of the DUT netlist; it is ignored in Baseline mode. The set must
-  /// outlive the campaign.
-  Campaign(DutFactory factory, CampaignConfig config,
+  /// `target` needs a netlist and a batch factory, plus a trace recorder in
+  /// Pruned/Validate mode. `mates` must be non-null for Pruned/Validate mode
+  /// and target flop Q wires of the netlist; it is ignored in Baseline mode.
+  /// The set must outlive the campaign. Throws ripple::Error on a missing
+  /// piece.
+  Campaign(CampaignTarget target, CampaignConfig config,
            const mate::MateSet* mates = nullptr);
 
-  /// Install the 64-lane batch DUT used when config.dut_engine is
-  /// BitParallel. The factory must boot the same target system as the scalar
-  /// DutFactory (same netlist, program and environment) — campaign outcomes
-  /// are classified against the scalar golden run's semantics.
-  void set_batch_factory(BatchDutFactory factory);
-
-  /// The injection points and shard partition (built on first use; boots one
-  /// DUT to size the fault space). Stable across runs for a fixed config, so
-  /// baseline and pruned campaigns compare like for like.
+  /// The injection points and shard partition (built on first use from the
+  /// target's netlist). Stable across runs for a fixed config, so baseline
+  /// and pruned campaigns compare like for like.
   [[nodiscard]] const CampaignPlan& plan();
 
   /// Install a plan produced by another campaign over the same DUT and
@@ -204,7 +202,7 @@ public:
     double seconds = 0.0;       // this shard's execution wall time
     bool resumed = false;       // served by ShardHooks::load, not executed
     // Engine utilization (zero for resumed shards — nothing ran):
-    std::size_t dut_passes = 0; // gate-level passes (scalar: DUT boots)
+    std::size_t dut_passes = 0; // gate-level batch passes
     std::size_t lane_slots = 0; // experiment capacity those passes offered
     std::size_t lanes_retired_early = 0; // classified before the run ended
     std::uint64_t lane_cycles_saved = 0; // cycles skipped by early retirement
@@ -232,10 +230,7 @@ public:
   [[nodiscard]] CampaignResult run(const ShardHooks& hooks = {});
 
 private:
-  [[nodiscard]] CampaignResult run_impl(const ShardHooks& hooks);
-
-  DutFactory factory_;
-  BatchDutFactory batch_factory_;
+  CampaignTarget target_;
   CampaignConfig config_;
   const mate::MateSet* mates_ = nullptr;
   std::optional<CampaignPlan> plan_;

@@ -1,35 +1,38 @@
 #include "hafi/msp430_dut.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <memory>
+#include <vector>
 
-#include "util/strings.hpp"
+#include "util/assert.hpp"
 
 namespace ripple::hafi {
+namespace {
 
-std::string Msp430Dut::observable() const {
-  std::string out;
-  for (const cores::msp430::IoEvent& e : system_.io_log()) {
-    out += strprintf("%llu:%04x=%04x;", static_cast<unsigned long long>(
-                                            e.cycle),
-                     e.addr, e.data);
-  }
-  return out;
-}
+class Msp430BatchDut final : public BatchDut {
+public:
+  Msp430BatchDut(const cores::msp430::Msp430Core& core,
+                 const cores::msp430::Image& image);
 
-std::string Msp430Dut::architectural_state() const {
-  const auto& mem = system_.memory();
-  return std::string(reinterpret_cast<const char*>(mem.data()),
-                     mem.size() * sizeof(std::uint16_t));
-}
+  [[nodiscard]] std::vector<Outcome> run(std::span<const InjectionPoint> points,
+                                         std::size_t run_cycles,
+                                         BatchRunStats* stats) override;
 
-DutFactory make_msp430_factory(const cores::msp430::Msp430Core& core,
-                               const cores::msp430::Image& image) {
-  return [&core, &image] { return std::make_unique<Msp430Dut>(core, image); };
-}
+private:
+  static constexpr std::size_t kMemWords = 1u << 15;
 
-BatchMsp430Dut::BatchMsp430Dut(const cores::msp430::Msp430Core& core,
+  const cores::msp430::Msp430Core* core_;
+  std::vector<std::uint16_t> image_;  // memory seed (image + zero fill)
+  std::vector<std::uint16_t> memory_; // lane-major: [lane * kMemWords + word]
+  sim::BatchSimulator sim_;
+  BatchLaneState lanes_;
+  std::array<std::uint64_t, sim::kBatchLanes> rdata_{};
+  std::array<std::uint64_t, sim::kBatchLanes> addr_{};
+};
+
+Msp430BatchDut::Msp430BatchDut(const cores::msp430::Msp430Core& core,
                                const cores::msp430::Image& image)
     : core_(&core), image_(kMemWords, 0),
       memory_(sim::kBatchLanes * kMemWords, 0), sim_(core.netlist) {
@@ -38,7 +41,7 @@ BatchMsp430Dut::BatchMsp430Dut(const cores::msp430::Msp430Core& core,
   std::copy(image.words.begin(), image.words.end(), image_.begin());
 }
 
-std::vector<Outcome> BatchMsp430Dut::run(std::span<const InjectionPoint> points,
+std::vector<Outcome> Msp430BatchDut::run(std::span<const InjectionPoint> points,
                                          std::size_t run_cycles,
                                          BatchRunStats* stats) {
   using cores::msp430::kIoBase;
@@ -118,10 +121,12 @@ std::vector<Outcome> BatchMsp430Dut::run(std::span<const InjectionPoint> points,
   return lanes_.finish(stats);
 }
 
+} // namespace
+
 BatchDutFactory make_msp430_batch_factory(const cores::msp430::Msp430Core& core,
                                           const cores::msp430::Image& image) {
   return [&core, &image] {
-    return std::make_unique<BatchMsp430Dut>(core, image);
+    return std::make_unique<Msp430BatchDut>(core, image);
   };
 }
 

@@ -1,73 +1,18 @@
-// Dut adapter for the MSP430 core + its memory/I/O environment, mirroring
-// the AVR adapter so campaigns run on both paper cores.
+// The MSP430 core + its memory/I/O environment as a 64-lane batch DUT,
+// mirroring the AVR one so campaigns run on both paper cores.
 #pragma once
 
-#include <array>
-#include <vector>
-
-#include "cores/msp430/system.hpp"
+#include "cores/msp430/assembler.hpp"
+#include "cores/msp430/core.hpp"
 #include "hafi/batch_dut.hpp"
-#include "hafi/dut.hpp"
 
 namespace ripple::hafi {
 
-class Msp430Dut final : public Dut {
-public:
-  Msp430Dut(const cores::msp430::Msp430Core& core,
-            const cores::msp430::Image& image)
-      : system_(core, image) {}
-
-  [[nodiscard]] const netlist::Netlist& netlist() const override {
-    return system_.core().netlist;
-  }
-  [[nodiscard]] sim::Simulator& simulator() override {
-    return system_.simulator();
-  }
-  void step(sim::Trace* trace = nullptr) override { system_.step(trace); }
-  [[nodiscard]] std::string observable() const override;
-  [[nodiscard]] std::string architectural_state() const override;
-
-  [[nodiscard]] cores::msp430::Msp430System& system() { return system_; }
-
-private:
-  cores::msp430::Msp430System system_;
-};
-
-/// Factory capturing core and image by reference (both must outlive the
+/// The unified word memory is vectorized per lane (each used lane re-seeded
+/// from the program image per pass); memory-mapped stores at kIoBase and up
+/// become the per-cycle observable compare against the golden lane. The
+/// factory captures core and image by reference (both must outlive the
 /// campaign).
-[[nodiscard]] DutFactory make_msp430_factory(
-    const cores::msp430::Msp430Core& core, const cores::msp430::Image& image);
-
-/// 64-lane batch counterpart of Msp430Dut. The unified word memory is
-/// vectorized per lane (each used lane re-seeded from the program image per
-/// pass); memory-mapped stores at kIoBase and up become the per-cycle
-/// observable compare against the golden lane.
-class BatchMsp430Dut final : public BatchDut {
-public:
-  BatchMsp430Dut(const cores::msp430::Msp430Core& core,
-                 const cores::msp430::Image& image);
-
-  [[nodiscard]] const netlist::Netlist& netlist() const override {
-    return core_->netlist;
-  }
-  [[nodiscard]] std::vector<Outcome> run(std::span<const InjectionPoint> points,
-                                         std::size_t run_cycles,
-                                         BatchRunStats* stats) override;
-
-private:
-  static constexpr std::size_t kMemWords = 1u << 15;
-
-  const cores::msp430::Msp430Core* core_;
-  std::vector<std::uint16_t> image_;  // memory seed (image + zero fill)
-  std::vector<std::uint16_t> memory_; // lane-major: [lane * kMemWords + word]
-  sim::BatchSimulator sim_;
-  BatchLaneState lanes_;
-  std::array<std::uint64_t, sim::kBatchLanes> rdata_{};
-  std::array<std::uint64_t, sim::kBatchLanes> addr_{};
-};
-
-/// Batch factory capturing core and image by reference (both must outlive
-/// the campaign).
 [[nodiscard]] BatchDutFactory make_msp430_batch_factory(
     const cores::msp430::Msp430Core& core, const cores::msp430::Image& image);
 

@@ -48,17 +48,7 @@ hafi::CampaignConfig CampaignOptions::apply(hafi::CampaignConfig config) const {
   if (sample != kUnset) config.sample = sample;
   if (run_cycles != kUnset) config.run_cycles = run_cycles;
   if (shard_size != 0) config.shard_size = shard_size;
-  config.dut_engine = engine();
   return config;
-}
-
-hafi::DutEngine CampaignOptions::engine() const {
-  if (dut_engine.empty() || dut_engine == "bitpar") {
-    return hafi::DutEngine::BitParallel;
-  }
-  RIPPLE_CHECK(dut_engine == "scalar", "unknown --dut-engine '", dut_engine,
-               "' (expected 'bitpar' or 'scalar')");
-  return hafi::DutEngine::Scalar;
 }
 
 void register_campaign_options(OptionParser& parser, CampaignOptions& opts) {
@@ -77,9 +67,6 @@ void register_campaign_options(OptionParser& parser, CampaignOptions& opts) {
                   "checkpoint finished shards to the artifact cache and "
                   "skip shards already stored there",
                   &opts.resume);
-  parser.add_value("dut-engine",
-                   "injection engine: bitpar (default) or scalar",
-                   &opts.dut_engine);
 }
 
 void register_pipeline_options(OptionParser& parser, PipelineOptions& opts) {

@@ -59,8 +59,6 @@ void register_pipeline_options(OptionParser& parser, PipelineOptions& opts);
 ///   --shard-size=N       injection points per checkpointable shard (0=auto)
 ///   --resume             persist finished shards to the artifact cache and
 ///                        skip shards already checkpointed there
-///   --dut-engine=E       injection engine: bitpar (default, 64-lane batch
-///                        passes) or scalar (one DUT boot per experiment)
 /// (`--threads` comes from the pipeline flag set and applies to the shard
 /// fan-out as well.)
 struct CampaignOptions {
@@ -69,7 +67,6 @@ struct CampaignOptions {
   bool validate_pruned = false;
   std::size_t shard_size = 0;
   bool resume = false;
-  std::string dut_engine; // "", "bitpar" or "scalar"
 
   static constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
 
@@ -77,10 +74,6 @@ struct CampaignOptions {
   /// mode is the caller's choice per campaign run; --validate-pruned
   /// upgrades Pruned to Validate via pruned_mode().
   [[nodiscard]] hafi::CampaignConfig apply(hafi::CampaignConfig config) const;
-
-  /// --dut-engine parsed ("" defaults to bitpar). Throws ripple::Error on an
-  /// unknown value.
-  [[nodiscard]] hafi::DutEngine engine() const;
 
   /// Pruned, or Validate when --validate-pruned was passed.
   [[nodiscard]] hafi::CampaignMode pruned_mode() const {

@@ -5,17 +5,10 @@
 #include <cstdio>
 #include <thread>
 
-#include "cores/avr/core.hpp"
-#include "cores/avr/programs.hpp"
-#include "cores/avr/system.hpp"
-#include "cores/msp430/core.hpp"
-#include "cores/msp430/programs.hpp"
-#include "cores/msp430/system.hpp"
 #include "mate/stream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/artifact.hpp"
-#include "pipeline/registry.hpp"
 #include "util/eta.hpp"
 #include "util/hash.hpp"
 #include "util/stopwatch.hpp"
@@ -141,28 +134,61 @@ private:
   std::function<const sim::TransposedTrace&()> transpose_;
 };
 
+/// The CoreRegistry entry and display name of a built-in core.
+struct BuiltinCore {
+  const char* key;
+  const char* name;
+};
+
+const BuiltinCore& builtin(CoreKind kind) {
+  static constexpr BuiltinCore kBuiltins[] = {{"avr", "AVR"},
+                                              {"msp430", "MSP430"}};
+  return kBuiltins[static_cast<std::size_t>(kind)]; // in CoreKind order
+}
+
 } // namespace
+
+/// StageStats{stage, detail}, the span `span_name` (a string literal —
+/// obs::Span keeps the pointer) for the scope's lifetime, the begin
+/// notification and a stopwatch. The stage fills `stats`, calls stop() to
+/// stamp the seconds (before deriving rates from them) and end() to send
+/// the end notification.
+class CampaignPipeline::StageScope {
+public:
+  StageScope(CampaignPipeline& pipeline, const char* span_name,
+             std::string stage, std::string detail)
+      : pipeline_(&pipeline), span_("pipeline", span_name) {
+    stats.stage = std::move(stage);
+    stats.detail = std::move(detail);
+    if (span_.active()) span_.set_detail(stats.detail);
+    pipeline_->notify_begin(stats.stage, stats.detail);
+    watch_.restart();
+  }
+
+  void stop() { stats.seconds = watch_.seconds(); }
+  void end() { pipeline_->notify_end(std::move(stats)); }
+
+  StageStats stats;
+
+private:
+  CampaignPipeline* pipeline_;
+  obs::Span span_;
+  Stopwatch watch_;
+};
 
 template <typename T, typename Compute, typename Counters>
 T CampaignPipeline::cached_stage(const char* span_name, const CacheKey& key,
                                  std::string detail, T (*read)(ByteReader&),
                                  void (*write)(ByteWriter&, const T&),
                                  Compute&& compute, Counters&& counters) {
-  StageStats stats;
-  stats.stage = key.stage;
-  stats.detail = std::move(detail);
-  stats.cacheable = cache_->enabled();
-  obs::Span span("pipeline", span_name);
-  if (span.active()) span.set_detail(stats.detail);
-  notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
-
+  StageScope scope(*this, span_name, key.stage, std::move(detail));
+  scope.stats.cacheable = cache_->enabled();
   T result = [&] {
     if (auto payload = cache_->load(key)) {
       ByteReader r(*payload);
       T loaded = read(r);
       r.expect_done();
-      stats.cache_hit = true;
+      scope.stats.cache_hit = true;
       return loaded;
     }
     T computed = compute();
@@ -173,18 +199,10 @@ T CampaignPipeline::cached_stage(const char* span_name, const CacheKey& key,
     }
     return computed;
   }();
-  stats.seconds = watch.seconds();
-  counters(stats, result);
-  notify_end(std::move(stats));
+  scope.stop();
+  counters(scope.stats, result);
+  scope.end();
   return result;
-}
-
-std::string_view core_name(CoreKind kind) {
-  switch (kind) {
-    case CoreKind::Avr: return "AVR";
-    case CoreKind::Msp430: return "MSP430";
-  }
-  return "?";
 }
 
 CampaignPipeline::CampaignPipeline(PipelineConfig config)
@@ -262,77 +280,40 @@ const sim::TransposedTrace& CampaignPipeline::transposed(
 }
 
 CoreSetup CampaignPipeline::setup(const CoreSetupSpec& spec) {
-  const std::string name{core_name(spec.kind)};
-  obs::Span span("pipeline", "setup", name);
-  notify_begin("build_core", name);
-  Stopwatch watch;
-
+  const BuiltinCore& core = builtin(spec.kind);
   CoreSetup s;
-  s.name = name;
-  // Ends the build_core stage; the traces follow as record_trace stages.
-  const auto built = [&](const netlist::Netlist& n) {
-    s.fingerprint = fingerprint(n);
-    s.ff = mate::all_flop_wires(n);
-    StageStats stats;
-    stats.stage = "build_core";
-    stats.detail = name;
-    stats.seconds = watch.seconds();
-    stats.counters = {
-        {"wires", static_cast<double>(n.num_wires())},
-        {"gates", static_cast<double>(n.num_gates())},
-        {"flops", static_cast<double>(n.num_flops())},
-    };
-    notify_end(stats);
+  s.name = core.name;
+  // The traces follow the build_core stage as record_trace stages, inside
+  // the scope's "setup" span.
+  StageScope scope(*this, "setup", "build_core", s.name);
+  const CoreRuntime fib = CoreRegistry::global().make(core.key, "fib");
+  const CoreRuntime conv = CoreRegistry::global().make(core.key, "conv");
+  s.netlist = *fib.netlist;
+  s.fingerprint = fib.fingerprint;
+  s.ff = mate::all_flop_wires(s.netlist);
+  s.ff_xrf = mate::flop_wires_excluding_prefix(s.netlist, fib.regfile_prefix);
+  scope.stop();
+  scope.stats.counters = {
+      {"wires", static_cast<double>(s.netlist.num_wires())},
+      {"gates", static_cast<double>(s.netlist.num_gates())},
+      {"flops", static_cast<double>(s.netlist.num_flops())},
   };
+  scope.end();
 
-  if (spec.kind == CoreKind::Avr) {
-    cores::avr::AvrCore core = cores::avr::build_avr_core(spec.optimized);
-    s.ff_xrf = mate::flop_wires_excluding_prefix(core.netlist,
-                                                 cores::avr::kRegfilePrefix);
-    built(core.netlist);
-    s.fib_trace =
-        record_trace(s.fingerprint, "fib", spec.trace_cycles, [&core, &spec] {
-          cores::avr::AvrSystem sys(core, cores::avr::fib_program());
-          return sys.run_trace(spec.trace_cycles);
-        });
-    s.conv_trace =
-        record_trace(s.fingerprint, "conv", spec.trace_cycles, [&core, &spec] {
-          cores::avr::AvrSystem sys(core, cores::avr::conv_program());
-          return sys.run_trace(spec.trace_cycles);
-        });
-    s.netlist = std::move(core.netlist);
-  } else {
-    cores::msp430::Msp430Core core =
-        cores::msp430::build_msp430_core(spec.optimized);
-    s.ff_xrf = mate::flop_wires_excluding_prefix(
-        core.netlist, cores::msp430::kRegfilePrefix);
-    built(core.netlist);
-    s.fib_trace =
-        record_trace(s.fingerprint, "fib", spec.trace_cycles, [&core, &spec] {
-          cores::msp430::Msp430System sys(core, cores::msp430::fib_image());
-          return sys.run_trace(spec.trace_cycles);
-        });
-    s.conv_trace =
-        record_trace(s.fingerprint, "conv", spec.trace_cycles, [&core, &spec] {
-          cores::msp430::Msp430System sys(core, cores::msp430::conv_image());
-          return sys.run_trace(spec.trace_cycles);
-        });
-    s.netlist = std::move(core.netlist);
-  }
+  s.fib_trace = record_trace(fib, spec.trace_cycles);
+  s.conv_trace = record_trace(conv, spec.trace_cycles);
   s.fib_trace_fp = fingerprint(s.fib_trace);
   s.conv_trace_fp = fingerprint(s.conv_trace);
   return s;
 }
 
-sim::Trace CampaignPipeline::record_trace(
-    std::uint64_t netlist_fingerprint, std::string_view workload,
-    std::size_t cycles, const std::function<sim::Trace()>& run) {
+sim::Trace CampaignPipeline::record_trace(const CoreRuntime& rt,
+                                          std::size_t cycles) {
   return cached_stage(
       "stage:record_trace",
-      {"record_trace", trace_key(netlist_fingerprint, workload, cycles)},
-      strprintf("%.*s, %zu cycles", static_cast<int>(workload.size()),
-                workload.data(), cycles),
-      read_trace, write_trace, run,
+      {"record_trace", trace_key(rt.fingerprint, rt.workload, cycles)},
+      strprintf("%s, %zu cycles", rt.workload.c_str(), cycles), read_trace,
+      write_trace, [&] { return rt.record_trace(cycles); },
       [](StageStats& stats, const sim::Trace& t) {
         stats.counters = {{"cycles", static_cast<double>(t.num_cycles())},
                           {"wires", static_cast<double>(t.num_wires())}};
@@ -408,60 +389,14 @@ mate::SelectionResult CampaignPipeline::select(const mate::MateSet& set,
   return select_stream(set, source, trace_fingerprint, std::move(detail));
 }
 
-namespace {
-
-/// WorkloadRunner over an AVR system; the core netlist is shared across
-/// boots of the same stream (replay passes re-boot, the build does not
-/// re-run).
-class AvrRunner final : public WorkloadRunner {
-public:
-  AvrRunner(std::shared_ptr<const cores::avr::AvrCore> core,
-            std::string_view workload)
-      : core_(std::move(core)),
-        system_(*core_, cores::avr::workload_program(workload)) {}
-
-  void run(std::size_t cycles) override { system_.run(cycles); }
-  void run_stream(std::size_t cycles, sim::RowSink& sink) override {
-    system_.run_stream(cycles, sink);
-  }
-
-private:
-  std::shared_ptr<const cores::avr::AvrCore> core_;
-  cores::avr::AvrSystem system_;
-};
-
-class Msp430Runner final : public WorkloadRunner {
-public:
-  Msp430Runner(std::shared_ptr<const cores::msp430::Msp430Core> core,
-               std::string_view workload)
-      : core_(std::move(core)),
-        system_(*core_, cores::msp430::workload_image(workload)) {}
-
-  void run(std::size_t cycles) override { system_.run(cycles); }
-  void run_stream(std::size_t cycles, sim::RowSink& sink) override {
-    system_.run_stream(cycles, sink);
-  }
-
-private:
-  std::shared_ptr<const cores::msp430::Msp430Core> core_;
-  cores::msp430::Msp430System system_;
-};
-
-} // namespace
-
-ChunkedTraceStream::ChunkedTraceStream(
-    CampaignPipeline& pipeline,
-    std::function<std::unique_ptr<WorkloadRunner>()> boot,
-    std::uint64_t netlist_fingerprint, std::string workload,
-    std::size_t num_wires, std::size_t cycles, std::size_t chunk_cycles)
+ChunkedTraceStream::ChunkedTraceStream(CampaignPipeline& pipeline,
+                                       CoreRuntime runtime, std::size_t cycles,
+                                       std::size_t chunk_cycles)
     : pipeline_(&pipeline),
-      boot_(std::move(boot)),
-      netlist_fingerprint_(netlist_fingerprint),
-      workload_(std::move(workload)),
-      num_wires_(num_wires),
+      rt_(std::move(runtime)),
       cycles_(cycles),
       chunk_cycles_(chunk_cycles),
-      fingerprint_(trace_key(netlist_fingerprint, workload_, cycles)) {
+      fingerprint_(trace_key(rt_.fingerprint, rt_.workload, cycles)) {
   RIPPLE_CHECK(chunk_cycles_ > 0 && chunk_cycles_ % 64 == 0,
                "--trace-chunk-cycles must be a positive multiple of 64, got ",
                chunk_cycles_);
@@ -470,15 +405,10 @@ ChunkedTraceStream::ChunkedTraceStream(
 
 void ChunkedTraceStream::stream(sim::TraceSink& sink) {
   ArtifactCache& cache = pipeline_->cache();
-  StageStats stats;
-  stats.stage = "record_trace";
-  stats.detail =
-      strprintf("%s, %zu cycles (streamed)", workload_.c_str(), cycles_);
-  stats.cacheable = cache.enabled();
-  obs::Span stage_span("pipeline", "stage:record_trace");
-  if (stage_span.active()) stage_span.set_detail(stats.detail);
-  pipeline_->notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
+  CampaignPipeline::StageScope scope(
+      *pipeline_, "stage:record_trace", "record_trace",
+      strprintf("%s, %zu cycles (streamed)", rt_.workload.c_str(), cycles_));
+  scope.stats.cacheable = cache.enabled();
 
   const std::size_t num_chunks = (cycles_ + chunk_cycles_ - 1) / chunk_cycles_;
   std::size_t hits = 0;
@@ -491,14 +421,14 @@ void ChunkedTraceStream::stream(sim::TraceSink& sink) {
     const std::size_t len = std::min(chunk_cycles_, cycles_ - base);
     const CacheKey key{
         "trace_chunk",
-        chunk_key(netlist_fingerprint_, workload_, chunk_cycles_, ci, len)};
+        chunk_key(rt_.fingerprint, rt_.workload, chunk_cycles_, ci, len)};
 
     obs::Span chunk_span("stream", "chunk");
     if (auto payload = cache.load(key)) {
       ByteReader r(*payload);
       sim::TransposedTrace t = read_transposed_trace(r);
       r.expect_done();
-      RIPPLE_CHECK(t.num_wires() == num_wires_ && t.num_cycles() == len,
+      RIPPLE_CHECK(t.num_wires() == num_wires() && t.num_cycles() == len,
                    "cached trace chunk has the wrong shape");
       ++hits;
       if (chunk_span.active()) {
@@ -512,7 +442,7 @@ void ChunkedTraceStream::stream(sim::TraceSink& sink) {
     if (chunk_span.active()) {
       chunk_span.set_detail(strprintf("chunk %zu (sim)", ci));
     }
-    if (!runner) runner = boot_();
+    if (!runner) runner = rt_.boot();
     if (sim_pos < base) {
       // Fast-forward (untraced) across the cached span to this miss.
       runner->run(base - sim_pos);
@@ -522,7 +452,7 @@ void ChunkedTraceStream::stream(sim::TraceSink& sink) {
       sim::TraceChunk chunk;
       void on_chunk(sim::TraceChunk c) override { chunk = std::move(c); }
     } collect;
-    sim::ChunkedTraceRecorder recorder(num_wires_, base + len, chunk_cycles_,
+    sim::ChunkedTraceRecorder recorder(num_wires(), base + len, chunk_cycles_,
                                        collect, base);
     runner->run_stream(len, recorder);
     recorder.finish();
@@ -537,40 +467,23 @@ void ChunkedTraceStream::stream(sim::TraceSink& sink) {
     sink.on_chunk(std::move(collect.chunk));
   }
 
-  stats.cache_hit = cache.enabled() && misses == 0;
-  stats.seconds = watch.seconds();
-  stats.counters = {
+  scope.stop();
+  scope.stats.cache_hit = cache.enabled() && misses == 0;
+  scope.stats.counters = {
       {"cycles", static_cast<double>(cycles_)},
-      {"wires", static_cast<double>(num_wires_)},
+      {"wires", static_cast<double>(num_wires())},
       {"chunks", static_cast<double>(num_chunks)},
       {"chunk_hits", static_cast<double>(hits)},
       {"chunk_misses", static_cast<double>(misses)},
   };
-  pipeline_->notify_end(stats);
+  scope.end();
 }
 
 std::unique_ptr<ChunkedTraceStream> CampaignPipeline::trace_stream(
-    CoreKind kind, std::string_view workload, std::size_t cycles,
-    bool optimized) {
-  const std::string wl(workload);
-  if (kind == CoreKind::Avr) {
-    auto core = std::make_shared<const cores::avr::AvrCore>(
-        cores::avr::build_avr_core(optimized));
-    const std::uint64_t fp = fingerprint(core->netlist);
-    const std::size_t wires = core->netlist.num_wires();
-    return std::make_unique<ChunkedTraceStream>(
-        *this,
-        [core, wl] { return std::make_unique<AvrRunner>(core, wl); },
-        fp, wl, wires, cycles, config_.trace_chunk_cycles);
-  }
-  auto core = std::make_shared<const cores::msp430::Msp430Core>(
-      cores::msp430::build_msp430_core(optimized));
-  const std::uint64_t fp = fingerprint(core->netlist);
-  const std::size_t wires = core->netlist.num_wires();
+    CoreKind kind, std::string_view workload, std::size_t cycles) {
   return std::make_unique<ChunkedTraceStream>(
-      *this,
-      [core, wl] { return std::make_unique<Msp430Runner>(core, wl); },
-      fp, wl, wires, cycles, config_.trace_chunk_cycles);
+      *this, CoreRegistry::global().make(builtin(kind).key, workload), cycles,
+      config_.trace_chunk_cycles);
 }
 
 mate::EvalResult CampaignPipeline::evaluate_stream(
@@ -620,32 +533,8 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
   // thread count at "hardware concurrency" (0). Never part of any key.
   if (spec.config.threads == 0) spec.config.threads = config_.threads;
 
-  StageStats stats;
-  stats.stage = "campaign";
-  stats.detail = std::move(detail);
-  obs::Span span("pipeline", "stage:campaign");
-  if (span.active()) span.set_detail(stats.detail);
-  notify_begin(stats.stage, stats.detail);
-  Stopwatch watch;
-
-  // A bitpar campaign without a batch DUT factory silently degrades to the
-  // scalar engine; surface that through the observers — a local
-  // ProgressObserver prints it to stderr, and a daemon session observer
-  // forwards it to the requesting client — and report it so --report=json
-  // consumers can tell which engine actually ran.
-  const bool dut_engine_fallback =
-      spec.config.dut_engine == hafi::DutEngine::BitParallel &&
-      !spec.batch_factory;
-  if (dut_engine_fallback) {
-    progress(
-        "warning: --dut-engine=bitpar requested but no 64-lane batch DUT "
-        "factory is available; campaign falls back to the scalar engine");
-  }
-
-  hafi::Campaign campaign(std::move(spec.factory), spec.config, spec.mates);
-  if (spec.batch_factory) {
-    campaign.set_batch_factory(std::move(spec.batch_factory));
-  }
+  StageScope scope(*this, "stage:campaign", "campaign", std::move(detail));
+  hafi::Campaign campaign(std::move(spec.target), spec.config, spec.mates);
   if (spec.plan.has_value()) campaign.use_plan(std::move(*spec.plan));
 
   const bool checkpoint =
@@ -750,7 +639,8 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
 
   hafi::CampaignResult result = campaign.run(hooks);
 
-  stats.seconds = watch.seconds();
+  scope.stop();
+  StageStats& stats = scope.stats;
   stats.threads = spec.config.threads != 0
                       ? spec.config.threads
                       : std::max<std::size_t>(
@@ -779,24 +669,20 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
       {"lanes_retired_early", static_cast<double>(lanes_retired_early)},
       {"lane_cycles_saved", static_cast<double>(lane_cycles_saved)},
       // Executed experiments / experiment capacity of the gate-level passes:
-      // 1.0 when every lane of every pass carried an injection (the scalar
-      // engine is 1.0 by definition, one experiment per boot).
+      // 1.0 when every lane of every pass carried an injection.
       {"lane_utilization",
        lane_slots > 0 ? static_cast<double>(executed_injections) /
                             static_cast<double>(lane_slots)
                       : 0.0},
-      // 1 when a bitpar request degraded to the scalar engine (no batch
-      // factory); always present so report consumers need not probe.
-      {"dut_engine_fallback", dut_engine_fallback ? 1.0 : 0.0},
   };
   // Retired experiments per second — counts injections, not gate-level
-  // passes, so the number is comparable across engines.
+  // passes.
   if (eta.total_seconds() > 0.0) {
     stats.counters.emplace_back(
         "injections_per_sec",
         static_cast<double>(executed_injections) / eta.total_seconds());
   }
-  notify_end(stats);
+  scope.end();
   return result;
 }
 
@@ -806,8 +692,7 @@ hafi::CampaignResult CampaignPipeline::run(const CampaignRequest& request,
   if (detail.empty()) detail = request_summary(request);
 
   CampaignSpec spec;
-  spec.factory = rt.factory;
-  spec.batch_factory = rt.batch_factory;
+  spec.target = rt.target();
   spec.config = request.config;
   spec.netlist_fingerprint = rt.fingerprint;
   spec.resume = request.resume;
@@ -826,9 +711,7 @@ hafi::CampaignResult CampaignPipeline::run(const CampaignRequest& request,
           request.select_cycles != 0
               ? static_cast<std::size_t>(request.select_cycles)
               : request.config.run_cycles;
-      const sim::Trace trace =
-          record_trace(rt.fingerprint, rt.workload, cycles,
-                       [&rt, cycles] { return rt.record_trace(cycles); });
+      const sim::Trace trace = record_trace(rt, cycles);
       const mate::SelectionResult sel =
           select(search.set, trace,
                  strprintf("%s %s, %zu cycles", request.core.c_str(),

@@ -32,6 +32,7 @@
 #include "netlist/netlist.hpp"
 #include "pipeline/cache.hpp"
 #include "pipeline/observer.hpp"
+#include "pipeline/registry.hpp"
 #include "pipeline/request.hpp"
 #include "sim/stream.hpp"
 #include "sim/trace.hpp"
@@ -48,15 +49,14 @@ namespace ripple::pipeline {
 /// clock cycles").
 inline constexpr std::size_t kDefaultTraceCycles = 8500;
 
-enum class CoreKind { Avr, Msp430 };
-
-[[nodiscard]] std::string_view core_name(CoreKind kind);
+/// The paper's two cores: names for the built-in CoreRegistry entries
+/// "avr" and "msp430".
+enum class CoreKind { Avr = 0, Msp430 = 1 };
 
 /// Everything that determines a core setup.
 struct CoreSetupSpec {
   CoreKind kind = CoreKind::Avr;
   std::size_t trace_cycles = kDefaultTraceCycles;
-  bool optimized = true; // netlist optimization passes (always on in benches)
 };
 
 /// Output of the build_core + record_trace stages: the core netlist, its
@@ -91,15 +91,6 @@ struct PipelineConfig {
   hafi::ShardExecutor shard_executor;
 };
 
-/// Minimal interface over a booted core system for the streaming trace
-/// path: fast-forward without tracing, or run while pushing per-cycle rows.
-class WorkloadRunner {
-public:
-  virtual ~WorkloadRunner() = default;
-  virtual void run(std::size_t cycles) = 0;
-  virtual void run_stream(std::size_t cycles, sim::RowSink& sink) = 0;
-};
-
 class CampaignPipeline;
 
 /// Fault-injection campaign stage input. The merged campaign result is
@@ -109,17 +100,12 @@ class CampaignPipeline;
 /// fingerprint, campaign config, MATE-set fingerprint, shard index), so a
 /// killed campaign picks up from its last finished shard.
 ///
-/// This is the in-process form: it carries live factories and a borrowed
-/// MATE set. The serializable, wire-friendly form is CampaignRequest
-/// (request.hpp), which CampaignPipeline::run() lowers onto this struct via
-/// the CoreRegistry.
+/// This is the in-process form: it carries a live target (normally
+/// CoreRuntime::target()) and a borrowed MATE set. The serializable,
+/// wire-friendly form is CampaignRequest (request.hpp), which
+/// CampaignPipeline::run() lowers onto this struct via the CoreRegistry.
 struct CampaignSpec {
-  hafi::DutFactory factory;
-  /// 64-lane batch DUT for CampaignConfig::dut_engine == BitParallel; the
-  /// campaign falls back to the scalar factory when absent. Deliberately
-  /// absent from the shard-checkpoint keys: both engines produce
-  /// byte-identical results, so checkpoints are interchangeable.
-  hafi::BatchDutFactory batch_factory;
+  hafi::CampaignTarget target;
   hafi::CampaignConfig config;
   /// Required for Pruned/Validate mode; ignored for Baseline.
   const mate::MateSet* mates = nullptr;
@@ -146,13 +132,13 @@ struct CampaignSpec {
 /// the chunks the first one stored (or re-simulates when caching is off).
 class ChunkedTraceStream final : public sim::TraceSource {
 public:
-  ChunkedTraceStream(CampaignPipeline& pipeline,
-                     std::function<std::unique_ptr<WorkloadRunner>()> boot,
-                     std::uint64_t netlist_fingerprint, std::string workload,
-                     std::size_t num_wires, std::size_t cycles,
-                     std::size_t chunk_cycles);
+  /// Streams `runtime`'s workload, booted through CoreRuntime::boot.
+  ChunkedTraceStream(CampaignPipeline& pipeline, CoreRuntime runtime,
+                     std::size_t cycles, std::size_t chunk_cycles);
 
-  [[nodiscard]] std::size_t num_wires() const override { return num_wires_; }
+  [[nodiscard]] std::size_t num_wires() const override {
+    return rt_.netlist->num_wires();
+  }
   [[nodiscard]] std::size_t num_cycles() const override { return cycles_; }
   [[nodiscard]] std::size_t chunk_cycles() const override {
     return chunk_cycles_;
@@ -167,10 +153,7 @@ public:
 
 private:
   CampaignPipeline* pipeline_;
-  std::function<std::unique_ptr<WorkloadRunner>()> boot_;
-  std::uint64_t netlist_fingerprint_;
-  std::string workload_;
-  std::size_t num_wires_;
+  CoreRuntime rt_;
   std::size_t cycles_;
   std::size_t chunk_cycles_;
   std::uint64_t fingerprint_;
@@ -192,9 +175,10 @@ public:
   /// Unregister a previously added observer (no-op when absent).
   void remove_observer(const std::shared_ptr<StageObserver>& observer);
 
-  /// build_core + record_trace (x2 workloads). Traces are cached by
-  /// (netlist fingerprint, workload, cycles); the netlist build itself is
-  /// fast and always runs (it also provides the fingerprint).
+  /// build_core + record_trace (fib and conv) for the built-in core, both
+  /// resolved through the CoreRegistry. Traces are cached by (netlist
+  /// fingerprint, workload, cycles); the netlist build itself is fast and
+  /// always runs (it also provides the fingerprint).
   [[nodiscard]] CoreSetup setup(const CoreSetupSpec& spec);
 
   /// MATE search stage, cached by (netlist fingerprint, fault set, search
@@ -238,14 +222,14 @@ public:
 
   /// Streaming record_trace: a replayable chunk stream over `workload`
   /// (any name from the cores' workload registries, e.g. "fib", "conv",
-  /// "sort", "crc", "irq") on the given core. Nothing is simulated until
-  /// the stream is consumed; chunks are cached individually (stage
-  /// "record_trace", kind "trace_chunk"), so only chunks missing from the
-  /// cache re-simulate. This is the bounded-memory path for million-cycle
-  /// traces — the whole trace is never resident.
+  /// "sort", "crc", "irq") on the given core, resolved through the
+  /// CoreRegistry. Nothing is simulated until the stream is consumed;
+  /// chunks are cached individually (stage "record_trace", kind
+  /// "trace_chunk"), so only chunks missing from the cache re-simulate.
+  /// This is the bounded-memory path for million-cycle traces — the whole
+  /// trace is never resident.
   [[nodiscard]] std::unique_ptr<ChunkedTraceStream> trace_stream(
-      CoreKind kind, std::string_view workload, std::size_t cycles,
-      bool optimized = true);
+      CoreKind kind, std::string_view workload, std::size_t cycles);
 
   /// Streaming evaluate/select: consume a chunked trace source through the
   /// streaming accumulators with simulation/evaluation overlap, cached under
@@ -298,14 +282,16 @@ public:
 private:
   friend class ChunkedTraceStream;
 
+  /// The frame every stage report shares (defined in pipeline.cpp).
+  class StageScope;
+
   void notify_begin(std::string_view stage, std::string_view detail);
   void notify_end(StageStats stats);
   void notify_campaign_progress(const CampaignProgress& progress);
 
-  /// The one body of every whole-artifact cached stage: span `span_name`
-  /// (a string literal — obs::Span keeps the pointer), begin notification,
-  /// stopwatch, then load → `read` on a hit or `compute` → `write` → store
-  /// on a miss, then `counters(stats, result)` (stats.seconds and
+  /// The one body of every whole-artifact cached stage: a StageScope with
+  /// span `span_name` around load → `read` on a hit or `compute` → `write`
+  /// → store on a miss, then `counters(stats, result)` (stats.seconds and
   /// stats.cache_hit already set) and the end notification. The stage name
   /// is key.stage.
   template <typename T, typename Compute, typename Counters>
@@ -320,9 +306,10 @@ private:
   [[nodiscard]] const sim::TransposedTrace& transposed(
       const sim::Trace& trace, std::uint64_t trace_fingerprint);
 
-  [[nodiscard]] sim::Trace record_trace(
-      std::uint64_t netlist_fingerprint, std::string_view workload,
-      std::size_t cycles, const std::function<sim::Trace()>& run);
+  /// Whole-trace record_trace stage over the runtime's workload, cached by
+  /// (netlist fingerprint, workload, cycles).
+  [[nodiscard]] sim::Trace record_trace(const CoreRuntime& rt,
+                                        std::size_t cycles);
 
   PipelineConfig config_;
   std::shared_ptr<ArtifactCache> cache_;

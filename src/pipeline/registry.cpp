@@ -15,71 +15,77 @@
 namespace ripple::pipeline {
 namespace {
 
-CoreRuntime make_avr_runtime(std::string_view workload) {
-  const std::string wl = workload.empty() ? "fib" : std::string(workload);
-  auto core = std::make_shared<const cores::avr::AvrCore>(
-      cores::avr::build_avr_core(true));
-  auto program = std::make_shared<const cores::avr::Program>(
-      cores::avr::workload_program(wl));
+/// WorkloadRunner over one booted System; holds the core so a stream
+/// outlives the runtime that booted it.
+template <typename Core, typename System>
+class SystemRunner final : public WorkloadRunner {
+public:
+  template <typename Program>
+  SystemRunner(std::shared_ptr<const Core> core, const Program& program)
+      : core_(std::move(core)), system_(*core_, program) {}
 
+  void run(std::size_t cycles) override { system_.run(cycles); }
+  void run_stream(std::size_t cycles, sim::RowSink& sink) override {
+    system_.run_stream(cycles, sink);
+  }
+
+private:
+  std::shared_ptr<const Core> core_;
+  System system_;
+};
+
+/// A runtime over `core` running `program` (either core's System type).
+template <typename System, typename Core, typename Program>
+CoreRuntime make_runtime(Core core, Program program, std::string workload,
+                         std::string_view regfile_prefix,
+                         hafi::BatchDutFactory (*batch_factory)(
+                             const Core&, const Program&)) {
+  auto c = std::make_shared<const Core>(std::move(core));
+  auto p = std::make_shared<const Program>(std::move(program));
   CoreRuntime rt;
-  rt.netlist =
-      std::shared_ptr<const netlist::Netlist>(core, &core->netlist);
-  rt.fingerprint = fingerprint(core->netlist);
-  rt.workload = wl;
-  // The inner factories capture `core`/`program` by reference; the wrapping
-  // lambdas hold the shared_ptrs so the references stay valid for as long as
-  // any copy of the runtime lives.
-  rt.factory = [core, program,
-                inner = hafi::make_avr_factory(*core, *program)] {
-    return inner();
+  rt.netlist = std::shared_ptr<const netlist::Netlist>(c, &c->netlist);
+  rt.fingerprint = fingerprint(c->netlist);
+  rt.workload = std::move(workload);
+  rt.regfile_prefix = regfile_prefix;
+  // The inner factory captures `*c`/`*p` by reference; the wrapper holds the
+  // shared_ptrs so those references stay valid.
+  rt.batch_factory = [c, p, inner = batch_factory(*c, *p)] { return inner(); };
+  rt.record_trace = [c, p](std::size_t cycles) {
+    return System(*c, *p).run_trace(cycles);
   };
-  rt.batch_factory = [core, program,
-                      inner = hafi::make_avr_batch_factory(*core, *program)] {
-    return inner();
-  };
-  rt.record_trace = [core, program](std::size_t cycles) {
-    cores::avr::AvrSystem sys(*core, *program);
-    return sys.run_trace(cycles);
+  rt.boot = [c, p]() -> std::unique_ptr<WorkloadRunner> {
+    return std::make_unique<SystemRunner<Core, System>>(c, *p);
   };
   return rt;
 }
 
-CoreRuntime make_msp430_runtime(std::string_view workload) {
-  const std::string wl = workload.empty() ? "fib" : std::string(workload);
-  auto core = std::make_shared<const cores::msp430::Msp430Core>(
-      cores::msp430::build_msp430_core(true));
-  auto image = std::make_shared<const cores::msp430::Image>(
-      cores::msp430::workload_image(wl));
-
-  CoreRuntime rt;
-  rt.netlist =
-      std::shared_ptr<const netlist::Netlist>(core, &core->netlist);
-  rt.fingerprint = fingerprint(core->netlist);
-  rt.workload = wl;
-  rt.factory = [core, image,
-                inner = hafi::make_msp430_factory(*core, *image)] {
-    return inner();
-  };
-  rt.batch_factory = [core, image,
-                      inner = hafi::make_msp430_batch_factory(*core,
-                                                              *image)] {
-    return inner();
-  };
-  rt.record_trace = [core, image](std::size_t cycles) {
-    cores::msp430::Msp430System sys(*core, *image);
-    return sys.run_trace(cycles);
-  };
-  return rt;
+std::string workload_or_fib(std::string_view workload) {
+  return workload.empty() ? "fib" : std::string(workload);
 }
 
 } // namespace
 
+CoreRuntime avr_runtime(cores::avr::Program program, std::string workload) {
+  return make_runtime<cores::avr::AvrSystem>(
+      cores::avr::build_avr_core(true), std::move(program),
+      std::move(workload), cores::avr::kRegfilePrefix,
+      &hafi::make_avr_batch_factory);
+}
+
 CoreRegistry& CoreRegistry::global() {
   static CoreRegistry* registry = [] {
     auto* r = new CoreRegistry;
-    r->register_core("avr", make_avr_runtime);
-    r->register_core("msp430", make_msp430_runtime);
+    r->register_core("avr", [](std::string_view workload) {
+      const std::string wl = workload_or_fib(workload);
+      return avr_runtime(cores::avr::workload_program(wl), wl);
+    });
+    r->register_core("msp430", [](std::string_view workload) {
+      const std::string wl = workload_or_fib(workload);
+      return make_runtime<cores::msp430::Msp430System>(
+          cores::msp430::build_msp430_core(true),
+          cores::msp430::workload_image(wl), wl,
+          cores::msp430::kRegfilePrefix, &hafi::make_msp430_batch_factory);
+    });
     return r;
   }();
   return *registry;
@@ -116,9 +122,11 @@ CoreRuntime CoreRegistry::make(const std::string& name,
     maker = it->second;
   }
   CoreRuntime rt = maker(workload);
-  RIPPLE_CHECK(rt.netlist != nullptr && rt.factory != nullptr,
+  RIPPLE_CHECK(rt.netlist != nullptr && rt.batch_factory != nullptr &&
+                   rt.record_trace != nullptr,
                "core registry: maker for '", name,
-               "' produced an incomplete runtime");
+               "' produced an incomplete runtime (needs a netlist, a batch "
+               "DUT factory and a trace recorder)");
   return rt;
 }
 

@@ -1,12 +1,13 @@
-// Core registry: resolves a *name* to the runtime pieces a campaign needs.
+// Core registry: the one place a core target is put together.
 //
 // The serializable CampaignRequest (request.hpp) cannot carry function
-// pointers, so everything executable — DUT factories, the netlist build, the
-// workload trace recorder — lives here, keyed by core name. The built-in
-// cores ("avr", "msp430") are registered on first use; binaries with custom
-// targets (e.g. the avr_campaign example's checksum program) register their
-// own name before submitting requests. The rippled daemon serves exactly the
-// names registered in its process.
+// pointers, so everything executable — the netlist build, the 64-lane batch
+// DUT, the workload trace recorders — lives here, keyed by core name. The
+// built-in cores ("avr", "msp430") are registered on first use; binaries with
+// custom targets register their own name (the avr_campaign example registers
+// its checksum program as "avr-checksum"). CampaignPipeline's setup(),
+// trace_stream() and run() and the campaign benches resolve every core here,
+// and the rippled daemon serves exactly the names registered in its process.
 #pragma once
 
 #include <cstdint>
@@ -18,30 +19,55 @@
 #include <string_view>
 #include <vector>
 
-#include "hafi/batch_dut.hpp"
-#include "hafi/dut.hpp"
+#include "cores/avr/assembler.hpp"
+#include "hafi/campaign.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/trace.hpp"
+#include "sim/stream.hpp"
 
 namespace ripple::pipeline {
 
-/// Everything CampaignPipeline::run needs from one resolved core build. The
-/// factories keep the underlying core alive through shared ownership, so a
-/// CoreRuntime is self-contained.
+/// A booted core system for the streaming trace path: fast-forward without
+/// tracing, or run while pushing per-cycle rows.
+class WorkloadRunner {
+public:
+  virtual ~WorkloadRunner() = default;
+  virtual void run(std::size_t cycles) = 0;
+  virtual void run_stream(std::size_t cycles, sim::RowSink& sink) = 0;
+};
+
+/// One resolved core build running one workload. Every closure shares
+/// ownership of the core and program, so a CoreRuntime — and any stream or
+/// DUT it boots — is self-contained.
 struct CoreRuntime {
   std::shared_ptr<const netlist::Netlist> netlist;
   std::uint64_t fingerprint = 0; // content fingerprint of *netlist
-  hafi::DutFactory factory;
-  hafi::BatchDutFactory batch_factory; // empty: scalar-only target
-  /// Record the MATE-selection trace over the resolved workload.
-  std::function<sim::Trace(std::size_t cycles)> record_trace;
+  /// The 64-lane DUT running `workload`; required.
+  hafi::BatchDutFactory batch_factory;
+  /// Whole trace of `workload` (golden run, selection trace); required.
+  hafi::TraceRecorder record_trace;
   std::string workload; // resolved workload name (trace cache key)
+  /// Boots `workload` for the streaming record_trace stage.
+  std::function<std::unique_ptr<WorkloadRunner>()> boot;
+  /// Flop-name prefix of the register file (the "FF w/o RF" fault set).
+  std::string_view regfile_prefix;
+
+  /// The campaign's view of this runtime (borrows *netlist).
+  [[nodiscard]] hafi::CampaignTarget target() const {
+    return {netlist.get(), batch_factory, record_trace};
+  }
 };
+
+/// The AVR core running `program`, under the workload name `workload`: the
+/// built-in "avr" maker, for binaries that register AVR targets with
+/// programs of their own. Builds the core; boots nothing.
+[[nodiscard]] CoreRuntime avr_runtime(cores::avr::Program program,
+                                      std::string workload);
 
 class CoreRegistry {
 public:
   /// Build a CoreRuntime for `workload` (a name from the core's workload
-  /// registry; built-ins default an empty string to "fib").
+  /// registry; built-ins default an empty string to "fib"). Makers must not
+  /// boot DUTs or record traces: callers time make() as set-up.
   using Maker = std::function<CoreRuntime(std::string_view workload)>;
 
   /// The process-wide registry with "avr" and "msp430" pre-registered.
@@ -52,7 +78,8 @@ public:
 
   [[nodiscard]] bool contains(const std::string& name) const;
 
-  /// Resolve `name`; throws ripple::Error on an unknown core.
+  /// Resolve `name`; throws ripple::Error on an unknown core, or when its
+  /// maker returns no netlist, batch DUT factory or trace recorder.
   [[nodiscard]] CoreRuntime make(const std::string& name,
                                  std::string_view workload = {}) const;
 

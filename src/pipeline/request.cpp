@@ -15,7 +15,6 @@ void write_request(ByteWriter& w, const CampaignRequest& request) {
   w.u8(static_cast<std::uint8_t>(request.config.mode));
   w.u64(request.config.threads);
   w.u64(request.config.shard_size);
-  w.u8(static_cast<std::uint8_t>(request.config.dut_engine));
   w.u32(request.top_n);
   w.u32(request.search_depth);
   w.u64(request.select_cycles);
@@ -39,11 +38,6 @@ CampaignRequest read_request(ByteReader& r) {
   q.config.mode = static_cast<hafi::CampaignMode>(mode);
   q.config.threads = static_cast<std::size_t>(r.u64());
   q.config.shard_size = static_cast<std::size_t>(r.u64());
-  const std::uint8_t engine = r.u8();
-  RIPPLE_CHECK(
-      engine <= static_cast<std::uint8_t>(hafi::DutEngine::BitParallel),
-      "campaign request: bad dut engine ", engine);
-  q.config.dut_engine = static_cast<hafi::DutEngine>(engine);
   q.top_n = r.u32();
   q.search_depth = r.u32();
   q.select_cycles = r.u64();

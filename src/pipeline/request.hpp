@@ -23,7 +23,7 @@ namespace ripple::pipeline {
 
 /// Bump when the encoding below changes; read_request rejects other
 /// versions (a daemon never guesses at a foreign layout).
-inline constexpr std::uint32_t kRequestVersion = 1;
+inline constexpr std::uint32_t kRequestVersion = 2;
 
 struct CampaignRequest {
   /// CoreRegistry key ("avr", "msp430", or a name the binary registered).
@@ -31,7 +31,7 @@ struct CampaignRequest {
   /// Workload the DUT boots and the selection trace records; empty = the
   /// core's default ("fib" for the built-ins).
   std::string workload;
-  /// Campaign configuration. `threads` and `dut_engine` are scheduling
+  /// Campaign configuration. `threads` and `shard_size` are scheduling
   /// knobs — serialized, but excluded from the checksum (they never affect
   /// results).
   hafi::CampaignConfig config;
@@ -57,9 +57,9 @@ void write_request(ByteWriter& w, const CampaignRequest& request);
 [[nodiscard]] CampaignRequest read_request(ByteReader& r);
 
 /// Stable dedup key: a hash over the result-affecting fields only.
-/// `config.threads`, `config.dut_engine`, `config.shard_size` and `resume`
-/// are excluded (wall-time/scheduling/persistence knobs — byte-identical
-/// results either way), and Baseline requests normalize the MATE-derivation
+/// `config.threads`, `config.shard_size` and `resume` are excluded
+/// (wall-time/scheduling/persistence knobs — byte-identical results either
+/// way), and Baseline requests normalize the MATE-derivation
 /// fields away, so e.g. a baseline request with top_n=7 and one with
 /// top_n=0 share one execution.
 [[nodiscard]] std::uint64_t request_checksum(const CampaignRequest& request);

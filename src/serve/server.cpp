@@ -39,8 +39,8 @@ private:
 };
 
 /// StageObserver bridging one execution's pipeline events onto the wire:
-/// every attached client sees the stages (and warnings like the bitpar
-/// fallback) the way a local ProgressObserver would.
+/// every attached client sees the stages and progress lines the way a local
+/// ProgressObserver would.
 class Server::BroadcastObserver final : public pipeline::StageObserver {
 public:
   explicit BroadcastObserver(std::shared_ptr<Execution> execution)

@@ -12,28 +12,21 @@
 
 #include <unistd.h>
 
-#include "cores/avr/programs.hpp"
-#include "hafi/avr_dut.hpp"
 #include "hafi/campaign.hpp"
 #include "mate/search.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/pipeline.hpp"
+#include "pipeline/registry.hpp"
 #include "util/serialize.hpp"
 
 namespace ripple::hafi {
 namespace {
 
-using cores::avr::AvrCore;
-using cores::avr::Program;
-
-const AvrCore& core() {
-  static const AvrCore c = cores::avr::build_avr_core(true);
-  return c;
-}
-
-const Program& fib() {
-  static const Program p = cores::avr::fib_program();
-  return p;
+/// The production target: the registry's AVR running fib.
+const pipeline::CoreRuntime& avr() {
+  static const pipeline::CoreRuntime rt =
+      pipeline::CoreRegistry::global().make("avr", "fib");
+  return rt;
 }
 
 CampaignConfig small_config() {
@@ -57,7 +50,7 @@ TEST(CampaignParallel, ByteIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     CampaignConfig cfg = small_config();
     cfg.threads = threads;
-    Campaign campaign(make_avr_factory(core(), fib()), cfg);
+    Campaign campaign(avr().target(), cfg);
     const std::vector<std::uint8_t> bytes = result_bytes(campaign.run());
     if (reference.empty()) {
       reference = bytes;
@@ -73,7 +66,7 @@ TEST(CampaignParallel, CheckpointRoundTripAfterSimulatedKill) {
   CampaignConfig cfg = small_config();
   cfg.threads = 1; // deterministic shard execution order for the kill
 
-  Campaign clean(make_avr_factory(core(), fib()), cfg);
+  Campaign clean(avr().target(), cfg);
   const std::vector<std::uint8_t> expected = result_bytes(clean.run());
 
   // First attempt: persist shards, then die once three are stored — the
@@ -84,7 +77,7 @@ TEST(CampaignParallel, CheckpointRoundTripAfterSimulatedKill) {
   std::map<std::size_t, ShardResult> persisted;
   struct Killed {};
   {
-    Campaign campaign(make_avr_factory(core(), fib()), cfg);
+    Campaign campaign(avr().target(), cfg);
     Campaign::ShardHooks hooks;
     hooks.store = [&](const ShardResult& shard) {
       persisted.emplace(shard.shard, shard);
@@ -97,7 +90,7 @@ TEST(CampaignParallel, CheckpointRoundTripAfterSimulatedKill) {
   // Second attempt: resume from the persisted shards. Exactly the stored
   // shards are served from the checkpoint, and the merged result is
   // byte-identical to the uninterrupted campaign.
-  Campaign campaign(make_avr_factory(core(), fib()), cfg);
+  Campaign campaign(avr().target(), cfg);
   ASSERT_LT(persisted.size(), campaign.plan().num_shards());
   std::size_t resumed = 0;
   std::size_t executed_shards = 0;
@@ -118,10 +111,10 @@ TEST(CampaignParallel, CheckpointRoundTripAfterSimulatedKill) {
 
 TEST(CampaignParallel, StaleCheckpointIsDiscardedAndReExecuted) {
   CampaignConfig cfg = small_config();
-  Campaign clean(make_avr_factory(core(), fib()), cfg);
+  Campaign clean(avr().target(), cfg);
   const std::vector<std::uint8_t> expected = result_bytes(clean.run());
 
-  Campaign campaign(make_avr_factory(core(), fib()), cfg);
+  Campaign campaign(avr().target(), cfg);
   std::size_t resumed = 0;
   std::size_t loads = 0;
   Campaign::ShardHooks hooks;
@@ -149,7 +142,7 @@ TEST(CampaignParallel, ValidateModeAbortsOnSoundnessViolation) {
   // Validate mode executes the "pruned" injections anyway and must abort
   // with a per-shard violation report.
   mate::MateSet bogus;
-  bogus.faulty_wires = mate::all_flop_wires(core().netlist);
+  bogus.faulty_wires = mate::all_flop_wires(*avr().netlist);
   mate::Mate mate;
   mate.masked_wires = bogus.faulty_wires;
   bogus.mates.push_back(std::move(mate));
@@ -159,7 +152,7 @@ TEST(CampaignParallel, ValidateModeAbortsOnSoundnessViolation) {
   cfg.sample = 60;      // are known to occur (see hafi_test)
   cfg.seed = 7;
   cfg.mode = CampaignMode::Validate;
-  Campaign campaign(make_avr_factory(core(), fib()), cfg, &bogus);
+  Campaign campaign(avr().target(), cfg, &bogus);
   try {
     (void)campaign.run();
     FAIL() << "expected SoundnessError";
@@ -205,9 +198,9 @@ TEST(CampaignParallel, PipelineResumeReplaysShardsFromCache) {
     pipe.add_observer(rec);
 
     pipeline::CampaignSpec spec;
-    spec.factory = make_avr_factory(core(), fib());
+    spec.target = avr().target();
     spec.config = small_config();
-    spec.netlist_fingerprint = pipeline::fingerprint(core().netlist);
+    spec.netlist_fingerprint = avr().fingerprint;
     spec.resume = true;
     return result_bytes(pipe.campaign(std::move(spec), "resume test"));
   };

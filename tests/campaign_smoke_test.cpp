@@ -1,10 +1,10 @@
 // End-to-end campaign smoke test (the `campaign_smoke` ctest target): a tiny
-// sharded AVR campaign on 2 threads, run twice against the same temp cache
-// directory with --resume semantics forced on. The second run must replay
-// every shard from the checkpoint artifacts with a byte-identical merged
-// result. Kept small enough for sanitizer builds (TSan included) and
-// registered under a stable name so CI can invoke `ctest -R campaign_smoke`
-// directly.
+// sharded campaign on the registry's AVR target (64-lane batch DUT) on 2
+// threads, run twice against the same temp cache directory with --resume
+// semantics forced on. The second run must replay every shard from the
+// checkpoint artifacts with a byte-identical merged result. Kept small
+// enough for sanitizer builds (TSan included) and registered under a stable
+// name so CI can invoke `ctest -R campaign_smoke` directly.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,11 +12,10 @@
 
 #include <unistd.h>
 
-#include "cores/avr/programs.hpp"
-#include "hafi/avr_dut.hpp"
 #include "hafi/campaign.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/pipeline.hpp"
+#include "pipeline/registry.hpp"
 #include "util/serialize.hpp"
 
 namespace ripple::hafi {
@@ -43,9 +42,8 @@ TEST(CampaignSmoke, InterruptedCampaignResumesByteIdentical) {
   std::filesystem::remove_all(cache_dir);
   std::filesystem::create_directories(cache_dir);
 
-  const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
-  const cores::avr::Program program = cores::avr::fib_program();
-  const std::uint64_t netlist_fp = pipeline::fingerprint(core.netlist);
+  const pipeline::CoreRuntime avr =
+      pipeline::CoreRegistry::global().make("avr", "fib");
 
   const auto run_once = [&](const std::shared_ptr<Recorder>& rec) {
     pipeline::PipelineConfig config;
@@ -55,13 +53,13 @@ TEST(CampaignSmoke, InterruptedCampaignResumesByteIdentical) {
     pipe.add_observer(rec);
 
     pipeline::CampaignSpec spec;
-    spec.factory = make_avr_factory(core, program);
+    spec.target = avr.target();
     spec.config.run_cycles = 200;
     spec.config.sample = 24;
     spec.config.seed = 5;
     spec.config.threads = 2;
     spec.config.shard_size = 6; // 4 shards
-    spec.netlist_fingerprint = netlist_fp;
+    spec.netlist_fingerprint = avr.fingerprint;
     spec.resume = true;
     const CampaignResult result = pipe.campaign(std::move(spec), "smoke");
     ByteWriter w;

@@ -3,10 +3,11 @@
 #include "cores/avr/programs.hpp"
 #include "cores/avr/system.hpp"
 #include "hafi/avr_dut.hpp"
-#include "hafi/campaign.hpp"
 #include "hafi/defuse.hpp"
+#include "hafi/msp430_dut.hpp"
 #include "cores/msp430/programs.hpp"
 #include "cores/msp430/system.hpp"
+#include "util/rng.hpp"
 
 namespace ripple::hafi {
 namespace {
@@ -116,8 +117,21 @@ TEST(DefUse, FractionsSaneOnWorkloads) {
   EXPECT_EQ(r.fault_space, 32u * 1500u);
 }
 
+/// Inject `points` in one 64-lane batch pass of `dut` and expect every one
+/// of them benign.
+void expect_all_benign(BatchDut& dut, const netlist::Netlist& n,
+                       const std::vector<InjectionPoint>& points,
+                       std::size_t cycles) {
+  ASSERT_GT(points.size(), 3u) << "sampling should hit benign points";
+  const std::vector<Outcome> outcomes = dut.run(points, cycles);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(outcomes[i], Outcome::Benign)
+        << n.flop(points[i].flop).name << " cycle " << points[i].cycle;
+  }
+}
+
 // THE validation: every register-file injection the def-use analysis calls
-// benign must come out benign when actually executed in a campaign.
+// benign must come out benign when actually executed on the batch engine.
 TEST(DefUse, BenignVerdictsConfirmedByInjection) {
   static const Program prog = cores::avr::fib_program();
   constexpr std::size_t kCycles = 350;
@@ -126,18 +140,9 @@ TEST(DefUse, BenignVerdictsConfirmedByInjection) {
       defuse_prune(analyze_avr_accesses(core().netlist, trace));
 
   // Gather the benign (reg, cycle) points, sample a bunch, inject for real.
-  CampaignConfig cfg;
-  cfg.run_cycles = kCycles;
-  Campaign campaign(make_avr_factory(core(), prog), cfg);
-
-  auto golden = make_avr_factory(core(), prog)();
-  for (std::size_t c = 0; c < kCycles; ++c) golden->step();
-  const std::string golden_obs = golden->observable();
-  const std::string golden_state = golden->architectural_state();
-
-  std::size_t checked = 0;
+  std::vector<InjectionPoint> points;
   Rng rng(5);
-  for (int draw = 0; draw < 400 && checked < 12; ++draw) {
+  for (int draw = 0; draw < 400 && points.size() < 12; ++draw) {
     const std::size_t reg = rng.next_below(32);
     const std::size_t cycle = 30 + rng.next_below(kCycles - 60);
     if (!r.benign[reg][cycle]) continue;
@@ -146,19 +151,11 @@ TEST(DefUse, BenignVerdictsConfirmedByInjection) {
         std::string(cores::avr::kRegfilePrefix) + std::to_string(reg) + "[" +
         std::to_string(bit) + "]");
     ASSERT_TRUE(flop.has_value());
-
-    auto dut = make_avr_factory(core(), prog)();
-    for (std::size_t c = 0; c < cycle; ++c) dut->step();
-    dut->simulator().flip_flop(*flop);
-    for (std::size_t c = cycle; c < kCycles; ++c) dut->step();
-    EXPECT_EQ(dut->observable(), golden_obs)
-        << "r" << reg << " bit " << bit << " cycle " << cycle;
-    EXPECT_EQ(dut->architectural_state(), golden_state);
-    ++checked;
+    points.push_back(InjectionPoint{*flop, cycle});
   }
-  EXPECT_GT(checked, 3u) << "sampling should hit benign points";
+  expect_all_benign(*make_avr_batch_factory(core(), prog)(), core().netlist,
+                    points, kCycles);
 }
-
 
 // ---------------------------------------------------------------------------
 // MSP430 variant
@@ -237,13 +234,9 @@ TEST(DefUseMsp430, BenignVerdictsConfirmedByInjection) {
   const DefUseResult r =
       defuse_prune(analyze_msp430_accesses(mcore().netlist, trace));
 
-  // Golden run.
-  cores::msp430::Msp430System golden(mcore(), img);
-  golden.run(kCycles);
-
-  std::size_t checked = 0;
+  std::vector<InjectionPoint> points;
   Rng rng(11);
-  for (int draw = 0; draw < 600 && checked < 12; ++draw) {
+  for (int draw = 0; draw < 600 && points.size() < 12; ++draw) {
     const std::size_t reg = rng.next_below(16);
     const std::size_t cycle = 30 + rng.next_below(kCycles - 60);
     if (!r.benign[reg][cycle]) continue;
@@ -254,17 +247,10 @@ TEST(DefUseMsp430, BenignVerdictsConfirmedByInjection) {
         std::string(cores::msp430::kRegfilePrefix) + std::to_string(rf_idx) +
         "[" + std::to_string(bit) + "]");
     ASSERT_TRUE(flop.has_value()) << "r" << reg;
-
-    cores::msp430::Msp430System dut(mcore(), img);
-    dut.run(cycle);
-    dut.simulator().flip_flop(*flop);
-    dut.run(kCycles - cycle);
-    EXPECT_EQ(dut.io_log(), golden.io_log())
-        << "r" << reg << " bit " << bit << " cycle " << cycle;
-    EXPECT_EQ(dut.memory(), golden.memory());
-    ++checked;
+    points.push_back(InjectionPoint{*flop, cycle});
   }
-  EXPECT_GT(checked, 3u) << "sampling should hit benign points";
+  expect_all_benign(*make_msp430_batch_factory(mcore(), img)(),
+                    mcore().netlist, points, kCycles);
 }
 
 } // namespace

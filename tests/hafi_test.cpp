@@ -1,25 +1,24 @@
 #include <gtest/gtest.h>
 
 #include "cores/avr/programs.hpp"
-#include "hafi/avr_dut.hpp"
 #include "hafi/campaign.hpp"
 #include "mate/search.hpp"
+#include "pipeline/registry.hpp"
+#include "support/scalar_campaign.hpp"
 
 namespace ripple::hafi {
 namespace {
 
-using cores::avr::AvrCore;
-using cores::avr::Program;
-
-const AvrCore& core() {
-  static const AvrCore c = cores::avr::build_avr_core(true);
-  return c;
+/// The production target: the registry's AVR running fib.
+const pipeline::CoreRuntime& avr() {
+  static const pipeline::CoreRuntime rt =
+      pipeline::CoreRegistry::global().make("avr", "fib");
+  return rt;
 }
 
-const Program& fib() {
-  static const Program p = cores::avr::fib_program();
-  return p;
-}
+CampaignTarget target() { return avr().target(); }
+
+const netlist::Netlist& avr_netlist() { return *avr().netlist; }
 
 CampaignConfig small_config() {
   CampaignConfig cfg;
@@ -33,28 +32,27 @@ const mate::SearchResult& avr_search() {
   static const mate::SearchResult r = [] {
     mate::SearchParams sp;
     sp.threads = 2;
-    return find_mates(core().netlist, mate::all_flop_wires(core().netlist),
-                      sp);
+    return find_mates(avr_netlist(), mate::all_flop_wires(avr_netlist()), sp);
   }();
   return r;
 }
 
 TEST(Campaign, PlanIsDeterministicAndInRange) {
-  Campaign c1(make_avr_factory(core(), fib()), small_config());
-  Campaign c2(make_avr_factory(core(), fib()), small_config());
+  Campaign c1(target(), small_config());
+  Campaign c2(target(), small_config());
   const CampaignPlan& p1 = c1.plan();
   const CampaignPlan& p2 = c2.plan();
   ASSERT_EQ(p1.points.size(), 60u);
   ASSERT_EQ(p1.points, p2.points);
   EXPECT_EQ(p1.shard_size, p2.shard_size);
   for (const InjectionPoint& p : p1.points) {
-    EXPECT_LT(p.flop.index(), core().netlist.num_flops());
+    EXPECT_LT(p.flop.index(), avr_netlist().num_flops());
     EXPECT_LT(p.cycle, 400u);
   }
 }
 
 TEST(Campaign, PlanShardsPartitionThePoints) {
-  Campaign campaign(make_avr_factory(core(), fib()), small_config());
+  Campaign campaign(target(), small_config());
   const CampaignPlan& plan = campaign.plan();
   ASSERT_GT(plan.shard_size, 0u);
   std::size_t covered = 0;
@@ -71,12 +69,12 @@ TEST(Campaign, ExhaustiveWhenSampleZero) {
   CampaignConfig cfg;
   cfg.run_cycles = 3;
   cfg.sample = 0;
-  Campaign campaign(make_avr_factory(core(), fib()), cfg);
-  EXPECT_EQ(campaign.plan().points.size(), core().netlist.num_flops() * 3);
+  Campaign campaign(target(), cfg);
+  EXPECT_EQ(campaign.plan().points.size(), avr_netlist().num_flops() * 3);
 }
 
 TEST(Campaign, BaselineClassifiesOutcomes) {
-  Campaign campaign(make_avr_factory(core(), fib()), small_config());
+  Campaign campaign(target(), small_config());
   const CampaignResult r = campaign.run();
   EXPECT_EQ(r.total, 60u);
   EXPECT_EQ(r.executed, 60u);
@@ -96,7 +94,7 @@ TEST(Campaign, MatePruningSavesExperimentsAndIsSound) {
   cfg.sample = 600; // fib masks ~3 % of the space; 600 draws make a zero-
                     // prune campaign astronomically unlikely
   cfg.mode = CampaignMode::Validate;
-  Campaign campaign(make_avr_factory(core(), fib()), cfg, &search.set);
+  Campaign campaign(target(), cfg, &search.set);
   const CampaignResult r = campaign.run();
 
   EXPECT_GT(r.pruned, 0u) << "MATEs should prune some sampled injections";
@@ -108,7 +106,7 @@ TEST(Campaign, MatePruningSavesExperimentsAndIsSound) {
 TEST(Campaign, PrunedSkippedWithoutValidation) {
   CampaignConfig cfg = small_config();
   cfg.mode = CampaignMode::Pruned;
-  Campaign campaign(make_avr_factory(core(), fib()), cfg, &avr_search().set);
+  Campaign campaign(target(), cfg, &avr_search().set);
   const CampaignResult r = campaign.run();
   EXPECT_EQ(r.executed + r.pruned, r.total);
   if (r.pruned > 0) {
@@ -118,12 +116,12 @@ TEST(Campaign, PrunedSkippedWithoutValidation) {
 
 TEST(Campaign, BaselineAndPrunedAgreeOnExecutedOutcomes) {
   const CampaignConfig cfg = small_config();
-  Campaign base_campaign(make_avr_factory(core(), fib()), cfg);
+  Campaign base_campaign(target(), cfg);
   const CampaignResult base = base_campaign.run();
 
   CampaignConfig vcfg = cfg;
   vcfg.mode = CampaignMode::Validate;
-  Campaign pruned_campaign(make_avr_factory(core(), fib()), vcfg,
+  Campaign pruned_campaign(target(), vcfg,
                            &avr_search().set);
   // Same config -> same plan, but make the like-for-like comparison explicit.
   pruned_campaign.use_plan(base_campaign.plan());
@@ -140,15 +138,18 @@ TEST(Campaign, BaselineAndPrunedAgreeOnExecutedOutcomes) {
 TEST(Campaign, ModeRequiresMateSet) {
   CampaignConfig cfg = small_config();
   cfg.mode = CampaignMode::Pruned;
-  EXPECT_THROW(Campaign(make_avr_factory(core(), fib()), cfg), Error);
+  EXPECT_THROW(Campaign(target(), cfg), Error);
 }
 
 TEST(AvrDutAdapter, ObservableAndStateChange) {
-  AvrDut dut(core(), fib());
+  // The scalar oracle's DUT (tests/support).
+  static const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
+  static const cores::avr::Program fib = cores::avr::fib_program();
+  AvrDut dut(core, fib);
   EXPECT_TRUE(dut.observable().empty());
   for (int i = 0; i < 400; ++i) dut.step();
   EXPECT_FALSE(dut.observable().empty());
-  AvrDut fresh(core(), fib());
+  AvrDut fresh(core, fib);
   EXPECT_NE(dut.observable(), fresh.observable());
 }
 

@@ -35,7 +35,6 @@ CampaignRequest sample_request() {
   request.config.mode = hafi::CampaignMode::Pruned;
   request.config.threads = 3;
   request.config.shard_size = 8;
-  request.config.dut_engine = hafi::DutEngine::Scalar;
   request.top_n = 12;
   request.search_depth = 10;
   request.select_cycles = 777;
@@ -70,15 +69,44 @@ TEST(Request, ForeignVersionIsRejected) {
   EXPECT_THROW((void)read_request(r), Error);
 }
 
+TEST(Request, VersionOneLayoutWithEngineByteIsRejected) {
+  // A complete request in the v1 layout, which carried a DUT-engine byte
+  // after shard_size: refused by its version, never misparsed.
+  ByteWriter w;
+  w.u32(1);
+  w.str("avr");
+  w.str("fib");
+  w.u64(321); // run_cycles
+  w.u64(48);  // sample
+  w.u64(9);   // seed
+  w.u8(static_cast<std::uint8_t>(hafi::CampaignMode::Pruned));
+  w.u64(3);   // threads
+  w.u64(8);   // shard_size
+  w.u8(1);    // dut engine (bitpar)
+  w.u32(12);  // top_n
+  w.u32(10);  // search_depth
+  w.u64(777); // select_cycles
+  w.b(true);  // resume
+  const std::vector<std::uint8_t> bytes = w.take();
+  ByteReader r(bytes);
+  try {
+    (void)read_request(r);
+    FAIL() << "expected a version error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("version mismatch: got 1, expected 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Request, ChecksumIgnoresSchedulingKnobs) {
   const CampaignRequest request = sample_request();
   const std::uint64_t base = request_checksum(request);
 
-  // threads / dut_engine / shard_size / resume never change the campaign
-  // result, so two clients differing only there must share one execution.
+  // threads / shard_size / resume never change the campaign result, so two
+  // clients differing only there must share one execution.
   CampaignRequest knobs = request;
   knobs.config.threads = 16;
-  knobs.config.dut_engine = hafi::DutEngine::BitParallel;
   knobs.config.shard_size = 64;
   knobs.resume = !request.resume;
   EXPECT_EQ(request_checksum(knobs), base);
@@ -156,14 +184,39 @@ TEST(CoreRegistryTest, BuiltinsResolve) {
   const CoreRuntime rt = reg.make("avr");
   ASSERT_NE(rt.netlist, nullptr);
   EXPECT_NE(rt.fingerprint, 0u);
-  EXPECT_TRUE(static_cast<bool>(rt.factory));
   EXPECT_TRUE(static_cast<bool>(rt.batch_factory));
   EXPECT_TRUE(static_cast<bool>(rt.record_trace));
+  EXPECT_TRUE(static_cast<bool>(rt.boot));
   EXPECT_EQ(rt.workload, "fib"); // empty workload resolves to the default
 
   const std::vector<std::string> names = reg.names();
   EXPECT_NE(std::find(names.begin(), names.end(), "avr"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "msp430"), names.end());
+}
+
+TEST(CoreRegistryTest, MakerWithoutBatchFactoryOrRecorderIsRejected) {
+  // Every target runs on the 64-lane engine and records its own golden
+  // trace, so make() refuses a maker that leaves either piece out.
+  CoreRegistry reg;
+  reg.register_core("no-batch", [](std::string_view workload) {
+    CoreRuntime rt = CoreRegistry::global().make("avr", workload);
+    rt.batch_factory = nullptr;
+    return rt;
+  });
+  reg.register_core("no-recorder", [](std::string_view workload) {
+    CoreRuntime rt = CoreRegistry::global().make("avr", workload);
+    rt.record_trace = nullptr;
+    return rt;
+  });
+  for (const std::string name : {"no-batch", "no-recorder"}) {
+    try {
+      (void)reg.make(name);
+      FAIL() << "expected Error for " << name;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CoreRegistryTest, UnknownCoreThrowsWithKnownNames) {
@@ -204,8 +257,8 @@ TEST(Request, RunMatchesHandAssembledSpec) {
   const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
   const cores::avr::Program program = cores::avr::fib_program();
   CampaignSpec spec;
-  spec.factory = hafi::make_avr_factory(core, program);
-  spec.batch_factory = hafi::make_avr_batch_factory(core, program);
+  spec.target.netlist = &core.netlist;
+  spec.target.batch_factory = hafi::make_avr_batch_factory(core, program);
   spec.config = request.config;
   spec.netlist_fingerprint = fingerprint(core.netlist);
   const hafi::CampaignResult from_spec =

@@ -2,7 +2,7 @@
 // units, then a real Server over real Unix sockets — concurrent clients
 // deduped onto one execution with byte-identical results, client
 // disconnects mid-campaign, daemon restart resuming from shard checkpoints,
-// and the bitpar-fallback warning reaching the requesting client.
+// and a core without a batch DUT answered with an Error frame.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -367,19 +367,19 @@ TEST(ServeTest, RestartedDaemonResumesFromShardCheckpoints) {
   }
 }
 
-TEST(ServeTest, BitparFallbackWarningReachesTheClient) {
-  // A core with no 64-lane batch factory: requesting the bitpar engine must
-  // fall back to scalar *and* tell the requesting client so — the warning
-  // travels the wire as a Log event instead of dying in the daemon's stderr.
+TEST(ServeTest, CoreWithoutBatchFactoryAnswersWithAnErrorFrame) {
+  // Every campaign runs on the 64-lane engine, so a core registered without
+  // a batch DUT factory is refused by name — and the daemon keeps serving
+  // well-formed requests afterwards.
   pipeline::CoreRegistry::global().register_core(
-      "avr-scalar-only", [](std::string_view workload) {
+      "avr-no-batch", [](std::string_view workload) {
         pipeline::CoreRuntime rt =
             pipeline::CoreRegistry::global().make("avr", workload);
         rt.batch_factory = nullptr;
         return rt;
       });
 
-  TempDir dir("ripple_serve_fallback");
+  TempDir dir("ripple_serve_nobatch");
   ServerConfig config;
   config.socket_path = socket_path(dir);
   config.cache_dir = dir.path / "cache";
@@ -387,34 +387,21 @@ TEST(ServeTest, BitparFallbackWarningReachesTheClient) {
   Server server(config);
   server.start();
 
-  pipeline::CampaignRequest request = small_request(17);
-  request.core = "avr-scalar-only";
-  request.config.dut_engine = hafi::DutEngine::BitParallel;
-
+  pipeline::CampaignRequest broken = small_request(17);
+  broken.core = "avr-no-batch";
   ServeClient client = ServeClient::connect(config.socket_path);
-  (void)client.submit(request);
-  const Drained drained = drain(client);
-  ASSERT_TRUE(drained.error.empty()) << drained.error;
-  ASSERT_FALSE(drained.result_bytes.empty());
+  (void)client.submit(broken);
+  const Drained refused = drain(client);
+  EXPECT_TRUE(refused.result_bytes.empty());
+  EXPECT_NE(refused.error.find("avr-no-batch"), std::string::npos)
+      << refused.error;
 
-  bool warned = false;
-  for (const std::string& line : drained.logs) {
-    if (line.find("falls back to the scalar engine") != std::string::npos) {
-      warned = true;
-    }
-  }
-  EXPECT_TRUE(warned) << "fallback warning never reached the client";
-
-  // Same request on the scalar engine explicitly: byte-identical (the
-  // fallback is an engine swap, never a result change). Scheduling knobs
-  // hash identically, so this dedupes/resumes rather than re-running.
-  pipeline::CampaignRequest scalar = request;
-  scalar.config.dut_engine = hafi::DutEngine::Scalar;
+  const pipeline::CampaignRequest request = small_request(17);
   ServeClient again = ServeClient::connect(config.socket_path);
-  (void)again.submit(scalar);
-  const Drained scalar_drained = drain(again);
-  ASSERT_TRUE(scalar_drained.error.empty()) << scalar_drained.error;
-  EXPECT_EQ(scalar_drained.result_bytes, drained.result_bytes);
+  (void)again.submit(request);
+  const Drained served = drain(again);
+  ASSERT_TRUE(served.error.empty()) << served.error;
+  EXPECT_EQ(served.result_bytes, reference_bytes(request));
   server.stop();
 }
 
