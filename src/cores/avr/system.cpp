@@ -5,21 +5,24 @@
 namespace ripple::cores::avr {
 
 AvrSystem::AvrSystem(const AvrCore& core, const Program& program)
-    : core_(&core), imem_(program.words), sim_(core.netlist) {}
+    : core_(&core), imem_(program.words), sim_(core.netlist) {
+  sim_.require_state_only(core.ports.imem_addr);
+  sim_.require_state_only(core.ports.dmem_addr);
+}
 
 void AvrSystem::step(sim::Trace* trace) { step_into(trace, nullptr); }
 
 void AvrSystem::step_into(sim::Trace* trace, sim::RowSink* sink) {
   const AvrPorts& p = core_->ports;
 
-  // Settle register-driven outputs (fetch and data addresses depend only on
-  // flop state, so one pre-pass pins them down).
-  sim_.eval();
+  // Fetch and data addresses depend only on flop state: settle the state,
+  // serve both memories, then settle the input fan-out.
+  sim_.eval_state();
   const std::uint64_t pc = sim_.read_bus(p.imem_addr);
   sim_.drive_bus(p.instr, pc < imem_.size() ? imem_[pc] : 0 /* NOP */);
   const std::uint64_t daddr = sim_.read_bus(p.dmem_addr);
   sim_.drive_bus(p.dmem_rdata, dmem_[daddr]);
-  sim_.eval();
+  sim_.eval_inputs();
 
   if (trace != nullptr) trace->append(sim_.values());
   if (sink != nullptr) sink->append_row(sim_.values());

@@ -30,9 +30,9 @@ public:
   /// `core` must outlive the system.
   AvrSystem(const AvrCore& core, const Program& program);
 
-  /// Simulate one clock cycle: settle, feed memories, settle, commit stores
-  /// and I/O, clock. When `trace` is given, the settled wire values of the
-  /// cycle are appended first.
+  /// Simulate one clock cycle: settle the state, feed memories, settle the
+  /// input fan-out, commit stores and I/O, clock. When `trace` is given, the
+  /// settled wire values of the cycle are appended first.
   void step(sim::Trace* trace = nullptr);
 
   /// Run for `cycles` cycles and record the wire-level trace.

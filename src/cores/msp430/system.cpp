@@ -11,6 +11,7 @@ Msp430System::Msp430System(const Msp430Core& core, const Image& image)
   RIPPLE_CHECK(image.words.size() <= memory_.size(),
                "program image larger than memory");
   std::copy(image.words.begin(), image.words.end(), memory_.begin());
+  sim_.require_state_only(core.ports.mem_addr);
 }
 
 void Msp430System::step(sim::Trace* trace) { step_into(trace, nullptr); }
@@ -18,12 +19,13 @@ void Msp430System::step(sim::Trace* trace) { step_into(trace, nullptr); }
 void Msp430System::step_into(sim::Trace* trace, sim::RowSink* sink) {
   const Msp430Ports& p = core_->ports;
 
-  // Addresses depend only on flop state; settle, serve the word, resettle.
-  sim_.eval();
+  // The address depends only on flop state: settle the state, serve the
+  // word, then settle the input fan-out.
+  sim_.eval_state();
   const std::uint16_t addr =
       static_cast<std::uint16_t>(sim_.read_bus(p.mem_addr));
   sim_.drive_bus(p.mem_rdata, memory_[(addr >> 1) & 0x7fff]);
-  sim_.eval();
+  sim_.eval_inputs();
 
   if (trace != nullptr) trace->append(sim_.values());
   if (sink != nullptr) sink->append_row(sim_.values());

@@ -29,7 +29,8 @@ public:
   /// start of memory.
   Msp430System(const Msp430Core& core, const Image& image);
 
-  /// Simulate one clock cycle (settle, feed memory, settle, commit, clock).
+  /// Simulate one clock cycle (settle the state, feed memory, settle the
+  /// input fan-out, commit, clock).
   void step(sim::Trace* trace = nullptr);
 
   [[nodiscard]] sim::Trace run_trace(std::size_t cycles);

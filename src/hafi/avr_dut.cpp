@@ -26,7 +26,8 @@ private:
   std::vector<std::uint8_t> dmem_;  // lane-major: [lane * kDmemBytes + addr]
   sim::BatchSimulator sim_;
   BatchLaneState lanes_;
-  // Per-lane staging for drive_bus / commit (index = lane).
+  // Per-lane staging for the bus transposes and the commit (index = lane).
+  std::array<std::uint64_t, sim::kBatchLanes> pc_{};
   std::array<std::uint64_t, sim::kBatchLanes> instr_{};
   std::array<std::uint64_t, sim::kBatchLanes> rdata_{};
   std::array<std::uint64_t, sim::kBatchLanes> daddr_{};
@@ -35,14 +36,16 @@ private:
 AvrBatchDut::AvrBatchDut(const cores::avr::AvrCore& core,
                          const cores::avr::Program& program)
     : core_(&core), imem_(program.words),
-      dmem_(sim::kBatchLanes * kDmemBytes, 0), sim_(core.netlist) {}
+      dmem_(sim::kBatchLanes * kDmemBytes, 0), sim_(core.netlist) {
+  sim_.require_state_only(core.ports.imem_addr);
+  sim_.require_state_only(core.ports.dmem_addr);
+}
 
 std::vector<Outcome> AvrBatchDut::run(std::span<const InjectionPoint> points,
                                       std::size_t run_cycles,
                                       BatchRunStats* stats) {
   const cores::avr::AvrPorts& p = core_->ports;
-  lanes_.begin(points, run_cycles);
-  sim_.reset();
+  lanes_.begin(sim_, points, run_cycles);
   std::fill(dmem_.begin(), dmem_.end(), 0);
 
   for (std::uint64_t c = 0; c < run_cycles; ++c) {
@@ -51,20 +54,21 @@ std::vector<Outcome> AvrBatchDut::run(std::span<const InjectionPoint> points,
     if (lanes_.all_retired()) break;
     lanes_.inject(sim_, c);
 
-    // Mirror of AvrSystem::step: settle, serve memories per lane, resettle.
-    sim_.eval();
+    // Mirror of AvrSystem::step: settle the state, serve memories per lane,
+    // settle the input fan-out.
+    sim_.eval_state();
+    sim_.read_bus_lanes(p.imem_addr, pc_);
+    sim_.read_bus_lanes(p.dmem_addr, daddr_);
     const sim::LaneMask live =
         lanes_.active() | BatchLaneState::lane_bit(kGoldenLane);
     for (sim::LaneMask m = live; m != 0; m &= m - 1) {
       const auto lane = static_cast<unsigned>(std::countr_zero(m));
-      const std::uint64_t pc = sim_.read_bus(p.imem_addr, lane);
-      instr_[lane] = pc < imem_.size() ? imem_[pc] : 0 /* NOP */;
-      daddr_[lane] = sim_.read_bus(p.dmem_addr, lane);
+      instr_[lane] = pc_[lane] < imem_.size() ? imem_[pc_[lane]] : 0 /* NOP */;
       rdata_[lane] = dmem_[lane * kDmemBytes + daddr_[lane]];
     }
     sim_.drive_bus(p.instr, instr_);
     sim_.drive_bus(p.dmem_rdata, rdata_);
-    sim_.eval();
+    sim_.eval_inputs();
 
     const std::uint64_t we = sim_.value(p.dmem_we);
     const std::uint64_t io_we = sim_.value(p.io_we);
@@ -116,7 +120,7 @@ std::vector<Outcome> AvrBatchDut::run(std::span<const InjectionPoint> points,
     sim_.latch();
     if (c + 1 < run_cycles) lanes_.retire_converged(sim_, c + 1);
   }
-  return lanes_.finish(stats);
+  return lanes_.finish(sim_, stats);
 }
 
 } // namespace

@@ -66,6 +66,8 @@ struct BatchRunStats {
   std::size_t lanes = 0;               // experiments carried in this pass
   std::size_t lanes_retired_early = 0; // classified before the run ended
   std::uint64_t lane_cycles_saved = 0; // cycles not simulated thanks to that
+  std::uint64_t cycles = 0;            // clock cycles the pass simulated
+  std::uint64_t gate_evals = 0;        // gate evaluations, the reset included
 };
 
 /// Shared per-lane bookkeeping for BatchDut implementations: injection
@@ -75,8 +77,9 @@ struct BatchRunStats {
 /// observable divergence here; everything below is core-independent.
 class BatchLaneState {
 public:
-  /// Start a pass: points[i] rides in lane i+1.
-  void begin(std::span<const InjectionPoint> points, std::size_t run_cycles) {
+  /// Start a pass on `sim` (reset here): points[i] rides in lane i+1.
+  void begin(sim::BatchSimulator& sim, std::span<const InjectionPoint> points,
+             std::size_t run_cycles) {
     RIPPLE_CHECK(points.size() <= kExperimentLanes,
                  "batch pass carries at most ", kExperimentLanes,
                  " experiments, got ", points.size());
@@ -98,6 +101,8 @@ public:
                        return points[a].cycle < points[b].cycle;
                      });
     cursor_ = 0;
+    evals_at_begin_ = sim.gate_evals();
+    sim.reset();
   }
 
   [[nodiscard]] static unsigned lane_of(std::size_t point_index) {
@@ -163,7 +168,8 @@ public:
   /// End of run: surviving lanes matched the golden observable the whole
   /// way, so their memory decides Latent vs Benign. Returns the outcomes in
   /// points order.
-  [[nodiscard]] std::vector<Outcome> finish(BatchRunStats* stats) {
+  [[nodiscard]] std::vector<Outcome> finish(const sim::BatchSimulator& sim,
+                                            BatchRunStats* stats) {
     sim::LaneMask remaining = active_;
     while (remaining != 0) {
       const unsigned lane = static_cast<unsigned>(std::countr_zero(remaining));
@@ -172,6 +178,8 @@ public:
           mem_diff_[lane] != 0 ? Outcome::Latent : Outcome::Benign;
     }
     active_ = 0;
+    stats_.cycles = sim.cycle();
+    stats_.gate_evals = sim.gate_evals() - evals_at_begin_;
     if (stats != nullptr) *stats = stats_;
     return std::move(outcomes_);
   }
@@ -192,6 +200,7 @@ private:
   sim::LaneMask armed_ = 0;
   std::vector<std::size_t> order_; // point indices sorted by injection cycle
   std::size_t cursor_ = 0;
+  std::uint64_t evals_at_begin_ = 0; // the simulator's count before reset
   BatchRunStats stats_;
 };
 

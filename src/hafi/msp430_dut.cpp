@@ -28,6 +28,7 @@ private:
   std::vector<std::uint16_t> memory_; // lane-major: [lane * kMemWords + word]
   sim::BatchSimulator sim_;
   BatchLaneState lanes_;
+  // Per-lane staging for the bus transposes and the commit (index = lane).
   std::array<std::uint64_t, sim::kBatchLanes> rdata_{};
   std::array<std::uint64_t, sim::kBatchLanes> addr_{};
 };
@@ -39,6 +40,7 @@ Msp430BatchDut::Msp430BatchDut(const cores::msp430::Msp430Core& core,
   RIPPLE_CHECK(image.words.size() <= image_.size(),
                "program image larger than memory");
   std::copy(image.words.begin(), image.words.end(), image_.begin());
+  sim_.require_state_only(core.ports.mem_addr);
 }
 
 std::vector<Outcome> Msp430BatchDut::run(std::span<const InjectionPoint> points,
@@ -46,8 +48,7 @@ std::vector<Outcome> Msp430BatchDut::run(std::span<const InjectionPoint> points,
                                          BatchRunStats* stats) {
   using cores::msp430::kIoBase;
   const cores::msp430::Msp430Ports& p = core_->ports;
-  lanes_.begin(points, run_cycles);
-  sim_.reset();
+  lanes_.begin(sim_, points, run_cycles);
   // Only lanes 0..points.size() are ever simulated; seed just those.
   for (std::size_t lane = 0; lane <= points.size(); ++lane) {
     std::copy(image_.begin(), image_.end(),
@@ -59,18 +60,19 @@ std::vector<Outcome> Msp430BatchDut::run(std::span<const InjectionPoint> points,
     if (lanes_.all_retired()) break;
     lanes_.inject(sim_, c);
 
-    // Mirror of Msp430System::step: settle, serve the word, resettle.
-    sim_.eval();
+    // Mirror of Msp430System::step: settle the state, serve the word,
+    // settle the input fan-out.
+    sim_.eval_state();
+    sim_.read_bus_lanes(p.mem_addr, addr_);
     const sim::LaneMask live =
         lanes_.active() | BatchLaneState::lane_bit(kGoldenLane);
     for (sim::LaneMask m = live; m != 0; m &= m - 1) {
       const auto lane = static_cast<unsigned>(std::countr_zero(m));
-      addr_[lane] = sim_.read_bus(p.mem_addr, lane) & 0xffff;
       rdata_[lane] =
           memory_[lane * kMemWords + ((addr_[lane] >> 1) & 0x7fff)];
     }
     sim_.drive_bus(p.mem_rdata, rdata_);
-    sim_.eval();
+    sim_.eval_inputs();
 
     const std::uint64_t we = sim_.value(p.mem_we);
 
@@ -118,7 +120,7 @@ std::vector<Outcome> Msp430BatchDut::run(std::span<const InjectionPoint> points,
     sim_.latch();
     if (c + 1 < run_cycles) lanes_.retire_converged(sim_, c + 1);
   }
-  return lanes_.finish(stats);
+  return lanes_.finish(sim_, stats);
 }
 
 } // namespace

@@ -104,7 +104,28 @@ void Server::stop() {
   {
     std::lock_guard lock(mutex_);
     sessions_.clear();
+    finished_.clear();
   }
+}
+
+void Server::spawn_locked(std::function<void()> body) {
+  // A thread lists itself as its body's last step, so joining it here waits
+  // only for its return.
+  for (const std::thread::id id : finished_) {
+    const auto it =
+        std::find_if(threads_.begin(), threads_.end(),
+                     [id](const std::thread& t) { return t.get_id() == id; });
+    if (it != threads_.end()) {
+      it->join();
+      threads_.erase(it);
+    }
+  }
+  finished_.clear();
+  threads_.emplace_back([this, body = std::move(body)] {
+    body();
+    std::lock_guard lock(mutex_);
+    finished_.push_back(std::this_thread::get_id());
+  });
 }
 
 void Server::accept_loop() {
@@ -115,7 +136,7 @@ void Server::accept_loop() {
     std::lock_guard lock(mutex_);
     ++sessions_accepted_;
     sessions_.push_back(session);
-    threads_.emplace_back([this, session] { handle_session(session); });
+    spawn_locked([this, session] { handle_session(session); });
   }
 }
 
@@ -147,7 +168,7 @@ void Server::handle_session(const std::shared_ptr<Session>& session) {
       if (submission.is_new) {
         ++executions_started_;
         std::lock_guard lock(mutex_);
-        threads_.emplace_back([this, execution] { execute(execution); });
+        spawn_locked([this, execution] { execute(execution); });
       }
       send_frame(session->socket, make_accepted_frame(execution->checksum(),
                                                       !submission.is_new));
@@ -262,6 +283,7 @@ Server::Stats Server::stats() const {
   {
     std::lock_guard lock(mutex_);
     s.sessions = sessions_accepted_;
+    s.joinable_threads = threads_.size();
   }
   const ExecutionRegistry::Counters c = registry_.counters();
   s.submissions = c.submitted;

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,6 +79,9 @@ public:
     std::size_t submissions = 0; // Submit frames handled
     std::size_t deduped = 0;     // submissions attached to in-flight runs
     std::size_t executions = 0;  // campaign runs actually started
+    /// Session and executor threads not yet joined: the live ones plus
+    /// those finished since the last thread was spawned.
+    std::size_t joinable_threads = 0;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -94,6 +98,10 @@ private:
   void accept_loop();
   void handle_session(const std::shared_ptr<Session>& session);
   void execute(const std::shared_ptr<Execution>& execution);
+  /// Start a session or executor thread running `body`; the caller holds
+  /// mutex_. Joins the threads that have finished first, so a long-lived
+  /// daemon keeps only its live threads and their stacks.
+  void spawn_locked(std::function<void()> body);
 
   ServerConfig config_;
   std::shared_ptr<pipeline::ArtifactCache> cache_;
@@ -105,9 +113,10 @@ private:
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
 
-  mutable std::mutex mutex_; // guards sessions_/threads_ + session counter
+  mutable std::mutex mutex_; // guards sessions_/threads_/finished_ + counter
   std::vector<std::shared_ptr<Session>> sessions_;
   std::vector<std::thread> threads_; // session + executor threads
+  std::vector<std::thread::id> finished_; // threads_ whose body returned
   std::size_t sessions_accepted_ = 0;
   std::atomic<std::size_t> executions_started_{0};
 };

@@ -1,86 +1,42 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace ripple::sim {
 
-using netlist::DriverKind;
-using netlist::Netlist;
+Simulator::Simulator(const netlist::Netlist& n) : kernel_(n) {}
 
-Simulator::Simulator(const Netlist& n)
-    : netlist_(&n), level_(levelize(n)), values_(n.num_wires()) {
-  state_.resize(n.num_flops());
-  reset();
-}
-
-void Simulator::reset() {
-  for (FlopId f : netlist_->all_flops()) {
-    state_[f.index()] = netlist_->flop(f).init;
+const BitVec& Simulator::values() const {
+  const std::span<const std::uint64_t> words = kernel_.values();
+  std::vector<std::uint64_t> packed((words.size() + 63) / 64);
+  for (std::size_t b = 0; b < packed.size(); ++b) {
+    // One register accumulates a block's 64 lane-0 bits.
+    const std::size_t base = b * 64;
+    const std::size_t n = std::min<std::size_t>(64, words.size() - base);
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < n; ++k) word |= (words[base + k] & 1u) << k;
+    packed[b] = word;
   }
-  cycle_ = 0;
-  eval();
-}
-
-void Simulator::set_input(WireId w, bool v) {
-  RIPPLE_ASSERT(netlist_->wire(w).driver_kind == DriverKind::PrimaryInput,
-                "set_input on non-input wire '", netlist_->wire(w).name, "'");
-  values_.set(w.index(), v);
-}
-
-void Simulator::eval() {
-  // Flop state drives Q wires.
-  for (FlopId f : netlist_->all_flops()) {
-    values_.set(netlist_->flop(f).q.index(), state_[f.index()]);
-  }
-  // Levelized single pass settles all combinational wires.
-  const cell::Library& lib = cell::Library::instance();
-  for (GateId g : level_.order) {
-    const netlist::Gate& gate = netlist_->gate(g);
-    std::uint32_t packed = 0;
-    for (std::size_t p = 0; p < gate.inputs.size(); ++p) {
-      packed |= static_cast<std::uint32_t>(
-                    values_.get(gate.inputs[p].index()))
-                << p;
-    }
-    values_.set(gate.output.index(), lib.eval(gate.kind, packed));
-  }
-}
-
-void Simulator::latch() {
-  for (FlopId f : netlist_->all_flops()) {
-    state_[f.index()] = values_.get(netlist_->flop(f).d.index());
-  }
-  ++cycle_;
-}
-
-std::uint64_t Simulator::read_bus(const Bus& bus) const {
-  RIPPLE_ASSERT(bus.size() <= 64);
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < bus.size(); ++i) {
-    v |= static_cast<std::uint64_t>(value(bus[i])) << i;
-  }
-  return v;
-}
-
-void Simulator::drive_bus(const Bus& bus, std::uint64_t v) {
-  RIPPLE_ASSERT(bus.size() <= 64);
-  for (std::size_t i = 0; i < bus.size(); ++i) {
-    set_input(bus[i], (v >> i) & 1u);
-  }
+  values_ = BitVec::from_words(words.size(), std::move(packed));
+  return values_;
 }
 
 BitVec Simulator::flop_state() const {
-  BitVec s(state_.size());
-  for (std::size_t i = 0; i < state_.size(); ++i) s.set(i, state_[i]);
+  const std::size_t n = netlist().num_flops();
+  BitVec s(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.set(i, kernel_.flop(FlopId(static_cast<std::uint32_t>(i))) & 1u);
+  }
   return s;
 }
 
 void Simulator::set_flop_state(const BitVec& state) {
-  RIPPLE_ASSERT(state.size() == state_.size());
-  for (std::size_t i = 0; i < state_.size(); ++i) state_[i] = state.get(i);
-}
-
-void Simulator::flip_flop(FlopId f) {
-  RIPPLE_ASSERT(f.index() < state_.size());
-  state_[f.index()] = !state_[f.index()];
+  RIPPLE_ASSERT(state.size() == netlist().num_flops());
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    kernel_.set_flop(FlopId(static_cast<std::uint32_t>(i)),
+                     broadcast(state.get(i)));
+  }
 }
 
 } // namespace ripple::sim

@@ -1,22 +1,79 @@
-// BatchSimulator contracts: every lane of the 64-lane word-parallel engine
-// behaves exactly like an independent scalar Simulator — per cell kind
-// (against the library truth tables), on randomized synchronous circuits
-// with per-lane inputs, and for the fault-injection primitives (lane-masked
-// flip_flop, XOR-vs-golden-lane state_divergence).
+// Gate-kernel contracts: every lane of the 64-lane BatchSimulator, and the
+// scalar Simulator that views its lane 0, behaves exactly like the per-bit
+// ReferenceSimulator in tests/support — per cell kind (against the library
+// truth tables), on randomized synchronous circuits with per-lane inputs,
+// under the two-phase protocol with inputs driven between the phases, and
+// on both cores' recorded traces — plus the fault-injection primitives
+// (lane-masked flip_flop, XOR-vs-golden-lane state_divergence), the lane
+// transposes of the bus helpers and the refusal of an input-dependent
+// address bus.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 #include "cell/library.hpp"
+#include "cores/avr/programs.hpp"
+#include "cores/msp430/programs.hpp"
 #include "netlist/random.hpp"
+#include "pipeline/registry.hpp"
 #include "sim/batch.hpp"
 #include "sim/simulator.hpp"
+#include "support/reference_sim.hpp"
 
 namespace ripple::sim {
 namespace {
 
 using netlist::Kind;
 using netlist::Netlist;
+
+/// A random synchronous circuit using every combinational cell kind (ties
+/// included), each at least once.
+Netlist every_kind_circuit(Rng& rng, std::size_t num_inputs,
+                           std::size_t num_flops, std::size_t num_gates) {
+  Netlist n("kinds");
+  std::vector<WireId> pool;
+  for (std::size_t i = 0; i < num_inputs; ++i) {
+    pool.push_back(n.add_input("in" + std::to_string(i)));
+  }
+  std::vector<FlopId> flops;
+  for (std::size_t i = 0; i < num_flops; ++i) {
+    flops.push_back(n.add_flop("r" + std::to_string(i), rng.next_bool()));
+    pool.push_back(n.flop(flops.back()).q);
+  }
+  const std::span<const cell::Kind> kinds =
+      cell::Library::instance().combinational_kinds();
+  for (std::size_t i = 0; i < num_gates; ++i) {
+    const cell::Kind kind =
+        i < kinds.size() ? kinds[i] : kinds[rng.next_below(kinds.size())];
+    std::vector<WireId> ins(cell::num_inputs(kind));
+    for (WireId& w : ins) w = pool[rng.next_below(pool.size())];
+    pool.push_back(n.add_gate_new(kind, ins, "g" + std::to_string(i)));
+  }
+  for (const FlopId f : flops) {
+    n.connect_flop(f, pool[rng.next_below(pool.size())]);
+  }
+  n.mark_output(pool.back());
+  n.check();
+  return n;
+}
+
+/// Wires the primary inputs reach, computed by a plain fan-out walk.
+std::vector<bool> input_fanout(const Netlist& n) {
+  std::vector<bool> reached(n.num_wires(), false);
+  std::vector<WireId> stack(n.primary_inputs().begin(),
+                            n.primary_inputs().end());
+  while (!stack.empty()) {
+    const WireId w = stack.back();
+    stack.pop_back();
+    if (reached[w.index()]) continue;
+    reached[w.index()] = true;
+    for (const GateId g : n.wire(w).gate_fanout) {
+      stack.push_back(n.gate(g).output);
+    }
+  }
+  return reached;
+}
 
 TEST(BatchSim, EveryCellKindMatchesTruthTable) {
   // One gate per combinational kind, all fed from the same four inputs;
@@ -90,25 +147,191 @@ TEST(BatchSim, LanesMatchScalarOnRandomCircuits) {
       batch.latch();
     }
 
-    // ...then replay a handful of lanes on the scalar simulator and demand
-    // bit-exact agreement on every wire of every cycle.
+    // ...then replay a handful of lanes on the per-bit reference simulator
+    // and demand bit-exact agreement on every wire of every cycle.
     for (const unsigned lane : {0u, 1u, 31u, 63u}) {
-      Simulator scalar(n);
+      ReferenceSimulator reference(n);
       for (std::size_t c = 0; c < kCycles; ++c) {
         for (std::size_t i = 0; i < inputs.size(); ++i) {
-          scalar.set_input(inputs[i], (input_words[c][i] >> lane) & 1u);
+          reference.set_input(inputs[i], (input_words[c][i] >> lane) & 1u);
         }
-        scalar.eval();
+        reference.eval();
         std::size_t wi = 0;
         for (WireId w : n.all_wires()) {
           ASSERT_EQ((wire_words[c][wi++] >> lane) & 1u,
-                    static_cast<std::uint64_t>(scalar.value(w)))
+                    static_cast<std::uint64_t>(reference.value(w)))
               << "seed " << seed << " lane " << lane << " cycle " << c
               << " wire '" << n.wire(w).name << "'";
         }
-        scalar.latch();
+        reference.latch();
       }
     }
+  }
+}
+
+TEST(BatchSim, SplitProtocolMatchesReferenceOnEveryCellKind) {
+  // Random circuits over every cell kind, driven through both protocols in
+  // alternation: eval() after setting the inputs, and eval_state(), then
+  // the inputs, then eval_inputs(). Random lane-masked SEUs ride along.
+  // Lanes 0/1/31/63 of the batch kernel and the scalar Simulator (lane 0)
+  // must match per-lane reference simulators on every wire of every cycle;
+  // wires outside the input fan-out must already be final after
+  // eval_state(); and each cycle costs exactly one sweep of the netlist.
+  constexpr std::array<unsigned, 4> kLanes = {0, 1, 31, 63};
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    Rng rng(seed);
+    const Netlist n = every_kind_circuit(rng, 5, 8, 150);
+    const std::span<const WireId> inputs = n.primary_inputs();
+    const std::vector<bool> dependent = input_fanout(n);
+
+    BatchSimulator batch(n);
+    Simulator scalar(n);
+    for (const WireId w : n.all_wires()) {
+      if (dependent[w.index()]) {
+        EXPECT_THROW(batch.require_state_only(Bus{w}), Error);
+      } else {
+        EXPECT_NO_THROW(batch.require_state_only(Bus{w}));
+      }
+    }
+    std::vector<ReferenceSimulator> refs;
+    for (std::size_t k = 0; k < kLanes.size(); ++k) refs.emplace_back(n);
+
+    for (std::size_t c = 0; c < 32; ++c) {
+      if (rng.next_below(3) == 0) {
+        const FlopId f(static_cast<std::uint32_t>(
+            rng.next_below(n.num_flops())));
+        const LaneMask mask = rng.next_u64();
+        batch.flip_flop(f, mask);
+        if (mask & 1u) scalar.flip_flop(f);
+        for (std::size_t k = 0; k < kLanes.size(); ++k) {
+          if ((mask >> kLanes[k]) & 1u) refs[k].flip_flop(f);
+        }
+      }
+      std::vector<std::uint64_t> words(inputs.size());
+      for (std::uint64_t& word : words) word = rng.next_u64();
+      for (std::size_t k = 0; k < kLanes.size(); ++k) {
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          refs[k].set_input(inputs[i], (words[i] >> kLanes[k]) & 1u);
+        }
+        refs[k].eval();
+      }
+      const auto drive = [&] {
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          batch.set_input(inputs[i], words[i]);
+          scalar.set_input(inputs[i], words[i] & 1u);
+        }
+      };
+
+      const std::uint64_t evals = batch.gate_evals();
+      const std::uint64_t scalar_evals = scalar.gate_evals();
+      const bool split = c % 2 == 0;
+      if (split) {
+        batch.eval_state();
+        scalar.eval_state();
+        for (const WireId w : n.all_wires()) {
+          if (dependent[w.index()]) continue;
+          for (std::size_t k = 0; k < kLanes.size(); ++k) {
+            ASSERT_EQ((batch.value(w) >> kLanes[k]) & 1u,
+                      static_cast<std::uint64_t>(refs[k].value(w)))
+                << "seed " << seed << " cycle " << c << " state wire '"
+                << n.wire(w).name << "' lane " << kLanes[k];
+          }
+        }
+        drive();
+        batch.eval_inputs();
+        scalar.eval_inputs();
+      } else {
+        drive();
+        batch.eval();
+        scalar.eval();
+      }
+      EXPECT_EQ(batch.gate_evals() - evals, n.num_gates());
+      EXPECT_EQ(scalar.gate_evals() - scalar_evals, n.num_gates());
+
+      for (const WireId w : n.all_wires()) {
+        for (std::size_t k = 0; k < kLanes.size(); ++k) {
+          ASSERT_EQ((batch.value(w) >> kLanes[k]) & 1u,
+                    static_cast<std::uint64_t>(refs[k].value(w)))
+              << "seed " << seed << " cycle " << c << " wire '"
+              << n.wire(w).name << "' lane " << kLanes[k]
+              << (split ? " (split)" : " (eval)");
+        }
+      }
+      ASSERT_EQ(scalar.values(), refs[0].values())
+          << "seed " << seed << " cycle " << c;
+      ASSERT_EQ(scalar.flop_state(), refs[0].flop_state());
+
+      batch.latch();
+      scalar.latch();
+      for (ReferenceSimulator& ref : refs) ref.latch();
+    }
+  }
+}
+
+TEST(BatchSim, RequireStateOnlyRefusesAnInputDependentAddress) {
+  // A toy harness netlist: "addr_ok" depends only on the flop, "addr_bad"
+  // is a gate of the primary input "rdata" — a memory harness reading it
+  // between the phases would see the previous cycle's value.
+  Netlist n;
+  const WireId rdata = n.add_input("rdata");
+  const FlopId f = n.add_flop("pc", false);
+  const WireId q = n.flop(f).q;
+  const WireId ok = n.add_gate_new(Kind::Inv, {q}, "addr_ok");
+  const WireId bad = n.add_gate_new(Kind::And2, {q, rdata}, "addr_bad");
+  n.connect_flop(f, bad);
+  n.mark_output(ok);
+  n.mark_output(bad);
+
+  BatchSimulator batch(n);
+  EXPECT_NO_THROW(batch.require_state_only(Bus{q, ok}));
+  try {
+    batch.require_state_only(Bus{ok, bad});
+    FAIL() << "input-dependent address accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'addr_bad'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(batch.require_state_only(Bus{rdata}), Error);
+  const Simulator scalar(n);
+  EXPECT_THROW(scalar.require_state_only(Bus{bad}), Error);
+}
+
+void expect_same_trace(const Trace& kernel, const Trace& reference,
+                       std::size_t cycles, const char* core) {
+  ASSERT_EQ(kernel.num_cycles(), cycles) << core;
+  ASSERT_EQ(reference.num_cycles(), cycles) << core;
+  for (std::size_t c = 0; c < cycles; ++c) {
+    const BitVec& a = kernel.cycle_values(c);
+    const BitVec& b = reference.cycle_values(c);
+    ASSERT_EQ(a, b) << core << " cycle " << c << " first differing wire '"
+                    << kernel.wire_name(a.first_difference(b)) << "'";
+  }
+}
+
+TEST(BatchSim, CoreTracesMatchReferenceSimulator) {
+  // The traces every golden run and streamed workload are recorded with
+  // come from the compiled kernel; the reference steps the same harness
+  // protocol (settle, serve memories, settle) through per-bit truth-table
+  // evaluation.
+  constexpr std::size_t kCycles = 2000;
+  const pipeline::CoreRegistry& registry = pipeline::CoreRegistry::global();
+  {
+    const pipeline::CoreRuntime rt = registry.make("avr", "fib");
+    expect_same_trace(
+        rt.record_trace(kCycles),
+        reference_avr_trace(*rt.netlist,
+                            cores::avr::resolve_avr_ports(*rt.netlist),
+                            cores::avr::workload_program("fib"), kCycles),
+        kCycles, "avr");
+  }
+  {
+    const pipeline::CoreRuntime rt = registry.make("msp430", "fib");
+    expect_same_trace(
+        rt.record_trace(kCycles),
+        reference_msp430_trace(
+            *rt.netlist, cores::msp430::resolve_msp430_ports(*rt.netlist),
+            cores::msp430::workload_image("fib"), kCycles),
+        kCycles, "msp430");
   }
 }
 
@@ -168,6 +391,14 @@ TEST(BatchSim, BusHelpersRoundTripPerLane) {
   for (const unsigned lane : {0u, 1u, 42u, 63u}) {
     EXPECT_EQ(sim.read_bus(in, lane), lane_values[lane]);
     EXPECT_EQ(sim.read_bus(out, lane), (~lane_values[lane]) & 0xffu);
+  }
+  std::array<std::uint64_t, kBatchLanes> read_in{};
+  std::array<std::uint64_t, kBatchLanes> read_out{};
+  sim.read_bus_lanes(in, read_in);
+  sim.read_bus_lanes(out, read_out);
+  for (unsigned lane = 0; lane < kBatchLanes; ++lane) {
+    EXPECT_EQ(read_in[lane], lane_values[lane]) << "lane " << lane;
+    EXPECT_EQ(read_out[lane], (~lane_values[lane]) & 0xffu) << "lane " << lane;
   }
 
   sim.drive_bus_broadcast(in, 0x3c);

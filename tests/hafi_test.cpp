@@ -153,5 +153,34 @@ TEST(AvrDutAdapter, ObservableAndStateChange) {
   EXPECT_NE(dut.observable(), fresh.observable());
 }
 
+TEST(BatchDutPass, EvaluatesEachGateOncePerCycle) {
+  // Each simulated cycle is one gate sweep (state, then the input fan-out
+  // once the memories are served); the extra sweep is reset()'s settle.
+  for (const char* core : {"avr", "msp430"}) {
+    const pipeline::CoreRuntime rt =
+        pipeline::CoreRegistry::global().make(core, "fib");
+    const std::unique_ptr<BatchDut> dut = rt.batch_factory();
+    std::vector<InjectionPoint> points;
+    for (std::size_t i = 0; i < kExperimentLanes; ++i) {
+      points.push_back(InjectionPoint{
+          FlopId(static_cast<std::uint32_t>((i * 37) % rt.netlist->num_flops())),
+          5 + 3 * i});
+    }
+    constexpr std::size_t kRunCycles = 400;
+    BatchRunStats stats;
+    (void)dut->run(points, kRunCycles, &stats);
+    EXPECT_GT(stats.cycles, 5 + 3 * (kExperimentLanes - 1)) << core;
+    EXPECT_LE(stats.cycles, kRunCycles) << core;
+    EXPECT_EQ(stats.gate_evals, (stats.cycles + 1) * rt.netlist->num_gates())
+        << core;
+
+    // The counts are per pass, not cumulative over the DUT's lifetime.
+    BatchRunStats again;
+    (void)dut->run(points, kRunCycles, &again);
+    EXPECT_EQ(again.cycles, stats.cycles) << core;
+    EXPECT_EQ(again.gate_evals, stats.gate_evals) << core;
+  }
+}
+
 } // namespace
 } // namespace ripple::hafi

@@ -5,6 +5,7 @@
 // and a core without a batch DUT answered with an Error frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -553,6 +554,45 @@ TEST(ServeTest, UnknownCoreAnswersWithAnErrorFrame) {
   EXPECT_TRUE(drained.result_bytes.empty());
   EXPECT_NE(drained.error.find("z80"), std::string::npos);
   server.stop();
+}
+
+TEST(ServeTest, FinishedThreadsAreReaped) {
+  // Every submission runs a session thread and (unless it attaches to a
+  // run still in flight) an executor thread. Joining the finished ones
+  // whenever a new one starts keeps the joinable count bounded however
+  // many requests a daemon serves; without reaping it grows by two per
+  // request. Resubmissions resume every shard from the cache, so the
+  // result bytes must not change either.
+  constexpr std::size_t kSubmissions = 200;
+  constexpr std::size_t kMaxJoinable = 8;
+
+  TempDir dir("ripple_serve_reap");
+  ServerConfig config;
+  config.socket_path = socket_path(dir);
+  config.cache_dir = dir.path / "cache";
+  config.threads = 2;
+  Server server(config);
+  server.start();
+
+  const pipeline::CampaignRequest request = small_request(23);
+  std::vector<std::uint8_t> first;
+  std::size_t max_joinable = 0;
+  for (std::size_t i = 0; i < kSubmissions; ++i) {
+    {
+      ServeClient client = ServeClient::connect(config.socket_path);
+      (void)client.submit(request);
+      const Drained drained = drain(client);
+      ASSERT_TRUE(drained.error.empty()) << drained.error;
+      if (i == 0) first = drained.result_bytes;
+      ASSERT_EQ(drained.result_bytes, first) << "submission " << i;
+    }
+    max_joinable = std::max(max_joinable, server.stats().joinable_threads);
+  }
+  EXPECT_LE(max_joinable, kMaxJoinable);
+  EXPECT_EQ(server.stats().submissions, kSubmissions);
+  EXPECT_EQ(first, reference_bytes(request));
+  server.stop();
+  EXPECT_EQ(server.stats().joinable_threads, 0u);
 }
 
 } // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "cores/avr/programs.hpp"
+#include "cores/avr/system.hpp"
+#include "cores/msp430/programs.hpp"
+#include "cores/msp430/system.hpp"
 #include "netlist/random.hpp"
 #include "sim/levelize.hpp"
 #include "sim/simulator.hpp"
@@ -181,6 +185,25 @@ TEST(Simulator, EvalIsIdempotent) {
   const BitVec snap = sim.values();
   sim.eval();
   EXPECT_EQ(sim.values(), snap);
+}
+
+TEST(Simulator, CoreStepSweepsEachGateOnce) {
+  // The memory harnesses settle the state, serve the read data and settle
+  // only the input fan-out, so one clock cycle evaluates every gate once.
+  const cores::avr::AvrCore avr = cores::avr::build_avr_core(true);
+  cores::avr::AvrSystem avr_sys(avr, cores::avr::fib_program());
+  const cores::msp430::Msp430Core msp = cores::msp430::build_msp430_core(true);
+  cores::msp430::Msp430System msp_sys(msp, cores::msp430::fib_image());
+  for (int c = 0; c < 3; ++c) {
+    const std::uint64_t avr_before = avr_sys.simulator().gate_evals();
+    avr_sys.step();
+    EXPECT_EQ(avr_sys.simulator().gate_evals() - avr_before,
+              avr.netlist.num_gates());
+    const std::uint64_t msp_before = msp_sys.simulator().gate_evals();
+    msp_sys.step();
+    EXPECT_EQ(msp_sys.simulator().gate_evals() - msp_before,
+              msp.netlist.num_gates());
+  }
 }
 
 TEST(Trace, RecordsPerCycleValues) {
