@@ -12,6 +12,8 @@ int main(int argc, char** argv) {
             "Ablation A2: max-terms and candidate-budget sweeps");
   const CoreSetup avr = h.setup(CoreKind::Avr);
   const CoreSetup msp = h.setup(CoreKind::Msp430);
+  const sim::TransposedTrace avr_conv(avr.conv_trace);
+  const sim::TransposedTrace msp_conv(msp.conv_trace);
 
   TablePrinter terms({"max terms", "AVR masked (conv)", "AVR avg #inputs",
                       "MSP430 masked (conv)", "MSP430 avg #inputs"});
@@ -23,8 +25,9 @@ int main(int argc, char** argv) {
       const mate::SearchResult r = h.pipe().find_mates(
           *s, s->ff_xrf, params,
           strprintf("%s, max_terms %u", s->name.c_str(), max_terms));
-      const mate::EvalResult e = h.pipe().evaluate(
-          r.set, s->conv_trace,
+      sim::TransposedTraceSource conv(s == &avr ? avr_conv : msp_conv);
+      const mate::EvalResult e = h.pipe().evaluate_stream(
+          r.set, conv, s->conv_trace_fp,
           strprintf("%s, max_terms %u, conv", s->name.c_str(), max_terms));
       cells.push_back(fmt_percent(e.masked_fraction()));
       cells.push_back(strprintf("%.1f", e.avg_inputs));
@@ -45,8 +48,9 @@ int main(int argc, char** argv) {
       const mate::SearchResult r = h.pipe().find_mates(
           *s, s->ff_xrf, params,
           strprintf("%s, budget %zu", s->name.c_str(), cap));
-      const mate::EvalResult e = h.pipe().evaluate(
-          r.set, s->conv_trace,
+      sim::TransposedTraceSource conv(s == &avr ? avr_conv : msp_conv);
+      const mate::EvalResult e = h.pipe().evaluate_stream(
+          r.set, conv, s->conv_trace_fp,
           strprintf("%s, budget %zu, conv", s->name.c_str(), cap));
       cells.push_back(fmt_percent(e.masked_fraction()));
       cells.push_back(fmt_count(r.total_candidates));

@@ -14,6 +14,8 @@ int main(int argc, char** argv) {
             "Ablation A1: path-depth sweep of the MATE search");
   const CoreSetup avr = h.setup(CoreKind::Avr);
   const CoreSetup msp = h.setup(CoreKind::Msp430);
+  const sim::TransposedTrace avr_fib(avr.fib_trace);
+  const sim::TransposedTrace msp_fib(msp.fib_trace);
 
   TablePrinter t({"depth", "AVR masked (fib)", "AVR #MATEs", "AVR time [s]",
                   "MSP430 masked (fib)", "MSP430 #MATEs", "MSP430 time [s]"});
@@ -27,8 +29,9 @@ int main(int argc, char** argv) {
           h.pipe().find_mates(*s, s->ff_xrf, params,
                               strprintf("%s, depth %u", s->name.c_str(),
                                         depth));
-      const mate::EvalResult e = h.pipe().evaluate(
-          r.set, s->fib_trace,
+      sim::TransposedTraceSource fib(s == &avr ? avr_fib : msp_fib);
+      const mate::EvalResult e = h.pipe().evaluate_stream(
+          r.set, fib, s->fib_trace_fp,
           strprintf("%s, depth %u, fib", s->name.c_str(), depth));
       cells.push_back(fmt_percent(e.masked_fraction()));
       cells.push_back(fmt_count(r.set.mates.size()));

@@ -4,7 +4,7 @@
 // fault space the heuristic border MATEs recover.
 #include "bench/common.hpp"
 #include "mate/eval.hpp"
-#include "mate/faultspace.hpp"
+#include "mate/stream.hpp"
 #include "sim/oracle.hpp"
 #include "util/strings.hpp"
 
@@ -25,8 +25,9 @@ OracleStats compare(Harness& h, const CoreSetup& setup,
                     const sim::Trace& trace, std::size_t cycle_stride) {
   const mate::SearchResult r =
       h.pipe().find_mates(setup, wires, h.params(), label);
-  mate::MateSet set = r.set;
-  const auto benign = mate::benign_matrix(set, trace);
+  const sim::TransposedTrace words(trace);
+  sim::TransposedTraceSource source(words);
+  const std::vector<BitVec> benign = mate::benign_masks(r.set, source);
 
   h.progress("ablation_oracle: exact oracle sweep (%s)...", label.c_str());
   sim::MaskingOracle oracle(setup.netlist);
@@ -38,7 +39,7 @@ OracleStats compare(Harness& h, const CoreSetup& setup,
     for (std::size_t i = 0; i < wires.size(); ++i) {
       const FlopId f = setup.netlist.wire(wires[i]).driver_flop;
       const bool exact = oracle.masked(f, values, ws);
-      const bool by_mate = benign[i][c];
+      const bool by_mate = benign[i].get(c);
       ++stats.space;
       if (exact) ++stats.oracle_masked;
       if (by_mate) ++stats.mate_masked;

@@ -8,7 +8,7 @@
 #include "hafi/campaign.hpp"
 #include "hafi/defuse.hpp"
 #include "mate/eval.hpp"
-#include "mate/faultspace.hpp"
+#include "mate/stream.hpp"
 #include "pipeline/registry.hpp"
 #include "util/strings.hpp"
 
@@ -25,7 +25,9 @@ struct Fractions {
 
 Fractions measure(const CoreSetup& avr, const mate::MateSet& set,
                   const sim::Trace& trace) {
-  const auto mate_benign = mate::benign_matrix(set, trace);
+  const sim::TransposedTrace words(trace);
+  sim::TransposedTraceSource source(words);
+  const std::vector<BitVec> mate_benign = mate::benign_masks(set, source);
   const hafi::AvrRegAccesses accesses =
       hafi::analyze_avr_accesses(avr.netlist, trace);
   const hafi::DefUseResult defuse = hafi::defuse_prune(accesses);
@@ -44,7 +46,7 @@ Fractions measure(const CoreSetup& avr, const mate::MateSet& set,
     }
     for (std::size_t c = 0; c < trace.num_cycles(); ++c) {
       ++space;
-      const bool m = mate_benign[i][c];
+      const bool m = mate_benign[i].get(c);
       const bool d =
           reg >= 0 && defuse.benign[static_cast<std::size_t>(reg)][c];
       by_mate += m ? 1 : 0;
@@ -101,13 +103,10 @@ int main(int argc, char** argv) {
   cfg = copts.apply(cfg);
   cfg.mode = hafi::CampaignMode::Validate;
 
-  const pipeline::CoreRuntime target =
-      pipeline::CoreRegistry::global().make("avr", "fib");
   pipeline::CampaignSpec spec;
-  spec.target = target.target();
+  spec.runtime = pipeline::CoreRegistry::global().make("avr", "fib");
   spec.config = cfg;
   spec.mates = &search.set;
-  spec.netlist_fingerprint = avr.fingerprint;
   spec.resume = copts.resume;
   try {
     const hafi::CampaignResult r =

@@ -75,7 +75,10 @@ int main(int argc, char** argv) {
 
   std::cout << render_fault_grid(n, r.set, trace);
 
-  const EvalResult eval = h.pipe().evaluate(r.set, trace, "figure-1");
+  const sim::TransposedTrace words(trace);
+  sim::TransposedTraceSource source(words);
+  const EvalResult eval = h.pipe().evaluate_stream(
+      r.set, source, pipeline::fingerprint(trace), "figure-1");
   std::cout << "\nfault space: " << eval.fault_space() << " points, benign: "
             << eval.masked_faults << " ("
             << fmt_percent(eval.masked_fraction()) << ")\n";

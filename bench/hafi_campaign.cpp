@@ -50,15 +50,17 @@ int main(int argc, char** argv) {
       h.pipe().find_mates(netlist, target.fingerprint,
                           mate::all_flop_wires(netlist), h.params(),
                           core_name + " FF");
-  const mate::SelectionResult sel =
-      h.pipe().select(search.set, target.record_trace(cfg.run_cycles),
-                      core_name + " FF, fib");
+  // Ranked on the golden run's own chunk stream: the campaigns below read
+  // the same cached chunks.
+  pipeline::ChunkedTraceStream trace(h.pipe(), target, cfg.run_cycles);
+  const mate::SelectionResult sel = h.pipe().select_stream(
+      search.set, trace, trace.fingerprint(), core_name + " FF, fib");
   const mate::MateSet top50 = mate::top_n(search.set, sel, 50);
 
-  // One plan, shared by every campaign below: baseline and pruned runs
-  // inject the exact same (flop, cycle) points.
+  // Every campaign below runs one config, hence one plan: baseline and
+  // pruned runs inject the exact same (flop, cycle) points.
   hafi::Campaign planner(target.target(), cfg);
-  const hafi::CampaignPlan plan = planner.plan();
+  const hafi::CampaignPlan& plan = planner.plan();
   h.progress("hafi_campaign: %zu injection points in %zu shards of %zu",
              plan.points.size(), plan.num_shards(), plan.shard_size);
 
@@ -75,13 +77,11 @@ int main(int argc, char** argv) {
   const auto spec_for = [&](hafi::CampaignMode mode,
                             const mate::MateSet* mates) {
     pipeline::CampaignSpec spec;
-    spec.target = target.target();
+    spec.runtime = target;
     spec.config = cfg;
     spec.config.mode = mode;
     spec.mates = mates;
-    spec.netlist_fingerprint = target.fingerprint;
     spec.resume = copts.resume;
-    spec.plan = plan;
     return spec;
   };
   const hafi::CampaignMode pruned_mode = copts.pruned_mode();

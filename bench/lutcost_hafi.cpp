@@ -28,21 +28,21 @@ int main(int argc, char** argv) {
 
   mate::MateSet avr_top50;
   std::size_t avr_top50_luts = 0;
-  std::uint64_t avr_fingerprint = 0;
 
   for (const CoreKind kind : {CoreKind::Avr, CoreKind::Msp430}) {
     const CoreSetup setup = h.setup(kind);
     const mate::SearchResult r = h.pipe().find_mates(
         setup, setup.ff_xrf, h.params(), setup.name + " FF w/o RF");
-    const mate::SelectionResult sel =
-        h.pipe().select(r.set, setup.fib_trace, setup.name + ", fib");
+    const sim::TransposedTrace fib_words(setup.fib_trace);
+    sim::TransposedTraceSource fib(fib_words);
+    const mate::SelectionResult sel = h.pipe().select_stream(
+        r.set, fib, setup.fib_trace_fp, setup.name + ", fib");
     for (const std::size_t n : {10u, 50u, 100u, 200u}) {
       const mate::MateSet sub = mate::top_n(r.set, sel, n);
       const std::size_t luts = mate::set_luts(sub);
       if (kind == CoreKind::Avr && n == 50) {
         avr_top50 = sub;
         avr_top50_luts = luts;
-        avr_fingerprint = setup.fingerprint;
       }
       table.add_row(
           {setup.name + " top " + std::to_string(n), fmt_count(sub.mates.size()),
@@ -72,13 +72,10 @@ int main(int argc, char** argv) {
   cfg = copts.apply(cfg);
   cfg.mode = copts.pruned_mode();
 
-  const pipeline::CoreRuntime target =
-      pipeline::CoreRegistry::global().make("avr", "fib");
   pipeline::CampaignSpec spec;
-  spec.target = target.target();
+  spec.runtime = pipeline::CoreRegistry::global().make("avr", "fib");
   spec.config = cfg;
   spec.mates = &avr_top50;
-  spec.netlist_fingerprint = avr_fingerprint;
   spec.resume = copts.resume;
   try {
     const hafi::CampaignResult r =

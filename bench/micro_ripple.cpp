@@ -65,7 +65,9 @@ void BM_MateTraceEvaluation(benchmark::State& state) {
   static const sim::Trace trace = [] {
     static const cores::avr::Program prog = cores::avr::fib_program();
     cores::avr::AvrSystem sys(avr_core(), prog);
-    return sys.run_trace(512);
+    sim::Trace trace(avr_core().netlist);
+    sys.run_stream(512, trace);
+    return trace;
   }();
   for (auto _ : state) {
     benchmark::DoNotOptimize(mate::evaluate_mates(search.set, trace));
@@ -123,7 +125,9 @@ void BM_MaskingOracleQuery(benchmark::State& state) {
   static const sim::Trace trace = [] {
     static const cores::avr::Program prog = cores::avr::fib_program();
     cores::avr::AvrSystem sys(avr_core(), prog);
-    return sys.run_trace(64);
+    sim::Trace trace(avr_core().netlist);
+    sys.run_stream(64, trace);
+    return trace;
   }();
   sim::MaskingOracle::Workspace ws(oracle);
   const std::size_t flops = avr_core().netlist.num_flops();
@@ -166,7 +170,9 @@ void BM_VcdWrite(benchmark::State& state) {
   static const sim::Trace trace = [] {
     static const cores::avr::Program prog = cores::avr::fib_program();
     cores::avr::AvrSystem sys(avr_core(), prog);
-    return sys.run_trace(256);
+    sim::Trace trace(avr_core().netlist);
+    sys.run_stream(256, trace);
+    return trace;
   }();
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::to_vcd(trace));

@@ -33,19 +33,23 @@ inline void run_mate_performance_table(Harness& h, const CoreSetup& setup,
   xrf.search = pipe.find_mates(setup, setup.ff_xrf, h.params(),
                                setup.name + " FF w/o RF");
 
+  // Each trace is transposed once; every stage below replays it.
+  const sim::TransposedTrace fib_words(setup.fib_trace);
+  const sim::TransposedTrace conv_words(setup.conv_trace);
+  sim::TransposedTraceSource fib(fib_words);
+  sim::TransposedTraceSource conv(conv_words);
+
   for (SetEval* e : {&ff, &xrf}) {
     const char* set_name = e == &ff ? "FF" : "FF w/o RF";
-    e->fib = pipe.evaluate(e->search.set, setup.fib_trace, setup.fib_trace_fp,
-                           strprintf("%s, fib", set_name));
-    e->conv = pipe.evaluate(e->search.set, setup.conv_trace,
-                            setup.conv_trace_fp,
-                            strprintf("%s, conv", set_name));
-    e->sel_fib = pipe.select(e->search.set, setup.fib_trace,
-                             setup.fib_trace_fp,
-                             strprintf("%s, fib", set_name));
-    e->sel_conv = pipe.select(e->search.set, setup.conv_trace,
-                              setup.conv_trace_fp,
-                              strprintf("%s, conv", set_name));
+    e->fib = pipe.evaluate_stream(e->search.set, fib, setup.fib_trace_fp,
+                                  strprintf("%s, fib", set_name));
+    e->conv = pipe.evaluate_stream(e->search.set, conv, setup.conv_trace_fp,
+                                   strprintf("%s, conv", set_name));
+    e->sel_fib = pipe.select_stream(e->search.set, fib, setup.fib_trace_fp,
+                                    strprintf("%s, fib", set_name));
+    e->sel_conv = pipe.select_stream(e->search.set, conv,
+                                     setup.conv_trace_fp,
+                                     strprintf("%s, conv", set_name));
   }
 
   const auto row4 = [&](const std::string& name, auto fn) {
@@ -74,8 +78,8 @@ inline void run_mate_performance_table(Harness& h, const CoreSetup& setup,
         const mate::SelectionResult& sel =
             select_on_fib ? e.sel_fib : e.sel_conv;
         const mate::MateSet sub = mate::top_n(e.search.set, sel, n);
-        const mate::EvalResult r = pipe.evaluate(
-            sub, eval_fib ? setup.fib_trace : setup.conv_trace,
+        const mate::EvalResult r = pipe.evaluate_stream(
+            sub, eval_fib ? fib : conv,
             eval_fib ? setup.fib_trace_fp : setup.conv_trace_fp,
             strprintf("%s top-%zu sel. %s, %s", &e == &ff ? "FF" : "FF w/o RF",
                       n, select_on_fib ? "fib" : "conv",

@@ -80,8 +80,9 @@ sum:
             << search.unmaskable_wires << " unmaskable flip-flops\n";
 
   std::cout << "recording trace and selecting top-50..." << std::endl;
-  const mate::SelectionResult sel = pipe.select(
-      search.set, target.record_trace(1500), "checksum workload");
+  pipeline::ChunkedTraceStream trace(pipe, target, 1500);
+  const mate::SelectionResult sel = pipe.select_stream(
+      search.set, trace, trace.fingerprint(), "checksum workload");
   const mate::MateSet top50 = mate::top_n(search.set, sel, 50);
 
   hafi::CampaignConfig cfg;
@@ -97,21 +98,17 @@ sum:
               << "\n";
   };
 
-  // Both campaigns share one plan so they inject the exact same points;
-  // with --resume, finished shards checkpoint to the artifact cache.
-  hafi::Campaign planner(target.target(), cfg);
-  const hafi::CampaignPlan plan = planner.plan();
-
+  // Both campaigns run one config, hence one plan: they inject the exact
+  // same points. With --resume, finished shards checkpoint to the artifact
+  // cache.
   const auto spec_for = [&](hafi::CampaignMode mode,
                             const mate::MateSet* mates) {
     pipeline::CampaignSpec spec;
-    spec.target = target.target();
+    spec.runtime = target;
     spec.config = cfg;
     spec.config.mode = mode;
     spec.mates = mates;
-    spec.netlist_fingerprint = target.fingerprint;
     spec.resume = copts.resume;
-    spec.plan = plan;
     return spec;
   };
 

@@ -34,8 +34,10 @@ void report(pipeline::CampaignPipeline& pipe,
 
   const mate::SearchResult search = pipe.find_mates(
       setup, setup.ff, opts.search_params(), setup.name + " FF");
-  const mate::EvalResult eval =
-      pipe.evaluate(search.set, setup.fib_trace, setup.name + ", fib");
+  const sim::TransposedTrace fib_words(setup.fib_trace);
+  sim::TransposedTraceSource fib(fib_words);
+  const mate::EvalResult eval = pipe.evaluate_stream(
+      search.set, fib, setup.fib_trace_fp, setup.name + ", fib");
   std::cout << "  MATEs: " << search.set.mates.size() << " (merged), masked "
             << 100.0 * eval.masked_fraction() << " % of the fault space\n\n";
 

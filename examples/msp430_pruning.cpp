@@ -13,8 +13,8 @@
 #include "cores/msp430/programs.hpp"
 #include "cores/msp430/system.hpp"
 #include "mate/eval.hpp"
-#include "mate/faultspace.hpp"
 #include "mate/search.hpp"
+#include "mate/stream.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/options.hpp"
 #include "pipeline/pipeline.hpp"
@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
   std::cout << "running conv() for " << cycles << " cycles..." << std::endl;
   const cores::msp430::Image image = cores::msp430::conv_image();
   cores::msp430::Msp430System sys(core, image);
-  const sim::Trace live = sys.run_trace(cycles);
+  sim::Trace live(core.netlist);
+  sys.run_stream(cycles, live);
   std::cout << "  " << sys.io_log().size() << " output-port writes\n";
 
   // Round-trip the trace through VCD, as an external netlist simulator
@@ -66,8 +67,10 @@ int main(int argc, char** argv) {
       pipe.find_mates(core.netlist, pipeline::fingerprint(core.netlist),
                       all_ff, opts.search_params(), "MSP430 FF");
 
-  const mate::EvalResult eval =
-      pipe.evaluate(search.set, trace, "conv trace");
+  const sim::TransposedTrace words(trace);
+  sim::TransposedTraceSource source(words);
+  const mate::EvalResult eval = pipe.evaluate_stream(
+      search.set, source, pipeline::fingerprint(trace), "conv trace");
   std::cout << "  " << search.set.mates.size() << " MATEs, "
             << eval.effective_mates << " effective on this trace\n"
             << "  fault space " << eval.fault_space() << ", benign "
@@ -75,7 +78,7 @@ int main(int argc, char** argv) {
             << 100.0 * eval.masked_fraction() << " %)\n\n";
 
   // Per-flop-group breakdown: which registers does the pruning help?
-  const auto benign = mate::benign_matrix(search.set, trace);
+  const std::vector<BitVec> benign = mate::benign_masks(search.set, source);
   std::map<std::string, std::pair<std::size_t, std::size_t>> groups;
   for (std::size_t i = 0; i < all_ff.size(); ++i) {
     const std::string& name = core.netlist.wire(all_ff[i]).name;
@@ -85,9 +88,7 @@ int main(int argc, char** argv) {
     if (const auto q = group.find("__q"); q != std::string::npos) {
       group.resize(q);
     }
-    std::size_t masked = 0;
-    for (bool b : benign[i]) masked += b ? 1 : 0;
-    groups[group].first += masked;
+    groups[group].first += benign[i].popcount();
     groups[group].second += trace.num_cycles();
   }
   std::cout << "benign fraction by register group:\n";

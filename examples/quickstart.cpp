@@ -75,8 +75,11 @@ int main(int argc, char** argv) {
         s.drive_bus(in, rng.next_below(16));
       });
 
-  const mate::EvalResult eval =
-      pipe.evaluate(result.set, trace, "random-stimulus trace");
+  const sim::TransposedTrace words(trace);
+  sim::TransposedTraceSource source(words);
+  const mate::EvalResult eval = pipe.evaluate_stream(
+      result.set, source, pipeline::fingerprint(trace),
+      "random-stimulus trace");
   std::cout << "\nfault space: " << eval.fault_space() << " (flip-flops x "
             << eval.num_cycles << " cycles)\n"
             << "proven benign by MATEs: " << eval.masked_faults << " ("

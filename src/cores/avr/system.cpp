@@ -1,7 +1,5 @@
 #include "cores/avr/system.hpp"
 
-#include "sim/stream.hpp"
-
 namespace ripple::cores::avr {
 
 AvrSystem::AvrSystem(const AvrCore& core, const Program& program)
@@ -10,9 +8,7 @@ AvrSystem::AvrSystem(const AvrCore& core, const Program& program)
   sim_.require_state_only(core.ports.dmem_addr);
 }
 
-void AvrSystem::step(sim::Trace* trace) { step_into(trace, nullptr); }
-
-void AvrSystem::step_into(sim::Trace* trace, sim::RowSink* sink) {
+void AvrSystem::step(sim::RowSink* sink) {
   const AvrPorts& p = core_->ports;
 
   // Fetch and data addresses depend only on flop state: settle the state,
@@ -24,7 +20,6 @@ void AvrSystem::step_into(sim::Trace* trace, sim::RowSink* sink) {
   sim_.drive_bus(p.dmem_rdata, dmem_[daddr]);
   sim_.eval_inputs();
 
-  if (trace != nullptr) trace->append(sim_.values());
   if (sink != nullptr) sink->append_row(sim_.values());
 
   if (sim_.value(p.dmem_we)) {
@@ -38,14 +33,8 @@ void AvrSystem::step_into(sim::Trace* trace, sim::RowSink* sink) {
   sim_.latch();
 }
 
-sim::Trace AvrSystem::run_trace(std::size_t cycles) {
-  sim::Trace trace(core_->netlist);
-  for (std::size_t c = 0; c < cycles; ++c) step(&trace);
-  return trace;
-}
-
 void AvrSystem::run_stream(std::size_t cycles, sim::RowSink& sink) {
-  for (std::size_t c = 0; c < cycles; ++c) step_into(nullptr, &sink);
+  for (std::size_t c = 0; c < cycles; ++c) step(&sink);
 }
 
 void AvrSystem::run(std::size_t cycles) {

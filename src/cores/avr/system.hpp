@@ -12,10 +12,6 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
-namespace ripple::sim {
-class RowSink;
-} // namespace ripple::sim
-
 namespace ripple::cores::avr {
 
 struct IoEvent {
@@ -31,16 +27,13 @@ public:
   AvrSystem(const AvrCore& core, const Program& program);
 
   /// Simulate one clock cycle: settle the state, feed memories, settle the
-  /// input fan-out, commit stores and I/O, clock. When `trace` is given, the
-  /// settled wire values of the cycle are appended first.
-  void step(sim::Trace* trace = nullptr);
-
-  /// Run for `cycles` cycles and record the wire-level trace.
-  [[nodiscard]] sim::Trace run_trace(std::size_t cycles);
+  /// input fan-out, commit stores and I/O, clock. When `sink` is given, the
+  /// settled wire values of the cycle are appended to it first.
+  void step(sim::RowSink* sink = nullptr);
 
   /// Run for `cycles` cycles, pushing each cycle's settled wire values into
-  /// `sink` (the streaming trace path: a ChunkedTraceRecorder keeps only one
-  /// chunk resident instead of the whole trace).
+  /// `sink`: a sim::Trace keeps the whole wire-level trace, a
+  /// ChunkedTraceRecorder only one chunk of it.
   void run_stream(std::size_t cycles, sim::RowSink& sink);
 
   /// Run without tracing (faster; used by fault-injection campaigns).
@@ -61,8 +54,6 @@ public:
   [[nodiscard]] std::uint16_t pc();
 
 private:
-  void step_into(sim::Trace* trace, sim::RowSink* sink);
-
   const AvrCore* core_;
   std::vector<std::uint16_t> imem_;
   std::array<std::uint8_t, 256> dmem_{};

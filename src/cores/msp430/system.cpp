@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/stream.hpp"
-
 namespace ripple::cores::msp430 {
 
 Msp430System::Msp430System(const Msp430Core& core, const Image& image)
@@ -14,9 +12,7 @@ Msp430System::Msp430System(const Msp430Core& core, const Image& image)
   sim_.require_state_only(core.ports.mem_addr);
 }
 
-void Msp430System::step(sim::Trace* trace) { step_into(trace, nullptr); }
-
-void Msp430System::step_into(sim::Trace* trace, sim::RowSink* sink) {
+void Msp430System::step(sim::RowSink* sink) {
   const Msp430Ports& p = core_->ports;
 
   // The address depends only on flop state: settle the state, serve the
@@ -27,7 +23,6 @@ void Msp430System::step_into(sim::Trace* trace, sim::RowSink* sink) {
   sim_.drive_bus(p.mem_rdata, memory_[(addr >> 1) & 0x7fff]);
   sim_.eval_inputs();
 
-  if (trace != nullptr) trace->append(sim_.values());
   if (sink != nullptr) sink->append_row(sim_.values());
 
   if (sim_.value(p.mem_we)) {
@@ -42,14 +37,8 @@ void Msp430System::step_into(sim::Trace* trace, sim::RowSink* sink) {
   sim_.latch();
 }
 
-sim::Trace Msp430System::run_trace(std::size_t cycles) {
-  sim::Trace trace(core_->netlist);
-  for (std::size_t c = 0; c < cycles; ++c) step(&trace);
-  return trace;
-}
-
 void Msp430System::run_stream(std::size_t cycles, sim::RowSink& sink) {
-  for (std::size_t c = 0; c < cycles; ++c) step_into(nullptr, &sink);
+  for (std::size_t c = 0; c < cycles; ++c) step(&sink);
 }
 
 void Msp430System::run(std::size_t cycles) {

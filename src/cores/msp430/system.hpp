@@ -10,10 +10,6 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
-namespace ripple::sim {
-class RowSink;
-} // namespace ripple::sim
-
 namespace ripple::cores::msp430 {
 
 struct IoEvent {
@@ -30,13 +26,12 @@ public:
   Msp430System(const Msp430Core& core, const Image& image);
 
   /// Simulate one clock cycle (settle the state, feed memory, settle the
-  /// input fan-out, commit, clock).
-  void step(sim::Trace* trace = nullptr);
-
-  [[nodiscard]] sim::Trace run_trace(std::size_t cycles);
+  /// input fan-out, commit, clock), appending the cycle's settled wire
+  /// values to `sink` when one is given.
+  void step(sim::RowSink* sink = nullptr);
 
   /// Run for `cycles` cycles, pushing each cycle's settled wire values into
-  /// `sink` (the streaming trace path).
+  /// `sink` (a whole sim::Trace or a chunk recorder).
   void run_stream(std::size_t cycles, sim::RowSink& sink);
 
   void run(std::size_t cycles);
@@ -55,8 +50,6 @@ public:
   [[nodiscard]] std::uint16_t mem_addr();
 
 private:
-  void step_into(sim::Trace* trace, sim::RowSink* sink);
-
   const Msp430Core* core_;
   std::vector<std::uint16_t> memory_; // 32k words = 64 KiB
   std::vector<IoEvent> io_log_;

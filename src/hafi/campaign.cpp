@@ -3,9 +3,8 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "mate/faultspace.hpp"
+#include "mate/stream.hpp"
 #include "obs/trace.hpp"
-#include "sim/trace.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -52,8 +51,9 @@ std::string_view mode_name(CampaignMode mode) {
 }
 
 Campaign::Campaign(CampaignTarget target, CampaignConfig config,
-                   const mate::MateSet* mates)
-    : target_(std::move(target)), config_(config), mates_(mates) {
+                   const mate::MateSet* mates, sim::TraceSource* golden)
+    : target_(std::move(target)), config_(config), mates_(mates),
+      golden_(golden) {
   RIPPLE_CHECK(target_.netlist != nullptr, "campaign needs a netlist");
   RIPPLE_CHECK(target_.batch_factory != nullptr,
                "campaign needs a 64-lane batch DUT factory");
@@ -61,67 +61,50 @@ Campaign::Campaign(CampaignTarget target, CampaignConfig config,
   if (config_.mode != CampaignMode::Baseline) {
     RIPPLE_CHECK(mates_ != nullptr, "campaign mode '", mode_name(config_.mode),
                  "' needs a MATE set");
-    RIPPLE_CHECK(target_.record_trace != nullptr, "campaign mode '",
-                 mode_name(config_.mode), "' needs a golden-trace recorder");
+    RIPPLE_CHECK(golden_ != nullptr, "campaign mode '",
+                 mode_name(config_.mode), "' needs a golden run");
+    RIPPLE_CHECK(golden_->num_cycles() == config_.run_cycles &&
+                     golden_->num_wires() == target_.netlist->num_wires(),
+                 "golden run (", golden_->num_cycles(), " cycles x ",
+                 golden_->num_wires(), " wires) does not match the campaign (",
+                 config_.run_cycles, " cycles x ",
+                 target_.netlist->num_wires(), " wires)");
   }
-}
-
-const CampaignPlan& Campaign::plan() {
-  if (plan_.has_value()) return *plan_;
 
   const netlist::Netlist& n = *target_.netlist;
-
-  CampaignPlan plan;
   const std::size_t space = n.num_flops() * config_.run_cycles;
   if (config_.sample == 0 || config_.sample >= space) {
-    plan.points.reserve(space);
+    plan_.points.reserve(space);
     for (FlopId f : n.all_flops()) {
       for (std::size_t c = 0; c < config_.run_cycles; ++c) {
-        plan.points.push_back(InjectionPoint{f, c});
+        plan_.points.push_back(InjectionPoint{f, c});
       }
     }
   } else {
     Rng rng(config_.seed);
-    plan.points.reserve(config_.sample);
+    plan_.points.reserve(config_.sample);
     for (std::size_t i = 0; i < config_.sample; ++i) {
       const std::uint64_t flat = rng.next_below(space);
-      plan.points.push_back(InjectionPoint{
+      plan_.points.push_back(InjectionPoint{
           FlopId{static_cast<FlopId::value_type>(flat / config_.run_cycles)},
           flat % config_.run_cycles});
     }
   }
-  plan.shard_size = config_.shard_size != 0 ? config_.shard_size
-                                            : auto_shard_size(
-                                                  plan.points.size());
-  plan_ = std::move(plan);
-  return *plan_;
-}
-
-void Campaign::use_plan(CampaignPlan plan) {
-  RIPPLE_CHECK(plan.shard_size > 0, "campaign plan needs a shard size");
-  plan_ = std::move(plan);
+  plan_.shard_size = config_.shard_size != 0
+                         ? config_.shard_size
+                         : auto_shard_size(plan_.points.size());
 }
 
 CampaignResult Campaign::run(const ShardHooks& hooks) {
-  const CampaignPlan& plan = this->plan();
+  const CampaignPlan& plan = plan_;
   const bool pruning = config_.mode != CampaignMode::Baseline;
 
-  // --- golden trace ---------------------------------------------------------
-  // Pruning decisions evaluate the MATEs on the fault-free run, exactly what
-  // the FPGA fabric would compute online: benign[fault row][cycle] per
-  // mate::benign_matrix, plus the flop -> fault-row mapping. Baseline needs
-  // neither; every batch pass carries its own golden lane.
-  std::vector<std::vector<bool>> benign;
+  // Pruning decisions map each flop to its fault row of the MATE set.
+  // Baseline needs none; every batch pass carries its own golden lane.
   std::unordered_map<FlopId, std::size_t> fault_index;
   if (pruning) {
-    const netlist::Netlist& n = *target_.netlist;
-    const sim::Trace golden = target_.record_trace(config_.run_cycles);
-    RIPPLE_CHECK(golden.num_cycles() == config_.run_cycles &&
-                     golden.num_wires() == n.num_wires(),
-                 "golden trace does not match the campaign target");
-    benign = mate::benign_matrix(*mates_, golden);
     for (std::size_t i = 0; i < mates_->faulty_wires.size(); ++i) {
-      const netlist::Wire& w = n.wire(mates_->faulty_wires[i]);
+      const netlist::Wire& w = target_.netlist->wire(mates_->faulty_wires[i]);
       RIPPLE_CHECK(w.driver_kind == netlist::DriverKind::Flop,
                    "campaign MATE sets must target flop outputs");
       fault_index.emplace(w.driver_flop, i);
@@ -170,10 +153,18 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     pending.push_back(s);
   }
 
+  // --- golden run ---------------------------------------------------------
+  // The MATEs checked on the fault-free run, as the FPGA fabric would online:
+  // one cycle bitmask of proven-benign faults per fault row. Only shards
+  // that execute consult it, so a fully resumed campaign reads no trace.
+  std::vector<BitVec> benign;
+  if (pruning && !pending.empty()) {
+    benign = mate::benign_masks(*mates_, *golden_);
+  }
   const auto is_pruned = [&](const InjectionPoint& point) {
     if (!pruning) return false;
     const auto it = fault_index.find(point.flop);
-    return it != fault_index.end() && benign[it->second][point.cycle];
+    return it != fault_index.end() && benign[it->second].get(point.cycle);
   };
 
   std::mutex hook_mutex; // serializes store/progress hook invocations

@@ -3,9 +3,9 @@
 // Emulates what an FPGA-based HAFI platform does: run the workload once
 // (golden run), then re-run it once per fault-space point, flipping one flop
 // in one cycle, and classify the outcome against the golden run. With a MATE
-// set installed, injections whose fault the triggered MATEs prove benign are
-// skipped — the paper's fault-space pruning — and can optionally still be
-// executed to validate soundness.
+// set installed, injections whose fault the MATEs triggered on the golden
+// run's trace prove benign are skipped — the paper's fault-space pruning —
+// and can optionally still be executed to validate soundness.
 //
 // Every injection is independent, so the engine partitions the injection-
 // point list into fixed shards and fans them out across a ThreadPool; each
@@ -31,7 +31,7 @@
 #include "hafi/batch_dut.hpp"
 #include "mate/mate.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/trace.hpp"
+#include "sim/stream.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -46,11 +46,6 @@ enum class CampaignMode {
 
 [[nodiscard]] std::string_view mode_name(CampaignMode mode);
 
-/// Records `cycles` cycles of the target's fault-free run: the golden trace
-/// on which Pruned and Validate campaigns evaluate their MATEs, as the FPGA
-/// fabric would online.
-using TraceRecorder = std::function<sim::Trace(std::size_t cycles)>;
-
 /// The system a campaign injects into.
 struct CampaignTarget {
   /// Sizes the fault space (flops x cycles) and maps MATE wires to flops.
@@ -58,8 +53,6 @@ struct CampaignTarget {
   const netlist::Netlist* netlist = nullptr;
   /// Boots the 64-lane DUT (same netlist) that executes the injections.
   BatchDutFactory batch_factory;
-  /// Required for Pruned and Validate; Baseline runs no golden trace.
-  TraceRecorder record_trace;
 };
 
 struct Experiment {
@@ -100,9 +93,9 @@ using ShardExecutor = std::function<void(
 
 /// The campaign's work list: the sampled (or exhaustive) injection points
 /// plus the shard partition over them. Produced by the campaign itself from
-/// the target's netlist, and stable for a fixed config, so baseline and
-/// pruned campaigns (and the benches' like-for-like comparisons) share one
-/// plan.
+/// the target's netlist and the config's run_cycles, sample, seed and
+/// shard_size — never the mode or the thread count — so baseline and pruned
+/// campaigns over one config inject the same points.
 struct CampaignPlan {
   std::vector<InjectionPoint> points;
   std::size_t shard_size = 1; // resolved: never 0
@@ -174,23 +167,21 @@ struct CampaignResult {
 
 class Campaign {
 public:
-  /// `target` needs a netlist and a batch factory, plus a trace recorder in
-  /// Pruned/Validate mode. `mates` must be non-null for Pruned/Validate mode
-  /// and target flop Q wires of the netlist; it is ignored in Baseline mode.
-  /// The set must outlive the campaign. Throws ripple::Error on a missing
-  /// piece.
+  /// `target` needs a netlist and a batch factory. Pruned/Validate mode
+  /// also needs `mates`, targeting flop Q wires of the netlist, and
+  /// `golden`, the fault-free run's trace: run_cycles cycles of every
+  /// netlist wire, on which the MATEs are checked the way the FPGA fabric
+  /// checks them online. Both are borrowed (they must outlive the campaign)
+  /// and ignored in Baseline mode. `golden` is streamed only when a shard
+  /// executes. Throws ripple::Error on a missing or misshapen piece.
   Campaign(CampaignTarget target, CampaignConfig config,
-           const mate::MateSet* mates = nullptr);
+           const mate::MateSet* mates = nullptr,
+           sim::TraceSource* golden = nullptr);
 
-  /// The injection points and shard partition (built on first use from the
-  /// target's netlist). Stable across runs for a fixed config, so baseline
-  /// and pruned campaigns compare like for like.
-  [[nodiscard]] const CampaignPlan& plan();
-
-  /// Install a plan produced by another campaign over the same DUT and
-  /// config — benches hand one plan to their baseline and pruned campaigns
-  /// so the comparison is like for like by construction.
-  void use_plan(CampaignPlan plan);
+  /// The injection points and shard partition, built from the target's
+  /// netlist on construction. Stable across runs for a fixed config, so
+  /// baseline and pruned campaigns compare like for like.
+  [[nodiscard]] const CampaignPlan& plan() const { return plan_; }
 
   /// Per-shard progress record, delivered to ShardHooks::progress in merge
   /// (shard-index) order.
@@ -233,7 +224,8 @@ private:
   CampaignTarget target_;
   CampaignConfig config_;
   const mate::MateSet* mates_ = nullptr;
-  std::optional<CampaignPlan> plan_;
+  sim::TraceSource* golden_ = nullptr;
+  CampaignPlan plan_;
 };
 
 } // namespace ripple::hafi

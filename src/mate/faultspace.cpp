@@ -1,35 +1,15 @@
 #include "mate/faultspace.hpp"
 
-#include <unordered_map>
-
+#include "mate/stream.hpp"
 #include "util/strings.hpp"
 
 namespace ripple::mate {
 
-std::vector<std::vector<bool>> benign_matrix(const MateSet& set,
-                                             const sim::Trace& trace) {
-  std::unordered_map<WireId, std::size_t> fault_index;
-  for (std::size_t i = 0; i < set.faulty_wires.size(); ++i) {
-    fault_index.emplace(set.faulty_wires[i], i);
-  }
-  std::vector<std::vector<bool>> benign(
-      set.faulty_wires.size(),
-      std::vector<bool>(trace.num_cycles(), false));
-  for (std::size_t c = 0; c < trace.num_cycles(); ++c) {
-    const BitVec& values = trace.cycle_values(c);
-    for (const Mate& m : set.mates) {
-      if (!m.cube.eval(values)) continue;
-      for (WireId w : m.masked_wires) {
-        benign[fault_index.at(w)][c] = true;
-      }
-    }
-  }
-  return benign;
-}
-
 std::string render_fault_grid(const netlist::Netlist& n, const MateSet& set,
                               const sim::Trace& trace) {
-  const auto benign = benign_matrix(set, trace);
+  const sim::TransposedTrace transposed(trace);
+  sim::TransposedTraceSource source(transposed);
+  const std::vector<BitVec> benign = benign_masks(set, source);
 
   std::size_t name_width = 5;
   for (WireId w : set.faulty_wires) {
@@ -42,7 +22,7 @@ std::string render_fault_grid(const netlist::Netlist& n, const MateSet& set,
     out += strprintf("%-*s  ", static_cast<int>(name_width),
                      n.wire(set.faulty_wires[i]).name.c_str());
     for (std::size_t c = 0; c < trace.num_cycles(); ++c) {
-      out += benign[i][c] ? 'o' : '*';
+      out += benign[i].get(c) ? 'o' : '*';
       out += ' ';
     }
     out += '\n';

@@ -1,8 +1,7 @@
-// Fault-space rendering and accounting helpers (Figure 1b).
+// Fault-space rendering (Figure 1b).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "mate/eval.hpp"
 #include "mate/mate.hpp"
@@ -17,10 +16,5 @@ namespace ripple::mate {
 [[nodiscard]] std::string render_fault_grid(const netlist::Netlist& n,
                                             const MateSet& set,
                                             const sim::Trace& trace);
-
-/// Per-(wire, cycle) benign matrix: benign[w][c] with w indexing
-/// set.faulty_wires.
-[[nodiscard]] std::vector<std::vector<bool>> benign_matrix(
-    const MateSet& set, const sim::Trace& trace);
 
 } // namespace ripple::mate

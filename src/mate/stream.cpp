@@ -291,6 +291,49 @@ EvalResult evaluate_mates_stream(const MateSet& set, sim::TraceSource& source,
   return acc.finish();
 }
 
+std::vector<BitVec> benign_masks(const MateSet& set,
+                                 sim::TraceSource& source) {
+  const EvalAccumulator acc(set, 1); // for its literal plans only
+  const std::size_t words_per_wire = (source.num_cycles() + 63) / 64;
+  std::vector<std::vector<std::uint64_t>> words(
+      set.faulty_wires.size(), std::vector<std::uint64_t>(words_per_wire));
+  std::size_t cycles = 0;
+  stream_through(
+      source, /*overlap=*/false,
+      [&](const sim::TransposedSlice& slice, std::size_t base) {
+        RIPPLE_CHECK(base == cycles && cycles % 64 == 0 &&
+                         cycles + slice.num_cycles <= words_per_wire * 64,
+                     "trace chunks must cover the declared cycles in order");
+        for (std::size_t b = 0; b < slice.num_blocks; ++b) {
+          for (const EvalAccumulator::Plan& plan : acc.plans_) {
+            std::uint64_t trig = slice.block_mask(b);
+            for (const auto& [wire, invert] : plan.literals) {
+              trig &= slice.wire_words(wire)[b] ^ invert;
+              if (trig == 0) break;
+            }
+            if (trig == 0) continue;
+            const std::vector<std::uint64_t>& mask = plan.mask.words();
+            for (std::size_t mw = 0; mw < mask.size(); ++mw) {
+              for (std::uint64_t m = mask[mw]; m != 0; m &= m - 1) {
+                const std::size_t i =
+                    mw * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
+                words[i][base / 64 + b] |= trig;
+              }
+            }
+          }
+        }
+        cycles += slice.num_cycles;
+      });
+  RIPPLE_CHECK(cycles == source.num_cycles(),
+               "trace source delivered a different cycle count than declared");
+  std::vector<BitVec> masks;
+  masks.reserve(words.size());
+  for (std::vector<std::uint64_t>& w : words) {
+    masks.push_back(BitVec::from_words(cycles, std::move(w)));
+  }
+  return masks;
+}
+
 SelectionResult rank_mates_stream(const MateSet& set, sim::TraceSource& source,
                                   std::size_t threads, bool overlap) {
   RankAccumulator acc(set, threads);

@@ -1,5 +1,6 @@
 // Streaming MATE evaluation over chunked transposed traces: the one
-// evaluate/select engine.
+// evaluate/select engine, and (benign_masks) the campaign's pruning
+// decisions on its golden run.
 //
 // The accumulators score a trace chunk-by-chunk from a sim::TraceSource with
 // the word-parallel kernel (64 cycles per machine word): only one chunk of
@@ -26,6 +27,7 @@
 #include "mate/mate.hpp"
 #include "mate/select.hpp"
 #include "sim/stream.hpp"
+#include "util/bitvec.hpp"
 
 namespace ripple::mate {
 
@@ -66,6 +68,8 @@ class EvalAccumulator {
   std::size_t cycles_ = 0;
 
   friend class RankAccumulator;
+  friend std::vector<BitVec> benign_masks(const MateSet& set,
+                                          sim::TraceSource& source);
 };
 
 /// Incremental rank_mates over a replayable trace stream. Ranking needs two
@@ -126,5 +130,13 @@ class RankAccumulator {
                                                 sim::TraceSource& source,
                                                 std::size_t threads = 0,
                                                 bool overlap = true);
+
+/// Which faults the triggered MATEs prove benign: masks[i] has bit c set
+/// when some MATE masking set.faulty_wires[i] triggers in cycle c of
+/// `source` (one pass, inline). The evaluate kernel's per-block trigger
+/// words, ORed into one cycle bitmask per faulty wire — what a HAFI fabric
+/// checks online against the golden run.
+[[nodiscard]] std::vector<BitVec> benign_masks(const MateSet& set,
+                                               sim::TraceSource& source);
 
 } // namespace ripple::mate

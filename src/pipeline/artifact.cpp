@@ -139,40 +139,11 @@ netlist::Netlist read_netlist(ByteReader& r) {
   return n;
 }
 
-// --- trace ----------------------------------------------------------------
+// --- trace chunks ---------------------------------------------------------
 
-void write_trace(ByteWriter& w, const sim::Trace& t) {
-  w.u64(t.num_wires());
-  for (std::size_t i = 0; i < t.num_wires(); ++i) w.str(t.wire_name(i));
-  w.u64(t.num_cycles());
-  for (std::size_t c = 0; c < t.num_cycles(); ++c) {
-    const BitVec& row = t.cycle_values(c);
-    RIPPLE_ASSERT(row.size() == t.num_wires());
-    for (std::uint64_t word : row.words()) w.u64(word);
-  }
-}
-
-sim::Trace read_trace(ByteReader& r) {
-  const std::size_t num_wires = r.count(2);
-  std::vector<std::string> names;
-  names.reserve(num_wires);
-  for (std::size_t i = 0; i < num_wires; ++i) names.push_back(r.str());
-  sim::Trace t = sim::make_trace_for_names(std::move(names));
-
-  const std::size_t cycles = r.count();
-  const std::size_t words_per_row = (num_wires + 63) / 64;
-  for (std::size_t c = 0; c < cycles; ++c) {
-    std::vector<std::uint64_t> words;
-    words.reserve(words_per_row);
-    for (std::size_t i = 0; i < words_per_row; ++i) words.push_back(r.u64());
-    t.append(BitVec::from_words(num_wires, std::move(words)));
-  }
-  return t;
-}
-
-// Column-major twin of write_trace/read_trace. Wire names are not carried —
-// a transposed trace is a derived view; its identity is the source trace's
-// fingerprint.
+// A trace chunk: wire-major cycle words. Wire names are not carried — a
+// chunk's identity is its cache key (netlist fingerprint, workload, chunk
+// index and length).
 void write_transposed_trace(ByteWriter& w, const sim::TransposedTrace& t) {
   w.u64(t.num_wires());
   w.u64(t.num_cycles());
@@ -410,7 +381,12 @@ std::uint64_t fingerprint(const netlist::Netlist& n) {
 
 std::uint64_t fingerprint(const sim::Trace& t) {
   ByteWriter w;
-  write_trace(w, t);
+  w.u64(t.num_wires());
+  for (std::size_t i = 0; i < t.num_wires(); ++i) w.str(t.wire_name(i));
+  w.u64(t.num_cycles());
+  for (std::size_t c = 0; c < t.num_cycles(); ++c) {
+    for (std::uint64_t word : t.cycle_values(c).words()) w.u64(word);
+  }
   return hash_bytes(w.bytes());
 }
 

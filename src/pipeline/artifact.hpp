@@ -1,5 +1,6 @@
 // Versioned, checksummed binary serialization of the pipeline's typed
-// artifacts: netlists, traces, MATE sets, search results and selections.
+// artifacts: netlists, trace chunks, MATE sets, search results and
+// selections.
 //
 // The byte stream is canonical (fixed-width little-endian fields, entities
 // in id order), so it serves three purposes at once:
@@ -41,9 +42,6 @@ inline constexpr std::uint32_t kArtifactVersion = 3;
 
 void write_netlist(ByteWriter& w, const netlist::Netlist& n);
 [[nodiscard]] netlist::Netlist read_netlist(ByteReader& r);
-
-void write_trace(ByteWriter& w, const sim::Trace& t);
-[[nodiscard]] sim::Trace read_trace(ByteReader& r);
 
 void write_transposed_trace(ByteWriter& w, const sim::TransposedTrace& t);
 [[nodiscard]] sim::TransposedTrace read_transposed_trace(ByteReader& r);

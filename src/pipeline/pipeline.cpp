@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <optional>
 #include <thread>
 
 #include "mate/stream.hpp"
@@ -19,6 +20,8 @@ namespace {
 
 // --- cache key derivation (see DESIGN.md, "Pipeline & artifact cache") ----
 
+/// Identity of a workload trace, ChunkedTraceStream::fingerprint(): the
+/// trace fingerprint in the evaluate/select keys of every stream.
 std::uint64_t trace_key(std::uint64_t netlist_fp, std::string_view workload,
                         std::size_t cycles) {
   Hasher h;
@@ -104,35 +107,6 @@ void fill_search_counters(StageStats& stats, const mate::SearchResult& r) {
       {"search_dedup_classes", static_cast<double>(r.dedup_classes)},
   };
 }
-
-/// An in-memory trace as a replayable chunk source. The transpose is
-/// requested on the first stream() call, so a stage that hits the cache
-/// never pays for it.
-class LazyTransposedSource final : public sim::TraceSource {
-public:
-  LazyTransposedSource(const sim::Trace& trace, std::size_t chunk_cycles,
-                       std::function<const sim::TransposedTrace&()> transpose)
-      : trace_(&trace), chunk_cycles_(chunk_cycles),
-        transpose_(std::move(transpose)) {}
-
-  [[nodiscard]] std::size_t num_wires() const override {
-    return trace_->num_wires();
-  }
-  [[nodiscard]] std::size_t num_cycles() const override {
-    return trace_->num_cycles();
-  }
-  [[nodiscard]] std::size_t chunk_cycles() const override {
-    return chunk_cycles_;
-  }
-  void stream(sim::TraceSink& sink) override {
-    sim::TransposedTraceSource(transpose_(), chunk_cycles_).stream(sink);
-  }
-
-private:
-  const sim::Trace* trace_;
-  std::size_t chunk_cycles_;
-  std::function<const sim::TransposedTrace&()> transpose_;
-};
 
 /// The CoreRegistry entry and display name of a built-in core.
 struct BuiltinCore {
@@ -235,8 +209,9 @@ void CampaignPipeline::notify_begin(std::string_view stage,
 void CampaignPipeline::notify_end(StageStats stats) {
   // Every stage reports the high-water mark of resident streaming-trace
   // bytes it caused (satellite of the bounded-memory contract: stream_smoke
-  // asserts this stays under two chunks). Zero — no streaming traffic — is
-  // omitted to keep whole-trace stage reports unchanged.
+  // asserts this stays under two chunks). Zero — no owned chunk was
+  // resident, e.g. find_mates or a stage over an in-memory trace — is
+  // omitted.
   const std::size_t peak = sim::trace_memory::peak();
   if (peak > 0) {
     stats.counters.emplace_back("trace_bytes_peak",
@@ -269,16 +244,6 @@ mate::SearchParams CampaignPipeline::default_params() const {
   return apply_threads(mate::SearchParams{});
 }
 
-const sim::TransposedTrace& CampaignPipeline::transposed(
-    const sim::Trace& trace, std::uint64_t trace_fingerprint) {
-  auto it = transposed_.find(trace_fingerprint);
-  if (it == transposed_.end()) {
-    it = transposed_.emplace(trace_fingerprint, sim::TransposedTrace(trace))
-             .first;
-  }
-  return it->second;
-}
-
 CoreSetup CampaignPipeline::setup(const CoreSetupSpec& spec) {
   const BuiltinCore& core = builtin(spec.kind);
   CoreSetup s;
@@ -300,24 +265,18 @@ CoreSetup CampaignPipeline::setup(const CoreSetupSpec& spec) {
   };
   scope.end();
 
-  s.fib_trace = record_trace(fib, spec.trace_cycles);
-  s.conv_trace = record_trace(conv, spec.trace_cycles);
-  s.fib_trace_fp = fingerprint(s.fib_trace);
-  s.conv_trace_fp = fingerprint(s.conv_trace);
+  // Each workload is read once from its chunk stream into the row-major
+  // trace the benches read; the stream identity keys their scoring stages.
+  const auto read = [&](const CoreRuntime& rt, sim::Trace& trace) {
+    ChunkedTraceStream stream(*this, rt, spec.trace_cycles);
+    trace = sim::Trace(s.netlist);
+    sim::UntransposingSink rows(trace);
+    stream.stream(rows);
+    return stream.fingerprint();
+  };
+  s.fib_trace_fp = read(fib, s.fib_trace);
+  s.conv_trace_fp = read(conv, s.conv_trace);
   return s;
-}
-
-sim::Trace CampaignPipeline::record_trace(const CoreRuntime& rt,
-                                          std::size_t cycles) {
-  return cached_stage(
-      "stage:record_trace",
-      {"record_trace", trace_key(rt.fingerprint, rt.workload, cycles)},
-      strprintf("%s, %zu cycles", rt.workload.c_str(), cycles), read_trace,
-      write_trace, [&] { return rt.record_trace(cycles); },
-      [](StageStats& stats, const sim::Trace& t) {
-        stats.counters = {{"cycles", static_cast<double>(t.num_cycles())},
-                          {"wires", static_cast<double>(t.num_wires())}};
-      });
 }
 
 mate::SearchResult CampaignPipeline::find_mates(
@@ -353,49 +312,12 @@ mate::SearchResult CampaignPipeline::find_mates(
       });
 }
 
-mate::EvalResult CampaignPipeline::evaluate(const mate::MateSet& set,
-                                            const sim::Trace& trace,
-                                            std::string detail) {
-  return evaluate(set, trace, fingerprint(trace), std::move(detail));
-}
-
-mate::EvalResult CampaignPipeline::evaluate(const mate::MateSet& set,
-                                            const sim::Trace& trace,
-                                            std::uint64_t trace_fingerprint,
-                                            std::string detail) {
-  LazyTransposedSource source(
-      trace, config_.trace_chunk_cycles,
-      [&]() -> const sim::TransposedTrace& {
-        return transposed(trace, trace_fingerprint);
-      });
-  return evaluate_stream(set, source, trace_fingerprint, std::move(detail));
-}
-
-mate::SelectionResult CampaignPipeline::select(const mate::MateSet& set,
-                                               const sim::Trace& trace,
-                                               std::string detail) {
-  return select(set, trace, fingerprint(trace), std::move(detail));
-}
-
-mate::SelectionResult CampaignPipeline::select(const mate::MateSet& set,
-                                               const sim::Trace& trace,
-                                               std::uint64_t trace_fingerprint,
-                                               std::string detail) {
-  LazyTransposedSource source(
-      trace, config_.trace_chunk_cycles,
-      [&]() -> const sim::TransposedTrace& {
-        return transposed(trace, trace_fingerprint);
-      });
-  return select_stream(set, source, trace_fingerprint, std::move(detail));
-}
-
 ChunkedTraceStream::ChunkedTraceStream(CampaignPipeline& pipeline,
-                                       CoreRuntime runtime, std::size_t cycles,
-                                       std::size_t chunk_cycles)
+                                       CoreRuntime runtime, std::size_t cycles)
     : pipeline_(&pipeline),
       rt_(std::move(runtime)),
       cycles_(cycles),
-      chunk_cycles_(chunk_cycles),
+      chunk_cycles_(pipeline.config().trace_chunk_cycles),
       fingerprint_(trace_key(rt_.fingerprint, rt_.workload, cycles)) {
   RIPPLE_CHECK(chunk_cycles_ > 0 && chunk_cycles_ % 64 == 0,
                "--trace-chunk-cycles must be a positive multiple of 64, got ",
@@ -482,8 +404,7 @@ void ChunkedTraceStream::stream(sim::TraceSink& sink) {
 std::unique_ptr<ChunkedTraceStream> CampaignPipeline::trace_stream(
     CoreKind kind, std::string_view workload, std::size_t cycles) {
   return std::make_unique<ChunkedTraceStream>(
-      *this, CoreRegistry::global().make(builtin(kind).key, workload), cycles,
-      config_.trace_chunk_cycles);
+      *this, CoreRegistry::global().make(builtin(kind).key, workload), cycles);
 }
 
 mate::EvalResult CampaignPipeline::evaluate_stream(
@@ -534,19 +455,20 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
   if (spec.config.threads == 0) spec.config.threads = config_.threads;
 
   StageScope scope(*this, "stage:campaign", "campaign", std::move(detail));
-  hafi::Campaign campaign(std::move(spec.target), spec.config, spec.mates);
-  if (spec.plan.has_value()) campaign.use_plan(std::move(*spec.plan));
+  // Pruned/Validate check their MATEs on the golden run, the workload's
+  // chunk stream; it is read only if a shard executes.
+  const bool pruning = spec.config.mode != hafi::CampaignMode::Baseline;
+  std::optional<ChunkedTraceStream> golden;
+  if (pruning) golden.emplace(*this, spec.runtime, spec.config.run_cycles);
+  hafi::Campaign campaign(spec.runtime.target(), spec.config, spec.mates,
+                          golden ? &*golden : nullptr);
 
-  const bool checkpoint =
-      spec.resume && spec.netlist_fingerprint != 0 && cache_->enabled();
-  const std::uint64_t mates_fp =
-      spec.config.mode != hafi::CampaignMode::Baseline
-          ? fingerprint(*spec.mates)
-          : 0;
+  const bool checkpoint = spec.resume && cache_->enabled();
+  const std::uint64_t mates_fp = pruning ? fingerprint(*spec.mates) : 0;
   const auto shard_cache_key = [&](std::size_t shard) {
     Hasher h;
     h.update_value(kArtifactVersion);
-    h.update_value(spec.netlist_fingerprint);
+    h.update_value(spec.runtime.fingerprint);
     h.update_value(static_cast<std::uint64_t>(spec.config.run_cycles));
     h.update_value(static_cast<std::uint64_t>(spec.config.sample));
     h.update_value(spec.config.seed);
@@ -688,14 +610,12 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
 
 hafi::CampaignResult CampaignPipeline::run(const CampaignRequest& request,
                                            std::string detail) {
-  CoreRuntime rt = CoreRegistry::global().make(request.core, request.workload);
+  CampaignSpec spec{
+      .runtime = CoreRegistry::global().make(request.core, request.workload),
+      .config = request.config,
+      .resume = request.resume};
+  const CoreRuntime& rt = spec.runtime;
   if (detail.empty()) detail = request_summary(request);
-
-  CampaignSpec spec;
-  spec.target = rt.target();
-  spec.config = request.config;
-  spec.netlist_fingerprint = rt.fingerprint;
-  spec.resume = request.resume;
 
   // Pruned/Validate: derive the MATE set. `mates` owns the storage the spec
   // borrows; it must outlive the campaign() call below.
@@ -707,15 +627,17 @@ hafi::CampaignResult CampaignPipeline::run(const CampaignRequest& request,
         *rt.netlist, rt.fingerprint, mate::all_flop_wires(*rt.netlist),
         params, request.core + " all flops");
     if (request.top_n > 0) {
+      // Ranked on the workload's chunk stream; over run_cycles (the
+      // default) its chunks are the campaign's golden run too.
       const std::size_t cycles =
           request.select_cycles != 0
               ? static_cast<std::size_t>(request.select_cycles)
               : request.config.run_cycles;
-      const sim::Trace trace = record_trace(rt, cycles);
-      const mate::SelectionResult sel =
-          select(search.set, trace,
-                 strprintf("%s %s, %zu cycles", request.core.c_str(),
-                           rt.workload.c_str(), cycles));
+      ChunkedTraceStream trace(*this, rt, cycles);
+      const mate::SelectionResult sel = select_stream(
+          search.set, trace, trace.fingerprint(),
+          strprintf("%s %s, %zu cycles", request.core.c_str(),
+                    rt.workload.c_str(), cycles));
       mates = mate::top_n(search.set, sel, request.top_n);
     } else {
       mates = std::move(search.set);

@@ -2,14 +2,17 @@
 //
 // Models the paper's cross-layer flow as named stages over typed artifacts:
 //
-//   build_core ──> record_trace ──┐
-//        │                        ├──> evaluate ──> select ──> campaign
+//   build_core ──> record_trace ──┬──────────────────────────┐ golden run
+//        │                        ├──> evaluate ──> select ──┴──> campaign
 //        └───────> find_mates ────┘
 //
 // Stage inputs/outputs are the artifact types of artifact.hpp; cacheable
-// stages (record_trace, find_mates, evaluate, select) consult the
+// stages (record_trace per chunk, find_mates, evaluate, select) consult the
 // content-addressed ArtifactCache so a second run with the same inputs
-// replays stored results instead of recomputing them. Every stage reports begin/end plus a
+// replays stored results instead of recomputing them. record_trace is one
+// path: every trace — the campaign's golden run, run()'s selection trace and
+// setup()'s workload traces — is a ChunkedTraceStream, and the stages score
+// traces only through sim::TraceSource. Every stage reports begin/end plus a
 // StageStats record to the registered StageObservers, which is where all
 // bench progress output and the `--report=json` emitter hang off.
 #pragma once
@@ -18,11 +21,9 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "hafi/campaign.hpp"
@@ -36,7 +37,6 @@
 #include "pipeline/request.hpp"
 #include "sim/stream.hpp"
 #include "sim/trace.hpp"
-#include "sim/transposed.hpp"
 
 namespace ripple {
 class ByteReader;
@@ -60,16 +60,18 @@ struct CoreSetupSpec {
 };
 
 /// Output of the build_core + record_trace stages: the core netlist, its
-/// content fingerprint, the two workload traces and the evaluation's two
-/// fault sets ("FF" and "FF w/o RF").
+/// content fingerprint, the two workload traces (each read once from its
+/// chunk stream) and the evaluation's two fault sets ("FF" and "FF w/o RF").
+/// Callers score a trace by wrapping a sim::TransposedTrace of it in a
+/// sim::TransposedTraceSource, keyed by its `*_trace_fp`.
 struct CoreSetup {
   std::string name; // "AVR" or "MSP430"
   netlist::Netlist netlist;
   std::uint64_t fingerprint = 0; // content fingerprint of `netlist`
   sim::Trace fib_trace;
   sim::Trace conv_trace;
-  std::uint64_t fib_trace_fp = 0;  // content fingerprint of `fib_trace`
-  std::uint64_t conv_trace_fp = 0; // content fingerprint of `conv_trace`
+  std::uint64_t fib_trace_fp = 0;  // stream fingerprint of `fib_trace`
+  std::uint64_t conv_trace_fp = 0; // stream fingerprint of `conv_trace`
   std::vector<WireId> ff;     // all flipflops
   std::vector<WireId> ff_xrf; // flipflops outside the register file
 };
@@ -100,25 +102,21 @@ class CampaignPipeline;
 /// fingerprint, campaign config, MATE-set fingerprint, shard index), so a
 /// killed campaign picks up from its last finished shard.
 ///
-/// This is the in-process form: it carries a live target (normally
-/// CoreRuntime::target()) and a borrowed MATE set. The serializable,
-/// wire-friendly form is CampaignRequest (request.hpp), which
-/// CampaignPipeline::run() lowers onto this struct via the CoreRegistry.
+/// This is the in-process form: it carries a live core runtime and a
+/// borrowed MATE set. The serializable, wire-friendly form is
+/// CampaignRequest (request.hpp), which CampaignPipeline::run() lowers onto
+/// this struct via the CoreRegistry.
 struct CampaignSpec {
-  hafi::CampaignTarget target;
+  /// The core and workload injected into (normally from the CoreRegistry).
+  /// Pruned/Validate campaigns read its golden run from the workload's
+  /// cached chunk stream; its fingerprint keys the shard checkpoints.
+  CoreRuntime runtime;
   hafi::CampaignConfig config;
-  /// Required for Pruned/Validate mode; ignored for Baseline.
+  /// Required for Pruned/Validate; ignored for Baseline.
   const mate::MateSet* mates = nullptr;
-  /// Fingerprint of the DUT netlist; keys the shard checkpoints. 0
-  /// disables checkpointing even with `resume` set.
-  std::uint64_t netlist_fingerprint = 0;
   /// Persist finished shards to the artifact cache and skip shards already
-  /// present (interrupt/resume). Requires the cache and a fingerprint.
+  /// present (interrupt/resume). Requires the cache.
   bool resume = false;
-  /// Reuse a plan produced by another campaign over the same DUT/config
-  /// (like-for-like baseline vs pruned comparisons). Stale shard
-  /// checkpoints that disagree with the plan re-execute.
-  std::optional<hafi::CampaignPlan> plan;
 };
 
 /// A workload trace streamed in fixed-size transposed chunks, each cached
@@ -132,9 +130,10 @@ struct CampaignSpec {
 /// the chunks the first one stored (or re-simulates when caching is off).
 class ChunkedTraceStream final : public sim::TraceSource {
 public:
-  /// Streams `runtime`'s workload, booted through CoreRuntime::boot.
+  /// Streams `cycles` cycles of `runtime`'s workload, booted through
+  /// CoreRuntime::boot, in chunks of the pipeline's trace_chunk_cycles.
   ChunkedTraceStream(CampaignPipeline& pipeline, CoreRuntime runtime,
-                     std::size_t cycles, std::size_t chunk_cycles);
+                     std::size_t cycles);
 
   [[nodiscard]] std::size_t num_wires() const override {
     return rt_.netlist->num_wires();
@@ -146,9 +145,8 @@ public:
   void stream(sim::TraceSink& sink) override;
 
   /// Identity fingerprint of the stream — (netlist fingerprint, workload,
-  /// cycles), like the whole-trace record_trace cache key. Downstream
-  /// evaluate/select stages use it as the trace fingerprint in their cache
-  /// keys.
+  /// cycles). Downstream evaluate/select stages use it as the trace
+  /// fingerprint in their cache keys.
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
 private:
@@ -176,9 +174,10 @@ public:
   void remove_observer(const std::shared_ptr<StageObserver>& observer);
 
   /// build_core + record_trace (fib and conv) for the built-in core, both
-  /// resolved through the CoreRegistry. Traces are cached by (netlist
-  /// fingerprint, workload, cycles); the netlist build itself is fast and
-  /// always runs (it also provides the fingerprint).
+  /// resolved through the CoreRegistry. Each trace is read once from its
+  /// ChunkedTraceStream (chunks cached like every stream's); the netlist
+  /// build itself is fast and always runs (it also provides the
+  /// fingerprint).
   [[nodiscard]] CoreSetup setup(const CoreSetupSpec& spec);
 
   /// MATE search stage, cached by (netlist fingerprint, fault set, search
@@ -197,45 +196,24 @@ public:
                                               const mate::SearchParams& params,
                                               std::string detail = {});
 
-  /// Trace evaluation stage (fault-space quantification), cached by (MATE
-  /// set fingerprint, trace fingerprint): evaluate_stream over the
-  /// in-memory trace. The first overload fingerprints the trace itself;
-  /// pass a precomputed `trace_fingerprint` (e.g. CoreSetup::fib_trace_fp)
-  /// when evaluating many MATE sets against the same long trace.
-  [[nodiscard]] mate::EvalResult evaluate(const mate::MateSet& set,
-                                          const sim::Trace& trace,
-                                          std::string detail = {});
-  [[nodiscard]] mate::EvalResult evaluate(const mate::MateSet& set,
-                                          const sim::Trace& trace,
-                                          std::uint64_t trace_fingerprint,
-                                          std::string detail);
-
-  /// Greedy top-N ranking stage, cached by (MATE set fingerprint, trace
-  /// fingerprint): select_stream over the in-memory trace.
-  [[nodiscard]] mate::SelectionResult select(const mate::MateSet& set,
-                                             const sim::Trace& trace,
-                                             std::string detail = {});
-  [[nodiscard]] mate::SelectionResult select(const mate::MateSet& set,
-                                             const sim::Trace& trace,
-                                             std::uint64_t trace_fingerprint,
-                                             std::string detail);
-
-  /// Streaming record_trace: a replayable chunk stream over `workload`
+  /// The record_trace stage: a replayable chunk stream over `workload`
   /// (any name from the cores' workload registries, e.g. "fib", "conv",
   /// "sort", "crc", "irq") on the given core, resolved through the
   /// CoreRegistry. Nothing is simulated until the stream is consumed;
   /// chunks are cached individually (stage "record_trace", kind
   /// "trace_chunk"), so only chunks missing from the cache re-simulate.
-  /// This is the bounded-memory path for million-cycle traces — the whole
-  /// trace is never resident.
+  /// Bounded memory for million-cycle traces — the whole trace is never
+  /// resident.
   [[nodiscard]] std::unique_ptr<ChunkedTraceStream> trace_stream(
       CoreKind kind, std::string_view workload, std::size_t cycles);
 
-  /// Streaming evaluate/select: consume a chunked trace source through the
-  /// streaming accumulators with simulation/evaluation overlap, cached under
-  /// the evaluate/select stage kinds keyed by `stream_fingerprint`
-  /// (ChunkedTraceStream::fingerprint()). The whole-trace evaluate/select
-  /// are these stages over the in-memory trace, keyed by its fingerprint.
+  /// Trace evaluation (fault-space quantification) and greedy top-N
+  /// ranking stages: consume a chunked trace source through the streaming
+  /// accumulators with simulation/evaluation overlap, cached by (MATE set
+  /// fingerprint, `stream_fingerprint`). For a ChunkedTraceStream that is
+  /// its fingerprint(); an in-memory trace scores through a
+  /// sim::TransposedTraceSource keyed by, e.g., CoreSetup::fib_trace_fp or
+  /// pipeline::fingerprint(trace).
   [[nodiscard]] mate::EvalResult evaluate_stream(const mate::MateSet& set,
                                                  sim::TraceSource& source,
                                                  std::uint64_t stream_fingerprint,
@@ -247,15 +225,17 @@ public:
   /// Run the campaign stage: shard fan-out per CampaignConfig::threads
   /// (0 falls back to the pipeline's --threads), per-shard progress with
   /// injections/sec, pruned-rate and ETA via the observers, and optional
-  /// shard checkpointing per `spec.resume`. Throws hafi::SoundnessError
-  /// (with its per-shard violation report) in Validate mode.
+  /// shard checkpointing per `spec.resume`. Pruned/Validate campaigns read
+  /// their golden run from a ChunkedTraceStream of run_cycles cycles, only
+  /// when a shard executes. Throws hafi::SoundnessError (with its per-shard
+  /// violation report) in Validate mode.
   [[nodiscard]] hafi::CampaignResult campaign(CampaignSpec spec,
                                               std::string detail = {});
 
   /// Run a full serializable request end-to-end: resolve the core through
-  /// the CoreRegistry, derive the MATE set (find_mates, plus the cached
-  /// selection trace + greedy top-N when `request.top_n` asks for it), then
-  /// run the campaign stage. This is the daemon's entry point — everything
+  /// the CoreRegistry, derive the MATE set (find_mates, plus the greedy
+  /// top-N over the workload's chunk stream when `request.top_n` asks for
+  /// it), then run the campaign stage. This is the daemon's entry point — everything
   /// a request needs beyond pure data comes from the registry, and equal
   /// request_checksum()s are guaranteed byte-identical results.
   [[nodiscard]] hafi::CampaignResult run(const CampaignRequest& request,
@@ -300,21 +280,9 @@ private:
                  void (*write)(ByteWriter&, const T&), Compute&& compute,
                  Counters&& counters);
 
-  /// Column-major view of `trace`, built on first use and memoized by trace
-  /// fingerprint so repeated evaluate/select stages against the same trace
-  /// (40 per trace in Tables 2 and 3) transpose it only once.
-  [[nodiscard]] const sim::TransposedTrace& transposed(
-      const sim::Trace& trace, std::uint64_t trace_fingerprint);
-
-  /// Whole-trace record_trace stage over the runtime's workload, cached by
-  /// (netlist fingerprint, workload, cycles).
-  [[nodiscard]] sim::Trace record_trace(const CoreRuntime& rt,
-                                        std::size_t cycles);
-
   PipelineConfig config_;
   std::shared_ptr<ArtifactCache> cache_;
   std::vector<std::shared_ptr<StageObserver>> observers_;
-  std::unordered_map<std::uint64_t, sim::TransposedTrace> transposed_;
 };
 
 } // namespace ripple::pipeline

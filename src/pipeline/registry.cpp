@@ -50,9 +50,6 @@ CoreRuntime make_runtime(Core core, Program program, std::string workload,
   // The inner factory captures `*c`/`*p` by reference; the wrapper holds the
   // shared_ptrs so those references stay valid.
   rt.batch_factory = [c, p, inner = batch_factory(*c, *p)] { return inner(); };
-  rt.record_trace = [c, p](std::size_t cycles) {
-    return System(*c, *p).run_trace(cycles);
-  };
   rt.boot = [c, p]() -> std::unique_ptr<WorkloadRunner> {
     return std::make_unique<SystemRunner<Core, System>>(c, *p);
   };
@@ -123,10 +120,10 @@ CoreRuntime CoreRegistry::make(const std::string& name,
   }
   CoreRuntime rt = maker(workload);
   RIPPLE_CHECK(rt.netlist != nullptr && rt.batch_factory != nullptr &&
-                   rt.record_trace != nullptr,
+                   rt.boot != nullptr,
                "core registry: maker for '", name,
                "' produced an incomplete runtime (needs a netlist, a batch "
-               "DUT factory and a trace recorder)");
+               "DUT factory and a workload boot)");
   return rt;
 }
 

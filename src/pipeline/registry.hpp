@@ -2,7 +2,7 @@
 //
 // The serializable CampaignRequest (request.hpp) cannot carry function
 // pointers, so everything executable — the netlist build, the 64-lane batch
-// DUT, the workload trace recorders — lives here, keyed by core name. The
+// DUT, the workload boot behind every trace — lives here, keyed by core name. The
 // built-in cores ("avr", "msp430") are registered on first use; binaries with
 // custom targets register their own name (the avr_campaign example registers
 // its checksum program as "avr-checksum"). CampaignPipeline's setup(),
@@ -26,8 +26,8 @@
 
 namespace ripple::pipeline {
 
-/// A booted core system for the streaming trace path: fast-forward without
-/// tracing, or run while pushing per-cycle rows.
+/// A booted core system for the trace stream: fast-forward without tracing,
+/// or run while pushing per-cycle rows.
 class WorkloadRunner {
 public:
   virtual ~WorkloadRunner() = default;
@@ -43,17 +43,17 @@ struct CoreRuntime {
   std::uint64_t fingerprint = 0; // content fingerprint of *netlist
   /// The 64-lane DUT running `workload`; required.
   hafi::BatchDutFactory batch_factory;
-  /// Whole trace of `workload` (golden run, selection trace); required.
-  hafi::TraceRecorder record_trace;
   std::string workload; // resolved workload name (trace cache key)
-  /// Boots `workload` for the streaming record_trace stage.
+  /// Boots `workload` for the record_trace stage (ChunkedTraceStream), the
+  /// one source of every trace: golden runs, selection and bench traces;
+  /// required.
   std::function<std::unique_ptr<WorkloadRunner>()> boot;
   /// Flop-name prefix of the register file (the "FF w/o RF" fault set).
   std::string_view regfile_prefix;
 
   /// The campaign's view of this runtime (borrows *netlist).
   [[nodiscard]] hafi::CampaignTarget target() const {
-    return {netlist.get(), batch_factory, record_trace};
+    return {netlist.get(), batch_factory};
   }
 };
 
@@ -67,7 +67,7 @@ class CoreRegistry {
 public:
   /// Build a CoreRuntime for `workload` (a name from the core's workload
   /// registry; built-ins default an empty string to "fib"). Makers must not
-  /// boot DUTs or record traces: callers time make() as set-up.
+  /// boot DUTs or workloads: callers time make() as set-up.
   using Maker = std::function<CoreRuntime(std::string_view workload)>;
 
   /// The process-wide registry with "avr" and "msp430" pre-registered.
@@ -79,7 +79,7 @@ public:
   [[nodiscard]] bool contains(const std::string& name) const;
 
   /// Resolve `name`; throws ripple::Error on an unknown core, or when its
-  /// maker returns no netlist, batch DUT factory or trace recorder.
+  /// maker returns no netlist, batch DUT factory or workload boot.
   [[nodiscard]] CoreRuntime make(const std::string& name,
                                  std::string_view workload = {}) const;
 

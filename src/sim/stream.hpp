@@ -123,14 +123,6 @@ public:
   virtual void on_chunk(TraceChunk chunk) = 0;
 };
 
-/// Consumer of per-cycle wire-value rows (the simulator-facing half of the
-/// recorder; also what the core systems' run_stream feeds).
-class RowSink {
-public:
-  virtual ~RowSink() = default;
-  virtual void append_row(const BitVec& values) = 0;
-};
-
 /// A replayable chunk stream: stream() delivers every chunk in order, and may
 /// be called more than once (rank_mates_stream makes two passes). Replays
 /// are byte-identical — the source either re-simulates deterministically or
@@ -195,6 +187,19 @@ private:
   std::vector<std::uint64_t> chunk_words_; // wire-major chunk storage
 };
 
+/// Chunk -> row adapter, the inverse of ChunkedTraceRecorder: hands every
+/// cycle of each chunk, in stream order, to `rows` as one row of wire values.
+/// Streaming a source into a Trace (a RowSink) through it yields the
+/// row-major trace the chunks were recorded from.
+class UntransposingSink final : public TraceSink {
+public:
+  explicit UntransposingSink(RowSink& rows) : rows_(&rows) {}
+  void on_chunk(TraceChunk chunk) override;
+
+private:
+  RowSink* rows_;
+};
+
 /// Forwards chunks to `inner` on a dedicated worker thread through a bounded
 /// queue, so the producer (simulator) fills chunk k+1 while the consumer
 /// (evaluation) digests chunk k. on_chunk blocks when the queue is full —
@@ -224,8 +229,9 @@ private:
 };
 
 /// A whole in-memory TransposedTrace replayed as borrowed chunk slices
-/// (no copies): adapts in-memory traces (evaluate_mates/rank_mates, the
-/// pipeline's whole-trace stages) onto the streaming accumulators.
+/// (no copies): adapts in-memory traces (evaluate_mates/rank_mates, bench
+/// traces scored by the pipeline's evaluate/select stages) onto the
+/// streaming accumulators.
 class TransposedTraceSource final : public TraceSource {
 public:
   /// `trace` must outlive the source. chunk_cycles must be a positive

@@ -12,7 +12,7 @@ Trace::Trace(const netlist::Netlist& n) {
   }
 }
 
-void Trace::append(const BitVec& values) {
+void Trace::append_row(const BitVec& values) {
   RIPPLE_ASSERT(values.size() == wire_names_.size(),
                 "snapshot size mismatch: ", values.size(), " vs ",
                 wire_names_.size());
@@ -45,7 +45,7 @@ Trace align_trace(const Trace& trace, const netlist::Netlist& n) {
     for (std::size_t i = 0; i < source_index.size(); ++i) {
       row.set(i, src.get(source_index[i]));
     }
-    out.append(row);
+    out.append_row(row);
   }
   return out;
 }

@@ -16,7 +16,16 @@
 
 namespace ripple::sim {
 
-class Trace {
+/// Consumer of per-cycle wire-value rows: what the core systems' step and
+/// run_stream feed. A Trace keeps every row; a ChunkedTraceRecorder
+/// (sim/stream.hpp) transposes them into chunks as they arrive.
+class RowSink {
+public:
+  virtual ~RowSink() = default;
+  virtual void append_row(const BitVec& values) = 0;
+};
+
+class Trace final : public RowSink {
 public:
   Trace() = default;
 
@@ -30,7 +39,7 @@ public:
   }
 
   /// Record the settled wire values of the current cycle.
-  void append(const BitVec& values);
+  void append_row(const BitVec& values) override;
 
   [[nodiscard]] bool value(std::size_t cycle, WireId w) const {
     RIPPLE_ASSERT(cycle < snapshots_.size());
@@ -65,7 +74,7 @@ Trace record_trace(Simulator& sim, std::size_t cycles, DriveFn&& drive) {
   for (std::size_t c = 0; c < cycles; ++c) {
     drive(sim, c);
     sim.eval();
-    trace.append(sim.values());
+    trace.append_row(sim.values());
     sim.latch();
   }
   return trace;

@@ -150,7 +150,7 @@ Trace parse_vcd(std::string_view text) {
     const std::string_view tok = next_token();
     if (tok.empty()) break;
     if (tok[0] == '#') {
-      if (have_timestamp) trace.append(current);
+      if (have_timestamp) trace.append_row(current);
       have_timestamp = true;
     } else if (tok == "$dumpvars" || tok == "$dumpall" || tok == "$dumpon" ||
                tok == "$dumpoff") {
@@ -173,7 +173,7 @@ Trace parse_vcd(std::string_view text) {
                    "' in VCD body");
     }
   }
-  if (have_timestamp) trace.append(current);
+  if (have_timestamp) trace.append_row(current);
 
   return trace;
 }

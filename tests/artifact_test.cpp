@@ -72,27 +72,30 @@ TEST(Artifact, Figure1NetlistRoundTrip) {
                    [](ByteReader& r) { return read_netlist(r); });
 }
 
-TEST(Artifact, TraceRoundTrip) {
+TEST(Artifact, TraceFingerprintCoversNamesAndValues) {
+  // An in-memory trace's cache identity: equal traces share it, one flipped
+  // bit or one renamed wire changes it.
   const netlist::Netlist n = build_sequential_netlist();
-  sim::Trace t(n);
-  for (std::size_t c = 0; c < 70; ++c) { // > one BitVec word of cycles
-    BitVec row(n.num_wires());
-    for (std::size_t i = 0; i < n.num_wires(); ++i) {
-      row.set(i, ((c * 7 + i) % 3) == 0);
+  const auto make = [&](std::size_t flip_cycle, const char* rename) {
+    std::vector<std::string> names;
+    for (WireId w : n.all_wires()) names.push_back(n.wire(w).name);
+    if (rename != nullptr) names[0] = rename;
+    sim::Trace t = sim::make_trace_for_names(std::move(names));
+    for (std::size_t c = 0; c < 70; ++c) { // > one BitVec word of cycles
+      BitVec row(n.num_wires());
+      for (std::size_t i = 0; i < n.num_wires(); ++i) {
+        row.set(i, ((c * 7 + i) % 3) == 0);
+      }
+      if (c == flip_cycle) row.flip(2);
+      t.append_row(row);
     }
-    t.append(row);
-  }
-  expect_roundtrip(t, write_trace,
-                   [](ByteReader& r) { return read_trace(r); });
-
-  ByteWriter w;
-  write_trace(w, t);
-  ByteReader r(w.bytes());
-  const sim::Trace back = read_trace(r);
-  EXPECT_EQ(back.num_cycles(), 70u);
-  EXPECT_EQ(back.num_wires(), n.num_wires());
-  EXPECT_EQ(back.wire_name(0), t.wire_name(0));
-  EXPECT_EQ(back.value(69, WireId{2}), t.value(69, WireId{2}));
+    return t;
+  };
+  const std::uint64_t fp = fingerprint(make(70, nullptr));
+  EXPECT_EQ(fingerprint(make(70, nullptr)), fp);
+  EXPECT_NE(fingerprint(make(69, nullptr)), fp);
+  EXPECT_NE(fingerprint(make(0, nullptr)), fp);
+  EXPECT_NE(fingerprint(make(70, "renamed")), fp);
 }
 
 TEST(Artifact, TransposedTraceRoundTrip) {
@@ -103,7 +106,7 @@ TEST(Artifact, TransposedTraceRoundTrip) {
     for (std::size_t i = 0; i < n.num_wires(); ++i) {
       row.set(i, ((c * 5 + i) % 3) == 0);
     }
-    t.append(row);
+    t.append_row(row);
   }
   const sim::TransposedTrace tt(t);
   expect_roundtrip(tt, write_transposed_trace,

@@ -309,16 +309,21 @@ void expect_same_trace(const Trace& kernel, const Trace& reference,
 }
 
 TEST(BatchSim, CoreTracesMatchReferenceSimulator) {
-  // The traces every golden run and streamed workload are recorded with
-  // come from the compiled kernel; the reference steps the same harness
-  // protocol (settle, serve memories, settle) through per-bit truth-table
-  // evaluation.
+  // Every trace — golden runs and streamed workloads alike — is recorded
+  // from the workload the registry boots, on the compiled kernel; the
+  // reference steps the same harness protocol (settle, serve memories,
+  // settle) through per-bit truth-table evaluation.
   constexpr std::size_t kCycles = 2000;
   const pipeline::CoreRegistry& registry = pipeline::CoreRegistry::global();
+  const auto booted_trace = [&](const pipeline::CoreRuntime& rt) {
+    sim::Trace trace(*rt.netlist);
+    rt.boot()->run_stream(kCycles, trace);
+    return trace;
+  };
   {
     const pipeline::CoreRuntime rt = registry.make("avr", "fib");
     expect_same_trace(
-        rt.record_trace(kCycles),
+        booted_trace(rt),
         reference_avr_trace(*rt.netlist,
                             cores::avr::resolve_avr_ports(*rt.netlist),
                             cores::avr::workload_program("fib"), kCycles),
@@ -327,7 +332,7 @@ TEST(BatchSim, CoreTracesMatchReferenceSimulator) {
   {
     const pipeline::CoreRuntime rt = registry.make("msp430", "fib");
     expect_same_trace(
-        rt.record_trace(kCycles),
+        booted_trace(rt),
         reference_msp430_trace(
             *rt.netlist, cores::msp430::resolve_msp430_ports(*rt.netlist),
             cores::msp430::workload_image("fib"), kCycles),

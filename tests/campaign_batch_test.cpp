@@ -1,10 +1,12 @@
 // The 64-lane batch engine against the one-boot-per-experiment scalar
 // oracle (tests/support): the registry's production targets must produce a
 // byte-identical CampaignResult to the oracle across both cores, all three
-// CampaignModes and any thread count, and checkpoints cut from the oracle's
+// CampaignModes and any thread count — the production golden run (a chunk
+// stream scored by mate::benign_masks) against the oracle's own (a scalar
+// trace scored by benign_matrix) — and checkpoints cut from the oracle's
 // result must replay under the batch engine after a kill. Also pins down
 // the lane-utilization accounting that feeds the --report=json counters and
-// the campaign's refusal of incomplete targets.
+// the campaign's refusal of incomplete targets and misshapen golden runs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,6 +15,7 @@
 #include "mate/search.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/registry.hpp"
+#include "support/golden_run.hpp"
 #include "support/scalar_campaign.hpp"
 #include "util/serialize.hpp"
 
@@ -72,9 +75,12 @@ std::vector<std::uint8_t> result_bytes(const CampaignResult& r) {
   return w.take();
 }
 
-/// The oracle's campaign over the batch campaign's own plan.
+/// The oracle's campaign over the batch campaign's own plan (which the mode
+/// does not change).
 CampaignResult oracle_result(const Target& t, const CampaignConfig& cfg) {
-  Campaign planner(t.runtime.target(), cfg, mates_for(t, cfg.mode));
+  CampaignConfig plan_cfg = cfg;
+  plan_cfg.mode = CampaignMode::Baseline;
+  Campaign planner(t.runtime.target(), plan_cfg);
   return run_scalar_campaign(t.oracle, cfg, planner.plan().points,
                              mates_for(t, cfg.mode));
 }
@@ -91,9 +97,11 @@ void expect_matches_oracle(const Target& t, const CampaignConfig& base) {
     if (mode != CampaignMode::Baseline) {
       EXPECT_GT(reference.pruned, 0u) << "mode=" << mode_name(mode);
     }
+    const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
     for (const std::size_t threads : {1u, 2u, 8u}) {
       cfg.threads = threads;
-      Campaign campaign(t.runtime.target(), cfg, mates_for(t, mode));
+      Campaign campaign(t.runtime.target(), cfg, mates_for(t, mode),
+                        golden.get());
       EXPECT_EQ(result_bytes(campaign.run()), result_bytes(reference))
           << "batch engine differs from the scalar oracle: mode="
           << mode_name(mode) << " threads=" << threads;
@@ -121,7 +129,8 @@ TEST(CampaignBatch, ScalarCheckpointsReplayUnderBitparAfterKill) {
   cfg.mode = CampaignMode::Pruned;
   const CampaignResult expected = oracle_result(t, cfg);
 
-  Campaign campaign(t.runtime.target(), cfg, &t.search.set);
+  const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
+  Campaign campaign(t.runtime.target(), cfg, &t.search.set, golden.get());
   const CampaignPlan& plan = campaign.plan();
   std::map<std::size_t, ShardResult> persisted;
   for (std::size_t s = 0; s < 3; ++s) {
@@ -191,19 +200,52 @@ TEST(CampaignBatch, RejectsTargetWithoutBatchFactory) {
   EXPECT_THROW(Campaign(target, small_config(24, 200)), Error);
 }
 
-TEST(CampaignBatch, PrunedAndValidateNeedATraceRecorder) {
+TEST(CampaignBatch, PrunedAndValidateNeedAGoldenRun) {
   const Target& t = avr_target();
-  CampaignTarget target = t.runtime.target();
-  target.record_trace = nullptr;
   CampaignConfig cfg = small_config(24, 200);
-  // Baseline runs no golden trace, so it needs no recorder.
-  const CampaignResult baseline = Campaign(target, cfg).run();
+  // Baseline runs no golden trace, so it needs none.
+  const CampaignResult baseline = Campaign(t.runtime.target(), cfg).run();
   EXPECT_EQ(baseline.executed, 24u);
   for (const CampaignMode mode :
        {CampaignMode::Pruned, CampaignMode::Validate}) {
     cfg.mode = mode;
-    EXPECT_THROW(Campaign(target, cfg, &t.search.set), Error)
+    EXPECT_THROW(Campaign(t.runtime.target(), cfg, &t.search.set), Error)
         << "mode=" << mode_name(mode);
+  }
+}
+
+TEST(CampaignBatch, RejectsGoldenRunOfTheWrongShape) {
+  // The golden run must cover exactly run_cycles cycles of every netlist
+  // wire; the shape is checked before anything streams.
+  struct Shape final : sim::TraceSource {
+    std::size_t wires = 0;
+    std::size_t cycles = 0;
+    std::size_t streams = 0;
+    [[nodiscard]] std::size_t num_wires() const override { return wires; }
+    [[nodiscard]] std::size_t num_cycles() const override { return cycles; }
+    [[nodiscard]] std::size_t chunk_cycles() const override { return 64; }
+    void stream(sim::TraceSink&) override { ++streams; }
+  };
+  const Target& t = avr_target();
+  CampaignConfig cfg = small_config(24, 200);
+  cfg.mode = CampaignMode::Pruned;
+  const std::size_t wires = t.runtime.netlist->num_wires();
+  for (const auto& [w, c] : {std::pair{wires, std::size_t{199}},
+                             std::pair{wires, std::size_t{201}},
+                             std::pair{wires - 1, std::size_t{200}},
+                             std::pair{wires + 1, std::size_t{200}}}) {
+    Shape golden;
+    golden.wires = w;
+    golden.cycles = c;
+    try {
+      Campaign(t.runtime.target(), cfg, &t.search.set, &golden);
+      ADD_FAILURE() << "accepted a " << c << "-cycle golden run of " << w
+                    << " wires";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("golden run"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(golden.streams, 0u);
   }
 }
 

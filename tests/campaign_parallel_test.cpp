@@ -17,6 +17,7 @@
 #include "pipeline/artifact.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/registry.hpp"
+#include "support/golden_run.hpp"
 #include "util/serialize.hpp"
 
 namespace ripple::hafi {
@@ -152,7 +153,8 @@ TEST(CampaignParallel, ValidateModeAbortsOnSoundnessViolation) {
   cfg.sample = 60;      // are known to occur (see hafi_test)
   cfg.seed = 7;
   cfg.mode = CampaignMode::Validate;
-  Campaign campaign(avr().target(), cfg, &bogus);
+  const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
+  Campaign campaign(avr().target(), cfg, &bogus, golden.get());
   try {
     (void)campaign.run();
     FAIL() << "expected SoundnessError";
@@ -198,9 +200,8 @@ TEST(CampaignParallel, PipelineResumeReplaysShardsFromCache) {
     pipe.add_observer(rec);
 
     pipeline::CampaignSpec spec;
-    spec.target = avr().target();
+    spec.runtime = avr();
     spec.config = small_config();
-    spec.netlist_fingerprint = avr().fingerprint;
     spec.resume = true;
     return result_bytes(pipe.campaign(std::move(spec), "resume test"));
   };

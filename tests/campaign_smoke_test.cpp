@@ -53,13 +53,12 @@ TEST(CampaignSmoke, InterruptedCampaignResumesByteIdentical) {
     pipe.add_observer(rec);
 
     pipeline::CampaignSpec spec;
-    spec.target = avr.target();
+    spec.runtime = avr;
     spec.config.run_cycles = 200;
     spec.config.sample = 24;
     spec.config.seed = 5;
     spec.config.threads = 2;
     spec.config.shard_size = 6; // 4 shards
-    spec.netlist_fingerprint = avr.fingerprint;
     spec.resume = true;
     const CampaignResult result = pipe.campaign(std::move(spec), "smoke");
     ByteWriter w;

@@ -23,7 +23,9 @@ const AvrCore& core() {
 
 sim::Trace trace_of(const Program& p, std::size_t cycles) {
   AvrSystem sys(core(), p);
-  return sys.run_trace(cycles);
+  sim::Trace trace(core().netlist);
+  sys.run_stream(cycles, trace);
+  return trace;
 }
 
 TEST(DefUse, AccessExtractionMatchesProgram) {
@@ -177,7 +179,8 @@ halt:
     jmp halt
 )");
   cores::msp430::Msp430System sys(mcore(), img);
-  const sim::Trace trace = sys.run_trace(40);
+  sim::Trace trace(mcore().netlist);
+  sys.run_stream(40, trace);
   const AvrRegAccesses acc = analyze_msp430_accesses(mcore().netlist, trace);
   const DefUseResult r = defuse_prune(acc);
 
@@ -211,7 +214,8 @@ halt:
     jmp halt
 )");
   cores::msp430::Msp430System sys(mcore(), img);
-  const sim::Trace trace = sys.run_trace(30);
+  sim::Trace trace(mcore().netlist);
+  sys.run_stream(30, trace);
   const AvrRegAccesses acc = analyze_msp430_accesses(mcore().netlist, trace);
   // Some cycle must both read and write r5 (the += 2), and the read must
   // dominate: a pointer fault is never benign at the increment.
@@ -230,7 +234,8 @@ TEST(DefUseMsp430, BenignVerdictsConfirmedByInjection) {
   static const cores::msp430::Image img = cores::msp430::fib_image();
   constexpr std::size_t kCycles = 400;
   cores::msp430::Msp430System tracer(mcore(), img);
-  const sim::Trace trace = tracer.run_trace(kCycles);
+  sim::Trace trace(mcore().netlist);
+  tracer.run_stream(kCycles, trace);
   const DefUseResult r =
       defuse_prune(analyze_msp430_accesses(mcore().netlist, trace));
 

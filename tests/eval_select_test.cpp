@@ -8,6 +8,7 @@
 #include "mate/select.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "support/oracles.hpp"
 
 namespace ripple::mate {
 namespace {

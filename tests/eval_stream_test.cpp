@@ -6,9 +6,12 @@
 // cycle counts straddling block and chunk edges, overlap on/off, any thread
 // count, recorder-driven re-simulating sources, manual accumulator feeding,
 // constant-true and empty MATE sets, and searched MATEs on Figure 1 and on
-// random circuits. Also covers the chunk producer machinery:
-// ChunkedTraceRecorder output vs the whole-trace transpose, trace_memory
-// accounting, and consumer-error propagation through AsyncTraceSink.
+// random circuits. mate::benign_masks — the campaign's pruning decisions —
+// must equal the scalar benign_matrix oracle bit for bit, on random
+// circuits and on both cores. Also covers the chunk producer machinery:
+// ChunkedTraceRecorder output vs the whole-trace transpose, the
+// UntransposingSink round trip back to rows, trace_memory accounting, and
+// consumer-error propagation through AsyncTraceSink.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +27,7 @@
 #include "mate/select.hpp"
 #include "mate/stream.hpp"
 #include "netlist/random.hpp"
+#include "pipeline/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stream.hpp"
 #include "sim/trace.hpp"
@@ -197,6 +201,109 @@ TEST(StreamChunks, RecorderMatchesWholeTraceTranspose) {
         }
       }
     }
+  }
+}
+
+TEST(StreamChunks, UntransposingSinkRoundTripsRows) {
+  // Rows -> ChunkedTraceRecorder -> chunks -> UntransposingSink -> rows:
+  // wire counts inside one 64-wire group, just past it and across three,
+  // traces ending off a block and off a chunk.
+  struct Rows final : sim::RowSink {
+    std::vector<BitVec> rows;
+    void append_row(const BitVec& values) override { rows.push_back(values); }
+  };
+  Rng rng(17);
+  for (const std::size_t wires : {1u, 63u, 65u, 130u}) {
+    for (const std::size_t chunk_cycles : {64u, 128u}) {
+      for (const std::size_t cycles : {37u, 300u}) {
+        std::vector<BitVec> rows(cycles, BitVec(wires));
+        for (BitVec& row : rows) {
+          for (std::size_t w = 0; w < wires; ++w) row.set(w, rng.next_bool());
+        }
+        Rows back;
+        sim::UntransposingSink untranspose(back);
+        sim::ChunkedTraceRecorder recorder(wires, cycles, chunk_cycles,
+                                           untranspose);
+        for (const BitVec& row : rows) recorder.append_row(row);
+        recorder.finish();
+        ASSERT_EQ(back.rows.size(), cycles);
+        for (std::size_t c = 0; c < cycles; ++c) {
+          ASSERT_EQ(back.rows[c], rows[c])
+              << "wires=" << wires << " chunk=" << chunk_cycles
+              << " cycles=" << cycles << " cycle " << c;
+        }
+      }
+    }
+  }
+}
+
+/// benign_masks == the scalar benign_matrix oracle at chunk sizes 64, 128
+/// and the default; the callers pick trace lengths that end off a chunk and
+/// off a 64-cycle block. Returns the oracle's benign (fault, cycle) count.
+std::size_t expect_masks_match(const MateSet& set, const sim::Trace& trace) {
+  const std::vector<std::vector<bool>> oracle = benign_matrix(set, trace);
+  std::size_t benign = 0;
+  for (const std::vector<bool>& row : oracle) {
+    benign += static_cast<std::size_t>(std::count(row.begin(), row.end(), true));
+  }
+  const sim::TransposedTrace tt(trace);
+  for (const std::size_t chunk : {std::size_t{64}, std::size_t{128},
+                                  sim::kDefaultChunkCycles}) {
+    sim::TransposedTraceSource source(tt, chunk);
+    const std::vector<BitVec> masks = benign_masks(set, source);
+    EXPECT_EQ(masks.size(), oracle.size()) << "chunk=" << chunk;
+    for (std::size_t i = 0; i < std::min(masks.size(), oracle.size()); ++i) {
+      EXPECT_EQ(masks[i].size(), trace.num_cycles()) << "chunk=" << chunk;
+      for (std::size_t c = 0; c < trace.num_cycles(); ++c) {
+        if (masks[i].get(c) != oracle[i][c]) {
+          ADD_FAILURE() << "chunk=" << chunk << " fault " << i << " cycle "
+                        << c;
+          return benign;
+        }
+      }
+    }
+  }
+  return benign;
+}
+
+TEST(BenignMasks, MatchOracleOnRandomCircuits) {
+  Rng rng(31);
+  for (std::size_t round = 0; round < 6; ++round) {
+    const Netlist n = netlist::random_circuit({.num_inputs = 4, .num_flops = 6,
+                                      .num_gates = 40},
+                                     rng);
+    // Synthetic sets (empty cubes, wires masked by several MATEs) on traces
+    // from one cycle up to past two 128-cycle chunks.
+    const std::size_t cycles = 1 + rng.next_below(300);
+    expect_masks_match(random_mate_set(n, 1 + rng.next_below(12), rng),
+                       random_trace(n, cycles, rng));
+  }
+  const Netlist n = netlist::random_circuit({.num_inputs = 4, .num_flops = 8,
+                                    .num_gates = 60, .allow_xor = false},
+                                   rng);
+  SearchParams params;
+  params.path_depth = 8;
+  params.max_candidates_per_wire = 2000;
+  const SearchResult r = find_mates(n, all_flop_wires(n), params);
+  expect_masks_match(r.set, random_trace(n, 299, rng));
+}
+
+TEST(BenignMasks, MatchOracleOnBothCores) {
+  // fib over 1 000 cycles (15 full blocks and a 40-cycle tail), the full
+  // flop set; trimmed search parameters keep the MATE sets CI-sized.
+  constexpr std::size_t kCycles = 1000;
+  for (const char* core : {"avr", "msp430"}) {
+    const pipeline::CoreRuntime rt =
+        pipeline::CoreRegistry::global().make(core, "fib");
+    sim::Trace trace(*rt.netlist);
+    rt.boot()->run_stream(kCycles, trace);
+    SearchParams params;
+    params.path_depth = 8;
+    params.max_candidates_per_wire = 2000;
+    const SearchResult r =
+        find_mates(*rt.netlist, all_flop_wires(*rt.netlist), params);
+    SCOPED_TRACE(core);
+    EXPECT_GT(expect_masks_match(r.set, trace), 0u);
   }
 }
 

@@ -4,6 +4,7 @@
 #include "hafi/campaign.hpp"
 #include "mate/search.hpp"
 #include "pipeline/registry.hpp"
+#include "support/golden_run.hpp"
 #include "support/scalar_campaign.hpp"
 
 namespace ripple::hafi {
@@ -94,7 +95,8 @@ TEST(Campaign, MatePruningSavesExperimentsAndIsSound) {
   cfg.sample = 600; // fib masks ~3 % of the space; 600 draws make a zero-
                     // prune campaign astronomically unlikely
   cfg.mode = CampaignMode::Validate;
-  Campaign campaign(target(), cfg, &search.set);
+  const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
+  Campaign campaign(target(), cfg, &search.set, golden.get());
   const CampaignResult r = campaign.run();
 
   EXPECT_GT(r.pruned, 0u) << "MATEs should prune some sampled injections";
@@ -106,7 +108,8 @@ TEST(Campaign, MatePruningSavesExperimentsAndIsSound) {
 TEST(Campaign, PrunedSkippedWithoutValidation) {
   CampaignConfig cfg = small_config();
   cfg.mode = CampaignMode::Pruned;
-  Campaign campaign(target(), cfg, &avr_search().set);
+  const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
+  Campaign campaign(target(), cfg, &avr_search().set, golden.get());
   const CampaignResult r = campaign.run();
   EXPECT_EQ(r.executed + r.pruned, r.total);
   if (r.pruned > 0) {
@@ -121,10 +124,9 @@ TEST(Campaign, BaselineAndPrunedAgreeOnExecutedOutcomes) {
 
   CampaignConfig vcfg = cfg;
   vcfg.mode = CampaignMode::Validate;
-  Campaign pruned_campaign(target(), vcfg,
-                           &avr_search().set);
-  // Same config -> same plan, but make the like-for-like comparison explicit.
-  pruned_campaign.use_plan(base_campaign.plan());
+  const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
+  Campaign pruned_campaign(target(), vcfg, &avr_search().set,
+                           golden.get());
   const CampaignResult pruned = pruned_campaign.run();
 
   ASSERT_EQ(base.experiments.size(), pruned.experiments.size());
@@ -133,6 +135,30 @@ TEST(Campaign, BaselineAndPrunedAgreeOnExecutedOutcomes) {
     EXPECT_EQ(base.experiments[i].outcome, pruned.experiments[i].outcome);
   }
   EXPECT_EQ(base.sdc, pruned.sdc);
+}
+
+TEST(Campaign, PlanIsTheSameForEveryModeAndThreadCount) {
+  // The plan reads the netlist's flops and run_cycles, sample, seed and
+  // shard_size — never the mode or the thread count — so Baseline, Pruned
+  // and Validate campaigns over one config inject the same points.
+  const CampaignConfig base = small_config();
+  Campaign reference(target(), base);
+  const CampaignPlan& expected = reference.plan();
+  const auto golden = pipeline::golden_run(avr(), base.run_cycles);
+  for (const std::size_t threads : {1u, 8u}) {
+    for (const CampaignMode mode :
+         {CampaignMode::Baseline, CampaignMode::Pruned,
+          CampaignMode::Validate}) {
+      CampaignConfig cfg = base;
+      cfg.threads = threads;
+      cfg.mode = mode;
+      Campaign campaign(target(), cfg, &avr_search().set, golden.get());
+      EXPECT_EQ(campaign.plan().points, expected.points)
+          << "mode=" << mode_name(mode) << " threads=" << threads;
+      EXPECT_EQ(campaign.plan().shard_size, expected.shard_size)
+          << "mode=" << mode_name(mode) << " threads=" << threads;
+    }
+  }
 }
 
 TEST(Campaign, ModeRequiresMateSet) {

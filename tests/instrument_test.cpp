@@ -128,7 +128,8 @@ TEST(Instrument, HardwareCostMatchesLutArgument) {
       mate::find_mates(core.netlist, mate::all_flop_wires(core.netlist), {});
   static const cores::avr::Program prog = cores::avr::fib_program();
   cores::avr::AvrSystem sys(core, prog);
-  const sim::Trace trace = sys.run_trace(1000);
+  sim::Trace trace(core.netlist);
+  sys.run_stream(1000, trace);
   const mate::SelectionResult sel = mate::rank_mates(r.set, trace);
   const mate::MateSet top50 = mate::top_n(r.set, sel, 50);
 

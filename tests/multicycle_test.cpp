@@ -129,7 +129,8 @@ TEST(MultiCycleOracle, MonotoneInKOnAvr) {
   const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
   static const cores::avr::Program prog = cores::avr::fib_program();
   cores::avr::AvrSystem sys(core, prog);
-  const Trace trace = sys.run_trace(200);
+  Trace trace(core.netlist);
+  sys.run_stream(200, trace);
   MultiCycleOracle oracle(core.netlist);
 
   std::size_t masked1 = 0;

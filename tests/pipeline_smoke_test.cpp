@@ -59,11 +59,13 @@ void run_once(const std::filesystem::path& cache_dir, RunResult& out) {
 
   const mate::SearchResult search =
       pipe.find_mates(setup, faulty, params, "smoke");
-  const mate::EvalResult eval = pipe.evaluate(
-      search.set, setup.fib_trace, setup.fib_trace_fp, "smoke");
+  const sim::TransposedTrace fib_words(setup.fib_trace);
+  sim::TransposedTraceSource fib(fib_words);
+  const mate::EvalResult eval =
+      pipe.evaluate_stream(search.set, fib, setup.fib_trace_fp, "smoke");
   (void)eval;
-  const mate::SelectionResult sel = pipe.select(
-      search.set, setup.fib_trace, setup.fib_trace_fp, "smoke");
+  const mate::SelectionResult sel =
+      pipe.select_stream(search.set, fib, setup.fib_trace_fp, "smoke");
 
   ByteWriter ws;
   write_search_result(ws, search);

@@ -7,6 +7,8 @@
 
 #include <unistd.h>
 
+#include "cores/avr/programs.hpp"
+#include "cores/avr/system.hpp"
 #include "mate/example.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/cache.hpp"
@@ -243,9 +245,9 @@ TEST(Pipeline, ChunkedStreamTailExtensionReusesPrefixChunks) {
   EXPECT_EQ(counter(rec.stages[3], "chunk_misses"), 1.0);
 }
 
-// The streamed chunks carry exactly the bits of the whole-trace recording:
-// every chunk equals the corresponding cycle range of the record_trace +
-// TransposedTrace path, word for word.
+// The streamed chunks carry exactly the bits of an independent whole-trace
+// recording — the AVR system stepped into a sim::Trace, then transposed:
+// every chunk equals the corresponding cycle range, word for word.
 TEST(Pipeline, ChunkedStreamMatchesWholeTraceRecording) {
   TempDir tmp;
   PipelineConfig config;
@@ -253,15 +255,16 @@ TEST(Pipeline, ChunkedStreamMatchesWholeTraceRecording) {
   config.trace_chunk_cycles = 128;
   CampaignPipeline pipe(config);
 
-  CoreSetupSpec spec;
-  spec.kind = CoreKind::Avr;
-  spec.trace_cycles = 300; // 2 full chunks + a 44-cycle partial tail
-  const CoreSetup setup = pipe.setup(spec);
-  const sim::TransposedTrace tt(setup.fib_trace);
+  constexpr std::size_t kCycles = 300; // 2 full chunks + a 44-cycle tail
+  const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
+  cores::avr::AvrSystem system(core, cores::avr::fib_program());
+  sim::Trace whole(core.netlist);
+  system.run_stream(kCycles, whole);
+  const sim::TransposedTrace tt(whole);
 
-  const auto stream = pipe.trace_stream(CoreKind::Avr, "fib", 300);
-  EXPECT_EQ(stream->num_wires(), setup.netlist.num_wires());
-  EXPECT_EQ(stream->num_cycles(), 300u);
+  const auto stream = pipe.trace_stream(CoreKind::Avr, "fib", kCycles);
+  EXPECT_EQ(stream->num_wires(), core.netlist.num_wires());
+  EXPECT_EQ(stream->num_cycles(), kCycles);
   struct Collect final : sim::TraceSink {
     std::vector<sim::TraceChunk> chunks;
     void on_chunk(sim::TraceChunk c) override {
@@ -296,8 +299,8 @@ std::vector<std::uint8_t> bytes(const mate::SelectionResult& sel) {
 }
 
 /// The evaluate/select oracles on a real core (fib, 1024 cycles, full flop
-/// set): the scalar oracle, the whole-trace stages and the streamed stages
-/// over a chunked trace_stream produce byte-identical artifacts.
+/// set): the scalar oracle, the stages over setup()'s in-memory trace and
+/// the stages over a chunked trace_stream produce byte-identical artifacts.
 void expect_stages_match_oracle(CoreKind kind) {
   constexpr std::size_t kCycles = 1024;
   PipelineConfig config;           // no cache: every stage computes
@@ -318,11 +321,13 @@ void expect_stages_match_oracle(CoreKind kind) {
   const std::vector<std::uint8_t> oracle_sel =
       bytes(mate::rank_mates_scalar(set, setup.fib_trace));
 
-  EXPECT_EQ(bytes(pipe.evaluate(set, setup.fib_trace, setup.fib_trace_fp,
-                                "whole")),
-            oracle_eval);
+  const sim::TransposedTrace fib_words(setup.fib_trace);
+  sim::TransposedTraceSource fib(fib_words);
   EXPECT_EQ(
-      bytes(pipe.select(set, setup.fib_trace, setup.fib_trace_fp, "whole")),
+      bytes(pipe.evaluate_stream(set, fib, setup.fib_trace_fp, "in memory")),
+      oracle_eval);
+  EXPECT_EQ(
+      bytes(pipe.select_stream(set, fib, setup.fib_trace_fp, "in memory")),
       oracle_sel);
 
   const auto stream = pipe.trace_stream(kind, "fib", kCycles);
@@ -340,6 +345,80 @@ TEST(Pipeline, AvrEvalSelectStagesMatchScalarOracle) {
 
 TEST(Pipeline, Msp430EvalSelectStagesMatchScalarOracle) {
   expect_stages_match_oracle(CoreKind::Msp430);
+}
+
+// One golden path: a Pruned top-N request ranks on the workload's chunk
+// stream and its campaign's golden run reads the same cached chunk. Replayed
+// with resume on the same cache, it reads no trace at all — the selection
+// hits without streaming and every shard resumes, so the golden run is never
+// streamed.
+TEST(Pipeline, ResumedPrunedReplayReadsNoTrace) {
+  struct Recorder : StageObserver {
+    std::vector<StageStats> stages;
+    void stage_end(const StageStats& stats) override {
+      stages.push_back(stats);
+    }
+    [[nodiscard]] std::vector<StageStats> named(std::string_view name) const {
+      std::vector<StageStats> out;
+      for (const StageStats& s : stages) {
+        if (s.stage == name) out.push_back(s);
+      }
+      return out;
+    }
+  };
+  const auto counter = [](const StageStats& s, const char* name) {
+    for (const auto& [key, value] : s.counters) {
+      if (key == name) return value;
+    }
+    return -1.0;
+  };
+
+  TempDir tmp;
+  CampaignRequest request;
+  request.core = "avr";
+  request.config.run_cycles = 200;
+  request.config.sample = 24;
+  request.config.seed = 5;
+  request.config.threads = 2;
+  request.config.shard_size = 6; // 4 shards
+  request.config.mode = hafi::CampaignMode::Pruned;
+  request.search_depth = 8;
+  request.top_n = 20;
+  request.resume = true;
+
+  const auto run_once = [&](const std::shared_ptr<Recorder>& rec) {
+    PipelineConfig config;
+    config.cache_dir = tmp.path;
+    config.threads = 2;
+    CampaignPipeline pipe(config);
+    pipe.add_observer(rec);
+    ByteWriter w;
+    write_campaign_result(w, pipe.run(request));
+    return w.take();
+  };
+  const auto cold = std::make_shared<Recorder>();
+  const auto warm = std::make_shared<Recorder>();
+  const std::vector<std::uint8_t> first = run_once(cold);
+  const std::vector<std::uint8_t> second = run_once(warm);
+  EXPECT_EQ(first, second);
+
+  // Cold: the selection's first pass simulates the one chunk; its second
+  // pass and the golden run replay it.
+  const std::vector<StageStats> cold_traces = cold->named("record_trace");
+  ASSERT_EQ(cold_traces.size(), 3u);
+  EXPECT_EQ(counter(cold_traces[0], "chunk_misses"), 1.0);
+  EXPECT_TRUE(cold_traces[1].cache_hit);
+  EXPECT_TRUE(cold_traces[2].cache_hit);
+  EXPECT_FALSE(cold->named("select").at(0).cache_hit);
+
+  // Warm: no trace stage at all.
+  EXPECT_TRUE(warm->named("record_trace").empty());
+  ASSERT_EQ(warm->named("select").size(), 1u);
+  EXPECT_TRUE(warm->named("select")[0].cache_hit);
+  const StageStats campaign = warm->named("campaign").at(0);
+  EXPECT_EQ(counter(campaign, "shards_resumed"), 4.0);
+  EXPECT_EQ(counter(campaign, "shards"), 4.0);
+  EXPECT_GT(counter(campaign, "pruned"), 0.0);
 }
 
 TEST(PipelineOptions, ParsesSharedFlags) {

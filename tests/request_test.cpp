@@ -185,7 +185,6 @@ TEST(CoreRegistryTest, BuiltinsResolve) {
   ASSERT_NE(rt.netlist, nullptr);
   EXPECT_NE(rt.fingerprint, 0u);
   EXPECT_TRUE(static_cast<bool>(rt.batch_factory));
-  EXPECT_TRUE(static_cast<bool>(rt.record_trace));
   EXPECT_TRUE(static_cast<bool>(rt.boot));
   EXPECT_EQ(rt.workload, "fib"); // empty workload resolves to the default
 
@@ -195,20 +194,21 @@ TEST(CoreRegistryTest, BuiltinsResolve) {
 }
 
 TEST(CoreRegistryTest, MakerWithoutBatchFactoryOrRecorderIsRejected) {
-  // Every target runs on the 64-lane engine and records its own golden
-  // trace, so make() refuses a maker that leaves either piece out.
+  // Every target runs on the 64-lane engine and boots its workload for
+  // every trace (golden run included), so make() refuses a maker that
+  // leaves either piece out, naming the core, before anything runs.
   CoreRegistry reg;
   reg.register_core("no-batch", [](std::string_view workload) {
     CoreRuntime rt = CoreRegistry::global().make("avr", workload);
     rt.batch_factory = nullptr;
     return rt;
   });
-  reg.register_core("no-recorder", [](std::string_view workload) {
+  reg.register_core("no-boot", [](std::string_view workload) {
     CoreRuntime rt = CoreRegistry::global().make("avr", workload);
-    rt.record_trace = nullptr;
+    rt.boot = nullptr;
     return rt;
   });
-  for (const std::string name : {"no-batch", "no-recorder"}) {
+  for (const std::string name : {"no-batch", "no-boot"}) {
     try {
       (void)reg.make(name);
       FAIL() << "expected Error for " << name;
@@ -254,13 +254,15 @@ TEST(Request, RunMatchesHandAssembledSpec) {
   CampaignPipeline pipe(config);
   const hafi::CampaignResult from_request = pipe.run(request);
 
-  const cores::avr::AvrCore core = cores::avr::build_avr_core(true);
+  const auto core = std::make_shared<const cores::avr::AvrCore>(
+      cores::avr::build_avr_core(true));
   const cores::avr::Program program = cores::avr::fib_program();
   CampaignSpec spec;
-  spec.target.netlist = &core.netlist;
-  spec.target.batch_factory = hafi::make_avr_batch_factory(core, program);
+  spec.runtime.netlist =
+      std::shared_ptr<const netlist::Netlist>(core, &core->netlist);
+  spec.runtime.fingerprint = fingerprint(core->netlist);
+  spec.runtime.batch_factory = hafi::make_avr_batch_factory(*core, program);
   spec.config = request.config;
-  spec.netlist_fingerprint = fingerprint(core.netlist);
   const hafi::CampaignResult from_spec =
       pipe.campaign(std::move(spec), "hand-assembled");
 

@@ -231,7 +231,7 @@ TEST(Trace, AlignReordersByName) {
   BitVec row(3);
   row.set(0, true); // y = 1
   row.set(2, true); // extra = 1 (dropped)
-  foreign.append(row);
+  foreign.append_row(row);
   const Trace aligned = align_trace(foreign, n);
   ASSERT_EQ(aligned.num_cycles(), 1u);
   EXPECT_FALSE(aligned.value(0, a));
@@ -243,7 +243,7 @@ TEST(Trace, AlignMissingWireThrows) {
   const WireId a = n.add_input("a");
   n.mark_output(n.add_gate_new(Kind::Buf, {a}, "y"));
   Trace foreign = make_trace_for_names({"a"});
-  foreign.append(BitVec(1));
+  foreign.append_row(BitVec(1));
   EXPECT_THROW(align_trace(foreign, n), Error);
 }
 

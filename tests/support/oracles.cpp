@@ -111,6 +111,25 @@ SelectionResult rank_mates_scalar(const MateSet& set,
   return out;
 }
 
+std::vector<std::vector<bool>> benign_matrix(const MateSet& set,
+                                             const sim::Trace& trace) {
+  const std::unordered_map<WireId, std::size_t> fault_index =
+      build_fault_index(set);
+  std::vector<std::vector<bool>> benign(
+      set.faulty_wires.size(),
+      std::vector<bool>(trace.num_cycles(), false));
+  for (std::size_t c = 0; c < trace.num_cycles(); ++c) {
+    const BitVec& values = trace.cycle_values(c);
+    for (const Mate& m : set.mates) {
+      if (!m.cube.eval(values)) continue;
+      for (WireId w : m.masked_wires) {
+        benign[fault_index.at(w)][c] = true;
+      }
+    }
+  }
+  return benign;
+}
+
 SearchResult find_mates_per_wire(const netlist::Netlist& n,
                                  const std::vector<WireId>& faulty_wires,
                                  const SearchParams& params) {

@@ -8,6 +8,8 @@
 //   * evaluate_mates_scalar -- per cycle, per MATE, per literal;
 //   * rank_mates_scalar     -- the same replay, keeping per-cycle trigger
 //                              lists for the greedy marginal-gain pass;
+//   * benign_matrix         -- the same replay, one bool per (fault, cycle):
+//                              the oracle of mate::benign_masks;
 //   * find_mates_per_wire   -- every faulty wire searched on its own, cubes
 //                              merged first-seen in wire order.
 #pragma once
@@ -30,6 +32,11 @@ namespace ripple::mate {
 /// trigger lists, pass 2 credits marginal gains wire by wire.
 [[nodiscard]] SelectionResult rank_mates_scalar(const MateSet& set,
                                                 const sim::Trace& trace);
+
+/// Per-(wire, cycle) benign matrix: benign[w][c] is set when a MATE masking
+/// set.faulty_wires[w] holds in cycle c of `trace`.
+[[nodiscard]] std::vector<std::vector<bool>> benign_matrix(
+    const MateSet& set, const sim::Trace& trace);
 
 /// The search without cone-isomorphism dedup: find_mates on each wire
 /// alone, then identical cubes merged across wires in first-seen order.

@@ -94,7 +94,7 @@ Trace reference_avr_trace(const Netlist& n, const cores::avr::AvrPorts& p,
     const std::uint64_t daddr = sim.read_bus(p.dmem_addr);
     sim.drive_bus(p.dmem_rdata, dmem[daddr]);
     sim.eval();
-    trace.append(sim.values());
+    trace.append_row(sim.values());
     if (sim.value(p.dmem_we)) {
       dmem[daddr] = static_cast<std::uint8_t>(sim.read_bus(p.dmem_wdata));
     }
@@ -116,7 +116,7 @@ Trace reference_msp430_trace(const Netlist& n,
     const auto addr = static_cast<std::uint16_t>(sim.read_bus(p.mem_addr));
     sim.drive_bus(p.mem_rdata, memory[(addr >> 1) & 0x7fff]);
     sim.eval();
-    trace.append(sim.values());
+    trace.append_row(sim.values());
     if (sim.value(p.mem_we) && addr < cores::msp430::kIoBase) {
       memory[(addr >> 1) & 0x7fff] =
           static_cast<std::uint16_t>(sim.read_bus(p.mem_wdata));

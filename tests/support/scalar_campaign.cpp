@@ -5,7 +5,7 @@
 
 #include "cores/avr/programs.hpp"
 #include "cores/msp430/programs.hpp"
-#include "mate/faultspace.hpp"
+#include "support/oracles.hpp"
 #include "util/assert.hpp"
 #include "util/strings.hpp"
 
