@@ -1,7 +1,7 @@
 // Validation V1: a full (simulated) HAFI fault-injection campaign on the AVR
 // or MSP430 core with and without MATE pruning, on the shard-parallel
 // campaign engine. Reports outcome classification, experiments saved by the
-// pruning and the parallel-engine throughput; with --validate-pruned every
+// pruning and each campaign's wall time; with --validate-pruned every
 // pruned injection is executed anyway and the engine aborts on any that is
 // not benign. `--resume` checkpoints finished shards to the artifact cache
 // so a killed campaign picks up where it left off.
@@ -18,16 +18,12 @@ using namespace ripple::bench;
 int main(int argc, char** argv) {
   pipeline::CampaignOptions copts;
   std::string core_name = "avr";
-  bool no_speedup = false;
   Harness h(argc, argv, "hafi_campaign",
             "Validation V1: simulated HAFI campaign with MATE pruning",
             [&](OptionParser& p) {
               pipeline::register_campaign_options(p, copts);
               p.add_value("core", "target core: avr (default) or msp430",
                           &core_name);
-              p.add_flag("no-speedup",
-                         "skip the serial reference run of the baseline "
-                         "campaign", &no_speedup);
             });
 
   hafi::CampaignConfig cfg;
@@ -90,8 +86,7 @@ int main(int argc, char** argv) {
     Stopwatch w1;
     const hafi::CampaignResult base = h.pipe().campaign(
         spec_for(hafi::CampaignMode::Baseline, nullptr), "baseline");
-    const double parallel_secs = w1.seconds();
-    row("baseline (no pruning)", base, parallel_secs);
+    row("baseline (no pruning)", base, w1.seconds());
 
     Stopwatch w2;
     const hafi::CampaignResult full =
@@ -117,25 +112,6 @@ int main(int argc, char** argv) {
     std::printf("\nfull MATE set prunes %.2f %% of the sampled campaign "
                 "(%zu/%zu pruned injections confirmed benign).\n",
                 saved, full.pruned_confirmed, full.pruned);
-
-    // Shard-parallel speedup: re-run the baseline campaign serially
-    // (--threads has no effect on results, only on wall time).
-    if (!no_speedup) {
-      auto serial = spec_for(hafi::CampaignMode::Baseline, nullptr);
-      serial.config.threads = 1;
-      serial.resume = false; // a checkpoint replay would time nothing
-      Stopwatch ws;
-      const hafi::CampaignResult serial_base =
-          h.pipe().campaign(std::move(serial), "baseline, serial reference");
-      const double serial_secs = ws.seconds();
-      RIPPLE_CHECK(serial_base.sdc == base.sdc &&
-                       serial_base.executed == base.executed,
-                   "serial and sharded campaigns must agree");
-      std::printf("shard-parallel engine: %.1f s vs %.1f s serial "
-                  "-> %.2fx speedup\n",
-                  parallel_secs, serial_secs,
-                  parallel_secs > 0.0 ? serial_secs / parallel_secs : 0.0);
-    }
   } catch (const hafi::SoundnessError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;

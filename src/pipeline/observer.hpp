@@ -105,8 +105,8 @@ private:
 /// tool-wide totals (peak_rss_bytes, cache_* when a cache is attached,
 /// service totals for the daemon). Version 2 added `histograms{}` —
 /// count/sum/p50/p90/p99 per MetricRegistry histogram (shard_seconds,
-/// lane_utilization, chunk_queue_depth) — plus the registry's counters and
-/// gauges folded into `counters{}`; every v1 field is unchanged.
+/// lane_utilization) — plus the registry's counters and gauges folded into
+/// `counters{}`; every v1 field is unchanged.
 /// Documented in DESIGN.md §14/§15.
 inline constexpr std::uint32_t kReportVersion = 2;
 

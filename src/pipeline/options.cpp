@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "util/assert.hpp"
+#include "util/strings.hpp"
 
 namespace ripple::pipeline {
 
@@ -16,12 +16,7 @@ PipelineConfig PipelineOptions::config() const {
   }
   config.use_cache = !no_cache;
   config.threads = threads;
-  if (trace_chunk_cycles != 0) {
-    RIPPLE_CHECK(trace_chunk_cycles % 64 == 0,
-                 "--trace-chunk-cycles must be a multiple of 64, got ",
-                 trace_chunk_cycles);
-    config.trace_chunk_cycles = trace_chunk_cycles;
-  }
+  if (trace_chunk_cycles != 0) config.trace_chunk_cycles = trace_chunk_cycles;
   return config;
 }
 
@@ -35,9 +30,11 @@ mate::SearchParams PipelineOptions::apply(mate::SearchParams params) const {
   return params;
 }
 
-bool PipelineOptions::report_json() const {
-  return report == "json" || report.rfind("json:", 0) == 0;
+bool is_report_format(std::string_view value) {
+  return value == "json" || value.starts_with("json:");
 }
+
+bool PipelineOptions::report_json() const { return is_report_format(report); }
 
 std::string PipelineOptions::report_file() const {
   if (report.rfind("json:", 0) == 0) return report.substr(5);
@@ -84,9 +81,11 @@ void register_pipeline_options(OptionParser& parser, PipelineOptions& opts) {
   parser.add_value("trace-chunk-cycles",
                    "streaming trace chunk length in cycles (multiple of 64; "
                    "0 = default 65536)",
-                   &opts.trace_chunk_cycles);
+                   &opts.trace_chunk_cycles, [](std::string_view value) {
+                     return *parse_int(value) % 64 == 0;
+                   });
   parser.add_value("report", "stage/cache report format: json[:FILE]",
-                   &opts.report);
+                   &opts.report, is_report_format);
   parser.add_value("trace-out",
                    "export recorded spans as Chrome trace-event JSON to FILE",
                    &opts.trace_out);

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "hafi/campaign.hpp"
 #include "mate/search.hpp"
@@ -33,8 +34,7 @@ struct PipelineOptions {
   std::size_t trace_chunk_cycles = 0; // 0 = kDefaultChunkCycles
   std::string trace_out;  // empty = span recording off (near-zero cost)
 
-  /// PipelineConfig derived from the flags (env fallback applied). Throws
-  /// ripple::Error on a --trace-chunk-cycles that is not a multiple of 64.
+  /// PipelineConfig derived from the flags (env fallback applied).
   [[nodiscard]] PipelineConfig config() const;
 
   /// Default SearchParams with --depth/--threads applied.
@@ -48,7 +48,12 @@ struct PipelineOptions {
   [[nodiscard]] std::string report_file() const;
 };
 
-/// Register the shared flags on a parser (each binary may add its own).
+/// A valid --report value: "json" or "json:FILE". Every binary's --report
+/// is checked against it at parse time.
+[[nodiscard]] bool is_report_format(std::string_view value);
+
+/// Register the shared flags on a parser (each binary may add its own). A
+/// bad --report or --trace-chunk-cycles value fails the parse.
 void register_pipeline_options(OptionParser& parser, PipelineOptions& opts);
 
 /// The shared campaign flag set (previously duplicated hard-coded configs

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
 namespace ripple::sim {
@@ -222,40 +220,24 @@ void UntransposingSink::on_chunk(TraceChunk chunk) {
 
 struct AsyncTraceSink::Impl {
   TraceSink* inner;
-  std::size_t max_queue;
 
   std::mutex mutex;
   std::condition_variable cv; // producer, consumer and drain all wait here
-  std::deque<TraceChunk> queue;
+  std::optional<TraceChunk> pending; // handed over, not yet taken
   bool stop = false;
   bool busy = false;
   std::exception_ptr error;
-  double busy_seconds = 0.0;
   std::thread worker;
-  /// Queue depth observed at each enqueue (consumer backlog); resolved once
-  /// so the producer hot path pays two relaxed atomic adds per chunk.
-  obs::Histogram* queue_depth_hist = nullptr;
 
   void worker_loop() {
     std::unique_lock lock(mutex);
     while (true) {
-      cv.wait(lock, [this] { return stop || !queue.empty(); });
-      if (queue.empty()) {
-        if (stop) return;
-        continue;
-      }
-      TraceChunk chunk = std::move(queue.front());
-      queue.pop_front();
+      cv.wait(lock, [this] { return stop || pending.has_value(); });
+      if (!pending) return; // stopped with nothing handed over
+      TraceChunk chunk = std::move(*pending);
+      pending.reset();
       busy = true;
-      cv.notify_all(); // a queue slot freed up
-      if (error != nullptr) {
-        // A previous chunk failed: drop the rest so the producer unblocks.
-        busy = false;
-        cv.notify_all();
-        continue;
-      }
       lock.unlock();
-      Stopwatch watch;
       std::exception_ptr thrown;
       {
         obs::Span span("stream", "chunk_consume");
@@ -268,9 +250,7 @@ struct AsyncTraceSink::Impl {
           thrown = std::current_exception();
         }
       }
-      const double seconds = watch.seconds();
       lock.lock();
-      busy_seconds += seconds;
       if (thrown != nullptr && error == nullptr) error = thrown;
       busy = false;
       cv.notify_all();
@@ -278,14 +258,9 @@ struct AsyncTraceSink::Impl {
   }
 };
 
-AsyncTraceSink::AsyncTraceSink(TraceSink& inner, std::size_t max_queue)
+AsyncTraceSink::AsyncTraceSink(TraceSink& inner)
     : impl_(std::make_unique<Impl>()) {
   impl_->inner = &inner;
-  impl_->max_queue = std::max<std::size_t>(1, max_queue);
-  constexpr double kDepthBounds[] = {1.0, 2.0, 3.0, 4.0, 8.0, 16.0};
-  impl_->queue_depth_hist =
-      &obs::MetricRegistry::global().histogram("chunk_queue_depth",
-                                               kDepthBounds);
   impl_->worker = std::thread([this] { impl_->worker_loop(); });
 }
 
@@ -300,31 +275,22 @@ AsyncTraceSink::~AsyncTraceSink() {
 
 void AsyncTraceSink::on_chunk(TraceChunk chunk) {
   std::unique_lock lock(impl_->mutex);
-  // The chunk the worker is consuming counts against the queue bound:
-  // with max_queue = 1 at most one finished chunk is alive downstream
-  // (in the queue or being consumed) while the producer fills the next,
-  // keeping resident trace memory at two chunks.
+  // Hand over only once the worker is idle: at most one finished chunk is
+  // alive downstream (handed over or being consumed) while the producer
+  // fills the next, keeping resident trace memory at two chunks. No chunk
+  // is handed over after a consumer error, so none is ever dropped.
   impl_->cv.wait(lock, [this] {
-    return impl_->queue.size() + (impl_->busy ? 1 : 0) < impl_->max_queue ||
-           impl_->error != nullptr;
+    return (!impl_->pending && !impl_->busy) || impl_->error != nullptr;
   });
   if (impl_->error != nullptr) std::rethrow_exception(impl_->error);
-  impl_->queue.push_back(std::move(chunk));
-  impl_->queue_depth_hist->record(
-      static_cast<double>(impl_->queue.size() + (impl_->busy ? 1 : 0)));
+  impl_->pending = std::move(chunk);
   impl_->cv.notify_all();
 }
 
 void AsyncTraceSink::drain() {
   std::unique_lock lock(impl_->mutex);
-  impl_->cv.wait(lock,
-                 [this] { return impl_->queue.empty() && !impl_->busy; });
+  impl_->cv.wait(lock, [this] { return !impl_->pending && !impl_->busy; });
   if (impl_->error != nullptr) std::rethrow_exception(impl_->error);
-}
-
-double AsyncTraceSink::busy_seconds() const {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->busy_seconds;
 }
 
 // --- TransposedTraceSource ---------------------------------------------------

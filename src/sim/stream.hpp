@@ -11,7 +11,7 @@
 //
 //   simulator ──rows──> ChunkedTraceRecorder ──chunks──> AsyncTraceSink
 //                         (64-row block buffer,             (worker thread,
-//                          per-block transpose)              bounded queue)
+//                          per-block transpose)              one chunk in flight)
 //                                                               │
 //                                                      mate::EvalAccumulator
 //
@@ -200,28 +200,24 @@ private:
   RowSink* rows_;
 };
 
-/// Forwards chunks to `inner` on a dedicated worker thread through a bounded
-/// queue, so the producer (simulator) fills chunk k+1 while the consumer
-/// (evaluation) digests chunk k. on_chunk blocks when the queue is full —
-/// at most `max_queue` chunks wait in flight, bounding resident memory.
-/// Exceptions thrown by the consumer are rethrown from drain() (and from the
-/// next on_chunk call, so a failing producer loop stops early).
+/// Forwards chunks to `inner` on a dedicated worker thread, so the producer
+/// (simulator) fills chunk k+1 while the consumer (evaluation) digests chunk
+/// k. on_chunk blocks until the worker has finished the previous chunk: at
+/// most one finished chunk is in flight, bounding resident memory at two
+/// chunks. Exceptions thrown by the consumer are rethrown from drain() (and
+/// from the next on_chunk call, so a failing producer loop stops early).
 class AsyncTraceSink final : public TraceSink {
 public:
-  explicit AsyncTraceSink(TraceSink& inner, std::size_t max_queue = 1);
+  explicit AsyncTraceSink(TraceSink& inner);
   AsyncTraceSink(const AsyncTraceSink&) = delete;
   AsyncTraceSink& operator=(const AsyncTraceSink&) = delete;
   ~AsyncTraceSink() override;
 
   void on_chunk(TraceChunk chunk) override;
 
-  /// Wait until every queued chunk has been consumed; rethrows the first
-  /// consumer exception, if any.
+  /// Wait until every handed-over chunk has been consumed; rethrows the
+  /// first consumer exception, if any.
   void drain();
-
-  /// Wall-clock seconds the worker spent inside inner.on_chunk (consumer
-  /// busy time; the overlap-efficiency numerator of bench/eval_throughput).
-  [[nodiscard]] double busy_seconds() const;
 
 private:
   struct Impl;

@@ -20,22 +20,24 @@ void OptionParser::add_flag(std::string name, std::string help, bool* out) {
 }
 
 void OptionParser::add_value(std::string name, std::string help,
-                             std::string* out) {
+                             std::string* out, Check check) {
   Option o;
   o.name = std::move(name);
   o.help = std::move(help);
   o.kind = ValueKind::String;
   o.string_out = out;
+  o.check = std::move(check);
   options_.push_back(std::move(o));
 }
 
 void OptionParser::add_value(std::string name, std::string help,
-                             std::size_t* out) {
+                             std::size_t* out, Check check) {
   Option o;
   o.name = std::move(name);
   o.help = std::move(help);
   o.kind = ValueKind::Size;
   o.size_out = out;
+  o.check = std::move(check);
   options_.push_back(std::move(o));
 }
 
@@ -135,6 +137,11 @@ OptionParser::Result OptionParser::parse(int argc, char** argv) {
       value = argv[++i];
     }
     if (!apply(*match, value)) return Result::Error;
+    if (match->check && !match->check(value)) {
+      std::cerr << program_ << ": invalid value '" << value << "' for --"
+                << match->name << " (see --help)\n";
+      return Result::Error;
+    }
   }
   return Result::Ok;
 }

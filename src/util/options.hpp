@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -21,7 +22,7 @@ public:
   enum class Result {
     Ok,    // all arguments consumed
     Help,  // --help given; usage printed to stdout
-    Error, // unknown/malformed argument; message printed to stderr
+    Error, // unknown/malformed/rejected argument; message printed to stderr
   };
 
   OptionParser(std::string program, std::string description);
@@ -29,9 +30,15 @@ public:
   /// Boolean switch: present -> true.
   void add_flag(std::string name, std::string help, bool* out);
 
+  /// Parse-time check of a value's text, run once the value has parsed:
+  /// false makes parse() fail.
+  using Check = std::function<bool(std::string_view)>;
+
   /// Valued options; "--name=V" and "--name V" both work.
-  void add_value(std::string name, std::string help, std::string* out);
-  void add_value(std::string name, std::string help, std::size_t* out);
+  void add_value(std::string name, std::string help, std::string* out,
+                 Check check = {});
+  void add_value(std::string name, std::string help, std::size_t* out,
+                 Check check = {});
   void add_value(std::string name, std::string help, unsigned* out);
 
   /// Collect non-option arguments (in order). Without this, positional
@@ -54,6 +61,7 @@ private:
     std::string* string_out = nullptr;
     std::size_t* size_out = nullptr;
     unsigned* unsigned_out = nullptr;
+    Check check;
   };
 
   [[nodiscard]] bool apply(Option& opt, std::string_view value);

@@ -167,31 +167,54 @@ TEST(CampaignBatch, ScalarCheckpointsReplayUnderBitparAfterKill) {
   EXPECT_EQ(result_bytes(result), result_bytes(expected));
 }
 
-TEST(CampaignBatch, LaneUtilizationAccounting) {
-  // A shard of E executed points runs ceil(E/63) passes of 63 lane slots
-  // each.
-  const Target& t = avr_target();
-  std::size_t executed = 0;
+struct LaneRun {
+  CampaignResult result;
   std::size_t dut_passes = 0;
+};
+
+/// Runs a Baseline campaign of `cfg` on `t`, checking every shard's lane
+/// accounting: a shard of E executed points runs ceil(E/63) passes of 63
+/// lane slots each.
+LaneRun run_checking_lanes(const Target& t, const CampaignConfig& cfg) {
+  LaneRun run;
+  std::size_t executed = 0;
   std::size_t lane_slots = 0;
   std::size_t retired = 0;
   Campaign::ShardHooks hooks;
   hooks.progress = [&](const Campaign::ShardProgress& p) {
     executed += p.executed;
-    dut_passes += p.dut_passes;
+    run.dut_passes += p.dut_passes;
     lane_slots += p.lane_slots;
     retired += p.lanes_retired_early;
     EXPECT_EQ(p.dut_passes,
               (p.executed + kExperimentLanes - 1) / kExperimentLanes);
     EXPECT_EQ(p.lane_slots, p.dut_passes * kExperimentLanes);
   };
-  Campaign campaign(t.runtime.target(), small_config(48, 300));
-  const CampaignResult r = campaign.run(hooks);
-  EXPECT_EQ(executed, r.executed);
+  Campaign campaign(t.runtime.target(), cfg);
+  run.result = campaign.run(hooks);
+  EXPECT_EQ(executed, run.result.executed);
   EXPECT_GE(lane_slots, executed);
   EXPECT_LE(retired, executed);
+  return run;
+}
+
+TEST(CampaignBatch, LaneUtilizationAccounting) {
   // 8-point shards fit one pass each, so far fewer passes than experiments.
-  EXPECT_LT(dut_passes, r.executed);
+  CampaignConfig cfg = small_config(48, 300);
+  const LaneRun small = run_checking_lanes(avr_target(), cfg);
+  EXPECT_LT(small.dut_passes, small.result.executed);
+
+  // Shards of two full 63-lane passes, on both cores, byte-identical to the
+  // scalar oracle.
+  cfg.run_cycles = 250;
+  cfg.sample = 150;
+  cfg.seed = 23;
+  cfg.shard_size = 2 * kExperimentLanes;
+  for (const Target* t : {&avr_target(), &msp430_target()}) {
+    SCOPED_TRACE(t->runtime.netlist->name());
+    EXPECT_EQ(result_bytes(run_checking_lanes(*t, cfg).result),
+              result_bytes(oracle_result(*t, cfg)));
+  }
 }
 
 TEST(CampaignBatch, RejectsTargetWithoutBatchFactory) {

@@ -10,6 +10,7 @@
 #include "cores/avr/programs.hpp"
 #include "cores/avr/system.hpp"
 #include "mate/example.hpp"
+#include "mate/stream.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/cache.hpp"
 #include "pipeline/options.hpp"
@@ -298,20 +299,34 @@ std::vector<std::uint8_t> bytes(const mate::SelectionResult& sel) {
   return w.take();
 }
 
-/// The evaluate/select oracles on a real core (fib, 1024 cycles, full flop
-/// set): the scalar oracle, the stages over setup()'s in-memory trace and
-/// the stages over a chunked trace_stream produce byte-identical artifacts.
-void expect_stages_match_oracle(CoreKind kind) {
-  constexpr std::size_t kCycles = 1024;
-  PipelineConfig config;           // no cache: every stage computes
-  config.trace_chunk_cycles = 256; // four chunks per stream
-  CampaignPipeline pipe(config);
-  const CoreSetup setup = pipe.setup({kind, kCycles});
-
-  // Trimmed search parameters keep the MATE set CI-sized.
-  mate::SearchParams params = pipe.default_params();
+/// Search parameters trimmed so a core's full-flop MATE set stays CI-sized.
+mate::SearchParams trimmed_params() {
+  mate::SearchParams params;
   params.path_depth = 8;
   params.max_candidates_per_wire = 2000;
+  return params;
+}
+
+/// TraceSink feeding an EvalAccumulator chunk by chunk.
+struct AccumulatorSink final : sim::TraceSink {
+  explicit AccumulatorSink(mate::EvalAccumulator& target) : acc(&target) {}
+  void on_chunk(sim::TraceChunk chunk) override {
+    acc->consume(chunk.slice, chunk.base_cycle);
+  }
+  mate::EvalAccumulator* acc;
+};
+
+/// The evaluate/select oracles on a real core (fib trace of `cycles`
+/// cycles, full flop set searched with `params`): the scalar oracle, an
+/// evaluate pass overlapped by hand on an AsyncTraceSink worker, the stages
+/// over setup()'s in-memory trace and the stages over a chunked trace_stream
+/// produce byte-identical artifacts.
+void expect_stages_match_oracle(CoreKind kind, std::size_t cycles,
+                                const mate::SearchParams& params) {
+  PipelineConfig config;           // no cache: every stage computes
+  config.trace_chunk_cycles = 256; // several chunks per stream
+  CampaignPipeline pipe(config);
+  const CoreSetup setup = pipe.setup({kind, cycles});
   const mate::MateSet set =
       pipe.find_mates(setup, setup.ff, params, setup.name + " FF").set;
   ASSERT_FALSE(set.mates.empty());
@@ -322,6 +337,16 @@ void expect_stages_match_oracle(CoreKind kind) {
       bytes(mate::rank_mates_scalar(set, setup.fib_trace));
 
   const sim::TransposedTrace fib_words(setup.fib_trace);
+  mate::EvalAccumulator acc(set);
+  AccumulatorSink consumer(acc);
+  sim::TransposedTraceSource chunked(fib_words, config.trace_chunk_cycles);
+  {
+    sim::AsyncTraceSink async(consumer);
+    chunked.stream(async);
+    async.drain();
+  }
+  EXPECT_EQ(bytes(acc.finish()), oracle_eval);
+
   sim::TransposedTraceSource fib(fib_words);
   EXPECT_EQ(
       bytes(pipe.evaluate_stream(set, fib, setup.fib_trace_fp, "in memory")),
@@ -330,7 +355,7 @@ void expect_stages_match_oracle(CoreKind kind) {
       bytes(pipe.select_stream(set, fib, setup.fib_trace_fp, "in memory")),
       oracle_sel);
 
-  const auto stream = pipe.trace_stream(kind, "fib", kCycles);
+  const auto stream = pipe.trace_stream(kind, "fib", cycles);
   EXPECT_EQ(bytes(pipe.evaluate_stream(set, *stream, stream->fingerprint(),
                                        "stream")),
             oracle_eval);
@@ -340,11 +365,13 @@ void expect_stages_match_oracle(CoreKind kind) {
 }
 
 TEST(Pipeline, AvrEvalSelectStagesMatchScalarOracle) {
-  expect_stages_match_oracle(CoreKind::Avr);
+  expect_stages_match_oracle(CoreKind::Avr, 1024, trimmed_params());
+  // The paper's 8 500-cycle trace under the default search parameters.
+  expect_stages_match_oracle(CoreKind::Avr, kDefaultTraceCycles, {});
 }
 
 TEST(Pipeline, Msp430EvalSelectStagesMatchScalarOracle) {
-  expect_stages_match_oracle(CoreKind::Msp430);
+  expect_stages_match_oracle(CoreKind::Msp430, 1024, trimmed_params());
 }
 
 // One golden path: a Pruned top-N request ranks on the workload's chunk
@@ -458,6 +485,22 @@ TEST(PipelineOptions, DepthZeroKeepsDefault) {
             OptionParser::Result::Ok);
   EXPECT_EQ(opts.search_params().path_depth, mate::SearchParams{}.path_depth);
   EXPECT_FALSE(opts.report_json());
+}
+
+// Bad values of the shared flags fail the parse itself, so every binary
+// exits 2 before doing any work.
+TEST(PipelineOptions, RejectsBadReportAndChunkValuesAtParseTime) {
+  const auto parse = [](const char* arg) {
+    OptionParser parser("prog", "test");
+    PipelineOptions opts;
+    register_pipeline_options(parser, opts);
+    const char* argv[] = {"prog", arg};
+    return parser.parse(2, const_cast<char**>(argv));
+  };
+  EXPECT_EQ(parse("--report=jsn"), OptionParser::Result::Error);
+  EXPECT_EQ(parse("--trace-chunk-cycles=100"), OptionParser::Result::Error);
+  EXPECT_EQ(parse("--report=json:out.json"), OptionParser::Result::Ok);
+  EXPECT_EQ(parse("--trace-chunk-cycles=128"), OptionParser::Result::Ok);
 }
 
 TEST(PipelineOptions, RejectsUnknownFlag) {

@@ -2,10 +2,12 @@
 // remapping, the both-direction minimality recorder, and the end-to-end
 // guarantee that find_mates is byte-identical to the per-wire oracle of
 // tests/support — on hand-built twins, random circuits and both cores' flop
-// sets.
+// sets and register files, whose exact class counts are pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 
 #include "cores/avr/core.hpp"
 #include "cores/msp430/core.hpp"
@@ -240,38 +242,59 @@ TEST(SearchIso, GroupTopoOverloadMatchesConvenienceOverload) {
   EXPECT_EQ(a.mates, b.mates);
 }
 
-/// Full-flop-set identity on the real cores, trimmed search parameters so
-/// the oracle side stays CI-sized. The dedup ratio must actually bite on
-/// both cores (register files guarantee repeated cone shapes).
+/// The real cores' two fault populations, the full flop set and the
+/// register file. Cone grouping is structural, so each population's class
+/// count is fixed by the netlist; the dedup search must equal the per-wire
+/// oracle on both, at two sets of search parameters trimmed so the oracle
+/// side stays CI-sized.
 class SearchIsoCores : public ::testing::Test {
 protected:
-  static SearchParams core_params() {
-    SearchParams p;
-    p.path_depth = 8;
-    p.max_candidates_per_wire = 2000;
-    return p;
+  /// `wires` number `expected_wires` and group into exactly `classes`
+  /// isomorphism classes; dedup equals the oracle and reports those classes.
+  static void expect_population(const Netlist& n,
+                                const std::vector<WireId>& wires,
+                                std::size_t expected_wires,
+                                std::size_t classes) {
+    ASSERT_EQ(wires.size(), expected_wires);
+    ThreadPool pool(2);
+    EXPECT_EQ(group_isomorphic_cones(n, wires, pool).classes.size(), classes);
+    struct Trim {
+      unsigned depth;
+      std::size_t candidates;
+    };
+    for (const Trim trim : {Trim{8, 2000}, Trim{10, 5000}}) {
+      SCOPED_TRACE("depth " + std::to_string(trim.depth));
+      SearchParams params;
+      params.path_depth = trim.depth;
+      params.max_candidates_per_wire = trim.candidates;
+      const SearchResult oracle = find_mates_per_wire(n, wires, params);
+      const SearchResult dedup = find_mates(n, wires, params);
+      expect_identical(oracle, dedup);
+      EXPECT_EQ(dedup.dedup_classes, classes);
+    }
+  }
+
+  static std::vector<WireId> regfile_wires(const Netlist& n,
+                                           std::string_view prefix) {
+    std::vector<WireId> out;
+    for (FlopId f : n.all_flops()) {
+      if (n.flop(f).name.starts_with(prefix)) out.push_back(n.flop(f).q);
+    }
+    return out;
   }
 };
 
 TEST_F(SearchIsoCores, AvrFlopSetByteIdentical) {
   const Netlist n = cores::avr::build_avr_core(true).netlist;
-  const std::vector<WireId> wires = all_flop_wires(n);
-  const SearchResult oracle = find_mates_per_wire(n, wires, core_params());
-  const SearchResult dedup = find_mates(n, wires, core_params());
-  expect_identical(oracle, dedup);
-  EXPECT_GT(dedup.dedup_classes, 0u);
-  EXPECT_LT(dedup.dedup_classes, wires.size() / 2)
-      << "AVR register file should collapse into few classes";
+  expect_population(n, all_flop_wires(n), 305, 81);
+  expect_population(n, regfile_wires(n, cores::avr::kRegfilePrefix), 256, 32);
 }
 
 TEST_F(SearchIsoCores, Msp430FlopSetByteIdentical) {
   const Netlist n = cores::msp430::build_msp430_core(true).netlist;
-  const std::vector<WireId> wires = all_flop_wires(n);
-  const SearchResult oracle = find_mates_per_wire(n, wires, core_params());
-  const SearchResult dedup = find_mates(n, wires, core_params());
-  expect_identical(oracle, dedup);
-  EXPECT_GT(dedup.dedup_classes, 0u);
-  EXPECT_LT(dedup.dedup_classes, wires.size());
+  expect_population(n, all_flop_wires(n), 311, 296);
+  expect_population(n, regfile_wires(n, cores::msp430::kRegfilePrefix), 224,
+                    224);
 }
 
 } // namespace

@@ -12,8 +12,10 @@ Run from the repository root, once per side of a before/after pair:
 e.g. a clone of the parent commit. The record is e2ebench's stdout line
 before its result line: workload, seed, machine and build provenance, the
 sample sets and every metric (e2ebench/README.md). It is appended, tagged
-{"side": "parent" | "change"}, to the JSON array in --out. A run that fails
-its checks is not recorded, and the exit code is e2ebench's.
+{"side": "parent" | "change", "dirty": bool}, to the JSON array in --out.
+"dirty" says whether the checkout had uncommitted changes (BENCH_e2e.json
+aside), in which case the record's commit is only the tree's base. A run
+that fails its checks is not recorded, and the exit code is e2ebench's.
 """
 import argparse
 import json
@@ -51,7 +53,12 @@ def main():
     if os.path.exists(args.out):
         with open(args.out) as f:
             entries = json.load(f)
-    entries.append({"side": args.side, **json.loads(lines[-2])})
+    status = subprocess.run(["git", "status", "--porcelain"],
+                            cwd=args.checkout, stdout=subprocess.PIPE,
+                            text=True).stdout.splitlines()
+    dirty = any(line[3:] != "BENCH_e2e.json" for line in status)
+    entries.append({"side": args.side, "dirty": dirty,
+                    **json.loads(lines[-2])})
     tmp = args.out + ".tmp"
     with open(tmp, "w") as f:
         json.dump(entries, f, indent=1)

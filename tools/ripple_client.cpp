@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   parser.add_value("result-out", "write the result's canonical bytes to FILE",
                    &result_out);
   parser.add_value("report", "json or json:FILE — emit the shared report "
-                   "envelope", &report);
+                   "envelope", &report, pipeline::is_report_format);
   parser.add_value("trace-out", "export the streamed stage timeline as "
                    "Chrome trace-event JSON to FILE", &trace_out);
   parser.add_flag("stats", "print a live stats snapshot of the daemon "
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
       recorder->write_chrome_json(out);
     }
 
-    if (report == "json" || report.rfind("json:", 0) == 0) {
+    if (!report.empty()) { // "json" or "json:FILE", checked at parse time
       const std::string file =
           report.size() > 5 ? report.substr(5) : std::string();
       if (file.empty()) {
@@ -266,10 +266,6 @@ int main(int argc, char** argv) {
                      file);
         report_observer.write(out, "ripple-client");
       }
-    } else if (!report.empty()) {
-      std::fprintf(stderr, "ripple-client: unknown --report '%s'\n",
-                   report.c_str());
-      return 2;
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ripple-client: %s\n", e.what());

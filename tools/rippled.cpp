@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
                    &opts.threads);
   parser.add_value("report",
                    "on exit, emit the service and stage report: json[:FILE]",
-                   &opts.report);
+                   &opts.report, pipeline::is_report_format);
   parser.add_value("trace-out",
                    "export spans of every execution as Chrome trace-event "
                    "JSON to FILE on exit",
