@@ -54,8 +54,9 @@ int main(int argc, char** argv) {
   const mate::MateSet top50 = mate::top_n(search.set, sel, 50);
 
   // Every campaign below runs one config, hence one plan: baseline and
-  // pruned runs inject the exact same (flop, cycle) points.
-  hafi::Campaign planner(target.target(), cfg);
+  // pruned runs inject the exact same (flop, cycle) points. Planning reads
+  // no trace.
+  hafi::Campaign planner(target.target(), cfg, &trace);
   const hafi::CampaignPlan& plan = planner.plan();
   h.progress("hafi_campaign: %zu injection points in %zu shards of %zu",
              plan.points.size(), plan.num_shards(), plan.shard_size);

@@ -4,8 +4,14 @@ namespace ripple::cores::avr {
 
 AvrSystem::AvrSystem(const AvrCore& core, const Program& program)
     : core_(&core), imem_(program.words), sim_(core.netlist) {
-  sim_.require_state_only(core.ports.imem_addr);
-  sim_.require_state_only(core.ports.dmem_addr);
+  const AvrPorts& p = core.ports;
+  sim_.require_state_only(p.imem_addr);
+  sim_.require_state_only(p.dmem_addr);
+  for (const sim::Bus& bus :
+       {p.imem_addr, p.dmem_addr, p.dmem_wdata, sim::Bus{p.dmem_we},
+        p.io_addr, p.io_data, sim::Bus{p.io_we}}) {
+    sim_.require_primary_output(bus);
+  }
 }
 
 void AvrSystem::step(sim::RowSink* sink) {

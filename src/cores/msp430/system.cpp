@@ -9,7 +9,11 @@ Msp430System::Msp430System(const Msp430Core& core, const Image& image)
   RIPPLE_CHECK(image.words.size() <= memory_.size(),
                "program image larger than memory");
   std::copy(image.words.begin(), image.words.end(), memory_.begin());
-  sim_.require_state_only(core.ports.mem_addr);
+  const Msp430Ports& p = core.ports;
+  sim_.require_state_only(p.mem_addr);
+  for (const sim::Bus& bus : {p.mem_addr, p.mem_wdata, sim::Bus{p.mem_we}}) {
+    sim_.require_primary_output(bus);
+  }
 }
 
 void Msp430System::step(sim::RowSink* sink) {

@@ -37,8 +37,14 @@ AvrBatchDut::AvrBatchDut(const cores::avr::AvrCore& core,
                          const cores::avr::Program& program)
     : core_(&core), imem_(program.words),
       dmem_(sim::kBatchLanes * kDmemBytes, 0), sim_(core.netlist) {
-  sim_.require_state_only(core.ports.imem_addr);
-  sim_.require_state_only(core.ports.dmem_addr);
+  const cores::avr::AvrPorts& p = core.ports;
+  sim_.require_state_only(p.imem_addr);
+  sim_.require_state_only(p.dmem_addr);
+  for (const sim::Bus& bus :
+       {p.imem_addr, p.dmem_addr, p.dmem_wdata, sim::Bus{p.dmem_we},
+        p.io_addr, p.io_data, sim::Bus{p.io_we}}) {
+    sim_.require_primary_output(bus);
+  }
 }
 
 std::vector<Outcome> AvrBatchDut::run(std::span<const InjectionPoint> points,

@@ -60,6 +60,23 @@ inline constexpr unsigned kGoldenLane = 0;
 /// Injection experiments per batch pass (every lane except the golden one).
 inline constexpr std::size_t kExperimentLanes = sim::kBatchLanes - 1;
 
+/// Where a pass's lane-cycles went. Each carried lane spends every cycle
+/// the pass simulates in exactly one phase, so the three sum to
+/// lanes x cycles.
+struct LaneCycles {
+  std::uint64_t pre_injection = 0; // mirroring the golden run before the SEU
+  std::uint64_t live = 0;          // from the SEU until classified
+  std::uint64_t idle = 0;          // classified, while the pass runs on
+
+  LaneCycles& operator+=(const LaneCycles& o) {
+    pre_injection += o.pre_injection;
+    live += o.live;
+    idle += o.idle;
+    return *this;
+  }
+  bool operator==(const LaneCycles&) const = default;
+};
+
 /// Per-pass utilization/retirement accounting, accumulated by the campaign
 /// into the `--report=json` lane counters.
 struct BatchRunStats {
@@ -68,6 +85,7 @@ struct BatchRunStats {
   std::uint64_t lane_cycles_saved = 0; // cycles not simulated thanks to that
   std::uint64_t cycles = 0;            // clock cycles the pass simulated
   std::uint64_t gate_evals = 0;        // gate evaluations, the reset included
+  LaneCycles lane_cycles;
 };
 
 /// Shared per-lane bookkeeping for BatchDut implementations: injection
@@ -86,6 +104,7 @@ public:
     points_ = points;
     run_cycles_ = run_cycles;
     outcomes_.assign(points.size(), Outcome::Benign);
+    retired_at_.assign(points.size(), kRunning);
     mem_diff_.assign(sim::kBatchLanes, 0);
     active_ = 0;
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -180,13 +199,23 @@ public:
     active_ = 0;
     stats_.cycles = sim.cycle();
     stats_.gate_evals = sim.gate_evals() - evals_at_begin_;
+    for (std::size_t i = 0; i < points_.size(); ++i) {
+      const std::uint64_t injected = std::min(points_[i].cycle, stats_.cycles);
+      const std::uint64_t retired = std::min(retired_at_[i], stats_.cycles);
+      stats_.lane_cycles.pre_injection += injected;
+      stats_.lane_cycles.live += retired - injected;
+      stats_.lane_cycles.idle += stats_.cycles - retired;
+    }
     if (stats != nullptr) *stats = stats_;
     return std::move(outcomes_);
   }
 
 private:
+  static constexpr std::uint64_t kRunning = ~std::uint64_t{0};
+
   void retire(unsigned lane, Outcome outcome, std::uint64_t cycles_done) {
     outcomes_[lane - 1] = outcome;
+    retired_at_[lane - 1] = cycles_done;
     active_ &= ~lane_bit(lane);
     ++stats_.lanes_retired_early;
     stats_.lane_cycles_saved += run_cycles_ - cycles_done;
@@ -195,6 +224,7 @@ private:
   std::span<const InjectionPoint> points_;
   std::size_t run_cycles_ = 0;
   std::vector<Outcome> outcomes_;
+  std::vector<std::uint64_t> retired_at_; // per point; kRunning until then
   std::vector<std::uint64_t> mem_diff_; // per lane, vs the golden lane
   sim::LaneMask active_ = 0;
   sim::LaneMask armed_ = 0;

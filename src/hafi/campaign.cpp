@@ -3,6 +3,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "hafi/confine.hpp"
 #include "mate/stream.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
@@ -51,25 +52,24 @@ std::string_view mode_name(CampaignMode mode) {
 }
 
 Campaign::Campaign(CampaignTarget target, CampaignConfig config,
-                   const mate::MateSet* mates, sim::TraceSource* golden)
+                   sim::TraceSource* golden, const mate::MateSet* mates)
     : target_(std::move(target)), config_(config), mates_(mates),
       golden_(golden) {
   RIPPLE_CHECK(target_.netlist != nullptr, "campaign needs a netlist");
   RIPPLE_CHECK(target_.batch_factory != nullptr,
                "campaign needs a 64-lane batch DUT factory");
   RIPPLE_CHECK(config_.run_cycles > 0, "campaign needs at least one cycle");
-  if (config_.mode != CampaignMode::Baseline) {
-    RIPPLE_CHECK(mates_ != nullptr, "campaign mode '", mode_name(config_.mode),
-                 "' needs a MATE set");
-    RIPPLE_CHECK(golden_ != nullptr, "campaign mode '",
-                 mode_name(config_.mode), "' needs a golden run");
-    RIPPLE_CHECK(golden_->num_cycles() == config_.run_cycles &&
-                     golden_->num_wires() == target_.netlist->num_wires(),
-                 "golden run (", golden_->num_cycles(), " cycles x ",
-                 golden_->num_wires(), " wires) does not match the campaign (",
-                 config_.run_cycles, " cycles x ",
-                 target_.netlist->num_wires(), " wires)");
-  }
+  RIPPLE_CHECK(mates_ != nullptr || config_.mode == CampaignMode::Baseline,
+               "campaign mode '", mode_name(config_.mode),
+               "' needs a MATE set");
+  RIPPLE_CHECK(golden_ != nullptr, "campaign mode '", mode_name(config_.mode),
+               "' needs a golden run");
+  RIPPLE_CHECK(golden_->num_cycles() == config_.run_cycles &&
+                   golden_->num_wires() == target_.netlist->num_wires(),
+               "golden run (", golden_->num_cycles(), " cycles x ",
+               golden_->num_wires(), " wires) does not match the campaign (",
+               config_.run_cycles, " cycles x ", target_.netlist->num_wires(),
+               " wires)");
 
   const netlist::Netlist& n = *target_.netlist;
   const std::size_t space = n.num_flops() * config_.run_cycles;
@@ -117,15 +117,10 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
   std::vector<bool> resumed(num_shards, false);
   std::vector<double> shard_seconds(num_shards, 0.0);
 
-  // Per-shard engine utilization, reported through ShardProgress. Indexed by
-  // shard, so workers write without synchronization.
-  struct ShardLaneStats {
-    std::size_t dut_passes = 0;
-    std::size_t lane_slots = 0;
-    std::size_t lanes_retired_early = 0;
-    std::uint64_t lane_cycles_saved = 0;
-  };
-  std::vector<ShardLaneStats> lane_stats(num_shards);
+  // Per-shard resolution and engine counts, reported through ShardProgress
+  // (so all zero for resumed shards). Indexed by shard, so workers write
+  // without synchronization.
+  std::vector<ShardProgress> counts(num_shards);
 
   // Resume pass: collect previously persisted shards before spinning up
   // workers. A stale artifact (points that no longer match the plan) is
@@ -153,6 +148,20 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     pending.push_back(s);
   }
 
+  // One fan-out for the label blocks and the shards: the host's executor,
+  // or a private ThreadPool made on first use. One shard per scheduling step
+  // (grain 1): shard sizes already amortize the claim cost, and shard wall
+  // times can be skewed by pruning.
+  std::optional<ThreadPool> pool;
+  const ShardExecutor execute =
+      hooks.execute
+          ? hooks.execute
+          : ShardExecutor([&](std::size_t n,
+                              const std::function<void(std::size_t)>& task) {
+              if (!pool) pool.emplace(config_.threads);
+              pool->parallel_for_index(n, task, 1);
+            });
+
   // --- golden run ---------------------------------------------------------
   // The MATEs checked on the fault-free run, as the FPGA fabric would online:
   // one cycle bitmask of proven-benign faults per fault row. Only shards
@@ -166,6 +175,24 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     const auto it = fault_index.find(point.flop);
     return it != fault_index.end() && benign[it->second].get(point.cycle);
   };
+  const bool validate = config_.mode == CampaignMode::Validate;
+
+  // The confinement labels resolve points without a lane, which can save a
+  // pass only in a shard with more than one pass of points to execute
+  // (ceil(k / 63) = 1 for every k <= 63); otherwise the trace is not read
+  // for them. MATE pruning is decided first, so a pruned point stays pruned.
+  const auto needs_lane = [&](const InjectionPoint& point) {
+    return validate || !is_pruned(point);
+  };
+  const bool label =
+      std::any_of(pending.begin(), pending.end(), [&](std::size_t s) {
+        const std::span<const InjectionPoint> points = plan.shard(s);
+        return static_cast<std::size_t>(std::count_if(
+                   points.begin(), points.end(), needs_lane)) >
+               kExperimentLanes;
+      });
+  std::vector<BitVec> confined;
+  if (label) confined = confined_masks(*target_.netlist, *golden_, execute);
 
   std::mutex hook_mutex; // serializes store/progress hook invocations
   std::size_t shards_done = 0;
@@ -174,19 +201,12 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     // Caller holds hook_mutex.
     ++shards_done;
     if (!hooks.progress) return;
-    ShardProgress p;
+    ShardProgress p = counts[s];
     p.shard = s;
     p.shards_done = shards_done;
     p.num_shards = num_shards;
-    for (const Experiment& e : shards[s].experiments) {
-      p.executed += e.executed ? 1 : 0;
-    }
     p.seconds = shard_seconds[s];
     p.resumed = resumed[s];
-    p.dut_passes = lane_stats[s].dut_passes;
-    p.lane_slots = lane_stats[s].lane_slots;
-    p.lanes_retired_early = lane_stats[s].lanes_retired_early;
-    p.lane_cycles_saved = lane_stats[s].lane_cycles_saved;
     hooks.progress(p);
   };
 
@@ -206,8 +226,9 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     result.shard = static_cast<std::uint32_t>(s);
     const std::span<const InjectionPoint> points = plan.shard(s);
 
-    // Pruning decisions first; then the executed subset, packed 63 at a
-    // time into batch passes.
+    // Pruning decisions first, then the label-resolved points (executed,
+    // Benign); the rest run in lanes, packed 63 at a time into batch passes.
+    ShardProgress& stats = counts[s];
     result.experiments.reserve(points.size());
     std::vector<std::size_t> exec;
     exec.reserve(points.size());
@@ -215,13 +236,17 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
       Experiment exp;
       exp.point = point;
       exp.pruned = is_pruned(point);
-      if (!exp.pruned || config_.mode == CampaignMode::Validate) {
+      if (!exp.pruned && !confined.empty() &&
+          confined[point.flop.index()].get(point.cycle)) {
+        exp.executed = true;
+        ++stats.confined;
+      } else if (needs_lane(point)) {
         exec.push_back(result.experiments.size());
       }
       result.experiments.push_back(exp);
     }
 
-    ShardLaneStats& stats = lane_stats[s];
+    stats.executed = exec.size();
     if (!exec.empty()) {
       const auto batch_dut = target_.batch_factory();
       std::vector<InjectionPoint> group;
@@ -248,6 +273,7 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
         stats.lane_slots += kExperimentLanes;
         stats.lanes_retired_early += pass.lanes_retired_early;
         stats.lane_cycles_saved += pass.lane_cycles_saved;
+        stats.lane_cycles += pass.lane_cycles;
       }
     }
     shard_seconds[s] = watch.seconds();
@@ -257,18 +283,7 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     emit_progress(s);
   };
 
-  if (!pending.empty()) {
-    if (hooks.execute) {
-      // Host-provided executor (e.g. the serve layer's fair scheduler).
-      hooks.execute(pending.size(), execute_shard);
-    } else {
-      // One shard per scheduling step (grain 1): shard sizes already
-      // amortize the claim cost, and shard wall times can be skewed by
-      // pruning.
-      ThreadPool pool(config_.threads);
-      pool.parallel_for_index(pending.size(), execute_shard, 1);
-    }
-  }
+  if (!pending.empty()) execute(pending.size(), execute_shard);
 
   // --- deterministic merge --------------------------------------------------
   // Shard-index order, independent of completion order, thread count and

@@ -12,6 +12,9 @@
 // worker boots its own 64-lane BatchDut through the target's factory and
 // packs the shard's executed points 63 at a time into batch passes (lane 0
 // carries the golden run), so one gate-level pass retires a whole batch.
+// When a shard has more than one pass of points to execute, the golden
+// run's confinement labels (hafi/confine.hpp) resolve every injection they
+// prove Benign without a lane, recorded exactly as its execution would be.
 // Shards are merged in shard-index order, so the CampaignResult — including
 // the per-experiment outcome list — is byte-identical for any thread count
 // and any resume pattern, and to the one-boot-per-experiment scalar oracle
@@ -167,16 +170,17 @@ struct CampaignResult {
 
 class Campaign {
 public:
-  /// `target` needs a netlist and a batch factory. Pruned/Validate mode
-  /// also needs `mates`, targeting flop Q wires of the netlist, and
-  /// `golden`, the fault-free run's trace: run_cycles cycles of every
-  /// netlist wire, on which the MATEs are checked the way the FPGA fabric
-  /// checks them online. Both are borrowed (they must outlive the campaign)
-  /// and ignored in Baseline mode. `golden` is streamed only when a shard
-  /// executes. Throws ripple::Error on a missing or misshapen piece.
+  /// `target` needs a netlist and a batch factory. `golden` is the
+  /// fault-free run's trace, required in every mode: run_cycles cycles of
+  /// every netlist wire, from which the confinement labels are read and on
+  /// which the MATEs are checked the way the FPGA fabric checks them online.
+  /// Pruned/Validate mode also needs `mates`, targeting flop Q wires of the
+  /// netlist (ignored in Baseline mode). Both are borrowed (they must
+  /// outlive the campaign); `golden` is streamed only by run(), and only
+  /// when a shard executes. Throws ripple::Error on a missing or misshapen
+  /// piece.
   Campaign(CampaignTarget target, CampaignConfig config,
-           const mate::MateSet* mates = nullptr,
-           sim::TraceSource* golden = nullptr);
+           sim::TraceSource* golden, const mate::MateSet* mates = nullptr);
 
   /// The injection points and shard partition, built from the target's
   /// netlist on construction. Stable across runs for a fixed config, so
@@ -189,14 +193,18 @@ public:
     std::size_t shard = 0;
     std::size_t shards_done = 0; // including this one
     std::size_t num_shards = 0;
-    std::size_t executed = 0;   // experiments simulated in this shard
     double seconds = 0.0;       // this shard's execution wall time
     bool resumed = false;       // served by ShardHooks::load, not executed
-    // Engine utilization (zero for resumed shards — nothing ran):
+    // How the shard's executed experiments were resolved, and the engine
+    // work (all zero for resumed shards — nothing ran). A shard's
+    // experiments with `executed` set number executed + confined.
+    std::size_t executed = 0;   // simulated in a batch lane
+    std::size_t confined = 0;   // proven Benign by the confinement labels
     std::size_t dut_passes = 0; // gate-level batch passes
     std::size_t lane_slots = 0; // experiment capacity those passes offered
     std::size_t lanes_retired_early = 0; // classified before the run ended
     std::uint64_t lane_cycles_saved = 0; // cycles skipped by early retirement
+    LaneCycles lane_cycles;              // where the passes' lane-cycles went
   };
 
   /// Checkpoint/instrumentation hooks. All hooks are invoked with external

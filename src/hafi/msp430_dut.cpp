@@ -40,7 +40,11 @@ Msp430BatchDut::Msp430BatchDut(const cores::msp430::Msp430Core& core,
   RIPPLE_CHECK(image.words.size() <= image_.size(),
                "program image larger than memory");
   std::copy(image.words.begin(), image.words.end(), image_.begin());
-  sim_.require_state_only(core.ports.mem_addr);
+  const cores::msp430::Msp430Ports& p = core.ports;
+  sim_.require_state_only(p.mem_addr);
+  for (const sim::Bus& bus : {p.mem_addr, p.mem_wdata, sim::Bus{p.mem_we}}) {
+    sim_.require_primary_output(bus);
+  }
 }
 
 std::vector<Outcome> Msp430BatchDut::run(std::span<const InjectionPoint> points,

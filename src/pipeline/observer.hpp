@@ -45,9 +45,9 @@ struct CampaignProgress {
   std::size_t num_shards = 0;
   bool resumed = false;        // replayed from a checkpoint (zero cost)
   double seconds = 0.0;        // this shard's wall time (0 when resumed)
-  std::size_t executed = 0;       // injections executed by this shard
-  std::size_t executed_total = 0; // cumulative executed injections
-  double inj_per_sec = 0.0;    // this shard's throughput (0 when resumed)
+  std::size_t executed = 0;       // injections this shard ran in lanes
+  std::size_t executed_total = 0; // cumulative lane executions
+  double inj_per_sec = 0.0;    // this shard's lane executions per second
   double eta_seconds = 0.0;    // EtaTracker projection for the remainder
 };
 

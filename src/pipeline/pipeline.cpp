@@ -455,13 +455,12 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
   if (spec.config.threads == 0) spec.config.threads = config_.threads;
 
   StageScope scope(*this, "stage:campaign", "campaign", std::move(detail));
-  // Pruned/Validate check their MATEs on the golden run, the workload's
-  // chunk stream; it is read only if a shard executes.
+  // The golden run is the workload's chunk stream: the confinement labels
+  // and the MATEs are read off it, only if a shard executes.
   const bool pruning = spec.config.mode != hafi::CampaignMode::Baseline;
-  std::optional<ChunkedTraceStream> golden;
-  if (pruning) golden.emplace(*this, spec.runtime, spec.config.run_cycles);
-  hafi::Campaign campaign(spec.runtime.target(), spec.config, spec.mates,
-                          golden ? &*golden : nullptr);
+  ChunkedTraceStream golden(*this, spec.runtime, spec.config.run_cycles);
+  hafi::Campaign campaign(spec.runtime.target(), spec.config, &golden,
+                          spec.mates);
 
   const bool checkpoint = spec.resume && cache_->enabled();
   const std::uint64_t mates_fp = pruning ? fingerprint(*spec.mates) : 0;
@@ -485,13 +484,15 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
   // --report=json. Executed-shard wall times feed the ETA; resumed shards
   // (zero cost) deliberately do not.
   EtaTracker eta;
-  std::size_t executed_injections = 0;
+  std::size_t lane_executions = 0;
+  std::size_t confined = 0;
   std::size_t shards_resumed = 0;
   double busy_seconds = 0.0;
   std::size_t dut_passes = 0;
   std::size_t lane_slots = 0;
   std::size_t lanes_retired_early = 0;
   std::uint64_t lane_cycles_saved = 0;
+  hafi::LaneCycles lane_cycles;
 
   hafi::Campaign::ShardHooks hooks;
   if (checkpoint) {
@@ -535,11 +536,13 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
                                      static_cast<double>(p.lane_slots));
       }
     }
-    executed_injections += p.executed;
+    lane_executions += p.executed;
+    confined += p.confined;
     dut_passes += p.dut_passes;
     lane_slots += p.lane_slots;
     lanes_retired_early += p.lanes_retired_early;
     lane_cycles_saved += p.lane_cycles_saved;
+    lane_cycles += p.lane_cycles;
 
     CampaignProgress cp;
     cp.shard = p.shard;
@@ -548,7 +551,7 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
     cp.resumed = p.resumed;
     cp.seconds = p.seconds;
     cp.executed = p.executed;
-    cp.executed_total = executed_injections;
+    cp.executed_total = lane_executions;
     if (!p.resumed && p.seconds > 0.0) {
       cp.inj_per_sec = static_cast<double>(p.executed) / p.seconds;
     }
@@ -576,7 +579,10 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
   stats.counters = {
       {"experiments", static_cast<double>(result.total)},
       {"pruned", static_cast<double>(result.pruned)},
+      // Every executed experiment of the result: lane executions,
+      // label-resolved points and the executed points of resumed shards.
       {"executed", static_cast<double>(result.executed)},
+      {"confined", static_cast<double>(confined)},
       {"benign", static_cast<double>(result.benign)},
       {"latent", static_cast<double>(result.latent)},
       {"sdc", static_cast<double>(result.sdc)},
@@ -590,19 +596,23 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
       {"dut_passes", static_cast<double>(dut_passes)},
       {"lanes_retired_early", static_cast<double>(lanes_retired_early)},
       {"lane_cycles_saved", static_cast<double>(lane_cycles_saved)},
-      // Executed experiments / experiment capacity of the gate-level passes:
+      {"pre_injection_lane_cycles",
+       static_cast<double>(lane_cycles.pre_injection)},
+      {"live_lane_cycles", static_cast<double>(lane_cycles.live)},
+      {"idle_lane_cycles", static_cast<double>(lane_cycles.idle)},
+      // Lane executions / experiment capacity of the gate-level passes:
       // 1.0 when every lane of every pass carried an injection.
       {"lane_utilization",
-       lane_slots > 0 ? static_cast<double>(executed_injections) /
+       lane_slots > 0 ? static_cast<double>(lane_executions) /
                             static_cast<double>(lane_slots)
                       : 0.0},
   };
-  // Retired experiments per second — counts injections, not gate-level
-  // passes.
+  // Lane executions per second of shard time — counts injections, not
+  // gate-level passes.
   if (eta.total_seconds() > 0.0) {
     stats.counters.emplace_back(
         "injections_per_sec",
-        static_cast<double>(executed_injections) / eta.total_seconds());
+        static_cast<double>(lane_executions) / eta.total_seconds());
   }
   scope.end();
   return result;

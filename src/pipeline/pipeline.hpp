@@ -108,8 +108,8 @@ class CampaignPipeline;
 /// this struct via the CoreRegistry.
 struct CampaignSpec {
   /// The core and workload injected into (normally from the CoreRegistry).
-  /// Pruned/Validate campaigns read its golden run from the workload's
-  /// cached chunk stream; its fingerprint keys the shard checkpoints.
+  /// Every campaign reads its golden run from the workload's cached chunk
+  /// stream; its fingerprint keys the shard checkpoints.
   CoreRuntime runtime;
   hafi::CampaignConfig config;
   /// Required for Pruned/Validate; ignored for Baseline.
@@ -225,10 +225,12 @@ public:
   /// Run the campaign stage: shard fan-out per CampaignConfig::threads
   /// (0 falls back to the pipeline's --threads), per-shard progress with
   /// injections/sec, pruned-rate and ETA via the observers, and optional
-  /// shard checkpointing per `spec.resume`. Pruned/Validate campaigns read
-  /// their golden run from a ChunkedTraceStream of run_cycles cycles, only
-  /// when a shard executes. Throws hafi::SoundnessError (with its per-shard
-  /// violation report) in Validate mode.
+  /// shard checkpointing per `spec.resume`. The golden run is a
+  /// ChunkedTraceStream of run_cycles cycles, read only when a shard
+  /// executes: by Pruned/Validate for their MATEs, and in every mode for the
+  /// confinement labels when a pending shard has more than 63 points to
+  /// execute. Throws hafi::SoundnessError (with its per-shard violation
+  /// report) in Validate mode.
   [[nodiscard]] hafi::CampaignResult campaign(CampaignSpec spec,
                                               std::string detail = {});
 

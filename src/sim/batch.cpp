@@ -231,6 +231,14 @@ void BatchSimulator::require_state_only(const Bus& bus) const {
   }
 }
 
+void BatchSimulator::require_primary_output(const Bus& bus) const {
+  for (const WireId w : bus) {
+    RIPPLE_CHECK(netlist_->wire(w).is_primary_output, "wire '",
+                 netlist_->wire(w).name,
+                 "' is read by the harness but is no primary output");
+  }
+}
+
 std::uint64_t BatchSimulator::read_bus(const Bus& bus, unsigned lane) const {
   RIPPLE_ASSERT(bus.size() <= 64 && lane < kBatchLanes);
   std::uint64_t v = 0;

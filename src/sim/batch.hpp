@@ -89,6 +89,12 @@ public:
   /// harnesses call it on the buses they read between the two phases.
   void require_state_only(const Bus& bus) const;
 
+  /// Throws ripple::Error, naming the wire, when a wire of `bus` is not a
+  /// primary output. Harnesses call it on every bus and strobe they read:
+  /// the confinement labels (hafi/confine.hpp) compare only primary outputs
+  /// against the golden run.
+  void require_primary_output(const Bus& bus) const;
+
   // --- observation ---------------------------------------------------------
 
   /// The wire's word: bit i = lane i's value.

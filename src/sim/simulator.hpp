@@ -65,6 +65,10 @@ public:
   void require_state_only(const Bus& bus) const {
     kernel_.require_state_only(bus);
   }
+  /// See BatchSimulator::require_primary_output.
+  void require_primary_output(const Bus& bus) const {
+    kernel_.require_primary_output(bus);
+  }
 
   // --- observation ---------------------------------------------------------
 

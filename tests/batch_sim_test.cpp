@@ -296,6 +296,32 @@ TEST(BatchSim, RequireStateOnlyRefusesAnInputDependentAddress) {
   EXPECT_THROW(scalar.require_state_only(Bus{bad}), Error);
 }
 
+TEST(BatchSim, RequirePrimaryOutputRefusesAnInternalStrobe) {
+  // A toy harness netlist whose write strobe "we" is an internal wire: the
+  // data bus is a primary output, the strobe is not.
+  Netlist n;
+  const WireId rdata = n.add_input("rdata");
+  const FlopId f = n.add_flop("acc", false);
+  const WireId q = n.flop(f).q;
+  const WireId wdata = n.add_gate_new(Kind::Xor2, {q, rdata}, "wdata");
+  const WireId we = n.add_gate_new(Kind::Inv, {q}, "we");
+  n.connect_flop(f, n.add_gate_new(Kind::And2, {wdata, we}, "acc_d"));
+  n.mark_output(wdata);
+
+  BatchSimulator batch(n);
+  EXPECT_NO_THROW(batch.require_primary_output(Bus{wdata}));
+  try {
+    batch.require_primary_output(Bus{wdata, we});
+    FAIL() << "internal strobe accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'we'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(batch.require_primary_output(Bus{q}), Error);
+  const Simulator scalar(n);
+  EXPECT_THROW(scalar.require_primary_output(Bus{we}), Error);
+}
+
 void expect_same_trace(const Trace& kernel, const Trace& reference,
                        std::size_t cycles, const char* core) {
   ASSERT_EQ(kernel.num_cycles(), cycles) << core;

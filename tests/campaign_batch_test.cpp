@@ -2,11 +2,12 @@
 // oracle (tests/support): the registry's production targets must produce a
 // byte-identical CampaignResult to the oracle across both cores, all three
 // CampaignModes and any thread count — the production golden run (a chunk
-// stream scored by mate::benign_masks) against the oracle's own (a scalar
-// trace scored by benign_matrix) — and checkpoints cut from the oracle's
-// result must replay under the batch engine after a kill. Also pins down
-// the lane-utilization accounting that feeds the --report=json counters and
-// the campaign's refusal of incomplete targets and misshapen golden runs.
+// stream scored by mate::benign_masks and labelled by hafi::confined_masks)
+// against the oracle's own (a scalar trace scored by benign_matrix, every
+// point executed) — and checkpoints cut from the oracle's result must replay
+// under the batch engine after a kill. Also pins down the lane-utilization
+// accounting that feeds the --report=json counters and the campaign's
+// refusal of incomplete targets and missing or misshapen golden runs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -80,43 +81,64 @@ std::vector<std::uint8_t> result_bytes(const CampaignResult& r) {
 CampaignResult oracle_result(const Target& t, const CampaignConfig& cfg) {
   CampaignConfig plan_cfg = cfg;
   plan_cfg.mode = CampaignMode::Baseline;
-  Campaign planner(t.runtime.target(), plan_cfg);
+  const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
+  Campaign planner(t.runtime.target(), plan_cfg, golden.get());
   return run_scalar_campaign(t.oracle, cfg, planner.plan().points,
                              mates_for(t, cfg.mode));
 }
 
-void expect_matches_oracle(const Target& t, const CampaignConfig& base) {
-  for (const CampaignMode mode :
-       {CampaignMode::Baseline, CampaignMode::Pruned,
-        CampaignMode::Validate}) {
-    CampaignConfig cfg = base;
-    cfg.mode = mode;
-    const CampaignResult reference = oracle_result(t, cfg);
-    // Both the pruning decisions and the SDC classification take part.
-    EXPECT_GT(reference.sdc, 0u) << "mode=" << mode_name(mode);
-    if (mode != CampaignMode::Baseline) {
-      EXPECT_GT(reference.pruned, 0u) << "mode=" << mode_name(mode);
-    }
-    const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      cfg.threads = threads;
-      Campaign campaign(t.runtime.target(), cfg, mates_for(t, mode),
-                        golden.get());
-      EXPECT_EQ(result_bytes(campaign.run()), result_bytes(reference))
-          << "batch engine differs from the scalar oracle: mode="
-          << mode_name(mode) << " threads=" << threads;
+/// Both shard shapes of the oracle-identity checks: `small` shards fit one
+/// pass each, so no labels are computed; 126-point shards of `sample`
+/// points have two passes of points to execute and are labelled.
+void expect_matches_oracle(const Target& t, const CampaignConfig& small,
+                           std::size_t sample) {
+  CampaignConfig labelled = small;
+  labelled.sample = sample;
+  labelled.shard_size = 2 * kExperimentLanes;
+  for (const CampaignConfig& base : {small, labelled}) {
+    const bool labels = base.shard_size > kExperimentLanes;
+    for (const CampaignMode mode :
+         {CampaignMode::Baseline, CampaignMode::Pruned,
+          CampaignMode::Validate}) {
+      CampaignConfig cfg = base;
+      cfg.mode = mode;
+      const CampaignResult reference = oracle_result(t, cfg);
+      // The pruning decisions, the labels and the SDC classification all
+      // take part.
+      EXPECT_GT(reference.sdc, 0u) << "mode=" << mode_name(mode);
+      if (mode != CampaignMode::Baseline) {
+        EXPECT_GT(reference.pruned, 0u) << "mode=" << mode_name(mode);
+      }
+      const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        cfg.threads = threads;
+        std::size_t confined = 0;
+        Campaign::ShardHooks hooks;
+        hooks.progress = [&](const Campaign::ShardProgress& p) {
+          confined += p.confined;
+        };
+        Campaign campaign(t.runtime.target(), cfg, golden.get(),
+                          mates_for(t, mode));
+        EXPECT_EQ(result_bytes(campaign.run(hooks)), result_bytes(reference))
+            << "batch engine differs from the scalar oracle: mode="
+            << mode_name(mode) << " threads=" << threads
+            << " shard_size=" << cfg.shard_size;
+        EXPECT_EQ(confined > 0, labels)
+            << "mode=" << mode_name(mode) << " threads=" << threads
+            << " shard_size=" << cfg.shard_size;
+      }
     }
   }
 }
 
 TEST(CampaignBatch, AvrEnginesByteIdenticalAcrossModesAndThreads) {
-  expect_matches_oracle(avr_target(), small_config(48, 300));
+  expect_matches_oracle(avr_target(), small_config(48, 300), 150);
 }
 
 TEST(CampaignBatch, Msp430EnginesByteIdenticalAcrossModesAndThreads) {
   // 350 cycles: within 250 the MSP430 fib run turns only about 1 % of
   // injections into SDCs, too few for a small sample to cover.
-  expect_matches_oracle(msp430_target(), small_config(40, 350));
+  expect_matches_oracle(msp430_target(), small_config(40, 350), 150);
 }
 
 TEST(CampaignBatch, ScalarCheckpointsReplayUnderBitparAfterKill) {
@@ -130,7 +152,7 @@ TEST(CampaignBatch, ScalarCheckpointsReplayUnderBitparAfterKill) {
   const CampaignResult expected = oracle_result(t, cfg);
 
   const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
-  Campaign campaign(t.runtime.target(), cfg, &t.search.set, golden.get());
+  Campaign campaign(t.runtime.target(), cfg, golden.get(), &t.search.set);
   const CampaignPlan& plan = campaign.plan();
   std::map<std::size_t, ShardResult> persisted;
   for (std::size_t s = 0; s < 3; ++s) {
@@ -170,76 +192,104 @@ TEST(CampaignBatch, ScalarCheckpointsReplayUnderBitparAfterKill) {
 struct LaneRun {
   CampaignResult result;
   std::size_t dut_passes = 0;
+  std::size_t confined = 0;
 };
 
 /// Runs a Baseline campaign of `cfg` on `t`, checking every shard's lane
-/// accounting: a shard of E executed points runs ceil(E/63) passes of 63
-/// lane slots each.
+/// accounting: of a shard's E executed experiments, C were resolved by the
+/// confinement labels, and the other E - C ran in ceil((E - C) / 63) passes
+/// of 63 lane slots each.
 LaneRun run_checking_lanes(const Target& t, const CampaignConfig& cfg) {
   LaneRun run;
-  std::size_t executed = 0;
+  std::size_t lane_executions = 0;
   std::size_t lane_slots = 0;
   std::size_t retired = 0;
+  std::map<std::size_t, std::size_t> executed; // per shard, from its result
   Campaign::ShardHooks hooks;
+  hooks.store = [&](const ShardResult& shard) {
+    for (const Experiment& e : shard.experiments) {
+      executed[shard.shard] += e.executed ? 1 : 0;
+    }
+  };
   hooks.progress = [&](const Campaign::ShardProgress& p) {
-    executed += p.executed;
+    lane_executions += p.executed;
+    run.confined += p.confined;
     run.dut_passes += p.dut_passes;
     lane_slots += p.lane_slots;
     retired += p.lanes_retired_early;
-    EXPECT_EQ(p.dut_passes,
-              (p.executed + kExperimentLanes - 1) / kExperimentLanes);
+    EXPECT_EQ(p.executed + p.confined, executed[p.shard]);
+    EXPECT_EQ(p.dut_passes, (executed[p.shard] - p.confined +
+                             kExperimentLanes - 1) /
+                                kExperimentLanes);
     EXPECT_EQ(p.lane_slots, p.dut_passes * kExperimentLanes);
+    EXPECT_LE(p.executed, p.lane_slots); // lane utilization <= 1
   };
-  Campaign campaign(t.runtime.target(), cfg);
+  const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
+  Campaign campaign(t.runtime.target(), cfg, golden.get());
   run.result = campaign.run(hooks);
-  EXPECT_EQ(executed, run.result.executed);
-  EXPECT_GE(lane_slots, executed);
-  EXPECT_LE(retired, executed);
+  EXPECT_EQ(lane_executions + run.confined, run.result.executed);
+  EXPECT_LE(retired, lane_executions);
   return run;
 }
 
 TEST(CampaignBatch, LaneUtilizationAccounting) {
-  // 8-point shards fit one pass each, so far fewer passes than experiments.
+  // 8-point shards fit one pass each, so far fewer passes than experiments,
+  // and no labels are computed for them.
   CampaignConfig cfg = small_config(48, 300);
   const LaneRun small = run_checking_lanes(avr_target(), cfg);
   EXPECT_LT(small.dut_passes, small.result.executed);
+  EXPECT_EQ(small.confined, 0u);
 
-  // Shards of two full 63-lane passes, on both cores, byte-identical to the
-  // scalar oracle.
+  // Shards of two 63-lane passes of points (126 and 24), on both cores,
+  // byte-identical to the scalar oracle. The labels resolve enough of the
+  // 126-point shard to fit one pass: 2 passes instead of 3, pinned exactly.
   cfg.run_cycles = 250;
   cfg.sample = 150;
   cfg.seed = 23;
   cfg.shard_size = 2 * kExperimentLanes;
-  for (const Target* t : {&avr_target(), &msp430_target()}) {
-    SCOPED_TRACE(t->runtime.netlist->name());
-    EXPECT_EQ(result_bytes(run_checking_lanes(*t, cfg).result),
-              result_bytes(oracle_result(*t, cfg)));
+  struct Pin {
+    const Target* target;
+    std::size_t confined;
+    std::size_t dut_passes;
+  };
+  for (const Pin& pin : {Pin{&avr_target(), 86, 2},
+                         Pin{&msp430_target(), 106, 2}}) {
+    const Target& t = *pin.target;
+    SCOPED_TRACE(t.runtime.netlist->name());
+    const LaneRun run = run_checking_lanes(t, cfg);
+    EXPECT_EQ(run.confined, pin.confined);
+    EXPECT_EQ(run.dut_passes, pin.dut_passes);
+    EXPECT_EQ(result_bytes(run.result), result_bytes(oracle_result(t, cfg)));
   }
 }
 
 TEST(CampaignBatch, RejectsTargetWithoutBatchFactory) {
   CampaignTarget target = avr_target().runtime.target();
   target.batch_factory = nullptr;
-  EXPECT_THROW(Campaign(target, small_config(24, 200)), Error);
+  const auto golden = pipeline::golden_run(avr_target().runtime, 200);
+  EXPECT_THROW(Campaign(target, small_config(24, 200), golden.get()), Error);
 }
 
-TEST(CampaignBatch, PrunedAndValidateNeedAGoldenRun) {
+TEST(CampaignBatch, EveryModeNeedsAGoldenRun) {
   const Target& t = avr_target();
   CampaignConfig cfg = small_config(24, 200);
-  // Baseline runs no golden trace, so it needs none.
-  const CampaignResult baseline = Campaign(t.runtime.target(), cfg).run();
-  EXPECT_EQ(baseline.executed, 24u);
   for (const CampaignMode mode :
-       {CampaignMode::Pruned, CampaignMode::Validate}) {
+       {CampaignMode::Baseline, CampaignMode::Pruned,
+        CampaignMode::Validate}) {
     cfg.mode = mode;
-    EXPECT_THROW(Campaign(t.runtime.target(), cfg, &t.search.set), Error)
-        << "mode=" << mode_name(mode);
+    try {
+      Campaign(t.runtime.target(), cfg, nullptr, mates_for(t, mode));
+      ADD_FAILURE() << "accepted no golden run: mode=" << mode_name(mode);
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("golden run"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
 TEST(CampaignBatch, RejectsGoldenRunOfTheWrongShape) {
-  // The golden run must cover exactly run_cycles cycles of every netlist
-  // wire; the shape is checked before anything streams.
+  // In every mode, the golden run must cover exactly run_cycles cycles of
+  // every netlist wire; the shape is checked before anything streams.
   struct Shape final : sim::TraceSource {
     std::size_t wires = 0;
     std::size_t cycles = 0;
@@ -251,24 +301,28 @@ TEST(CampaignBatch, RejectsGoldenRunOfTheWrongShape) {
   };
   const Target& t = avr_target();
   CampaignConfig cfg = small_config(24, 200);
-  cfg.mode = CampaignMode::Pruned;
   const std::size_t wires = t.runtime.netlist->num_wires();
-  for (const auto& [w, c] : {std::pair{wires, std::size_t{199}},
-                             std::pair{wires, std::size_t{201}},
-                             std::pair{wires - 1, std::size_t{200}},
-                             std::pair{wires + 1, std::size_t{200}}}) {
-    Shape golden;
-    golden.wires = w;
-    golden.cycles = c;
-    try {
-      Campaign(t.runtime.target(), cfg, &t.search.set, &golden);
-      ADD_FAILURE() << "accepted a " << c << "-cycle golden run of " << w
-                    << " wires";
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("golden run"), std::string::npos)
-          << e.what();
+  for (const CampaignMode mode :
+       {CampaignMode::Baseline, CampaignMode::Pruned}) {
+    cfg.mode = mode;
+    for (const auto& [w, c] : {std::pair{wires, std::size_t{199}},
+                               std::pair{wires, std::size_t{201}},
+                               std::pair{wires - 1, std::size_t{200}},
+                               std::pair{wires + 1, std::size_t{200}}}) {
+      Shape golden;
+      golden.wires = w;
+      golden.cycles = c;
+      try {
+        Campaign(t.runtime.target(), cfg, &golden, mates_for(t, mode));
+        ADD_FAILURE() << "accepted a " << c << "-cycle golden run of " << w
+                      << " wires: mode=" << mode_name(mode);
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("golden run"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(golden.streams, 0u);
     }
-    EXPECT_EQ(golden.streams, 0u);
   }
 }
 

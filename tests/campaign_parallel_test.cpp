@@ -30,6 +30,12 @@ const pipeline::CoreRuntime& avr() {
   return rt;
 }
 
+/// The golden run of small_config()'s 300 cycles.
+const std::unique_ptr<pipeline::ChunkedTraceStream>& golden() {
+  static const auto run = pipeline::golden_run(avr(), 300);
+  return run;
+}
+
 CampaignConfig small_config() {
   CampaignConfig cfg;
   cfg.run_cycles = 300;
@@ -51,7 +57,7 @@ TEST(CampaignParallel, ByteIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     CampaignConfig cfg = small_config();
     cfg.threads = threads;
-    Campaign campaign(avr().target(), cfg);
+    Campaign campaign(avr().target(), cfg, golden().get());
     const std::vector<std::uint8_t> bytes = result_bytes(campaign.run());
     if (reference.empty()) {
       reference = bytes;
@@ -67,7 +73,7 @@ TEST(CampaignParallel, CheckpointRoundTripAfterSimulatedKill) {
   CampaignConfig cfg = small_config();
   cfg.threads = 1; // deterministic shard execution order for the kill
 
-  Campaign clean(avr().target(), cfg);
+  Campaign clean(avr().target(), cfg, golden().get());
   const std::vector<std::uint8_t> expected = result_bytes(clean.run());
 
   // First attempt: persist shards, then die once three are stored — the
@@ -78,7 +84,7 @@ TEST(CampaignParallel, CheckpointRoundTripAfterSimulatedKill) {
   std::map<std::size_t, ShardResult> persisted;
   struct Killed {};
   {
-    Campaign campaign(avr().target(), cfg);
+    Campaign campaign(avr().target(), cfg, golden().get());
     Campaign::ShardHooks hooks;
     hooks.store = [&](const ShardResult& shard) {
       persisted.emplace(shard.shard, shard);
@@ -91,7 +97,7 @@ TEST(CampaignParallel, CheckpointRoundTripAfterSimulatedKill) {
   // Second attempt: resume from the persisted shards. Exactly the stored
   // shards are served from the checkpoint, and the merged result is
   // byte-identical to the uninterrupted campaign.
-  Campaign campaign(avr().target(), cfg);
+  Campaign campaign(avr().target(), cfg, golden().get());
   ASSERT_LT(persisted.size(), campaign.plan().num_shards());
   std::size_t resumed = 0;
   std::size_t executed_shards = 0;
@@ -112,10 +118,10 @@ TEST(CampaignParallel, CheckpointRoundTripAfterSimulatedKill) {
 
 TEST(CampaignParallel, StaleCheckpointIsDiscardedAndReExecuted) {
   CampaignConfig cfg = small_config();
-  Campaign clean(avr().target(), cfg);
+  Campaign clean(avr().target(), cfg, golden().get());
   const std::vector<std::uint8_t> expected = result_bytes(clean.run());
 
-  Campaign campaign(avr().target(), cfg);
+  Campaign campaign(avr().target(), cfg, golden().get());
   std::size_t resumed = 0;
   std::size_t loads = 0;
   Campaign::ShardHooks hooks;
@@ -154,7 +160,7 @@ TEST(CampaignParallel, ValidateModeAbortsOnSoundnessViolation) {
   cfg.seed = 7;
   cfg.mode = CampaignMode::Validate;
   const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
-  Campaign campaign(avr().target(), cfg, &bogus, golden.get());
+  Campaign campaign(avr().target(), cfg, golden.get(), &bogus);
   try {
     (void)campaign.run();
     FAIL() << "expected SoundnessError";

@@ -29,6 +29,12 @@ CampaignConfig small_config() {
   return cfg;
 }
 
+/// The golden run of small_config()'s 400 cycles.
+sim::TraceSource* golden400() {
+  static const auto run = pipeline::golden_run(avr(), 400);
+  return run.get();
+}
+
 const mate::SearchResult& avr_search() {
   static const mate::SearchResult r = [] {
     mate::SearchParams sp;
@@ -39,8 +45,8 @@ const mate::SearchResult& avr_search() {
 }
 
 TEST(Campaign, PlanIsDeterministicAndInRange) {
-  Campaign c1(target(), small_config());
-  Campaign c2(target(), small_config());
+  Campaign c1(target(), small_config(), golden400());
+  Campaign c2(target(), small_config(), golden400());
   const CampaignPlan& p1 = c1.plan();
   const CampaignPlan& p2 = c2.plan();
   ASSERT_EQ(p1.points.size(), 60u);
@@ -53,7 +59,7 @@ TEST(Campaign, PlanIsDeterministicAndInRange) {
 }
 
 TEST(Campaign, PlanShardsPartitionThePoints) {
-  Campaign campaign(target(), small_config());
+  Campaign campaign(target(), small_config(), golden400());
   const CampaignPlan& plan = campaign.plan();
   ASSERT_GT(plan.shard_size, 0u);
   std::size_t covered = 0;
@@ -70,12 +76,13 @@ TEST(Campaign, ExhaustiveWhenSampleZero) {
   CampaignConfig cfg;
   cfg.run_cycles = 3;
   cfg.sample = 0;
-  Campaign campaign(target(), cfg);
+  const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
+  Campaign campaign(target(), cfg, golden.get());
   EXPECT_EQ(campaign.plan().points.size(), avr_netlist().num_flops() * 3);
 }
 
 TEST(Campaign, BaselineClassifiesOutcomes) {
-  Campaign campaign(target(), small_config());
+  Campaign campaign(target(), small_config(), golden400());
   const CampaignResult r = campaign.run();
   EXPECT_EQ(r.total, 60u);
   EXPECT_EQ(r.executed, 60u);
@@ -95,8 +102,7 @@ TEST(Campaign, MatePruningSavesExperimentsAndIsSound) {
   cfg.sample = 600; // fib masks ~3 % of the space; 600 draws make a zero-
                     // prune campaign astronomically unlikely
   cfg.mode = CampaignMode::Validate;
-  const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
-  Campaign campaign(target(), cfg, &search.set, golden.get());
+  Campaign campaign(target(), cfg, golden400(), &search.set);
   const CampaignResult r = campaign.run();
 
   EXPECT_GT(r.pruned, 0u) << "MATEs should prune some sampled injections";
@@ -108,8 +114,7 @@ TEST(Campaign, MatePruningSavesExperimentsAndIsSound) {
 TEST(Campaign, PrunedSkippedWithoutValidation) {
   CampaignConfig cfg = small_config();
   cfg.mode = CampaignMode::Pruned;
-  const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
-  Campaign campaign(target(), cfg, &avr_search().set, golden.get());
+  Campaign campaign(target(), cfg, golden400(), &avr_search().set);
   const CampaignResult r = campaign.run();
   EXPECT_EQ(r.executed + r.pruned, r.total);
   if (r.pruned > 0) {
@@ -119,14 +124,12 @@ TEST(Campaign, PrunedSkippedWithoutValidation) {
 
 TEST(Campaign, BaselineAndPrunedAgreeOnExecutedOutcomes) {
   const CampaignConfig cfg = small_config();
-  Campaign base_campaign(target(), cfg);
+  Campaign base_campaign(target(), cfg, golden400());
   const CampaignResult base = base_campaign.run();
 
   CampaignConfig vcfg = cfg;
   vcfg.mode = CampaignMode::Validate;
-  const auto golden = pipeline::golden_run(avr(), cfg.run_cycles);
-  Campaign pruned_campaign(target(), vcfg, &avr_search().set,
-                           golden.get());
+  Campaign pruned_campaign(target(), vcfg, golden400(), &avr_search().set);
   const CampaignResult pruned = pruned_campaign.run();
 
   ASSERT_EQ(base.experiments.size(), pruned.experiments.size());
@@ -142,9 +145,8 @@ TEST(Campaign, PlanIsTheSameForEveryModeAndThreadCount) {
   // shard_size — never the mode or the thread count — so Baseline, Pruned
   // and Validate campaigns over one config inject the same points.
   const CampaignConfig base = small_config();
-  Campaign reference(target(), base);
+  Campaign reference(target(), base, golden400());
   const CampaignPlan& expected = reference.plan();
-  const auto golden = pipeline::golden_run(avr(), base.run_cycles);
   for (const std::size_t threads : {1u, 8u}) {
     for (const CampaignMode mode :
          {CampaignMode::Baseline, CampaignMode::Pruned,
@@ -152,7 +154,7 @@ TEST(Campaign, PlanIsTheSameForEveryModeAndThreadCount) {
       CampaignConfig cfg = base;
       cfg.threads = threads;
       cfg.mode = mode;
-      Campaign campaign(target(), cfg, &avr_search().set, golden.get());
+      Campaign campaign(target(), cfg, golden400(), &avr_search().set);
       EXPECT_EQ(campaign.plan().points, expected.points)
           << "mode=" << mode_name(mode) << " threads=" << threads;
       EXPECT_EQ(campaign.plan().shard_size, expected.shard_size)
@@ -164,7 +166,7 @@ TEST(Campaign, PlanIsTheSameForEveryModeAndThreadCount) {
 TEST(Campaign, ModeRequiresMateSet) {
   CampaignConfig cfg = small_config();
   cfg.mode = CampaignMode::Pruned;
-  EXPECT_THROW(Campaign(target(), cfg), Error);
+  EXPECT_THROW(Campaign(target(), cfg, golden400()), Error);
 }
 
 TEST(AvrDutAdapter, ObservableAndStateChange) {
@@ -200,11 +202,47 @@ TEST(BatchDutPass, EvaluatesEachGateOncePerCycle) {
     EXPECT_EQ(stats.gate_evals, (stats.cycles + 1) * rt.netlist->num_gates())
         << core;
 
+    // Every carried lane spends each simulated cycle in one phase.
+    const LaneCycles& lc = stats.lane_cycles;
+    EXPECT_EQ(lc.pre_injection + lc.live + lc.idle,
+              stats.lanes * stats.cycles)
+        << core;
+
     // The counts are per pass, not cumulative over the DUT's lifetime.
     BatchRunStats again;
     (void)dut->run(points, kRunCycles, &again);
     EXPECT_EQ(again.cycles, stats.cycles) << core;
     EXPECT_EQ(again.gate_evals, stats.gate_evals) << core;
+    EXPECT_EQ(again.lane_cycles, stats.lane_cycles) << core;
+  }
+}
+
+TEST(BatchDutPass, CountsLaneCyclesByPhase) {
+  // One small pass per core, pinned exactly: eight injections at cycles
+  // 0, 25, ..., 175 of a 300-cycle run. A lane mirrors the golden run
+  // before its injection cycle (0 + 25 + ... + 175 = 700 lane-cycles), is
+  // live until it is classified, and idles after that while the pass runs
+  // on; the three sum to 8 lanes x 300 cycles.
+  struct Pin {
+    const char* core;
+    std::uint64_t cycles, pre_injection, live, idle;
+  };
+  for (const Pin& pin :
+       {Pin{"avr", 300, 700, 1382, 318}, Pin{"msp430", 300, 700, 1551, 149}}) {
+    const pipeline::CoreRuntime rt =
+        pipeline::CoreRegistry::global().make(pin.core, "fib");
+    std::vector<InjectionPoint> points;
+    for (std::size_t i = 0; i < 8; ++i) {
+      points.push_back(InjectionPoint{
+          FlopId(static_cast<std::uint32_t>((i * 41) % rt.netlist->num_flops())),
+          25 * i});
+    }
+    BatchRunStats stats;
+    (void)rt.batch_factory()->run(points, 300, &stats);
+    EXPECT_EQ(stats.cycles, pin.cycles) << pin.core;
+    EXPECT_EQ(stats.lane_cycles.pre_injection, pin.pre_injection) << pin.core;
+    EXPECT_EQ(stats.lane_cycles.live, pin.live) << pin.core;
+    EXPECT_EQ(stats.lane_cycles.idle, pin.idle) << pin.core;
   }
 }
 

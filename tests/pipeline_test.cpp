@@ -379,27 +379,27 @@ TEST(Pipeline, Msp430EvalSelectStagesMatchScalarOracle) {
 // with resume on the same cache, it reads no trace at all — the selection
 // hits without streaming and every shard resumes, so the golden run is never
 // streamed.
-TEST(Pipeline, ResumedPrunedReplayReadsNoTrace) {
-  struct Recorder : StageObserver {
-    std::vector<StageStats> stages;
-    void stage_end(const StageStats& stats) override {
-      stages.push_back(stats);
+/// Every stage record a pipeline reports.
+struct Recorder : StageObserver {
+  std::vector<StageStats> stages;
+  void stage_end(const StageStats& stats) override { stages.push_back(stats); }
+  [[nodiscard]] std::vector<StageStats> named(std::string_view name) const {
+    std::vector<StageStats> out;
+    for (const StageStats& s : stages) {
+      if (s.stage == name) out.push_back(s);
     }
-    [[nodiscard]] std::vector<StageStats> named(std::string_view name) const {
-      std::vector<StageStats> out;
-      for (const StageStats& s : stages) {
-        if (s.stage == name) out.push_back(s);
-      }
-      return out;
-    }
-  };
-  const auto counter = [](const StageStats& s, const char* name) {
-    for (const auto& [key, value] : s.counters) {
-      if (key == name) return value;
-    }
-    return -1.0;
-  };
+    return out;
+  }
+};
 
+double counter(const StageStats& s, const char* name) {
+  for (const auto& [key, value] : s.counters) {
+    if (key == name) return value;
+  }
+  return -1.0;
+}
+
+TEST(Pipeline, ResumedPrunedReplayReadsNoTrace) {
   TempDir tmp;
   CampaignRequest request;
   request.core = "avr";
@@ -446,6 +446,59 @@ TEST(Pipeline, ResumedPrunedReplayReadsNoTrace) {
   EXPECT_EQ(counter(campaign, "shards_resumed"), 4.0);
   EXPECT_EQ(counter(campaign, "shards"), 4.0);
   EXPECT_GT(counter(campaign, "pruned"), 0.0);
+
+  // A Baseline campaign whose 126-point shard is labelled: cold, the golden
+  // run's chunk is read for the labels; fully resumed, no trace is read.
+  request.config.mode = hafi::CampaignMode::Baseline;
+  request.config.sample = 130;
+  request.config.shard_size = 126; // 2 shards
+  const auto base_cold = std::make_shared<Recorder>();
+  const auto base_warm = std::make_shared<Recorder>();
+  const std::vector<std::uint8_t> base_first = run_once(base_cold);
+  EXPECT_EQ(run_once(base_warm), base_first);
+  EXPECT_EQ(base_cold->named("record_trace").size(), 1u);
+  EXPECT_GT(counter(base_cold->named("campaign").at(0), "confined"), 0.0);
+  EXPECT_TRUE(base_warm->named("record_trace").empty());
+  const StageStats base_replay = base_warm->named("campaign").at(0);
+  EXPECT_EQ(counter(base_replay, "shards_resumed"), 2.0);
+  EXPECT_EQ(counter(base_replay, "confined"), 0.0);
+  EXPECT_EQ(counter(base_replay, "executed"), 130.0);
+}
+
+TEST(Pipeline, BaselineReadsTheGoldenRunOnlyForLabels) {
+  // Shards that fit one pass each cannot save a pass, so a Baseline run()
+  // computes no labels and streams no trace at all. With 126-point shards
+  // the labels resolve points without a lane, and the stage counts them.
+  CampaignRequest request;
+  request.core = "msp430";
+  request.config.run_cycles = 200;
+  request.config.sample = 130;
+  request.config.seed = 5;
+  request.config.threads = 2;
+  request.config.shard_size = 63; // 3 shards, one pass each
+
+  CampaignPipeline pipe;
+  const auto one_pass = std::make_shared<Recorder>();
+  pipe.add_observer(one_pass);
+  const hafi::CampaignResult plain = pipe.run(request);
+  pipe.remove_observer(one_pass);
+  EXPECT_TRUE(one_pass->named("record_trace").empty());
+  const StageStats stage = one_pass->named("campaign").at(0);
+  EXPECT_EQ(counter(stage, "confined"), 0.0);
+  EXPECT_EQ(counter(stage, "dut_passes"), 3.0);
+
+  request.config.shard_size = 126; // 2 shards
+  const auto labelled = std::make_shared<Recorder>();
+  pipe.add_observer(labelled);
+  const hafi::CampaignResult result = pipe.run(request);
+  EXPECT_EQ(labelled->named("record_trace").size(), 1u);
+  const StageStats lstage = labelled->named("campaign").at(0);
+  EXPECT_GT(counter(lstage, "confined"), 0.0);
+  EXPECT_EQ(counter(lstage, "executed"), static_cast<double>(result.executed));
+  EXPECT_LE(counter(lstage, "lane_utilization"), 1.0);
+  EXPECT_EQ(counter(lstage, "dut_passes"), 2.0);
+  // The labels change how points were resolved, never their outcomes.
+  EXPECT_EQ(result.experiments, plain.experiments);
 }
 
 TEST(PipelineOptions, ParsesSharedFlags) {

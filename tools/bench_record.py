@@ -12,10 +12,12 @@ Run from the repository root, once per side of a before/after pair:
 e.g. a clone of the parent commit. The record is e2ebench's stdout line
 before its result line: workload, seed, machine and build provenance, the
 sample sets and every metric (e2ebench/README.md). It is appended, tagged
-{"side": "parent" | "change", "dirty": bool}, to the JSON array in --out.
-"dirty" says whether the checkout had uncommitted changes (BENCH_e2e.json
-aside), in which case the record's commit is only the tree's base. A run
-that fails its checks is not recorded, and the exit code is e2ebench's.
+{"side": "parent" | "change", "dirty": bool | null}, to the JSON array in
+--out. "dirty" says whether the checkout had uncommitted changes
+(BENCH_e2e.json aside), in which case the record's commit is only the
+tree's base; it is null when the checkout has no .git of its own (say, a
+`git archive` copy) or git cannot report its status. A run that fails its
+checks is not recorded, and the exit code is e2ebench's.
 """
 import argparse
 import json
@@ -24,6 +26,25 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def checkout_dirty(checkout):
+    """True or False when git reports the checkout's own status, else None.
+
+    Only the checkout's own repository counts: git would otherwise report
+    an enclosing repository's status.
+    """
+    if not os.path.exists(os.path.join(checkout, ".git")):
+        return None
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if proc.returncode != 0:
+        return None
+    return any(line[3:] != "BENCH_e2e.json"
+               for line in proc.stdout.splitlines())
 
 
 def main():
@@ -53,11 +74,7 @@ def main():
     if os.path.exists(args.out):
         with open(args.out) as f:
             entries = json.load(f)
-    status = subprocess.run(["git", "status", "--porcelain"],
-                            cwd=args.checkout, stdout=subprocess.PIPE,
-                            text=True).stdout.splitlines()
-    dirty = any(line[3:] != "BENCH_e2e.json" for line in status)
-    entries.append({"side": args.side, "dirty": dirty,
+    entries.append({"side": args.side, "dirty": checkout_dirty(args.checkout),
                     **json.loads(lines[-2])})
     tmp = args.out + ".tmp"
     with open(tmp, "w") as f:
