@@ -1,7 +1,7 @@
 // M1: google-benchmark micro-benchmarks for the hot paths of the library —
 // gate-level simulation throughput, MATE trace evaluation, cone analysis,
-// path enumeration, per-wire search, the exact-masking oracle, the netlist
-// optimizer and the Verilog round-trip.
+// path enumeration, per-wire search, the exact one-cycle masking oracle
+// (hafi::masked_masks), the netlist optimizer and the Verilog round-trip.
 #include <benchmark/benchmark.h>
 
 #include "cores/avr/core.hpp"
@@ -10,12 +10,13 @@
 #include "cores/msp430/core.hpp"
 #include "cores/msp430/programs.hpp"
 #include "cores/msp430/system.hpp"
+#include "hafi/confine.hpp"
 #include "mate/eval.hpp"
 #include "mate/search.hpp"
 #include "netlist/random.hpp"
 #include "netlist/verilog.hpp"
 #include "rtl/optimize.hpp"
-#include "sim/oracle.hpp"
+#include "sim/stream.hpp"
 #include "sim/vcd.hpp"
 
 namespace {
@@ -120,26 +121,29 @@ void BM_MateSearchPerWire(benchmark::State& state) {
 }
 BENCHMARK(BM_MateSearchPerWire);
 
-void BM_MaskingOracleQuery(benchmark::State& state) {
-  static const sim::MaskingOracle oracle(avr_core().netlist);
-  static const sim::Trace trace = [] {
+// Every flop of the AVR x every cycle of a 1 000-cycle fib golden run, one
+// label sweep per flop and 64-cycle block on one thread.
+void BM_MaskedMasksAvrFib(benchmark::State& state) {
+  constexpr std::size_t kCycles = 1000;
+  static const sim::TransposedTrace trace = [] {
     static const cores::avr::Program prog = cores::avr::fib_program();
     cores::avr::AvrSystem sys(avr_core(), prog);
     sim::Trace trace(avr_core().netlist);
-    sys.run_stream(64, trace);
-    return trace;
+    sys.run_stream(kCycles, trace);
+    return sim::TransposedTrace(trace);
   }();
-  sim::MaskingOracle::Workspace ws(oracle);
-  const std::size_t flops = avr_core().netlist.num_flops();
-  std::size_t i = 0;
+  const std::vector<hafi::FlopGroup> flops =
+      hafi::single_flops(avr_core().netlist);
+  sim::TransposedTraceSource golden(trace);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.masked(
-        FlopId{static_cast<FlopId::value_type>(i % flops)},
-        trace.cycle_values(i % trace.num_cycles()), ws));
-    ++i;
+    benchmark::DoNotOptimize(
+        hafi::masked_masks(avr_core().netlist, golden, flops));
   }
+  state.counters["points/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * flops.size() * kCycles),
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_MaskingOracleQuery);
+BENCHMARK(BM_MaskedMasksAvrFib)->Unit(benchmark::kMillisecond);
 
 void BM_OptimizeRandomNetlist(benchmark::State& state) {
   Rng rng(99);

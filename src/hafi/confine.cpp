@@ -12,12 +12,13 @@ namespace {
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
 /// The wires a label sweep compares against the golden run: every primary
-/// output and every D wire, each once. own[f] indexes f's D wire when it is
-/// no primary output and no other flop latches it; otherwise a change on it
-/// escapes anyway and own[f] is kNone.
+/// output and every D wire, each once. own[g] indexes the one D wire a
+/// change on which leaves group g Held rather than Escaped; observed_wires
+/// sets it per single flop, to f's D wire when it is no primary output and
+/// no other flop latches it, and to kNone (every change escapes) otherwise.
 struct Observed {
   std::vector<std::uint32_t> wires;
-  std::vector<std::size_t> own; // per flop
+  std::vector<std::size_t> own; // per group
 };
 
 Observed observed_wires(const netlist::Netlist& n) {
@@ -44,15 +45,33 @@ Observed observed_wires(const netlist::Netlist& n) {
   return o;
 }
 
-/// Labels each streamed chunk, one task per 64-cycle block, into per-flop
-/// Masked and Held words (flop-major, `words` per flop).
+/// Labels each streamed chunk, one task per 64-cycle block, into per-group
+/// Masked and Held words (group-major, `words` per group): one sweep per
+/// group and block, with every flop of the group flipped in every lane.
 class LabelSink final : public sim::TraceSink {
 public:
-  LabelSink(const netlist::Netlist& n, std::size_t cycles,
+  LabelSink(const netlist::Netlist& n, const sim::TraceSource& golden,
+            std::vector<FlopGroup> groups, Observed observed,
             const ShardExecutor& execute)
-      : n_(&n), kernel_(n), observed_(observed_wires(n)),
-        words_((cycles + 63) / 64), cycles_(cycles), execute_(&execute),
-        masked_(n.num_flops() * words_, 0), held_(n.num_flops() * words_, 0) {}
+      : n_(&n), kernel_(n), observed_(std::move(observed)),
+        groups_(std::move(groups)),
+        words_((golden.num_cycles() + 63) / 64),
+        cycles_(golden.num_cycles()), execute_(execute),
+        masked_(groups_.size() * words_, 0),
+        held_(groups_.size() * words_, 0) {
+    RIPPLE_CHECK(golden.num_wires() == n.num_wires(), "golden run has ",
+                 golden.num_wires(), " wires, the netlist ", n.num_wires());
+    RIPPLE_ASSERT(observed_.own.size() == groups_.size());
+    for (const FlopGroup& group : groups_) {
+      RIPPLE_CHECK(!group.empty(), "empty flop group");
+    }
+    if (!execute_) {
+      execute_ = [](std::size_t count,
+                    const std::function<void(std::size_t)>& task) {
+        for (std::size_t i = 0; i < count; ++i) task(i);
+      };
+    }
+  }
 
   void on_chunk(sim::TraceChunk chunk) override {
     const sim::TransposedSlice& slice = chunk.slice;
@@ -60,24 +79,35 @@ public:
                      consumed_ + slice.num_cycles <= cycles_,
                  "trace chunks must cover the declared cycles in order");
     const std::size_t first_word = consumed_ / 64;
-    (*execute_)(slice.num_blocks, [&](std::size_t b) {
+    execute_(slice.num_blocks, [&](std::size_t b) {
       label_block(slice, b, first_word + b);
     });
     consumed_ += slice.num_cycles;
   }
 
+  /// The Masked labels, one mask per group.
+  [[nodiscard]] std::vector<BitVec> masked() const {
+    check_complete();
+    std::vector<BitVec> masks;
+    masks.reserve(groups_.size());
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      const std::uint64_t* words = masked_.data() + g * words_;
+      masks.push_back(BitVec::from_words(
+          cycles_, std::vector<std::uint64_t>(words, words + words_)));
+    }
+    return masks;
+  }
+
   /// Fold the labels backward into the confined masks: bit t is set when
   /// t is Masked, or Held and t + 1 is confined; past the last cycle every
   /// chain is confined, since the outcome never reads the final state.
-  [[nodiscard]] std::vector<BitVec> finish() const {
-    RIPPLE_CHECK(consumed_ == cycles_,
-                 "trace source delivered a different cycle count than "
-                 "declared");
+  [[nodiscard]] std::vector<BitVec> confined() const {
+    check_complete();
     std::vector<BitVec> masks;
-    masks.reserve(n_->num_flops());
-    for (std::size_t f = 0; f < n_->num_flops(); ++f) {
-      const std::uint64_t* masked = masked_.data() + f * words_;
-      const std::uint64_t* held = held_.data() + f * words_;
+    masks.reserve(groups_.size());
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      const std::uint64_t* masked = masked_.data() + g * words_;
+      const std::uint64_t* held = held_.data() + g * words_;
       std::vector<std::uint64_t> confined(words_, 0);
       bool next = true;
       for (std::size_t t = cycles_; t-- > 0;) {
@@ -92,8 +122,14 @@ public:
   }
 
 private:
+  void check_complete() const {
+    RIPPLE_CHECK(consumed_ == cycles_,
+                 "trace source delivered a different cycle count than "
+                 "declared");
+  }
+
   /// Lane j of block `b` is golden cycle 64 * word + j: load the golden
-  /// state and inputs, then sweep once per flop with it flipped everywhere.
+  /// state and inputs, then sweep once per group with it flipped everywhere.
   void label_block(const sim::TransposedSlice& slice, std::size_t b,
                    std::size_t word) {
     obs::Span span("hafi", "confine");
@@ -113,10 +149,10 @@ private:
     }
     const std::uint64_t valid = slice.block_mask(b);
     const std::span<const std::uint64_t> values = sim.values();
-    for (const FlopId f : n.all_flops()) {
-      sim.flip_flop(f, ~sim::LaneMask{0});
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      for (const FlopId f : groups_[g]) sim.flip_flop(f, ~sim::LaneMask{0});
       sim.eval();
-      const std::size_t mine = observed_.own[f.index()];
+      const std::size_t mine = observed_.own[g];
       std::uint64_t escaped = 0;
       std::uint64_t own = 0;
       for (std::size_t i = 0; i < wires.size(); ++i) {
@@ -127,38 +163,53 @@ private:
           escaped |= diff;
         }
       }
-      masked_[f.index() * words_ + word] = valid & ~escaped & ~own;
-      held_[f.index() * words_ + word] = valid & ~escaped & own;
-      sim.flip_flop(f, ~sim::LaneMask{0});
+      masked_[g * words_ + word] = valid & ~escaped & ~own;
+      held_[g * words_ + word] = valid & ~escaped & own;
+      for (const FlopId f : groups_[g]) sim.flip_flop(f, ~sim::LaneMask{0});
     }
   }
 
   const netlist::Netlist* n_;
   const sim::BatchSimulator kernel_;
   const Observed observed_;
+  const std::vector<FlopGroup> groups_;
   const std::size_t words_;
   const std::size_t cycles_;
-  const ShardExecutor* execute_;
+  ShardExecutor execute_;
   std::size_t consumed_ = 0;
-  // Written by concurrent block tasks, each at its own word of every flop.
+  // Written by concurrent block tasks, each at its own word of every group.
   std::vector<std::uint64_t> masked_;
   std::vector<std::uint64_t> held_;
 };
 
 } // namespace
 
+std::vector<FlopGroup> single_flops(const netlist::Netlist& n) {
+  std::vector<FlopGroup> groups;
+  groups.reserve(n.num_flops());
+  for (const FlopId f : n.all_flops()) groups.push_back({f});
+  return groups;
+}
+
 std::vector<BitVec> confined_masks(const netlist::Netlist& n,
                                    sim::TraceSource& golden,
                                    const ShardExecutor& execute) {
-  RIPPLE_CHECK(golden.num_wires() == n.num_wires(), "golden run has ",
-               golden.num_wires(), " wires, the netlist ", n.num_wires());
-  const ShardExecutor inline_executor =
-      [](std::size_t count, const std::function<void(std::size_t)>& task) {
-        for (std::size_t i = 0; i < count; ++i) task(i);
-      };
-  LabelSink sink(n, golden.num_cycles(), execute ? execute : inline_executor);
+  LabelSink sink(n, golden, single_flops(n), observed_wires(n), execute);
   golden.stream(sink);
-  return sink.finish();
+  return sink.confined();
+}
+
+std::vector<BitVec> masked_masks(const netlist::Netlist& n,
+                                 sim::TraceSource& golden,
+                                 std::span<const FlopGroup> groups,
+                                 const ShardExecutor& execute) {
+  // No own wire: every change escapes, so each label is Masked or not.
+  Observed observed = observed_wires(n);
+  observed.own.assign(groups.size(), kNone);
+  LabelSink sink(n, golden, {groups.begin(), groups.end()},
+                 std::move(observed), execute);
+  golden.stream(sink);
+  return sink.masked();
 }
 
 } // namespace ripple::hafi

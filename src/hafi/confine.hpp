@@ -16,13 +16,19 @@
 // Masked cycle makes the state golden again, and a campaign's outcome never
 // reads the final flop state, so a chain Held to the end is Benign too.
 //
+// Masked alone is the paper's benign definition (Section 3): the SEU is
+// masked within one cycle. masked_masks exposes it as the exact one-cycle
+// masking oracle, for single flops and for groups of flops flipped together
+// (multi-bit upsets); MATE pruning must be a subset of it.
+//
 // The sweeps run on the one gate kernel with lane = golden cycle: a 64-cycle
 // block of a chunk is loaded word for word into the flop state and the
-// primary inputs, each sweep flips one flop in every lane, and every primary
-// output and D wire is XORed against the golden words. That is
-// flops x ceil(cycles / 64) sweeps, fanned out per block.
+// primary inputs, each sweep flips one flop (or one group) in every lane,
+// and every primary output and D wire is XORed against the golden words.
+// That is flops (groups) x ceil(cycles / 64) sweeps, fanned out per block.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "hafi/campaign.hpp"
@@ -32,6 +38,12 @@
 
 namespace ripple::hafi {
 
+/// Flops flipped together by one fault; a single-bit SEU is a group of one.
+using FlopGroup = std::vector<FlopId>;
+
+/// Every flop of `n` as a group of its own, in FlopId order.
+[[nodiscard]] std::vector<FlopGroup> single_flops(const netlist::Netlist& n);
+
 /// One cycle bitmask per flop, in FlopId order: bit t is set when an SEU at
 /// (flop, t) provably ends Benign. `golden` is streamed once and must cover
 /// every wire of `n`. The blocks of each chunk fan out over `execute`
@@ -39,5 +51,13 @@ namespace ripple::hafi {
 [[nodiscard]] std::vector<BitVec> confined_masks(
     const netlist::Netlist& n, sim::TraceSource& golden,
     const ShardExecutor& execute = {});
+
+/// The exact one-cycle masking oracle: one cycle bitmask per group, in
+/// `groups` order, bit t set when flipping every flop of the group in the
+/// golden state of cycle t leaves every primary output and every D wire
+/// unchanged (the Masked label). `golden` and `execute` as above.
+[[nodiscard]] std::vector<BitVec> masked_masks(
+    const netlist::Netlist& n, sim::TraceSource& golden,
+    std::span<const FlopGroup> groups, const ShardExecutor& execute = {});
 
 } // namespace ripple::hafi

@@ -1,7 +1,8 @@
 // Topological ordering ("levelization") of the combinational gates of a
 // netlist. Sources are primary inputs and flop Q outputs; a valid synchronous
-// circuit has no combinational cycle. The order is reused by the simulator,
-// the exact-masking oracle and the MATE search.
+// circuit has no combinational cycle. The order is reused by the gate
+// kernel's compiler, the structural optimizer, the netlist statistics and
+// the MATE search's fault cones.
 #pragma once
 
 #include <vector>

@@ -4,8 +4,8 @@
 // An SEU in flop f at cycle t is *masked within k cycles* iff, replaying the
 // golden trace's inputs, the faulty run produces identical primary outputs
 // in cycles t .. t+j-1 and an identical flop state at the start of cycle
-// t+j, for some j <= k. j = 1 coincides with the paper's (and
-// sim::MaskingOracle's) one-cycle definition.
+// t+j, for some j <= k. j = 1 coincides with the paper's one-cycle
+// definition, which hafi::masked_masks answers for a whole golden run.
 //
 // The oracle quantifies the headroom beyond intra-cycle MATEs: faults in
 // registers that are overwritten a few cycles later (the register-file case

@@ -41,16 +41,6 @@ void OptionParser::add_value(std::string name, std::string help,
   options_.push_back(std::move(o));
 }
 
-void OptionParser::add_value(std::string name, std::string help,
-                             unsigned* out) {
-  Option o;
-  o.name = std::move(name);
-  o.help = std::move(help);
-  o.kind = ValueKind::Unsigned;
-  o.unsigned_out = out;
-  options_.push_back(std::move(o));
-}
-
 void OptionParser::set_positional(std::string name, std::string help,
                                   std::vector<std::string>* out) {
   positional_name_ = std::move(name);
@@ -66,8 +56,7 @@ bool OptionParser::apply(Option& opt, std::string_view value) {
     case ValueKind::String:
       *opt.string_out = std::string(value);
       return true;
-    case ValueKind::Size:
-    case ValueKind::Unsigned: {
+    case ValueKind::Size: {
       const auto parsed = parse_int(value);
       if (!parsed || *parsed < 0) {
         std::cerr << program_ << ": --" << opt.name
@@ -75,11 +64,7 @@ bool OptionParser::apply(Option& opt, std::string_view value) {
                   << "'\n";
         return false;
       }
-      if (opt.kind == ValueKind::Size) {
-        *opt.size_out = static_cast<std::size_t>(*parsed);
-      } else {
-        *opt.unsigned_out = static_cast<unsigned>(*parsed);
-      }
+      *opt.size_out = static_cast<std::size_t>(*parsed);
       return true;
     }
   }

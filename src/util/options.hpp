@@ -39,7 +39,6 @@ public:
                  Check check = {});
   void add_value(std::string name, std::string help, std::size_t* out,
                  Check check = {});
-  void add_value(std::string name, std::string help, unsigned* out);
 
   /// Collect non-option arguments (in order). Without this, positional
   /// arguments are an error.
@@ -51,7 +50,7 @@ public:
   void print_usage(std::ostream& os) const;
 
 private:
-  enum class ValueKind { Flag, String, Size, Unsigned };
+  enum class ValueKind { Flag, String, Size };
 
   struct Option {
     std::string name; // without the leading "--"
@@ -60,7 +59,6 @@ private:
     bool* flag_out = nullptr;
     std::string* string_out = nullptr;
     std::size_t* size_out = nullptr;
-    unsigned* unsigned_out = nullptr;
     Check check;
   };
 

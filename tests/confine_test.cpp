@@ -2,7 +2,8 @@
 // circuit pins the three labels and the backward fold bit for bit; every
 // (flop, cycle) of a short run on both cores x {fib, conv, sort, crc, irq}
 // executes through the batch DUT directly, and every confined point must
-// end Benign; and the points the full flop MATE sets prune are confined.
+// end Benign; and the points the full flop MATE sets prune are Masked
+// (masked within one cycle), hence confined.
 // Sanitizer builds (RIPPLE_SANITIZED) shorten the runs.
 #include <gtest/gtest.h>
 
@@ -180,7 +181,7 @@ TEST(Confine, ConfinedPointsExecuteToBenign) {
 TEST(Confine, FullFlopMatePruningIsConfined) {
   // A MATE-pruned SEU is masked within one cycle, which is a Masked label:
   // on both cores the full flop MATE set's benign masks are a subset of the
-  // confined masks.
+  // exact one-cycle oracle's masks, and so of the confined masks.
   ThreadPool pool(4);
   const ShardExecutor execute = executor_of(pool);
   for (const char* core : kCores) {
@@ -197,12 +198,18 @@ TEST(Confine, FullFlopMatePruningIsConfined) {
           pipeline::CoreRegistry::global().make(core, workload), kMateCycles);
       const std::vector<BitVec> benign =
           mate::benign_masks(search.set, *golden);
+      const std::vector<BitVec> masked =
+          masked_masks(n, *golden, single_flops(n), execute);
       const std::vector<BitVec> confined =
           confined_masks(n, *golden, execute);
       std::size_t pruned = 0;
       for (std::size_t i = 0; i < search.set.faulty_wires.size(); ++i) {
         const FlopId f = n.wire(search.set.faulty_wires[i]).driver_flop;
         pruned += benign[i].popcount();
+        EXPECT_TRUE(benign[i].is_subset_of(masked[f.index()]))
+            << n.flop(f).name << " pruned but not Masked in cycle "
+            << BitVec(benign[i]).and_not(masked[f.index()])
+                   .first_difference(BitVec(kMateCycles));
         EXPECT_TRUE(benign[i].is_subset_of(confined[f.index()]))
             << n.flop(f).name << " pruned in cycle "
             << BitVec(benign[i]).and_not(confined[f.index()])

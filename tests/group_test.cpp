@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "hafi/confine.hpp"
 #include "mate/example.hpp"
 #include "mate/search.hpp"
 #include "netlist/random.hpp"
-#include "sim/oracle.hpp"
-#include "sim/simulator.hpp"
+#include "support/masking.hpp"
+#include "support/reference_sim.hpp"
 
 namespace ripple::mate {
 namespace {
@@ -60,15 +61,19 @@ TEST(GroupOracle, PairOnGatedRegisters) {
   n.mark_output(n.flop(ta).q);
   n.mark_output(n.flop(tb).q);
 
-  sim::Simulator sim(n);
-  sim::MaskingOracle oracle(n);
-  const FlopId group[2] = {fa, fb};
+  sim::ReferenceSimulator ref(n);
+  sim::Trace trace(n);
   for (const bool e : {false, true}) {
-    sim.set_input(en, e);
-    sim.set_input(in, true);
-    sim.eval();
-    EXPECT_EQ(oracle.masked_group(group, sim.values()), !e);
+    ref.set_input(en, e);
+    ref.set_input(in, true);
+    ref.eval();
+    trace.append_row(ref.values());
   }
+  const std::vector<hafi::FlopGroup> pair = {{fa, fb}};
+  const BitVec mask = hafi::masked_masks_of(n, trace, pair)[0];
+  EXPECT_TRUE(mask.get(0));
+  EXPECT_FALSE(mask.get(1));
+  EXPECT_EQ(sim::reference_masked_masks(n, trace, pair)[0], mask);
 
   const WireId wires[2] = {n.flop(fa).q, n.flop(fb).q};
   const GroupOutcome out = find_group_mates(n, wires, {});
@@ -76,52 +81,33 @@ TEST(GroupOracle, PairOnGatedRegisters) {
   EXPECT_EQ(out.mates[0], Cube({Literal{en, false}}));
 }
 
-/// Brute force reference for group masking: flip all, full re-evaluation.
-bool reference_group_masked(const Netlist& n, sim::Simulator& sim,
-                            std::span<const FlopId> group) {
-  sim.eval();
-  const BitVec before = sim.values();
-  for (FlopId f : group) sim.flip_flop(f);
-  sim.eval();
-  const BitVec after = sim.values();
-  for (FlopId f : group) sim.flip_flop(f);
-  sim.eval();
-  for (FlopId g : n.all_flops()) {
-    const WireId d = n.flop(g).d;
-    if (before.get(d.index()) != after.get(d.index())) return false;
-  }
-  for (WireId w : n.primary_outputs()) {
-    if (before.get(w.index()) != after.get(w.index())) return false;
-  }
-  return true;
-}
-
 class GroupFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GroupFuzz, OracleAgreesWithFullResimulation) {
+  // Every pair of flops, flipped together, over two 64-cycle blocks (the
+  // second one partial): the kernel's Masked label against whole-circuit
+  // resimulation on the reference simulator.
   Rng rng(GetParam() + 900);
   netlist::RandomCircuitSpec spec;
   spec.num_gates = 60;
   spec.num_flops = 10;
   const Netlist n = random_circuit(spec, rng);
-  sim::Simulator sim(n);
-  sim::MaskingOracle oracle(n);
-  sim::MaskingOracle::Workspace ws(oracle);
-
-  for (int cycle = 0; cycle < 15; ++cycle) {
-    for (WireId w : n.primary_inputs()) sim.set_input(w, rng.next_bool());
-    sim.eval();
-    const BitVec values = sim.values();
-    for (int draw = 0; draw < 12; ++draw) {
-      FlopId group[2] = {
-          FlopId{static_cast<FlopId::value_type>(rng.next_below(10))},
-          FlopId{static_cast<FlopId::value_type>(rng.next_below(10))}};
-      if (group[0] == group[1]) continue;
-      EXPECT_EQ(oracle.masked_group(group, values, ws),
-                reference_group_masked(n, sim, group))
-          << "cycle " << cycle;
+  const sim::Trace trace = sim::reference_random_trace(n, rng, 100);
+  std::vector<hafi::FlopGroup> pairs;
+  for (const FlopId a : n.all_flops()) {
+    for (const FlopId b : n.all_flops()) {
+      if (a < b) pairs.push_back({a, b});
     }
-    sim.latch();
+  }
+  const std::vector<BitVec> masks = hafi::masked_masks_of(n, trace, pairs);
+  const std::vector<BitVec> expected =
+      sim::reference_masked_masks(n, trace, pairs);
+  ASSERT_EQ(masks.size(), pairs.size());
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    EXPECT_EQ(masks[p], expected[p])
+        << "pair " << n.flop(pairs[p][0]).name << ", "
+        << n.flop(pairs[p][1]).name << " differs in cycle "
+        << masks[p].first_difference(expected[p]);
   }
 }
 
@@ -150,22 +136,26 @@ TEST_P(GroupFuzz, GroupMatesAreSound) {
     }
   }
 
-  sim::Simulator sim(n);
-  sim::MaskingOracle oracle(n);
-  sim::MaskingOracle::Workspace ws(oracle);
-  for (int cycle = 0; cycle < 30; ++cycle) {
-    for (WireId w : n.primary_inputs()) sim.set_input(w, rng.next_bool());
-    sim.eval();
-    const BitVec values = sim.values();
-    for (const PairMates& p : pairs) {
-      for (const Cube& cube : p.cubes) {
+  // MATE-triggered => Masked: the pair flipped in a triggering cycle
+  // changes no D wire and no primary output.
+  const sim::Trace trace = sim::reference_random_trace(n, rng, 30);
+  std::vector<hafi::FlopGroup> groups;
+  for (const PairMates& p : pairs) groups.push_back({p.flops[0], p.flops[1]});
+  const std::vector<BitVec> masked = hafi::masked_masks_of(n, trace, groups);
+  std::size_t triggers = 0;
+  for (std::size_t cycle = 0; cycle < trace.num_cycles(); ++cycle) {
+    const BitVec& values = trace.cycle_values(cycle);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      for (const Cube& cube : pairs[i].cubes) {
         if (!cube.eval(values)) continue;
-        EXPECT_TRUE(oracle.masked_group(p.flops, values, ws))
+        ++triggers;
+        EXPECT_TRUE(masked[i].get(cycle))
             << "pair MATE " << cube.to_string(n) << " cycle " << cycle;
       }
     }
-    sim.latch();
   }
+  // A search that finds no triggering pair MATE would check nothing.
+  EXPECT_GT(triggers, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupFuzz,

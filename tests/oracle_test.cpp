@@ -1,33 +1,58 @@
+// The exact one-cycle masking oracle, hafi::masked_masks, against the
+// brute-force reference on the per-bit ReferenceSimulator
+// (sim::reference_masked_masks): toy circuits pin the predicate, random
+// circuits and both cores x {fib, conv, crc} compare every (flop, cycle) bit
+// for bit. Sanitizer builds (RIPPLE_SANITIZED) shorten the core runs.
 #include <gtest/gtest.h>
 
+#include "hafi/confine.hpp"
 #include "netlist/random.hpp"
-#include "sim/oracle.hpp"
-#include "sim/simulator.hpp"
+#include "pipeline/registry.hpp"
+#include "sim/stream.hpp"
+#include "support/golden_run.hpp"
+#include "support/masking.hpp"
+#include "support/reference_sim.hpp"
+#include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
-namespace ripple::sim {
+namespace ripple::hafi {
 namespace {
 
 using netlist::Kind;
 using netlist::Netlist;
 
-/// Brute-force reference: flip the flop in a copy of the simulator, settle,
-/// compare every flop D and primary output.
-bool reference_masked(const Netlist& n, Simulator& sim, FlopId f) {
-  sim.eval();
-  const BitVec before = sim.values();
-  sim.flip_flop(f);
-  sim.eval();
-  const BitVec after = sim.values();
-  sim.flip_flop(f); // restore
-  sim.eval();
-  for (FlopId g : n.all_flops()) {
-    const WireId d = n.flop(g).d;
-    if (before.get(d.index()) != after.get(d.index())) return false;
+#if defined(RIPPLE_SANITIZED)
+constexpr std::size_t kCoreCycles = 64;
+#else
+constexpr std::size_t kCoreCycles = 256;
+#endif
+
+/// Per-group comparison with the reference, naming the first bad cycle.
+void expect_matches_reference(const Netlist& n, const sim::Trace& trace,
+                              const std::vector<BitVec>& masks,
+                              const std::vector<FlopGroup>& groups) {
+  const std::vector<BitVec> expected =
+      sim::reference_masked_masks(n, trace, groups);
+  ASSERT_EQ(masks.size(), expected.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    EXPECT_EQ(masks[g], expected[g])
+        << "flop " << n.flop(groups[g][0]).name << " differs in cycle "
+        << masks[g].first_difference(expected[g]);
   }
-  for (WireId w : n.primary_outputs()) {
-    if (before.get(w.index()) != after.get(w.index())) return false;
-  }
-  return true;
+}
+
+/// masked_masks of `groups` over `trace`, checked against the reference.
+std::vector<BitVec> masked(const Netlist& n, const sim::Trace& trace,
+                           const std::vector<FlopGroup>& groups) {
+  std::vector<BitVec> masks = masked_masks_of(n, trace, groups);
+  expect_matches_reference(n, trace, masks, groups);
+  return masks;
+}
+
+/// Settle the reference simulator and append its values as a trace row.
+void append_settled(sim::ReferenceSimulator& ref, sim::Trace& trace) {
+  ref.eval();
+  trace.append_row(ref.values());
 }
 
 TEST(Oracle, GatedFlopMaskedWhenGateCloses) {
@@ -41,16 +66,15 @@ TEST(Oracle, GatedFlopMaskedWhenGateCloses) {
   n.connect_flop(t, a);
   n.connect_flop(q, n.add_gate_new(Kind::Buf, {g}, "qd"));
   n.mark_output(n.flop(t).q);
-  Simulator sim(n);
-  MaskingOracle oracle(n);
-
-  sim.set_input(g, false);
-  sim.eval();
-  EXPECT_TRUE(oracle.masked(q, sim.values()));
-
-  sim.set_input(g, true);
-  sim.eval();
-  EXPECT_FALSE(oracle.masked(q, sim.values()));
+  sim::ReferenceSimulator ref(n);
+  sim::Trace trace(n);
+  for (const bool open : {false, true}) {
+    ref.set_input(g, open);
+    append_settled(ref, trace);
+  }
+  const BitVec mask = masked(n, trace, {{q}})[0];
+  EXPECT_TRUE(mask.get(0));
+  EXPECT_FALSE(mask.get(1));
 }
 
 TEST(Oracle, HoldRegisterNeverMasked) {
@@ -58,10 +82,10 @@ TEST(Oracle, HoldRegisterNeverMasked) {
   const FlopId f = n.add_flop("hold", false);
   n.connect_flop(f, n.flop(f).q); // D = Q
   n.mark_output(n.flop(f).q);
-  Simulator sim(n);
-  sim.eval();
-  MaskingOracle oracle(n);
-  EXPECT_FALSE(oracle.masked(f, sim.values()));
+  sim::ReferenceSimulator ref(n);
+  sim::Trace trace(n);
+  append_settled(ref, trace);
+  EXPECT_FALSE(masked(n, trace, {{f}})[0].get(0));
 }
 
 TEST(Oracle, OverwrittenUnobservedFlopAlwaysMasked) {
@@ -71,12 +95,11 @@ TEST(Oracle, OverwrittenUnobservedFlopAlwaysMasked) {
   const FlopId q = n.add_flop("q", false);
   n.connect_flop(q, in);
   n.mark_output(in);
-  Simulator sim(n);
-  sim.set_input(in, true);
-  sim.eval();
-  MaskingOracle oracle(n);
-  EXPECT_TRUE(oracle.masked(q, sim.values()));
-  EXPECT_EQ(oracle.cone_size(q), 0u);
+  sim::ReferenceSimulator ref(n);
+  sim::Trace trace(n);
+  ref.set_input(in, true);
+  append_settled(ref, trace);
+  EXPECT_TRUE(masked(n, trace, {{q}})[0].get(0));
 }
 
 TEST(Oracle, PrimaryOutputFlopNeverMasked) {
@@ -85,10 +108,10 @@ TEST(Oracle, PrimaryOutputFlopNeverMasked) {
   const FlopId q = n.add_flop("q", false);
   n.connect_flop(q, in);
   n.mark_output(n.flop(q).q);
-  Simulator sim(n);
-  sim.eval();
-  MaskingOracle oracle(n);
-  EXPECT_FALSE(oracle.masked(q, sim.values()));
+  sim::ReferenceSimulator ref(n);
+  sim::Trace trace(n);
+  append_settled(ref, trace);
+  EXPECT_FALSE(masked(n, trace, {{q}})[0].get(0));
 }
 
 TEST(Oracle, XorConeNeverMasks) {
@@ -99,17 +122,18 @@ TEST(Oracle, XorConeNeverMasks) {
   n.connect_flop(t, n.add_gate_new(Kind::Xor2, {n.flop(q).q, in}, "x"));
   n.connect_flop(q, in);
   n.mark_output(n.flop(t).q);
-  Simulator sim(n);
-  MaskingOracle oracle(n);
-  for (bool v : {false, true}) {
-    sim.set_input(in, v);
-    sim.eval();
-    EXPECT_FALSE(oracle.masked(q, sim.values()));
+  sim::ReferenceSimulator ref(n);
+  sim::Trace trace(n);
+  for (const bool v : {false, true}) {
+    ref.set_input(in, v);
+    append_settled(ref, trace);
   }
+  EXPECT_EQ(masked(n, trace, {{q}})[0].popcount(), 0u);
 }
 
-// Property: the cone-restricted oracle agrees with whole-circuit
-// resimulation on random circuits and random states.
+// Property: the kernel's Masked label agrees with whole-circuit
+// resimulation on the reference simulator, on random circuits and random
+// stimuli over two 64-cycle blocks (the second one partial).
 class OracleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OracleFuzz, AgreesWithFullResimulation) {
@@ -119,24 +143,41 @@ TEST_P(OracleFuzz, AgreesWithFullResimulation) {
   spec.num_flops = 8;
   spec.num_inputs = 5;
   const Netlist n = random_circuit(spec, rng);
-  Simulator sim(n);
-  MaskingOracle oracle(n);
-  MaskingOracle::Workspace ws(oracle);
-
-  for (int cycle = 0; cycle < 30; ++cycle) {
-    for (WireId w : n.primary_inputs()) sim.set_input(w, rng.next_bool());
-    sim.eval();
-    const BitVec values = sim.values();
-    for (FlopId f : n.all_flops()) {
-      EXPECT_EQ(oracle.masked(f, values, ws), reference_masked(n, sim, f))
-          << "flop " << n.flop(f).name << " cycle " << cycle;
-    }
-    sim.latch();
-  }
+  const sim::Trace trace = sim::reference_random_trace(n, rng, 100);
+  masked(n, trace, single_flops(n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleFuzz,
                          ::testing::Range<std::uint64_t>(0, 15));
 
+TEST(Oracle, MatchesReferenceOnBothCores) {
+  // Every flop of both cores on the golden runs the campaigns label.
+  ThreadPool pool(4);
+  const ShardExecutor execute =
+      [&pool](std::size_t count,
+              const std::function<void(std::size_t)>& task) {
+        pool.parallel_for_index(count, task, 1);
+      };
+  for (const char* core : {"avr", "msp430"}) {
+    for (const char* workload : {"fib", "conv", "crc"}) {
+      SCOPED_TRACE(strprintf("%s %s", core, workload));
+      const pipeline::CoreRuntime rt =
+          pipeline::CoreRegistry::global().make(core, workload);
+      const Netlist& n = *rt.netlist;
+      const auto golden = pipeline::golden_run(rt, kCoreCycles);
+      sim::Trace trace(n);
+      sim::UntransposingSink rows(trace);
+      golden->stream(rows);
+      const std::vector<FlopGroup> flops = single_flops(n);
+      const std::vector<BitVec> masks =
+          masked_masks(n, *golden, flops, execute);
+      expect_matches_reference(n, trace, masks, flops);
+      std::size_t points = 0;
+      for (const BitVec& m : masks) points += m.popcount();
+      EXPECT_GT(points, 0u);
+    }
+  }
+}
+
 } // namespace
-} // namespace ripple::sim
+} // namespace ripple::hafi

@@ -2,8 +2,10 @@
 // rippled daemon binary, drive it with real ripple-client processes over a
 // temp Unix socket, and assert the service path is byte-identical to an
 // in-process CampaignPipeline::run of the same request — including a
-// concurrent two-client submission deduped onto one execution — and that the
-// daemon rejects the shared pipeline flags it would ignore. Binary paths
+// concurrent two-client submission deduped onto one execution — that the
+// daemon rejects the shared pipeline flags it would ignore, and that the
+// client rejects a bad --mode or an over-wide --top-n/--depth before it
+// connects. Binary paths
 // arrive via $RIPPLED_BIN / $RIPPLE_CLIENT_BIN (set by tests/CMakeLists.txt
 // from the build's target files). Workload scaled down under RIPPLE_SANITIZED
 // so the TSan build stays in the seconds range.
@@ -183,6 +185,26 @@ TEST(ServeSmoke, DaemonRejectsFlagsItWouldIgnore) {
   EXPECT_EQ(wait_exit(spawn({rippled, "--socket=" + socket, "--depth=3"})),
             2);
   EXPECT_FALSE(std::filesystem::exists(socket));
+}
+
+TEST(ServeSmoke, ClientRejectsBadValuesBeforeConnecting) {
+  const std::string client = required_env("RIPPLE_CLIENT_BIN");
+  if (client.empty()) GTEST_SKIP();
+
+  // No daemon listens on the socket: a value the client accepts reaches the
+  // connect and fails there (exit 1); a bad one is a usage error (exit 2)
+  // before it. --top-n and --depth travel as 32-bit fields.
+  TempDir dir;
+  const std::string socket = "--socket=" + (dir.path / "none.sock").string();
+  const auto exit_of = [&](const std::string& arg) {
+    return wait_exit(spawn({client, socket, arg}));
+  };
+  EXPECT_EQ(exit_of("--mode=bogus"), 2);
+  EXPECT_EQ(exit_of("--top-n=4294967297"), 2);
+  EXPECT_EQ(exit_of("--depth=4294967296"), 2);
+  EXPECT_EQ(exit_of("--mode=pruned"), 1);
+  EXPECT_EQ(exit_of("--top-n=4294967295"), 1);
+  EXPECT_EQ(exit_of("--depth=4294967295"), 1);
 }
 
 } // namespace

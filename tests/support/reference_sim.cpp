@@ -59,6 +59,16 @@ void ReferenceSimulator::flip_flop(FlopId f) {
   state_[f.index()] = !state_[f.index()];
 }
 
+void ReferenceSimulator::load(const BitVec& row) {
+  RIPPLE_ASSERT(row.size() == netlist_->num_wires());
+  for (FlopId f : netlist_->all_flops()) {
+    state_[f.index()] = row.get(netlist_->flop(f).q.index());
+  }
+  for (WireId w : netlist_->primary_inputs()) {
+    values_.set(w.index(), row.get(w.index()));
+  }
+}
+
 std::uint64_t ReferenceSimulator::read_bus(const Bus& bus) const {
   RIPPLE_ASSERT(bus.size() <= 64);
   std::uint64_t v = 0;
@@ -79,6 +89,48 @@ BitVec ReferenceSimulator::flop_state() const {
   BitVec s(state_.size());
   for (std::size_t i = 0; i < state_.size(); ++i) s.set(i, state_[i]);
   return s;
+}
+
+Trace reference_random_trace(const Netlist& n, Rng& rng,
+                             std::size_t cycles) {
+  ReferenceSimulator sim(n);
+  Trace trace(n);
+  for (std::size_t c = 0; c < cycles; ++c) {
+    for (WireId w : n.primary_inputs()) sim.set_input(w, rng.next_bool());
+    sim.eval();
+    trace.append_row(sim.values());
+    sim.latch();
+  }
+  return trace;
+}
+
+std::vector<BitVec> reference_masked_masks(
+    const Netlist& n, const Trace& trace,
+    std::span<const std::vector<FlopId>> groups) {
+  std::vector<WireId> observed(n.primary_outputs().begin(),
+                               n.primary_outputs().end());
+  for (FlopId f : n.all_flops()) observed.push_back(n.flop(f).d);
+
+  std::vector<BitVec> masks(groups.size(), BitVec(trace.num_cycles()));
+  ReferenceSimulator sim(n);
+  for (std::size_t t = 0; t < trace.num_cycles(); ++t) {
+    const BitVec& golden = trace.cycle_values(t);
+    sim.load(golden);
+    sim.eval();
+    RIPPLE_CHECK(sim.values() == golden, "trace row ", t,
+                 " is not the settled state of its flops and inputs");
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (FlopId f : groups[g]) sim.flip_flop(f);
+      sim.eval();
+      masks[g].set(t, std::all_of(observed.begin(), observed.end(),
+                                  [&](WireId w) {
+                                    return sim.value(w) ==
+                                           golden.get(w.index());
+                                  }));
+      for (FlopId f : groups[g]) sim.flip_flop(f); // restore
+    }
+  }
+  return masks;
 }
 
 Trace reference_avr_trace(const Netlist& n, const cores::avr::AvrPorts& p,

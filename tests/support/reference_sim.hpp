@@ -6,10 +6,13 @@
 // in cell::Library, one gate at a time in levelized order, and settles the
 // whole netlist on every eval() — no compiled program, no opcode folding,
 // no phase split. The core harnesses below step the built-in cores the same
-// way: settle, serve the memories, settle again.
+// way: settle, serve the memories, settle again. reference_masked_masks is
+// the paper's one-cycle masking predicate on it by brute force: the oracle
+// of hafi::masked_masks, which answers it on the kernel.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cores/avr/assembler.hpp"
@@ -21,6 +24,7 @@
 #include "sim/levelize.hpp"
 #include "sim/trace.hpp"
 #include "util/bitvec.hpp"
+#include "util/rng.hpp"
 
 namespace ripple::sim {
 
@@ -39,6 +43,9 @@ public:
   void reset();
   /// Flip one flop's state bit (an SEU); call eval() afterwards.
   void flip_flop(FlopId f);
+  /// Take the flop state and the primary inputs from a row of settled wire
+  /// values (a trace row); call eval() afterwards.
+  void load(const BitVec& row);
 
   [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
   [[nodiscard]] bool value(WireId w) const { return values_.get(w.index()); }
@@ -54,6 +61,18 @@ private:
   std::vector<bool> state_;  // per-flop current state
   std::uint64_t cycle_ = 0;
 };
+
+/// `cycles` settled rows of `n` stepped through the reference simulator
+/// from reset, with every primary input drawn from `rng` in every cycle.
+[[nodiscard]] Trace reference_random_trace(const netlist::Netlist& n,
+                                           Rng& rng, std::size_t cycles);
+
+/// One cycle bitmask per group: bit t is set when, in the state and inputs
+/// of row t of `trace`, flipping every flop of the group and settling the
+/// whole netlist leaves every D wire and every primary output unchanged.
+[[nodiscard]] std::vector<BitVec> reference_masked_masks(
+    const netlist::Netlist& n, const Trace& trace,
+    std::span<const std::vector<FlopId>> groups);
 
 /// `cycles` cycles of the AVR system (instruction and data memory, stores
 /// committed) stepped through the reference simulator, one settled row per

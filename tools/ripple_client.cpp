@@ -10,12 +10,16 @@
 // compared byte for byte. --stats skips submission entirely and prints a
 // live snapshot of the daemon (per-campaign progress, scheduler load, cache
 // totals) without disturbing running executions.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "pipeline/artifact.hpp"
@@ -85,13 +89,19 @@ void print_service_stats(const ripple::serve::ServiceStats& s) {
   }
 }
 
-ripple::hafi::CampaignMode parse_mode(const std::string& mode) {
+/// The campaign mode --mode names ("" is the default, baseline).
+std::optional<ripple::hafi::CampaignMode> mode_named(std::string_view mode) {
   if (mode.empty() || mode == "baseline")
     return ripple::hafi::CampaignMode::Baseline;
   if (mode == "pruned") return ripple::hafi::CampaignMode::Pruned;
   if (mode == "validate") return ripple::hafi::CampaignMode::Validate;
-  throw ripple::Error("unknown --mode '" + mode +
-                      "' (expected baseline, pruned or validate)");
+  return std::nullopt;
+}
+
+/// --top-n and --depth travel in the request as 32-bit fields.
+bool fits_uint32(std::string_view value) {
+  const auto parsed = ripple::parse_int(value);
+  return parsed && *parsed <= std::numeric_limits<std::uint32_t>::max();
 }
 
 } // namespace
@@ -122,11 +132,14 @@ int main(int argc, char** argv) {
   parser.add_value("workload", "workload name (default: the core's default)",
                    &workload);
   parser.add_value("mode", "campaign mode: baseline (default), pruned or "
-                   "validate", &mode);
+                   "validate", &mode, [](std::string_view v) {
+                     return mode_named(v).has_value();
+                   });
   parser.add_value("top-n", "keep only the top-N MATEs of the greedy "
-                   "selection (0 = full set)", &top_n);
-  parser.add_value("depth", "MATE search depth override (0 = default)",
-                   &depth);
+                   "selection (0 = full set, at most 4294967295)", &top_n,
+                   fits_uint32);
+  parser.add_value("depth", "MATE search depth override (0 = default, at "
+                   "most 4294967295)", &depth, fits_uint32);
   parser.add_value("select-cycles", "selection trace length (0 = "
                    "--run-cycles)", &select_cycles);
   parser.add_value("result-out", "write the result's canonical bytes to FILE",
@@ -166,12 +179,13 @@ int main(int argc, char** argv) {
     request.core = core;
     request.workload = workload;
     hafi::CampaignConfig config;
-    config.mode = parse_mode(mode);
+    config.mode = *mode_named(mode); // checked at parse time
     if (config.mode == hafi::CampaignMode::Pruned &&
         campaign_opts.validate_pruned) {
       config.mode = hafi::CampaignMode::Validate;
     }
     request.config = campaign_opts.apply(config);
+    // --top-n and --depth fit 32 bits, checked at parse time.
     request.top_n = static_cast<std::uint32_t>(top_n);
     request.search_depth = static_cast<std::uint32_t>(depth);
     request.select_cycles = select_cycles;
