@@ -1,15 +1,16 @@
 // Ablation A2: sweep of heuristic parameters 2 and 3 — the maximum number of
 // gate-masking terms per MATE and the per-wire candidate budget.
-#include "bench/common.hpp"
 #include "mate/eval.hpp"
+#include "pipeline/harness.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 int main(int argc, char** argv) {
   Harness h(argc, argv, "ablation_budget",
-            "Ablation A2: max-terms and candidate-budget sweeps");
+            "Ablation A2: max-terms and candidate-budget sweeps",
+            kThreads | kCsv | kDepth | kCycles | kTraceChunkCycles);
   const CoreSetup avr = h.setup(CoreKind::Avr);
   const CoreSetup msp = h.setup(CoreKind::Msp430);
   const sim::TransposedTrace avr_conv(avr.conv_trace);

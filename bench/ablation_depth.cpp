@@ -2,16 +2,18 @@
 // Deeper searches see more maskable gates past the data path but enumerate
 // more paths; the masked fraction saturates once the horizon clears the
 // ALU + isolation gates of the core.
-#include "bench/common.hpp"
 #include "mate/eval.hpp"
+#include "pipeline/harness.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 int main(int argc, char** argv) {
+  // No --depth: the sweep sets it.
   Harness h(argc, argv, "ablation_depth",
-            "Ablation A1: path-depth sweep of the MATE search");
+            "Ablation A1: path-depth sweep of the MATE search",
+            kThreads | kCsv | kCycles | kTraceChunkCycles);
   const CoreSetup avr = h.setup(CoreKind::Avr);
   const CoreSetup msp = h.setup(CoreKind::Msp430);
   const sim::TransposedTrace avr_fib(avr.fib_trace);

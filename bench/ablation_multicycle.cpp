@@ -3,12 +3,12 @@
 // measures the headroom multi-cycle MATEs (future work in the paper) could
 // reach; register-file faults dominate the growth because registers are
 // overwritten cycles — not one cycle — later.
-#include "bench/common.hpp"
+#include "pipeline/harness.hpp"
 #include "sim/multicycle.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 namespace {
 
@@ -36,8 +36,10 @@ Row sweep(const CoreSetup& setup, const std::vector<WireId>& wires,
 } // namespace
 
 int main(int argc, char** argv) {
+  // No --depth or --threads: nothing here searches or runs a pool.
   Harness h(argc, argv, "ablation_multicycle",
-            "Ablation A4: k-cycle masking-oracle headroom");
+            "Ablation A4: k-cycle masking-oracle headroom",
+            kCsv | kCycles | kTraceChunkCycles);
   // Shorter traces: the oracle resimulates k cycles per fault-space point.
   const CoreSetup avr = h.setup(CoreKind::Avr, 1200);
   const CoreSetup msp = h.setup(CoreKind::Msp430, 1200);
@@ -46,7 +48,7 @@ int main(int argc, char** argv) {
   TablePrinter t({"k cycles", "AVR FF", "AVR FF w/o RF", "MSP430 FF",
                   "MSP430 FF w/o RF"});
   for (unsigned k : {1u, 2u, 4u, 8u, 16u}) {
-    h.progress("ablation_multicycle: k = %u...", k);
+    h.pipe().progress("ablation_multicycle: k = %u...", k);
     std::vector<std::string> cells = {std::to_string(k)};
     for (const CoreSetup* s : {&avr, &msp}) {
       for (const auto* wires : {&s->ff, &s->ff_xrf}) {

@@ -3,14 +3,14 @@
 // hafi::masked_masks). The paper's approach is sound but incomplete — this
 // bench measures how much of the truly-masked fault space the heuristic
 // border MATEs recover.
-#include "bench/common.hpp"
 #include "hafi/confine.hpp"
 #include "mate/eval.hpp"
 #include "mate/stream.hpp"
+#include "pipeline/harness.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 namespace {
 
@@ -30,7 +30,8 @@ OracleStats compare(Harness& h, const CoreSetup& setup,
   sim::TransposedTraceSource source(words);
   const std::vector<BitVec> benign = mate::benign_masks(r.set, source);
 
-  h.progress("ablation_oracle: exact oracle sweep (%s)...", label.c_str());
+  h.pipe().progress("ablation_oracle: exact oracle sweep (%s)...",
+                    label.c_str());
   std::vector<hafi::FlopGroup> flops;
   for (const WireId w : wires) {
     flops.push_back({setup.netlist.wire(w).driver_flop});
@@ -56,7 +57,8 @@ OracleStats compare(Harness& h, const CoreSetup& setup,
 
 int main(int argc, char** argv) {
   Harness h(argc, argv, "ablation_oracle",
-            "Ablation A3: MATE completeness vs the exact masking oracle");
+            "Ablation A3: MATE completeness vs the exact masking oracle",
+            kThreads | kCsv | kDepth | kCycles | kTraceChunkCycles);
   // The masks cover every cycle; the table counts every 8th one, the
   // sample EXPERIMENTS.md reports.
   constexpr std::size_t kStride = 8;

@@ -3,13 +3,13 @@
 // FLINT layout argument the paper cites) and random pairs — searches group
 // MATEs for each, and measures how much of the pair-fault space they prune
 // on the fib trace.
-#include "bench/common.hpp"
 #include "mate/eval.hpp"
+#include "pipeline/harness.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 namespace {
 
@@ -105,8 +105,10 @@ std::vector<std::array<WireId, 2>> random_pairs(const CoreSetup& setup,
 } // namespace
 
 int main(int argc, char** argv) {
+  // No --threads: the group search runs on one thread.
   Harness h(argc, argv, "ablation_pairs",
-            "Ablation A5: group MATEs for 2-bit upsets");
+            "Ablation A5: group MATEs for 2-bit upsets",
+            kCsv | kDepth | kCycles | kTraceChunkCycles);
   const CoreSetup avr = h.setup(CoreKind::Avr, 2000);
   const CoreSetup msp = h.setup(CoreKind::Msp430, 2000);
   constexpr std::size_t kPairs = 120;
@@ -118,8 +120,8 @@ int main(int argc, char** argv) {
     // find_group_mates call instead of re-levelizing 120 times.
     const std::vector<std::uint32_t> topo = mate::topo_positions(s->netlist);
     for (const bool adjacent : {true, false}) {
-      h.progress("ablation_pairs: %s %s...", s->name.c_str(),
-                 adjacent ? "adjacent" : "random");
+      h.pipe().progress("ablation_pairs: %s %s...", s->name.c_str(),
+                        adjacent ? "adjacent" : "random");
       const auto pairs = adjacent ? adjacent_pairs(*s, kPairs)
                                   : random_pairs(*s, kPairs, 99);
       const PairStats st = measure(*s, pairs, h.params(), topo);

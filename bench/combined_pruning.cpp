@@ -3,17 +3,17 @@
 // register-file faults. This bench quantifies that combination on the AVR:
 // MATEs cover pipeline/stage/flag flops, the def-use analysis covers the
 // register file, and their union prunes far more than either alone.
-#include "bench/common.hpp"
 #include "cores/avr/core.hpp"
 #include "hafi/campaign.hpp"
 #include "hafi/defuse.hpp"
 #include "mate/eval.hpp"
 #include "mate/stream.hpp"
+#include "pipeline/harness.hpp"
 #include "pipeline/registry.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 namespace {
 
@@ -64,18 +64,18 @@ Fractions measure(const CoreSetup& avr, const mate::MateSet& set,
 } // namespace
 
 int main(int argc, char** argv) {
-  pipeline::CampaignOptions copts;
+  // No --validate-pruned: the campaign below always validates.
   Harness h(argc, argv, "combined_pruning",
             "Section 6.3: MATE + ISA-level def-use pruning on the AVR",
-            [&](OptionParser& p) {
-              pipeline::register_campaign_options(p, copts);
-            });
+            kThreads | kCsv | kDepth | kCycles | kTraceChunkCycles |
+                kSample | kRunCycles | kShardSize | kResume);
+  const CampaignOptions& copts = h.campaign();
   const CoreSetup avr = h.setup(CoreKind::Avr);
 
   const mate::SearchResult search =
       h.pipe().find_mates(avr, avr.ff, h.params(), "AVR FF");
 
-  h.progress("combined_pruning: evaluating traces...");
+  h.pipe().progress("combined_pruning: evaluating traces...");
   const Fractions fib = measure(avr, search.set, avr.fib_trace);
   const Fractions conv = measure(avr, search.set, avr.conv_trace);
 
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
   cfg = copts.apply(cfg);
   cfg.mode = hafi::CampaignMode::Validate;
 
-  pipeline::CampaignSpec spec;
-  spec.runtime = pipeline::CoreRegistry::global().make("avr", "fib");
+  CampaignSpec spec;
+  spec.runtime = CoreRegistry::global().make("avr", "fib");
   spec.config = cfg;
   spec.mates = &search.set;
   spec.resume = copts.resume;

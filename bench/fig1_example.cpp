@@ -5,13 +5,13 @@
 //      marked after per-cycle MATE evaluation.
 #include <iostream>
 
-#include "bench/common.hpp"
 #include "mate/eval.hpp"
 #include "mate/example.hpp"
 #include "mate/faultspace.hpp"
 #include "mate/search.hpp"
 #include "netlist/dot.hpp"
 #include "pipeline/artifact.hpp"
+#include "pipeline/harness.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "util/table.hpp"
@@ -20,9 +20,12 @@ using namespace ripple;
 using namespace ripple::mate;
 
 int main(int argc, char** argv) {
-  bench::Harness h(argc, argv, "fig1_example",
-                   "Figure 1: MATEs and fault-space pruning on the running "
-                   "example circuit");
+  // No --csv, --cycles or --trace-chunk-cycles: the figure is text over a
+  // fixed 8-cycle in-memory trace.
+  pipeline::Harness h(argc, argv, "fig1_example",
+                      "Figure 1: MATEs and fault-space pruning on the "
+                      "running example circuit",
+                      pipeline::kThreads | pipeline::kDepth);
   const Figure1Circuit fig = build_figure1_circuit();
   const netlist::Netlist& n = fig.netlist;
 

@@ -5,26 +5,30 @@
 // pruned injection is executed anyway and the engine aborts on any that is
 // not benign. `--resume` checkpoints finished shards to the artifact cache
 // so a killed campaign picks up where it left off.
-#include "bench/common.hpp"
 #include "hafi/campaign.hpp"
 #include "mate/select.hpp"
+#include "pipeline/harness.hpp"
 #include "pipeline/registry.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 int main(int argc, char** argv) {
-  pipeline::CampaignOptions copts;
   std::string core_name = "avr";
+  // No --cycles: --run-cycles sets the golden and faulty runs.
   Harness h(argc, argv, "hafi_campaign",
             "Validation V1: simulated HAFI campaign with MATE pruning",
+            kThreads | kCsv | kDepth | kTraceChunkCycles | kCampaignFlags,
             [&](OptionParser& p) {
-              pipeline::register_campaign_options(p, copts);
               p.add_value("core", "target core: avr (default) or msp430",
-                          &core_name);
+                          &core_name, [](std::string_view name) {
+                            return CoreRegistry::global().contains(
+                                std::string(name));
+                          });
             });
+  const CampaignOptions& copts = h.campaign();
 
   hafi::CampaignConfig cfg;
   cfg.run_cycles = 1500;
@@ -32,14 +36,8 @@ int main(int argc, char** argv) {
   cfg.seed = 42;
   cfg = copts.apply(cfg);
 
-  h.progress("hafi_campaign: building %s core...", core_name.c_str());
-  pipeline::CoreRuntime target;
-  try {
-    target = pipeline::CoreRegistry::global().make(core_name, "fib");
-  } catch (const Error& e) { // unknown --core
-    std::fprintf(stderr, "hafi_campaign: %s\nsee --help\n", e.what());
-    return 2;
-  }
+  h.pipe().progress("hafi_campaign: building %s core...", core_name.c_str());
+  const CoreRuntime target = CoreRegistry::global().make(core_name, "fib");
   const netlist::Netlist& netlist = *target.netlist;
 
   const mate::SearchResult search =
@@ -48,7 +46,7 @@ int main(int argc, char** argv) {
                           core_name + " FF");
   // Ranked on the golden run's own chunk stream: the campaigns below read
   // the same cached chunks.
-  pipeline::ChunkedTraceStream trace(h.pipe(), target, cfg.run_cycles);
+  ChunkedTraceStream trace(h.pipe(), target, cfg.run_cycles);
   const mate::SelectionResult sel = h.pipe().select_stream(
       search.set, trace, trace.fingerprint(), core_name + " FF, fib");
   const mate::MateSet top50 = mate::top_n(search.set, sel, 50);
@@ -58,8 +56,8 @@ int main(int argc, char** argv) {
   // no trace.
   hafi::Campaign planner(target.target(), cfg, &trace);
   const hafi::CampaignPlan& plan = planner.plan();
-  h.progress("hafi_campaign: %zu injection points in %zu shards of %zu",
-             plan.points.size(), plan.num_shards(), plan.shard_size);
+  h.pipe().progress("hafi_campaign: %zu injection points in %zu shards of %zu",
+                    plan.points.size(), plan.num_shards(), plan.shard_size);
 
   TablePrinter t({"campaign", "experiments", "executed", "pruned", "benign",
                   "latent", "SDC", "pruned&confirmed", "time [s]"});
@@ -73,7 +71,7 @@ int main(int argc, char** argv) {
 
   const auto spec_for = [&](hafi::CampaignMode mode,
                             const mate::MateSet* mates) {
-    pipeline::CampaignSpec spec;
+    CampaignSpec spec;
     spec.runtime = target;
     spec.config = cfg;
     spec.config.mode = mode;

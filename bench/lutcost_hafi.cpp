@@ -3,24 +3,23 @@
 // (1500-6000 LUTs in the literature) and a mid-range Virtex-6. A small
 // pruned campaign on the AVR top-50 set then turns the cost into a rate:
 // experiments saved per LUT spent on the fabric.
-#include "bench/common.hpp"
 #include "hafi/campaign.hpp"
 #include "mate/eval.hpp"
 #include "mate/lut_cost.hpp"
 #include "mate/select.hpp"
+#include "pipeline/harness.hpp"
 #include "pipeline/registry.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 int main(int argc, char** argv) {
-  pipeline::CampaignOptions copts;
   Harness h(argc, argv, "lutcost_hafi",
             "Section 6.1: FPGA LUT cost of top-N MATE sets",
-            [&](OptionParser& p) {
-              pipeline::register_campaign_options(p, copts);
-            });
+            kThreads | kCsv | kDepth | kCycles | kTraceChunkCycles |
+                kCampaignFlags);
+  const CampaignOptions& copts = h.campaign();
 
   TablePrinter table({"MATE set", "#MATEs", "LUTs", "% of FI ctrl (low)",
                       "% of Virtex-6 LX240T"});
@@ -72,8 +71,8 @@ int main(int argc, char** argv) {
   cfg = copts.apply(cfg);
   cfg.mode = copts.pruned_mode();
 
-  pipeline::CampaignSpec spec;
-  spec.runtime = pipeline::CoreRegistry::global().make("avr", "fib");
+  CampaignSpec spec;
+  spec.runtime = CoreRegistry::global().make("avr", "fib");
   spec.config = cfg;
   spec.mates = &avr_top50;
   spec.resume = copts.resume;

@@ -5,12 +5,15 @@
 // Rows: number of faulty wires, average and median fault-cone size (#gates),
 // search run time, number of unmaskable wires, number of candidates tried,
 // number of MATEs found (pre-merge, as the paper counts per-wire results).
-#include "bench/common.hpp"
+// The search reads netlists only: both cores come from the CoreRegistry and
+// no trace is recorded.
+#include "pipeline/harness.hpp"
+#include "pipeline/registry.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 
 using namespace ripple;
-using namespace ripple::bench;
+using namespace ripple::pipeline;
 
 namespace {
 
@@ -26,10 +29,10 @@ struct Column {
   std::size_t dedup_classes = 0;
 };
 
-Column run(Harness& h, const CoreSetup& setup,
+Column run(Harness& h, const CoreRuntime& core,
            const std::vector<WireId>& wires, const std::string& label) {
-  const mate::SearchResult r =
-      h.pipe().find_mates(setup, wires, h.params(), label);
+  const mate::SearchResult r = h.pipe().find_mates(
+      *core.netlist, core.fingerprint, wires, h.params(), label);
   Column c;
   c.label = label;
   c.faulty_wires = wires.size();
@@ -48,15 +51,19 @@ Column run(Harness& h, const CoreSetup& setup,
 
 int main(int argc, char** argv) {
   Harness h(argc, argv, "table1_search_stats",
-            "Table 1: MATE search statistics for both cores and fault sets");
+            "Table 1: MATE search statistics for both cores and fault sets",
+            kThreads | kCsv | kDepth);
 
-  const CoreSetup avr = h.setup(CoreKind::Avr);
-  const CoreSetup msp = h.setup(CoreKind::Msp430);
-
+  const std::pair<std::string, std::string> cores[] = {{"avr", "AVR"},
+                                                       {"msp430", "MSP430"}};
   std::vector<Column> cols;
-  for (const CoreSetup* s : {&avr, &msp}) {
-    cols.push_back(run(h, *s, s->ff, s->name + " FF"));
-    cols.push_back(run(h, *s, s->ff_xrf, s->name + " FF w/o RF"));
+  for (const auto& [key, name] : cores) {
+    const CoreRuntime core = CoreRegistry::global().make(key);
+    const netlist::Netlist& n = *core.netlist;
+    cols.push_back(run(h, core, mate::all_flop_wires(n), name + " FF"));
+    cols.push_back(run(
+        h, core, mate::flop_wires_excluding_prefix(n, core.regfile_prefix),
+        name + " FF w/o RF"));
   }
 
   TablePrinter t({"Table 1", cols[0].label, cols[1].label, cols[2].label,

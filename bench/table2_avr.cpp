@@ -5,10 +5,11 @@
 #include "bench/table_mates.hpp"
 
 int main(int argc, char** argv) {
-  using namespace ripple::bench;
+  using namespace ripple::pipeline;
   Harness h(argc, argv, "table2_avr",
-            "Table 2: AVR MATE performance on the fib/conv traces");
+            "Table 2: AVR MATE performance on the fib/conv traces",
+            kThreads | kCsv | kDepth | kCycles | kTraceChunkCycles);
   const CoreSetup avr = h.setup(CoreKind::Avr);
-  run_mate_performance_table(h, avr, "Table 2");
+  ripple::bench::run_mate_performance_table(h, avr, "Table 2");
   return 0;
 }

@@ -3,14 +3,15 @@
 // cross-validation (select on one program, evaluate on both).
 #pragma once
 
-#include "bench/common.hpp"
 #include "mate/eval.hpp"
 #include "mate/select.hpp"
+#include "pipeline/harness.hpp"
 #include "util/strings.hpp"
 
 namespace ripple::bench {
 
-inline void run_mate_performance_table(Harness& h, const CoreSetup& setup,
+inline void run_mate_performance_table(pipeline::Harness& h,
+                                       const pipeline::CoreSetup& setup,
                                        const char* table_name) {
   pipeline::CampaignPipeline& pipe = h.pipe();
   TablePrinter t({std::string(table_name) + " " + setup.name + " MATEs",
@@ -71,8 +72,8 @@ inline void run_mate_performance_table(Harness& h, const CoreSetup& setup,
 
   for (const bool select_on_fib : {true, false}) {
     t.add_separator();
-    h.progress("%s: top-N sweep (selected on %s)...", table_name,
-               select_on_fib ? "fib" : "conv");
+    pipe.progress("%s: top-N sweep (selected on %s)...", table_name,
+                  select_on_fib ? "fib" : "conv");
     for (const std::size_t n : {10u, 50u, 100u, 200u}) {
       const auto cell = [&](const SetEval& e, bool eval_fib) {
         const mate::SelectionResult& sel =

@@ -8,41 +8,33 @@
 //   $ ./avr_campaign [--cache-dir=DIR] [--threads=N] [--resume] [sample-size]
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 
 #include "cores/avr/assembler.hpp"
 #include "hafi/campaign.hpp"
 #include "mate/search.hpp"
 #include "mate/select.hpp"
-#include "pipeline/options.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/harness.hpp"
 #include "pipeline/registry.hpp"
 
 using namespace ripple;
 
 int main(int argc, char** argv) {
-  OptionParser parser("avr_campaign",
-                      "End-to-end HAFI campaign with MATE pruning on the AVR");
-  pipeline::PipelineOptions opts;
-  pipeline::register_pipeline_options(parser, opts);
-  pipeline::CampaignOptions copts;
-  pipeline::register_campaign_options(parser, copts);
   std::vector<std::string> positional;
-  parser.set_positional("sample-size", "number of sampled injection points",
-                        &positional);
-  switch (parser.parse(argc, argv)) {
-    case OptionParser::Result::Ok: break;
-    case OptionParser::Result::Help: return 0;
-    case OptionParser::Result::Error: return 2;
-  }
+  pipeline::Harness h(
+      argc, argv, "avr_campaign",
+      "End-to-end HAFI campaign with MATE pruning on the AVR",
+      pipeline::kThreads | pipeline::kDepth | pipeline::kTraceChunkCycles |
+          pipeline::kCampaignFlags,
+      [&](OptionParser& p) {
+        p.set_positional("sample-size", "number of sampled injection points",
+                         &positional);
+      });
+  const pipeline::CampaignOptions& copts = h.campaign();
+  pipeline::CampaignPipeline& pipe = h.pipe();
   const std::size_t sample =
       positional.empty()
           ? 800
           : static_cast<std::size_t>(std::atoi(positional[0].c_str()));
-
-  pipeline::CampaignPipeline pipe(opts.config());
-  const auto progress = std::make_shared<pipeline::ProgressObserver>();
-  pipe.add_observer(progress);
 
   // A small checksum workload: sums a memory block and reports the result.
   const cores::avr::Program program = cores::avr::assemble(R"(
@@ -74,7 +66,7 @@ sum:
 
   const mate::SearchResult search =
       pipe.find_mates(netlist, target.fingerprint,
-                      mate::all_flop_wires(netlist), opts.search_params(),
+                      mate::all_flop_wires(netlist), h.params(),
                       "AVR FF");
   std::cout << "  " << search.set.mates.size() << " MATEs, "
             << search.unmaskable_wires << " unmaskable flip-flops\n";

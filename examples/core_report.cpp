@@ -6,24 +6,22 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "mate/eval.hpp"
 #include "mate/report.hpp"
 #include "mate/search.hpp"
 #include "netlist/verilog.hpp"
-#include "pipeline/options.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/harness.hpp"
 #include "sim/stats.hpp"
 
 using namespace ripple;
 
 namespace {
 
-void report(pipeline::CampaignPipeline& pipe,
-            const pipeline::PipelineOptions& opts, const std::string& name,
+void report(pipeline::Harness& h, const std::string& name,
             const pipeline::CoreSetup& setup,
             const std::filesystem::path& dir) {
+  pipeline::CampaignPipeline& pipe = h.pipe();
   const netlist::Netlist& n = setup.netlist;
   sim::print_stats(sim::compute_stats(n), std::cout);
 
@@ -33,7 +31,7 @@ void report(pipeline::CampaignPipeline& pipe,
   }
 
   const mate::SearchResult search = pipe.find_mates(
-      setup, setup.ff, opts.search_params(), setup.name + " FF");
+      setup, setup.ff, h.params(), setup.name + " FF");
   const sim::TransposedTrace fib_words(setup.fib_trace);
   sim::TransposedTraceSource fib(fib_words);
   const mate::EvalResult eval = pipe.evaluate_stream(
@@ -54,39 +52,24 @@ void report(pipeline::CampaignPipeline& pipe,
 } // namespace
 
 int main(int argc, char** argv) {
-  OptionParser parser("core_report",
-                      "Dump netlists, reports and MATE sets for both cores");
-  pipeline::PipelineOptions opts;
-  pipeline::register_pipeline_options(parser, opts);
   std::vector<std::string> positional;
-  parser.set_positional("output-dir", "artifact output directory (default .)",
-                        &positional);
-  switch (parser.parse(argc, argv)) {
-    case OptionParser::Result::Ok: break;
-    case OptionParser::Result::Help: return 0;
-    case OptionParser::Result::Error: return 2;
-  }
+  pipeline::Harness h(
+      argc, argv, "core_report",
+      "Dump netlists, reports and MATE sets for both cores",
+      pipeline::kThreads | pipeline::kDepth | pipeline::kCycles |
+          pipeline::kTraceChunkCycles,
+      [&](OptionParser& p) {
+        p.set_positional("output-dir",
+                         "artifact output directory (default .)",
+                         &positional);
+      });
   const std::filesystem::path dir = positional.empty() ? "." : positional[0];
   std::filesystem::create_directories(dir);
 
-  pipeline::CampaignPipeline pipe(opts.config());
-  const auto progress = std::make_shared<pipeline::ProgressObserver>();
-  pipe.add_observer(progress);
-
-  {
-    std::cout << "=== AVR core ===\n";
-    const pipeline::CoreSetup setup =
-        pipe.setup({pipeline::CoreKind::Avr, opts.cycles != 0 ? opts.cycles
-                                                              : 2000});
-    report(pipe, opts, "avr_core", setup, dir);
-  }
-  {
-    std::cout << "=== MSP430 core ===\n";
-    const pipeline::CoreSetup setup =
-        pipe.setup({pipeline::CoreKind::Msp430, opts.cycles != 0 ? opts.cycles
-                                                                 : 2000});
-    report(pipe, opts, "msp430_core", setup, dir);
-  }
+  std::cout << "=== AVR core ===\n";
+  report(h, "avr_core", h.setup(pipeline::CoreKind::Avr, 2000), dir);
+  std::cout << "=== MSP430 core ===\n";
+  report(h, "msp430_core", h.setup(pipeline::CoreKind::Msp430, 2000), dir);
 
   std::cout << "artifacts written to " << dir << ": *.v netlists, "
                "*_mates.{json,csv}\n";

@@ -14,29 +14,24 @@
 #include "mate/search.hpp"
 #include "netlist/verilog.hpp"
 #include "pipeline/artifact.hpp"
-#include "pipeline/options.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/harness.hpp"
 
 using namespace ripple;
 
 int main(int argc, char** argv) {
-  OptionParser parser("mate_inspect",
-                      "Explain fault cone, paths and MATEs of one wire");
-  pipeline::PipelineOptions opts;
-  pipeline::register_pipeline_options(parser, opts);
   std::vector<std::string> positional;
-  parser.set_positional("[netlist.v wire]",
-                        "Verilog netlist and wire name (default: Figure 1, "
-                        "wire d)",
-                        &positional);
-  switch (parser.parse(argc, argv)) {
-    case OptionParser::Result::Ok: break;
-    case OptionParser::Result::Help: return 0;
-    case OptionParser::Result::Error: return 2;
-  }
+  pipeline::Harness h(argc, argv, "mate_inspect",
+                      "Explain fault cone, paths and MATEs of one wire",
+                      pipeline::kThreads | pipeline::kDepth,
+                      [&](OptionParser& p) {
+                        p.set_positional("[netlist.v wire]",
+                                         "Verilog netlist and wire name "
+                                         "(default: Figure 1, wire d)",
+                                         &positional);
+                      });
 
   netlist::Netlist n;
-  std::string wire_name;
+  const std::string wire_name = positional.size() >= 2 ? positional[1] : "d";
   if (positional.size() >= 2) {
     std::ifstream in(positional[0]);
     if (!in) {
@@ -46,10 +41,8 @@ int main(int argc, char** argv) {
     std::stringstream ss;
     ss << in.rdbuf();
     n = netlist::parse_verilog(ss.str());
-    wire_name = positional[1];
   } else {
     n = mate::build_figure1_circuit().netlist;
-    wire_name = "d";
   }
 
   const auto wire = n.find_wire(wire_name);
@@ -97,11 +90,9 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nMATE search for '" << wire_name << "':\n";
-  pipeline::CampaignPipeline pipe(opts.config());
   const std::vector<WireId> faulty = {*wire};
-  const mate::SearchResult r =
-      pipe.find_mates(n, pipeline::fingerprint(n), faulty,
-                      opts.search_params(), wire_name);
+  const mate::SearchResult r = h.pipe().find_mates(
+      n, pipeline::fingerprint(n), faulty, h.params(), wire_name);
   switch (r.outcomes[0].status) {
     case mate::WireStatus::Found:
       for (const mate::Mate& mt : r.set.mates) {

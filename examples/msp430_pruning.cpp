@@ -7,7 +7,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 
 #include "cores/msp430/core.hpp"
 #include "cores/msp430/programs.hpp"
@@ -16,34 +15,27 @@
 #include "mate/search.hpp"
 #include "mate/stream.hpp"
 #include "pipeline/artifact.hpp"
-#include "pipeline/options.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/harness.hpp"
 #include "sim/vcd.hpp"
 
 using namespace ripple;
 
 int main(int argc, char** argv) {
-  OptionParser parser("msp430_pruning",
-                      "Offline fault-space pruning via a VCD trace file");
-  pipeline::PipelineOptions opts;
-  pipeline::register_pipeline_options(parser, opts);
   std::vector<std::string> positional;
-  parser.set_positional("trace.vcd", "save the recorded VCD here (optional)",
-                        &positional);
-  switch (parser.parse(argc, argv)) {
-    case OptionParser::Result::Ok: break;
-    case OptionParser::Result::Help: return 0;
-    case OptionParser::Result::Error: return 2;
-  }
-
-  pipeline::CampaignPipeline pipe(opts.config());
-  const auto progress = std::make_shared<pipeline::ProgressObserver>();
-  pipe.add_observer(progress);
+  pipeline::Harness h(
+      argc, argv, "msp430_pruning",
+      "Offline fault-space pruning via a VCD trace file",
+      pipeline::kThreads | pipeline::kDepth | pipeline::kCycles,
+      [&](OptionParser& p) {
+        p.set_positional("trace.vcd", "save the recorded VCD here (optional)",
+                         &positional);
+      });
+  pipeline::CampaignPipeline& pipe = h.pipe();
 
   std::cout << "building MSP430 core..." << std::endl;
   const cores::msp430::Msp430Core core = cores::msp430::build_msp430_core();
 
-  const std::size_t cycles = opts.cycles != 0 ? opts.cycles : 4000;
+  const std::size_t cycles = h.cycles_or(4000);
   std::cout << "running conv() for " << cycles << " cycles..." << std::endl;
   const cores::msp430::Image image = cores::msp430::conv_image();
   cores::msp430::Msp430System sys(core, image);
@@ -65,7 +57,7 @@ int main(int argc, char** argv) {
   const auto all_ff = mate::all_flop_wires(core.netlist);
   const mate::SearchResult search =
       pipe.find_mates(core.netlist, pipeline::fingerprint(core.netlist),
-                      all_ff, opts.search_params(), "MSP430 FF");
+                      all_ff, h.params(), "MSP430 FF");
 
   const sim::TransposedTrace words(trace);
   sim::TransposedTraceSource source(words);

@@ -2,19 +2,18 @@
 // fault-masking terms (MATEs) for its flip-flops, and measure how much of
 // the fault space they prune on a short execution trace.
 //
-//   $ ./quickstart [--cache-dir=DIR] [--threads=N] [--report=json]
+//   $ ./quickstart [--cache-dir=DIR] [--threads=N] [--depth=N]
+//                  [--report=json[:FILE]] [--trace-out=FILE]
 //
 // The circuit is a 4-bit accumulator with a write enable — the textbook
 // situation MATEs exploit: while `en` is low, an SEU in the shadow register
 // cannot reach the accumulator and is provably benign.
 #include <iostream>
-#include <memory>
 
 #include "mate/eval.hpp"
 #include "mate/search.hpp"
 #include "pipeline/artifact.hpp"
-#include "pipeline/options.hpp"
-#include "pipeline/pipeline.hpp"
+#include "pipeline/harness.hpp"
 #include "rtl/module.hpp"
 #include "rtl/optimize.hpp"
 #include "sim/simulator.hpp"
@@ -24,18 +23,10 @@
 using namespace ripple;
 
 int main(int argc, char** argv) {
-  OptionParser parser("quickstart",
-                      "MATE search and pruning on a 4-bit accumulator");
-  pipeline::PipelineOptions opts;
-  pipeline::register_pipeline_options(parser, opts);
-  switch (parser.parse(argc, argv)) {
-    case OptionParser::Result::Ok: break;
-    case OptionParser::Result::Help: return 0;
-    case OptionParser::Result::Error: return 2;
-  }
-  pipeline::CampaignPipeline pipe(opts.config());
-  const auto progress = std::make_shared<pipeline::ProgressObserver>();
-  pipe.add_observer(progress);
+  pipeline::Harness h(argc, argv, "quickstart",
+                      "MATE search and pruning on a 4-bit accumulator",
+                      pipeline::kThreads | pipeline::kDepth);
+  pipeline::CampaignPipeline& pipe = h.pipe();
 
   // --- 1. Describe a circuit with the RTL DSL -----------------------------
   rtl::Module m("accumulator");
@@ -58,7 +49,7 @@ int main(int argc, char** argv) {
   const std::vector<WireId> faulty = mate::all_flop_wires(n);
   const mate::SearchResult result =
       pipe.find_mates(n, pipeline::fingerprint(n), faulty,
-                      opts.search_params(), "accumulator flops");
+                      h.params(), "accumulator flops");
 
   std::cout << "MATEs found:\n";
   for (const mate::Mate& mt : result.set.mates) {

@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "util/strings.hpp"
+
 namespace ripple::netlist {
 
 Netlist random_circuit(const RandomCircuitSpec& spec, Rng& rng) {
@@ -13,12 +15,12 @@ Netlist random_circuit(const RandomCircuitSpec& spec, Rng& rng) {
   std::vector<WireId> pool; // wires available as gate inputs, creation order
 
   for (std::size_t i = 0; i < spec.num_inputs; ++i) {
-    pool.push_back(n.add_input("in" + std::to_string(i)));
+    pool.push_back(n.add_input(strprintf("in%zu", i)));
   }
 
   std::vector<FlopId> flops;
   for (std::size_t i = 0; i < spec.num_flops; ++i) {
-    const FlopId f = n.add_flop("r" + std::to_string(i), rng.next_bool());
+    const FlopId f = n.add_flop(strprintf("r%zu", i), rng.next_bool());
     flops.push_back(f);
     pool.push_back(n.flop(f).q);
   }
@@ -48,8 +50,7 @@ Netlist random_circuit(const RandomCircuitSpec& spec, Rng& rng) {
     const std::size_t arity = cell::num_inputs(kind);
     std::vector<WireId> ins(arity);
     for (auto& w : ins) w = pick_input();
-    pool.push_back(
-        n.add_gate_new(kind, ins, "n" + std::to_string(i)));
+    pool.push_back(n.add_gate_new(kind, ins, strprintf("n%zu", i)));
   }
 
   // Connect every flop D to some wire (possibly another flop's Q — that is a

@@ -55,7 +55,9 @@ void ProgressObserver::write_line(std::string_view line) {
 
 void ProgressObserver::stage_begin(std::string_view stage,
                                    std::string_view detail) {
-  std::string line = "[" + std::string(stage) + "]";
+  std::string line = "[";
+  line += stage;
+  line += "]";
   if (!detail.empty()) {
     line += " ";
     line += detail;
@@ -137,12 +139,6 @@ std::size_t peak_rss_bytes() {
 #else
   return 0;
 #endif
-}
-
-void JsonReportObserver::write(std::ostream& os, std::string_view tool,
-                               const ArtifactCache& cache) {
-  add_cache_counters(cache);
-  write(os, tool);
 }
 
 void JsonReportObserver::write(std::ostream& os, std::string_view tool) const {

@@ -97,7 +97,7 @@ private:
 };
 
 /// Version of the shared `--report=json` envelope every binary (benches,
-/// hafi_campaign, rippled, ripple-client) emits:
+/// examples, rippled, ripple-client) emits through pipeline::Exporter:
 ///   {"tool": ..., "version": N, "stages": [...], "counters": {...},
 ///    "histograms": {...}}
 /// `stages[]` carries the per-stage records (wall time, threads,
@@ -130,11 +130,9 @@ public:
   /// registry for isolation; nullptr omits the registry sections.
   void set_metric_registry(const obs::MetricRegistry* registry);
 
-  /// Emit the shared report envelope. peak_rss_bytes is always included in
-  /// counters{}; the overload taking a cache folds its totals in first.
+  /// Emit the shared report envelope (peak_rss_bytes is always included in
+  /// counters{}). Binaries write it through pipeline::Exporter.
   void write(std::ostream& os, std::string_view tool) const;
-  void write(std::ostream& os, std::string_view tool,
-             const ArtifactCache& cache);
 
 private:
   mutable std::mutex mutex_;

@@ -1,6 +1,8 @@
 #include "pipeline/options.hpp"
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "util/strings.hpp"
 
@@ -21,10 +23,8 @@ PipelineConfig PipelineOptions::config() const {
 }
 
 mate::SearchParams PipelineOptions::search_params() const {
-  return apply(mate::SearchParams{});
-}
-
-mate::SearchParams PipelineOptions::apply(mate::SearchParams params) const {
+  mate::SearchParams params;
+  // --depth fits 32 bits, checked at parse time.
   if (depth != 0) params.path_depth = static_cast<unsigned>(depth);
   if (threads != 0) params.threads = threads;
   return params;
@@ -32,6 +32,11 @@ mate::SearchParams PipelineOptions::apply(mate::SearchParams params) const {
 
 bool is_report_format(std::string_view value) {
   return value == "json" || value.starts_with("json:");
+}
+
+bool fits_uint32(std::string_view value) {
+  const auto parsed = parse_int(value);
+  return parsed && *parsed <= std::numeric_limits<std::uint32_t>::max();
 }
 
 bool PipelineOptions::report_json() const { return is_report_format(report); }
@@ -48,47 +53,73 @@ hafi::CampaignConfig CampaignOptions::apply(hafi::CampaignConfig config) const {
   return config;
 }
 
-void register_campaign_options(OptionParser& parser, CampaignOptions& opts) {
-  parser.add_value("sample",
-                   "sampled injection points (0 = exhaustive fault space)",
-                   &opts.sample);
-  parser.add_value("run-cycles", "cycles per golden/faulty campaign run",
-                   &opts.run_cycles);
-  parser.add_flag("validate-pruned",
-                  "execute pruned injections anyway and verify soundness",
-                  &opts.validate_pruned);
-  parser.add_value("shard-size",
-                   "injection points per campaign shard (0 = auto)",
-                   &opts.shard_size);
-  parser.add_flag("resume",
-                  "checkpoint finished shards to the artifact cache and "
-                  "skip shards already stored there",
-                  &opts.resume);
-}
-
-void register_pipeline_options(OptionParser& parser, PipelineOptions& opts) {
-  parser.add_flag("csv", "emit CSV instead of the pretty table", &opts.csv);
-  parser.add_value("cache-dir",
-                   "artifact cache directory (default: $RIPPLE_CACHE_DIR)",
-                   &opts.cache_dir);
-  parser.add_flag("no-cache", "disable the artifact cache", &opts.no_cache);
-  parser.add_value("threads",
-                   "MATE-search worker threads (0 = hardware concurrency)",
-                   &opts.threads);
-  parser.add_value("depth", "override the path-depth heuristic parameter",
-                   &opts.depth);
-  parser.add_value("cycles", "override the trace length", &opts.cycles);
-  parser.add_value("trace-chunk-cycles",
-                   "streaming trace chunk length in cycles (multiple of 64; "
-                   "0 = default 65536)",
-                   &opts.trace_chunk_cycles, [](std::string_view value) {
-                     return *parse_int(value) % 64 == 0;
-                   });
+void register_pipeline_options(OptionParser& parser, PipelineOptions& opts,
+                               unsigned flags) {
+  if (flags & kCsv) {
+    parser.add_flag("csv", "emit CSV instead of the pretty table", &opts.csv);
+  }
+  if (flags & kCache) {
+    parser.add_value("cache-dir",
+                     "artifact cache directory (default: $RIPPLE_CACHE_DIR)",
+                     &opts.cache_dir);
+    parser.add_flag("no-cache", "disable the artifact cache", &opts.no_cache);
+  }
+  if (flags & kThreads) {
+    parser.add_value("threads",
+                     "worker threads (0 = hardware concurrency, at most "
+                     "1024)",
+                     &opts.threads, [](std::string_view value) {
+                       return *parse_int(value) <=
+                              static_cast<std::int64_t>(kMaxThreads);
+                     });
+  }
+  if (flags & kDepth) {
+    parser.add_value("depth",
+                     "override the path-depth heuristic parameter (at most "
+                     "4294967295)",
+                     &opts.depth, fits_uint32);
+  }
+  if (flags & kCycles) {
+    parser.add_value("cycles", "override the trace length", &opts.cycles);
+  }
+  if (flags & kTraceChunkCycles) {
+    parser.add_value("trace-chunk-cycles",
+                     "streaming trace chunk length in cycles (multiple of 64; "
+                     "0 = default 65536)",
+                     &opts.trace_chunk_cycles, [](std::string_view value) {
+                       return *parse_int(value) % 64 == 0;
+                     });
+  }
   parser.add_value("report", "stage/cache report format: json[:FILE]",
                    &opts.report, is_report_format);
   parser.add_value("trace-out",
                    "export recorded spans as Chrome trace-event JSON to FILE",
                    &opts.trace_out);
+  if (flags & kSample) {
+    parser.add_value("sample",
+                     "sampled injection points (0 = exhaustive fault space)",
+                     &opts.campaign.sample);
+  }
+  if (flags & kRunCycles) {
+    parser.add_value("run-cycles", "cycles per golden/faulty campaign run",
+                     &opts.campaign.run_cycles);
+  }
+  if (flags & kValidatePruned) {
+    parser.add_flag("validate-pruned",
+                    "execute pruned injections anyway and verify soundness",
+                    &opts.campaign.validate_pruned);
+  }
+  if (flags & kShardSize) {
+    parser.add_value("shard-size",
+                     "injection points per campaign shard (0 = auto)",
+                     &opts.campaign.shard_size);
+  }
+  if (flags & kResume) {
+    parser.add_flag("resume",
+                    "checkpoint finished shards to the artifact cache and "
+                    "skip shards already stored there",
+                    &opts.campaign.resume);
+  }
 }
 
 } // namespace ripple::pipeline

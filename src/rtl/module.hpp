@@ -170,7 +170,11 @@ public:
   void next_en(WireId q, WireId en, WireId d) { next(q, mux(en, q, d)); }
 
 private:
-  std::string fresh_name() { return "n" + std::to_string(counter_++); }
+  std::string fresh_name() {
+    std::string name = "n";
+    name += std::to_string(counter_++);
+    return name;
+  }
 
   netlist::Netlist netlist_;
   std::size_t counter_ = 0;

@@ -79,9 +79,9 @@ Func drop_var(const Func& f, unsigned v) {
 const std::vector<std::vector<std::uint8_t>>& permutations(std::size_t n) {
   static const auto tables = [] {
     std::vector<std::vector<std::vector<std::uint8_t>>> all(5);
+    static constexpr std::uint8_t kIdentity[] = {0, 1, 2, 3};
     for (std::size_t n = 0; n <= 4; ++n) {
-      std::vector<std::uint8_t> perm(n);
-      for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<std::uint8_t>(i);
+      std::vector<std::uint8_t> perm(kIdentity, kIdentity + n);
       do {
         all[n].push_back(perm);
       } while (std::next_permutation(perm.begin(), perm.end()));

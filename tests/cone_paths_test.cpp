@@ -6,6 +6,7 @@
 #include "mate/example.hpp"
 #include "mate/paths.hpp"
 #include "netlist/random.hpp"
+#include "util/strings.hpp"
 
 namespace ripple::mate {
 namespace {
@@ -103,7 +104,7 @@ TEST(Paths, DepthHorizonMarksOpenPaths) {
   const WireId a = n.add_input("a");
   WireId x = a;
   for (int i = 0; i < 6; ++i) {
-    x = n.add_gate_new(Kind::Inv, {x}, "i" + std::to_string(i));
+    x = n.add_gate_new(Kind::Inv, {x}, strprintf("i%d", i));
   }
   n.mark_output(x);
   const FaultCone cone = compute_cone(n, a);
@@ -138,7 +139,7 @@ TEST(Paths, BudgetOverflowReportsIncomplete) {
     for (std::size_t i = 0; i < level.size() && next.size() < 2; ++i) {
       next.push_back(n.add_gate_new(
           Kind::Or2, {level[0], level[level.size() - 1]},
-          "n" + std::to_string(l) + "_" + std::to_string(i)));
+          strprintf("n%d_%zu", l, i)));
     }
     level = next;
   }

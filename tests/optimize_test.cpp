@@ -4,6 +4,7 @@
 #include "rtl/module.hpp"
 #include "rtl/optimize.hpp"
 #include "sim/simulator.hpp"
+#include "util/strings.hpp"
 
 namespace ripple::rtl {
 namespace {
@@ -42,7 +43,7 @@ TEST(Optimize, CollapsesBuffers) {
   const WireId a = n.add_input("a");
   WireId x = a;
   for (int i = 0; i < 5; ++i) {
-    x = n.add_gate_new(Kind::Buf, {x}, "b" + std::to_string(i));
+    x = n.add_gate_new(Kind::Buf, {x}, strprintf("b%d", i));
   }
   const WireId y = n.add_gate_new(Kind::Inv, {x}, "y");
   n.mark_output(y);

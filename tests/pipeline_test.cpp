@@ -504,7 +504,7 @@ TEST(Pipeline, BaselineReadsTheGoldenRunOnlyForLabels) {
 TEST(PipelineOptions, ParsesSharedFlags) {
   OptionParser parser("prog", "test");
   PipelineOptions opts;
-  register_pipeline_options(parser, opts);
+  register_pipeline_options(parser, opts, kCache | kThreads | kCsv | kDepth);
 
   const char* argv[] = {"prog",          "--csv",       "--cache-dir=/tmp/c",
                         "--threads", "3", "--depth=9",   "--no-cache",
@@ -532,7 +532,7 @@ TEST(PipelineOptions, ParsesSharedFlags) {
 TEST(PipelineOptions, DepthZeroKeepsDefault) {
   OptionParser parser("prog", "test");
   PipelineOptions opts;
-  register_pipeline_options(parser, opts);
+  register_pipeline_options(parser, opts, kDepth);
   const char* argv[] = {"prog"};
   EXPECT_EQ(parser.parse(1, const_cast<char**>(argv)),
             OptionParser::Result::Ok);
@@ -541,28 +541,40 @@ TEST(PipelineOptions, DepthZeroKeepsDefault) {
 }
 
 // Bad values of the shared flags fail the parse itself, so every binary
-// exits 2 before doing any work.
+// exits 2 before doing any work. The --threads cap is checked here only:
+// no pool is started.
 TEST(PipelineOptions, RejectsBadReportAndChunkValuesAtParseTime) {
   const auto parse = [](const char* arg) {
     OptionParser parser("prog", "test");
     PipelineOptions opts;
-    register_pipeline_options(parser, opts);
+    register_pipeline_options(parser, opts,
+                              kThreads | kDepth | kTraceChunkCycles);
     const char* argv[] = {"prog", arg};
     return parser.parse(2, const_cast<char**>(argv));
   };
   EXPECT_EQ(parse("--report=jsn"), OptionParser::Result::Error);
   EXPECT_EQ(parse("--trace-chunk-cycles=100"), OptionParser::Result::Error);
+  EXPECT_EQ(parse("--depth=4294967296"), OptionParser::Result::Error);
+  EXPECT_EQ(parse("--depth=4294967297"), OptionParser::Result::Error);
+  EXPECT_EQ(parse("--threads=1025"), OptionParser::Result::Error);
+  EXPECT_EQ(parse("--threads=80000"), OptionParser::Result::Error);
   EXPECT_EQ(parse("--report=json:out.json"), OptionParser::Result::Ok);
   EXPECT_EQ(parse("--trace-chunk-cycles=128"), OptionParser::Result::Ok);
+  EXPECT_EQ(parse("--depth=4294967295"), OptionParser::Result::Ok);
+  EXPECT_EQ(parse("--threads=1024"), OptionParser::Result::Ok);
 }
 
+// A shared flag outside a binary's mask is as unknown as a made-up one.
 TEST(PipelineOptions, RejectsUnknownFlag) {
-  OptionParser parser("prog", "test");
-  PipelineOptions opts;
-  register_pipeline_options(parser, opts);
-  const char* argv[] = {"prog", "--frobnicate"};
-  EXPECT_EQ(parser.parse(2, const_cast<char**>(argv)),
-            OptionParser::Result::Error);
+  for (const char* arg : {"--frobnicate", "--csv", "--cycles=100"}) {
+    OptionParser parser("prog", "test");
+    PipelineOptions opts;
+    register_pipeline_options(parser, opts, kCache | kThreads | kDepth);
+    const char* argv[] = {"prog", arg};
+    EXPECT_EQ(parser.parse(2, const_cast<char**>(argv)),
+              OptionParser::Result::Error)
+        << arg;
+  }
 }
 
 } // namespace

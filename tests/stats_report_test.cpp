@@ -13,6 +13,7 @@
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
+#include "util/strings.hpp"
 
 namespace ripple {
 namespace {
@@ -46,8 +47,8 @@ TEST(NetlistStats, FanoutTracksHeavyWire) {
   netlist::Netlist n;
   const WireId a = n.add_input("a");
   for (int i = 0; i < 7; ++i) {
-    n.mark_output(n.add_gate_new(netlist::Kind::Inv, {a},
-                                 "o" + std::to_string(i)));
+    n.mark_output(
+        n.add_gate_new(netlist::Kind::Inv, {a}, strprintf("o%d", i)));
   }
   const sim::NetlistStats s = sim::compute_stats(n);
   EXPECT_EQ(s.max_fanout, 7u);

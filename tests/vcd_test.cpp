@@ -4,6 +4,7 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "sim/vcd.hpp"
+#include "util/strings.hpp"
 
 namespace ripple::sim {
 namespace {
@@ -135,7 +136,7 @@ TEST(Vcd, ManyWiresGetDistinctIdCodes) {
   Netlist n;
   std::vector<WireId> ins;
   for (int i = 0; i < 200; ++i) {
-    ins.push_back(n.add_input("w" + std::to_string(i)));
+    ins.push_back(n.add_input(strprintf("w%d", i)));
   }
   n.mark_output(n.add_gate_new(Kind::Buf, {ins[0]}, "y"));
   const Trace t = sample_trace(n, 1, 3);

@@ -12,21 +12,14 @@
 // totals) without disturbing running executions.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <iostream>
-#include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
-#include "obs/trace.hpp"
 #include "pipeline/artifact.hpp"
-#include "pipeline/observer.hpp"
-#include "pipeline/options.hpp"
+#include "pipeline/harness.hpp"
 #include "serve/client.hpp"
-#include "util/options.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -98,12 +91,6 @@ std::optional<ripple::hafi::CampaignMode> mode_named(std::string_view mode) {
   return std::nullopt;
 }
 
-/// --top-n and --depth travel in the request as 32-bit fields.
-bool fits_uint32(std::string_view value) {
-  const auto parsed = ripple::parse_int(value);
-  return parsed && *parsed <= std::numeric_limits<std::uint32_t>::max();
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -114,13 +101,10 @@ int main(int argc, char** argv) {
   std::string workload;
   std::string mode;
   std::string result_out;
-  std::string report;
-  std::string trace_out;
   bool stats = false;
   std::size_t top_n = 0;
-  std::size_t depth = 0;
   std::size_t select_cycles = 0;
-  pipeline::CampaignOptions campaign_opts;
+  pipeline::PipelineOptions opts; // --depth, --report, --trace-out, campaign
 
   OptionParser parser(
       "ripple-client",
@@ -137,20 +121,19 @@ int main(int argc, char** argv) {
                    });
   parser.add_value("top-n", "keep only the top-N MATEs of the greedy "
                    "selection (0 = full set, at most 4294967295)", &top_n,
-                   fits_uint32);
-  parser.add_value("depth", "MATE search depth override (0 = default, at "
-                   "most 4294967295)", &depth, fits_uint32);
+                   pipeline::fits_uint32);
   parser.add_value("select-cycles", "selection trace length (0 = "
                    "--run-cycles)", &select_cycles);
   parser.add_value("result-out", "write the result's canonical bytes to FILE",
                    &result_out);
-  parser.add_value("report", "json or json:FILE — emit the shared report "
-                   "envelope", &report, pipeline::is_report_format);
-  parser.add_value("trace-out", "export the streamed stage timeline as "
-                   "Chrome trace-event JSON to FILE", &trace_out);
   parser.add_flag("stats", "print a live stats snapshot of the daemon "
                   "instead of submitting a request", &stats);
-  pipeline::register_campaign_options(parser, campaign_opts);
+  // --trace-out holds the streamed stage timeline. No --resume: the daemon
+  // checkpoints every campaign.
+  pipeline::register_pipeline_options(
+      parser, opts,
+      pipeline::kDepth | pipeline::kSample | pipeline::kRunCycles |
+          pipeline::kValidatePruned | pipeline::kShardSize);
   switch (parser.parse(argc, argv)) {
     case OptionParser::Result::Ok: break;
     case OptionParser::Result::Help: return 0;
@@ -161,6 +144,8 @@ int main(int argc, char** argv) {
                  "ripple-client: --socket=PATH is required\nsee --help\n");
     return 2;
   }
+  pipeline::Exporter exporter;
+  if (!exporter.open("ripple-client", opts)) return 2;
 
   if (stats) {
     try {
@@ -170,7 +155,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ripple-client: %s\n", e.what());
       return 1;
     }
-    return 0;
+    // A snapshot runs no stage: the envelope and the trace are empty.
+    pipeline::JsonReportObserver no_stages;
+    return exporter.write_trace() && exporter.write_report(no_stages) ? 0 : 1;
   }
 
   int exit_code = 0;
@@ -180,16 +167,14 @@ int main(int argc, char** argv) {
     request.workload = workload;
     hafi::CampaignConfig config;
     config.mode = *mode_named(mode); // checked at parse time
-    if (config.mode == hafi::CampaignMode::Pruned &&
-        campaign_opts.validate_pruned) {
-      config.mode = hafi::CampaignMode::Validate;
+    if (config.mode == hafi::CampaignMode::Pruned) {
+      config.mode = opts.campaign.pruned_mode();
     }
-    request.config = campaign_opts.apply(config);
+    request.config = opts.campaign.apply(config);
     // --top-n and --depth fit 32 bits, checked at parse time.
     request.top_n = static_cast<std::uint32_t>(top_n);
-    request.search_depth = static_cast<std::uint32_t>(depth);
+    request.search_depth = static_cast<std::uint32_t>(opts.depth);
     request.select_cycles = select_cycles;
-    request.resume = campaign_opts.resume; // daemon forces this on anyway
 
     serve::ServeClient client = serve::ServeClient::connect(socket_path);
     const auto accepted = client.submit(request);
@@ -204,8 +189,7 @@ int main(int argc, char** argv) {
     // it *ends* at arrival time — the daemon's wire frames carry durations,
     // not timestamps, so the timeline is exact in widths and approximate in
     // gaps (network/replay latency).
-    std::unique_ptr<obs::TraceRecorder> recorder;
-    if (!trace_out.empty()) recorder = std::make_unique<obs::TraceRecorder>();
+    obs::TraceRecorder* recorder = exporter.recorder();
     bool done = false;
     while (!done) {
       auto message = client.next();
@@ -262,25 +246,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (recorder != nullptr) {
-      std::ofstream out(trace_out);
-      RIPPLE_CHECK(static_cast<bool>(out), "cannot write trace file ",
-                   trace_out);
-      recorder->write_chrome_json(out);
-    }
-
-    if (!report.empty()) { // "json" or "json:FILE", checked at parse time
-      const std::string file =
-          report.size() > 5 ? report.substr(5) : std::string();
-      if (file.empty()) {
-        report_observer.write(std::cerr, "ripple-client");
-      } else {
-        std::ofstream out(file);
-        RIPPLE_CHECK(static_cast<bool>(out), "cannot write report file ",
-                     file);
-        report_observer.write(out, "ripple-client");
-      }
-    }
+    const bool traced = exporter.write_trace();
+    if (!exporter.write_report(report_observer) || !traced) exit_code = 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ripple-client: %s\n", e.what());
     return 1;

@@ -12,16 +12,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <memory>
 #include <thread>
 
-#include "obs/trace.hpp"
-#include "pipeline/options.hpp"
+#include "pipeline/harness.hpp"
 #include "serve/server.hpp"
-#include "util/options.hpp"
 
 namespace {
 
@@ -45,21 +39,8 @@ int main(int argc, char** argv) {
                    &socket_path);
   // Only the flags the daemon honours: the campaign shape (depth, cycles,
   // chunking, ...) arrives with each request.
-  parser.add_value("cache-dir",
-                   "shared artifact cache directory (default: "
-                   "$RIPPLE_CACHE_DIR)",
-                   &opts.cache_dir);
-  parser.add_flag("no-cache", "disable the artifact cache", &opts.no_cache);
-  parser.add_value("threads",
-                   "shared worker pool size (0 = hardware concurrency)",
-                   &opts.threads);
-  parser.add_value("report",
-                   "on exit, emit the service and stage report: json[:FILE]",
-                   &opts.report, pipeline::is_report_format);
-  parser.add_value("trace-out",
-                   "export spans of every execution as Chrome trace-event "
-                   "JSON to FILE on exit",
-                   &opts.trace_out);
+  pipeline::register_pipeline_options(parser, opts,
+                                      pipeline::kCache | pipeline::kThreads);
   switch (parser.parse(argc, argv)) {
     case OptionParser::Result::Ok: break;
     case OptionParser::Result::Help: return 0;
@@ -69,6 +50,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rippled: --socket=PATH is required\nsee --help\n");
     return 2;
   }
+  pipeline::Exporter exporter;
+  if (!exporter.open("rippled", opts)) return 2;
 
   serve::ServerConfig config;
   config.socket_path = socket_path;
@@ -77,14 +60,6 @@ int main(int argc, char** argv) {
   const pipeline::PipelineConfig pipeline_config = opts.config();
   config.cache_dir = pipeline_config.use_cache ? pipeline_config.cache_dir : "";
   config.threads = opts.threads;
-
-  // Span recording across every execution the daemon runs; exported once at
-  // shutdown. Off (default) the spans cost one branch each.
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  if (!opts.trace_out.empty()) {
-    recorder = std::make_unique<obs::TraceRecorder>();
-    obs::TraceRecorder::install(recorder.get());
-  }
 
   serve::Server server(config);
   try {
@@ -106,15 +81,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "[rippled] shutting down\n");
   server.stop();
 
-  if (recorder != nullptr) {
-    std::ofstream out(opts.trace_out);
-    if (!out) {
-      std::fprintf(stderr, "rippled: cannot write trace file '%s'\n",
-                   opts.trace_out.c_str());
-      return 1;
-    }
-    recorder->write_chrome_json(out);
-  }
+  const bool traced = exporter.write_trace();
 
   const serve::Server::Stats stats = server.stats();
   std::fprintf(stderr,
@@ -123,28 +90,13 @@ int main(int argc, char** argv) {
                stats.sessions, stats.submissions, stats.deduped,
                stats.executions);
 
-  if (opts.report_json()) {
-    auto report = server.report();
-    report->set_counter("service_sessions",
-                        static_cast<double>(stats.sessions));
-    report->set_counter("service_submissions",
-                        static_cast<double>(stats.submissions));
-    report->set_counter("service_deduped",
-                        static_cast<double>(stats.deduped));
-    report->set_counter("service_executions",
-                        static_cast<double>(stats.executions));
-    const std::string file = opts.report_file();
-    if (file.empty()) {
-      report->write(std::cerr, "rippled", server.cache());
-    } else {
-      std::ofstream out(file);
-      if (!out) {
-        std::fprintf(stderr, "rippled: cannot write report file '%s'\n",
-                     file.c_str());
-        return 1;
-      }
-      report->write(out, "rippled", server.cache());
-    }
-  }
-  return 0;
+  pipeline::JsonReportObserver& report = *server.report();
+  report.set_counter("service_sessions", static_cast<double>(stats.sessions));
+  report.set_counter("service_submissions",
+                     static_cast<double>(stats.submissions));
+  report.set_counter("service_deduped", static_cast<double>(stats.deduped));
+  report.set_counter("service_executions",
+                     static_cast<double>(stats.executions));
+  const bool reported = exporter.write_report(report, &server.cache());
+  return traced && reported ? 0 : 1;
 }
