@@ -13,8 +13,6 @@ int main(int argc, char** argv) {
             kThreads | kCsv | kDepth | kCycles | kTraceChunkCycles);
   const CoreSetup avr = h.setup(CoreKind::Avr);
   const CoreSetup msp = h.setup(CoreKind::Msp430);
-  const sim::TransposedTrace avr_conv(avr.conv_trace);
-  const sim::TransposedTrace msp_conv(msp.conv_trace);
 
   TablePrinter terms({"max terms", "AVR masked (conv)", "AVR avg #inputs",
                       "MSP430 masked (conv)", "MSP430 avg #inputs"});
@@ -26,7 +24,7 @@ int main(int argc, char** argv) {
       const mate::SearchResult r = h.pipe().find_mates(
           *s, s->ff_xrf, params,
           strprintf("%s, max_terms %u", s->name.c_str(), max_terms));
-      sim::TransposedTraceSource conv(s == &avr ? avr_conv : msp_conv);
+      sim::TransposedTraceSource conv(s->conv_trace);
       const mate::EvalResult e = h.pipe().evaluate_stream(
           r.set, conv, s->conv_trace_fp,
           strprintf("%s, max_terms %u, conv", s->name.c_str(), max_terms));
@@ -49,7 +47,7 @@ int main(int argc, char** argv) {
       const mate::SearchResult r = h.pipe().find_mates(
           *s, s->ff_xrf, params,
           strprintf("%s, budget %zu", s->name.c_str(), cap));
-      sim::TransposedTraceSource conv(s == &avr ? avr_conv : msp_conv);
+      sim::TransposedTraceSource conv(s->conv_trace);
       const mate::EvalResult e = h.pipe().evaluate_stream(
           r.set, conv, s->conv_trace_fp,
           strprintf("%s, budget %zu, conv", s->name.c_str(), cap));

@@ -23,11 +23,11 @@ struct OracleStats {
 
 OracleStats compare(Harness& h, const CoreSetup& setup,
                     const std::vector<WireId>& wires, const std::string& label,
-                    const sim::Trace& trace, std::size_t cycle_stride) {
+                    const sim::TransposedTrace& trace,
+                    std::size_t cycle_stride) {
   const mate::SearchResult r =
       h.pipe().find_mates(setup, wires, h.params(), label);
-  const sim::TransposedTrace words(trace);
-  sim::TransposedTraceSource source(words);
+  sim::TransposedTraceSource source(trace);
   const std::vector<BitVec> benign = mate::benign_masks(r.set, source);
 
   h.pipe().progress("ablation_oracle: exact oracle sweep (%s)...",

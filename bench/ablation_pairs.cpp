@@ -3,7 +3,7 @@
 // FLINT layout argument the paper cites) and random pairs — searches group
 // MATEs for each, and measures how much of the pair-fault space they prune
 // on the fib trace.
-#include "mate/eval.hpp"
+#include "mate/stream.hpp"
 #include "pipeline/harness.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -35,19 +35,17 @@ PairStats measure(const CoreSetup& setup,
     stats.space += setup.fib_trace.num_cycles();
     if (out.status != mate::WireStatus::Found) continue;
     ++stats.with_mate;
+    // The pair's masked cycles: those in which one of its cubes holds, read
+    // as the benign mask of a one-wire set holding every cube.
+    mate::MateSet group;
+    group.faulty_wires = {pair[0]};
     for (const mate::Cube& c : out.mates) {
       input_sum += static_cast<double>(c.size());
       ++stats.mates;
+      group.mates.push_back({c, {pair[0]}});
     }
-    for (std::size_t cy = 0; cy < setup.fib_trace.num_cycles(); ++cy) {
-      const BitVec& row = setup.fib_trace.cycle_values(cy);
-      for (const mate::Cube& c : out.mates) {
-        if (c.eval(row)) {
-          ++stats.masked_points;
-          break;
-        }
-      }
-    }
+    sim::TransposedTraceSource fib(setup.fib_trace);
+    stats.masked_points += mate::benign_masks(group, fib)[0].popcount();
   }
   stats.avg_inputs = stats.mates == 0
                          ? 0.0

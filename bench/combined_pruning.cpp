@@ -24,9 +24,8 @@ struct Fractions {
 };
 
 Fractions measure(const CoreSetup& avr, const mate::MateSet& set,
-                  const sim::Trace& trace) {
-  const sim::TransposedTrace words(trace);
-  sim::TransposedTraceSource source(words);
+                  const sim::TransposedTrace& trace) {
+  sim::TransposedTraceSource source(trace);
   const std::vector<BitVec> mate_benign = mate::benign_masks(set, source);
   const hafi::AvrRegAccesses accesses =
       hafi::analyze_avr_accesses(avr.netlist, trace);

@@ -76,10 +76,10 @@ int main(int argc, char** argv) {
         }
       });
 
-  std::cout << render_fault_grid(n, r.set, trace);
-
   const sim::TransposedTrace words(trace);
   sim::TransposedTraceSource source(words);
+  std::cout << render_fault_grid(n, r.set, source);
+
   const EvalResult eval = h.pipe().evaluate_stream(
       r.set, source, pipeline::fingerprint(trace), "figure-1");
   std::cout << "\nfault space: " << eval.fault_space() << " points, benign: "

@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
     const CoreSetup setup = h.setup(kind);
     const mate::SearchResult r = h.pipe().find_mates(
         setup, setup.ff_xrf, h.params(), setup.name + " FF w/o RF");
-    const sim::TransposedTrace fib_words(setup.fib_trace);
-    sim::TransposedTraceSource fib(fib_words);
+    sim::TransposedTraceSource fib(setup.fib_trace);
     const mate::SelectionResult sel = h.pipe().select_stream(
         r.set, fib, setup.fib_trace_fp, setup.name + ", fib");
     for (const std::size_t n : {10u, 50u, 100u, 200u}) {

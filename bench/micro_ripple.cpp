@@ -11,7 +11,7 @@
 #include "cores/msp430/programs.hpp"
 #include "cores/msp430/system.hpp"
 #include "hafi/confine.hpp"
-#include "mate/eval.hpp"
+#include "mate/stream.hpp"
 #include "mate/search.hpp"
 #include "netlist/random.hpp"
 #include "netlist/verilog.hpp"
@@ -63,15 +63,17 @@ void BM_MateTraceEvaluation(benchmark::State& state) {
     return mate::find_mates(avr_core().netlist,
                       mate::all_flop_wires(avr_core().netlist), {});
   }();
-  static const sim::Trace trace = [] {
+  static const sim::TransposedTrace trace = [] {
     static const cores::avr::Program prog = cores::avr::fib_program();
     cores::avr::AvrSystem sys(avr_core(), prog);
     sim::Trace trace(avr_core().netlist);
     sys.run_stream(512, trace);
-    return trace;
+    return sim::TransposedTrace(trace);
   }();
+  sim::TransposedTraceSource source(trace);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mate::evaluate_mates(search.set, trace));
+    benchmark::DoNotOptimize(mate::evaluate_mates_stream(
+        search.set, source, /*threads=*/0, /*overlap=*/false));
   }
   state.counters["mate*cycles/s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * search.set.mates.size() * 512),

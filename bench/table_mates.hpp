@@ -34,11 +34,9 @@ inline void run_mate_performance_table(pipeline::Harness& h,
   xrf.search = pipe.find_mates(setup, setup.ff_xrf, h.params(),
                                setup.name + " FF w/o RF");
 
-  // Each trace is transposed once; every stage below replays it.
-  const sim::TransposedTrace fib_words(setup.fib_trace);
-  const sim::TransposedTrace conv_words(setup.conv_trace);
-  sim::TransposedTraceSource fib(fib_words);
-  sim::TransposedTraceSource conv(conv_words);
+  // Every stage below replays the setup's wire-major traces.
+  sim::TransposedTraceSource fib(setup.fib_trace);
+  sim::TransposedTraceSource conv(setup.conv_trace);
 
   for (SetEval* e : {&ff, &xrf}) {
     const char* set_name = e == &ff ? "FF" : "FF w/o RF";

@@ -32,8 +32,7 @@ void report(pipeline::Harness& h, const std::string& name,
 
   const mate::SearchResult search = pipe.find_mates(
       setup, setup.ff, h.params(), setup.name + " FF");
-  const sim::TransposedTrace fib_words(setup.fib_trace);
-  sim::TransposedTraceSource fib(fib_words);
+  sim::TransposedTraceSource fib(setup.fib_trace);
   const mate::EvalResult eval = pipe.evaluate_stream(
       search.set, fib, setup.fib_trace_fp, setup.name + ", fib");
   std::cout << "  MATEs: " << search.set.mates.size() << " (merged), masked "

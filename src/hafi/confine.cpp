@@ -1,5 +1,6 @@
 #include "hafi/confine.hpp"
 
+#include <bit>
 #include <limits>
 
 #include "obs/trace.hpp"
@@ -182,6 +183,11 @@ private:
   std::vector<std::uint64_t> held_;
 };
 
+/// Lanes 0 .. count - 1 of a word; every lane from 64 on.
+sim::LaneMask first_lanes(std::size_t count) {
+  return count >= 64 ? ~sim::LaneMask{0} : (sim::LaneMask{1} << count) - 1;
+}
+
 } // namespace
 
 std::vector<FlopGroup> single_flops(const netlist::Netlist& n) {
@@ -210,6 +216,91 @@ std::vector<BitVec> masked_masks(const netlist::Netlist& n,
                  std::move(observed), execute);
   golden.stream(sink);
   return sink.masked();
+}
+
+std::vector<std::vector<std::uint8_t>> convergence_cycles(
+    const netlist::Netlist& n, const sim::TransposedTrace& golden,
+    unsigned k) {
+  RIPPLE_CHECK(k >= 1 && k <= 63,
+               "convergence budget k must lie in [1, 63], got ", k);
+  RIPPLE_CHECK(golden.num_wires() == n.num_wires(), "golden run has ",
+               golden.num_wires(), " wires, the netlist ", n.num_wires());
+  const std::size_t cycles = golden.num_cycles();
+  const std::vector<FlopId> flops = n.all_flops();
+  const std::vector<WireId> inputs(n.primary_inputs().begin(),
+                                   n.primary_inputs().end());
+  const std::vector<WireId> outputs(n.primary_outputs().begin(),
+                                    n.primary_outputs().end());
+  std::vector<WireId> qs;
+  qs.reserve(flops.size());
+  for (const FlopId f : flops) qs.push_back(n.flop(f).q);
+  std::vector<std::vector<std::uint8_t>> result(
+      flops.size(), std::vector<std::uint8_t>(cycles, 0));
+  sim::BatchSimulator sim(n);
+  for (std::size_t b = 0; b < golden.num_blocks(); ++b) {
+    const std::size_t base = 64 * b;
+    // The golden words of `wires` s = 0 .. k cycles after each lane's
+    // cycle, one row per s: lane l of row s reads cycle base + l + s, from
+    // words b and b + 1 (s < 64).
+    const auto windows = [&](const std::vector<WireId>& wires) {
+      std::vector<std::uint64_t> rows;
+      rows.reserve((k + 1) * wires.size());
+      for (unsigned s = 0; s <= k; ++s) {
+        for (const WireId w : wires) {
+          const std::span<const std::uint64_t> words =
+              golden.wire_stream(w.index());
+          const std::uint64_t next = b + 1 < words.size() ? words[b + 1] : 0;
+          rows.push_back(s == 0 ? words[b]
+                                : (words[b] >> s) | (next << (64 - s)));
+        }
+      }
+      return rows;
+    };
+    const std::vector<std::uint64_t> in_words = windows(inputs);
+    const std::vector<std::uint64_t> out_words = windows(outputs);
+    const std::vector<std::uint64_t> q_words = windows(qs);
+    // The lanes whose cycle base + l + s lies in the trace.
+    const auto in_trace = [&](unsigned s) {
+      return base + s >= cycles ? sim::LaneMask{0}
+                                : first_lanes(cycles - base - s);
+    };
+    for (const FlopId f : flops) {
+      for (std::size_t i = 0; i < flops.size(); ++i) {
+        sim.set_flop(flops[i], q_words[i]);
+      }
+      sim.flip_flop(f, ~sim::LaneMask{0});
+      std::uint8_t* const out = result[f.index()].data() + base;
+      sim::LaneMask live = ~sim::LaneMask{0};
+      for (unsigned s = 0; s < k; ++s) {
+        // A lane whose state of cycle t + s + 1 lies past the trace end
+        // can no longer converge.
+        live &= in_trace(s + 1);
+        if (live == 0) break;
+        const std::uint64_t* in = in_words.data() + s * inputs.size();
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          sim.set_input(inputs[i], in[i]);
+        }
+        sim.eval();
+        const std::uint64_t* po = out_words.data() + s * outputs.size();
+        for (std::size_t i = 0; i < outputs.size(); ++i) {
+          live &= ~(sim.value(outputs[i]) ^ po[i]);
+        }
+        sim.latch();
+        // The state of cycle base + l + s + 1 against the golden one.
+        const std::uint64_t* next = q_words.data() + (s + 1) * flops.size();
+        sim::LaneMask diverged = 0;
+        for (std::size_t i = 0; i < flops.size() && diverged != live; ++i) {
+          diverged |= (sim.flop(flops[i]) ^ next[i]) & live;
+        }
+        const sim::LaneMask converged = live & ~diverged;
+        for (sim::LaneMask m = converged; m != 0; m &= m - 1) {
+          out[std::countr_zero(m)] = static_cast<std::uint8_t>(s + 1);
+        }
+        live &= ~converged;
+      }
+    }
+  }
+  return result;
 }
 
 } // namespace ripple::hafi

@@ -26,14 +26,21 @@
 // primary inputs, each sweep flips one flop (or one group) in every lane,
 // and every primary output and D wire is XORed against the golden words.
 // That is flops (groups) x ceil(cycles / 64) sweeps, fanned out per block.
+//
+// convergence_cycles extends Masked to k cycles (the paper's Section 6.2
+// outlook) with the same lanes: step s drives the inputs with the golden
+// words of cycles t + s and retires a lane once its fate is decided, so a
+// block costs at most k sweeps per flop.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "hafi/campaign.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/stream.hpp"
+#include "sim/transposed.hpp"
 #include "util/bitvec.hpp"
 
 namespace ripple::hafi {
@@ -59,5 +66,17 @@ using FlopGroup = std::vector<FlopId>;
 [[nodiscard]] std::vector<BitVec> masked_masks(
     const netlist::Netlist& n, sim::TraceSource& golden,
     std::span<const FlopGroup> groups, const ShardExecutor& execute = {});
+
+/// The k-cycle masking oracle: per flop (FlopId order) and cycle t of
+/// `golden`, the smallest j in [1, k] such that an SEU in the flop at cycle
+/// t, with the golden inputs replayed, leaves every primary output unchanged
+/// in cycles t .. t + j - 1 and the flop state equal to the golden state of
+/// cycle t + j; 0 when there is none or the trace ends first. Before the
+/// last cycle, j = 1 is the Masked label. `golden` must cover every wire of
+/// `n`, and k lie in [1, 63]. One thread, at most k sweeps per flop and
+/// 64-cycle block.
+[[nodiscard]] std::vector<std::vector<std::uint8_t>> convergence_cycles(
+    const netlist::Netlist& n, const sim::TransposedTrace& golden,
+    unsigned k);
 
 } // namespace ripple::hafi

@@ -83,7 +83,7 @@ InsnAccess classify(const Instruction& i) {
 } // namespace
 
 AvrRegAccesses analyze_avr_accesses(const netlist::Netlist& core_netlist,
-                                    const sim::Trace& trace) {
+                                    const sim::TransposedTrace& trace) {
   const rtl::Bus ir = rtl::find_bus(core_netlist, "ir", 16,
                                     /*suffix=*/"__q");
   const WireId valid =
@@ -95,13 +95,10 @@ AvrRegAccesses analyze_avr_accesses(const netlist::Netlist& core_netlist,
   out.writes.assign(trace.num_cycles(), {});
 
   for (std::size_t cycle = 0; cycle < trace.num_cycles(); ++cycle) {
-    const BitVec& row = trace.cycle_values(cycle);
-    if (!row.get(valid.index())) continue; // pipeline bubble
+    if (!trace.value(cycle, valid)) continue; // pipeline bubble
     std::uint16_t word = 0;
-    for (int b = 0; b < 16; ++b) {
-      word |= static_cast<std::uint16_t>(row.get(ir[static_cast<std::size_t>(
-                  b)].index()))
-              << b;
+    for (std::size_t b = 0; b < 16; ++b) {
+      word |= static_cast<std::uint16_t>(trace.value(cycle, ir[b])) << b;
     }
     const auto insn = cores::avr::decode(word);
     if (!insn) continue; // executes as NOP
@@ -127,7 +124,7 @@ AvrRegAccesses analyze_avr_accesses(const netlist::Netlist& core_netlist,
 }
 
 AvrRegAccesses analyze_msp430_accesses(const netlist::Netlist& core_netlist,
-                                       const sim::Trace& trace) {
+                                       const sim::TransposedTrace& trace) {
   namespace msp = cores::msp430;
   const rtl::Bus ir = rtl::find_bus(core_netlist, "ir", 16, "__q");
   const rtl::Bus fsm = rtl::find_bus(core_netlist, "fsm", 3, "__q");
@@ -137,19 +134,19 @@ AvrRegAccesses analyze_msp430_accesses(const netlist::Netlist& core_netlist,
   out.reads_direct.assign(trace.num_cycles(), {});
   out.writes.assign(trace.num_cycles(), {});
 
-  const auto read_bus = [&](const BitVec& row, const rtl::Bus& bus) {
+  const auto read_bus = [&](std::size_t cycle, const rtl::Bus& bus) {
     std::uint32_t v = 0;
     for (std::size_t b = 0; b < bus.size(); ++b) {
-      v |= static_cast<std::uint32_t>(row.get(bus[b].index())) << b;
+      v |= static_cast<std::uint32_t>(trace.value(cycle, bus[b])) << b;
     }
     return v;
   };
 
   for (std::size_t cycle = 0; cycle < trace.num_cycles(); ++cycle) {
-    const BitVec& row = trace.cycle_values(cycle);
-    const unsigned state = read_bus(row, fsm);
+    const unsigned state = read_bus(cycle, fsm);
     if (state == msp::kFetch) continue; // ir not yet valid for this insn
-    const std::uint16_t word = static_cast<std::uint16_t>(read_bus(row, ir));
+    const std::uint16_t word =
+        static_cast<std::uint16_t>(read_bus(cycle, ir));
 
     // Field decode (shared by all states of the instruction).
     const bool is_fmt2 = (word & 0xfc00) == 0x1000;

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "cores/avr/core.hpp"
-#include "sim/trace.hpp"
+#include "sim/transposed.hpp"
 
 namespace ripple::hafi {
 
@@ -43,7 +43,7 @@ struct AvrRegAccesses {
 /// Reconstruct the access stream from a recorded wire-level trace of the
 /// AVR core (decodes the EX-stage instruction register per cycle).
 [[nodiscard]] AvrRegAccesses analyze_avr_accesses(
-    const netlist::Netlist& core_netlist, const sim::Trace& trace);
+    const netlist::Netlist& core_netlist, const sim::TransposedTrace& trace);
 
 /// Same analysis for the MSP430 core. The multi-cycle FSM reads registers
 /// combinationally in the cycle that consumes them (DECODE operand latch,
@@ -53,7 +53,7 @@ struct AvrRegAccesses {
 /// Registers are numbered architecturally (r0..r15; only r1, r3..r15 carry
 /// state in this core).
 [[nodiscard]] AvrRegAccesses analyze_msp430_accesses(
-    const netlist::Netlist& core_netlist, const sim::Trace& trace);
+    const netlist::Netlist& core_netlist, const sim::TransposedTrace& trace);
 
 struct DefUseResult {
   /// [reg][cycle]: a fault in any bit of reg at this cycle dies before use.

@@ -1,7 +1,5 @@
 #include "mate/eval.hpp"
 
-#include "mate/stream.hpp"
-#include "sim/transposed.hpp"
 #include "util/stats.hpp"
 
 namespace ripple::mate {
@@ -22,12 +20,5 @@ void finalize_eval(const MateSet& set, EvalResult& result) {
 }
 
 } // namespace detail
-
-EvalResult evaluate_mates(const MateSet& set, const sim::Trace& trace,
-                          std::size_t threads) {
-  const sim::TransposedTrace tt(trace);
-  sim::TransposedTraceSource source(tt);
-  return evaluate_mates_stream(set, source, threads, /*overlap=*/false);
-}
 
 } // namespace ripple::mate

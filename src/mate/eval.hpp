@@ -8,15 +8,14 @@
 // There is one engine: the word-parallel streaming accumulator of
 // mate/stream.hpp (64 cycles per machine word; a MATE's trigger stream for a
 // 64-cycle block is the AND over its literals of (wire_stream ^
-// invert_mask)). evaluate_mates is its in-memory entry point. The literal
-// scalar oracle it is tested against lives in tests/support.
+// invert_mask)), fed by any sim::TraceSource. The literal scalar oracle it
+// is tested against lives in tests/support.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "mate/mate.hpp"
-#include "sim/trace.hpp"
 
 namespace ripple::mate {
 
@@ -59,13 +58,6 @@ struct EvalResult {
 
   bool operator==(const EvalResult&) const = default;
 };
-
-/// Evaluate `set` over an in-memory trace: the trace is transposed once and
-/// replayed through the streaming accumulator. `threads` = 0 selects
-/// hardware concurrency.
-[[nodiscard]] EvalResult evaluate_mates(const MateSet& set,
-                                        const sim::Trace& trace,
-                                        std::size_t threads = 0);
 
 namespace detail {
 /// Derived tail (effective_mates, avg/sd inputs) of every EvalResult:

@@ -6,10 +6,8 @@
 namespace ripple::mate {
 
 std::string render_fault_grid(const netlist::Netlist& n, const MateSet& set,
-                              const sim::Trace& trace) {
-  const sim::TransposedTrace transposed(trace);
-  sim::TransposedTraceSource source(transposed);
-  const std::vector<BitVec> benign = benign_masks(set, source);
+                              sim::TraceSource& trace) {
+  const std::vector<BitVec> benign = benign_masks(set, trace);
 
   std::size_t name_width = 5;
   for (WireId w : set.faulty_wires) {

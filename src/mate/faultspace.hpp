@@ -3,18 +3,17 @@
 
 #include <string>
 
-#include "mate/eval.hpp"
 #include "mate/mate.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/trace.hpp"
+#include "sim/stream.hpp"
 
 namespace ripple::mate {
 
 /// Render the (wires x cycles) fault space as the paper's Figure 1b grid:
 /// '*' = possibly effective, 'o' = proven benign by a triggered MATE.
-/// Rows follow `set.faulty_wires`.
+/// Rows follow `set.faulty_wires`, columns the cycles of `trace`.
 [[nodiscard]] std::string render_fault_grid(const netlist::Netlist& n,
                                             const MateSet& set,
-                                            const sim::Trace& trace);
+                                            sim::TraceSource& trace);
 
 } // namespace ripple::mate

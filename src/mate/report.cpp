@@ -46,8 +46,7 @@ void write_search_json(const netlist::Netlist& n, const SearchResult& result,
   os << "  \"totals\": {\"mates\": " << result.total_mates
      << ", \"merged_mates\": " << result.set.mates.size()
      << ", \"candidates\": " << result.total_candidates
-     << ", \"unmaskable_wires\": " << result.unmaskable_wires
-     << ", \"seconds\": " << result.seconds << "},\n";
+     << ", \"unmaskable_wires\": " << result.unmaskable_wires << "},\n";
 
   os << "  \"wires\": [\n";
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {

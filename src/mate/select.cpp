@@ -1,10 +1,7 @@
 #include "mate/select.hpp"
 
-#include "mate/stream.hpp"
-
 #include <algorithm>
 
-#include "sim/transposed.hpp"
 #include "util/assert.hpp"
 
 namespace ripple::mate {
@@ -45,13 +42,6 @@ std::vector<std::size_t> ranking_from_hits(
 }
 
 } // namespace detail
-
-SelectionResult rank_mates(const MateSet& set, const sim::Trace& trace,
-                           std::size_t threads) {
-  const sim::TransposedTrace tt(trace);
-  sim::TransposedTraceSource source(tt);
-  return rank_mates_stream(set, source, threads, /*overlap=*/false);
-}
 
 MateSet top_n(const MateSet& set, const SelectionResult& sel, std::size_t n) {
   RIPPLE_ASSERT(sel.ranking.size() == set.mates.size(),

@@ -6,11 +6,10 @@
 // gain). The top-N MATEs by accumulated credit form the subset synthesized
 // into the HAFI platform.
 //
-// Like evaluate_mates, ranking has one engine: the streaming RankAccumulator
+// Like evaluation, ranking has one engine: the streaming RankAccumulator
 // of mate/stream.hpp, whose pass 1 is the word-wide trigger evaluation and
 // whose pass 2 computes marginal gains with word-level BitVec ops (or_count).
-// rank_mates is its in-memory entry point; the scalar oracle it is tested
-// against lives in tests/support.
+// The scalar oracle it is tested against lives in tests/support.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +17,6 @@
 
 #include "mate/eval.hpp"
 #include "mate/mate.hpp"
-#include "sim/trace.hpp"
 
 namespace ripple::mate {
 
@@ -30,13 +28,6 @@ struct SelectionResult {
 
   bool operator==(const SelectionResult&) const = default;
 };
-
-/// Rank `set` over an in-memory trace: the trace is transposed once and
-/// streamed twice through the RankAccumulator. `threads` = 0 selects
-/// hardware concurrency.
-[[nodiscard]] SelectionResult rank_mates(const MateSet& set,
-                                         const sim::Trace& trace,
-                                         std::size_t threads = 0);
 
 /// The top-N subset of `set` according to a ranking (N is clamped to the set
 /// size). Faulty-wire universe is preserved.

@@ -5,9 +5,9 @@
 // The accumulators score a trace chunk-by-chunk from a sim::TraceSource with
 // the word-parallel kernel (64 cycles per machine word): only one chunk of
 // trace bits is resident at a time, and with a sim::AsyncTraceSink in front
-// the simulator produces chunk k+1 while the accumulator scores chunk k. The
-// in-memory entry points evaluate_mates / rank_mates replay a whole
-// sim::TransposedTrace through the same accumulators.
+// the simulator produces chunk k+1 while the accumulator scores chunk k. A
+// whole in-memory sim::TransposedTrace is scored through a
+// sim::TransposedTraceSource.
 //
 // Equivalence contract: chunk boundaries are 64-cycle aligned (enforced by
 // the recorder), so each chunk's block masks and per-block words are exactly
@@ -31,7 +31,7 @@
 
 namespace ripple::mate {
 
-/// Incremental evaluate_mates over in-order 64-aligned trace chunks.
+/// Incremental MATE evaluation over in-order 64-aligned trace chunks.
 ///
 ///   EvalAccumulator acc(set);
 ///   for each chunk: acc.consume(chunk.slice, chunk.base_cycle);
@@ -72,7 +72,7 @@ class EvalAccumulator {
                                           sim::TraceSource& source);
 };
 
-/// Incremental rank_mates over a replayable trace stream. Ranking needs two
+/// Incremental ranking over a replayable trace stream. Ranking needs two
 /// passes over the trace (whole-trace masking volumes first, then per-cycle
 /// marginal gains in global visit order), so the trace is streamed twice:
 ///

@@ -265,13 +265,12 @@ CoreSetup CampaignPipeline::setup(const CoreSetupSpec& spec) {
   };
   scope.end();
 
-  // Each workload is read once from its chunk stream into the row-major
-  // trace the benches read; the stream identity keys their scoring stages.
-  const auto read = [&](const CoreRuntime& rt, sim::Trace& trace) {
+  // Each workload is gathered once from its chunk stream into the
+  // wire-major trace the benches score; the stream identity keys their
+  // scoring stages.
+  const auto read = [&](const CoreRuntime& rt, sim::TransposedTrace& trace) {
     ChunkedTraceStream stream(*this, rt, spec.trace_cycles);
-    trace = sim::Trace(s.netlist);
-    sim::UntransposingSink rows(trace);
-    stream.stream(rows);
+    trace = sim::gather_trace(stream);
     return stream.fingerprint();
   };
   s.fib_trace_fp = read(fib, s.fib_trace);

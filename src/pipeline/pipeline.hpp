@@ -36,7 +36,7 @@
 #include "pipeline/registry.hpp"
 #include "pipeline/request.hpp"
 #include "sim/stream.hpp"
-#include "sim/trace.hpp"
+#include "sim/transposed.hpp"
 
 namespace ripple {
 class ByteReader;
@@ -60,16 +60,16 @@ struct CoreSetupSpec {
 };
 
 /// Output of the build_core + record_trace stages: the core netlist, its
-/// content fingerprint, the two workload traces (each read once from its
-/// chunk stream) and the evaluation's two fault sets ("FF" and "FF w/o RF").
-/// Callers score a trace by wrapping a sim::TransposedTrace of it in a
+/// content fingerprint, the two workload traces (each gathered once from its
+/// chunk stream, wire-major) and the evaluation's two fault sets ("FF" and
+/// "FF w/o RF"). Callers score a trace by wrapping it in a
 /// sim::TransposedTraceSource, keyed by its `*_trace_fp`.
 struct CoreSetup {
   std::string name; // "AVR" or "MSP430"
   netlist::Netlist netlist;
   std::uint64_t fingerprint = 0; // content fingerprint of `netlist`
-  sim::Trace fib_trace;
-  sim::Trace conv_trace;
+  sim::TransposedTrace fib_trace;
+  sim::TransposedTrace conv_trace;
   std::uint64_t fib_trace_fp = 0;  // stream fingerprint of `fib_trace`
   std::uint64_t conv_trace_fp = 0; // stream fingerprint of `conv_trace`
   std::vector<WireId> ff;     // all flipflops

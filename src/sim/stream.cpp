@@ -182,40 +182,6 @@ void ChunkedTraceRecorder::finish() {
   finished_ = true;
 }
 
-// --- UntransposingSink -------------------------------------------------------
-
-void UntransposingSink::on_chunk(TraceChunk chunk) {
-  // The recorder's block transpose run backwards: per 64-cycle block and
-  // 64-wire group, load the wire words in reverse, transpose, and read the
-  // rows back out in reverse.
-  const TransposedSlice& slice = chunk.slice;
-  const std::size_t row_words = (slice.num_wires + 63) / 64;
-  std::vector<std::uint64_t> rows(64 * row_words);
-  std::uint64_t tmp[64];
-  for (std::size_t b = 0; b < slice.num_blocks; ++b) {
-    for (std::size_t j = 0; j < row_words; ++j) {
-      for (std::size_t k = 0; k < 64; ++k) {
-        const std::size_t wire = j * 64 + (63 - k);
-        tmp[k] = wire < slice.num_wires ? slice.wire_words(wire)[b] : 0;
-      }
-      detail::transpose64(tmp);
-      for (std::size_t c = 0; c < 64; ++c) {
-        rows[c * row_words + j] = tmp[63 - c];
-      }
-    }
-    const std::size_t cycles = std::min<std::size_t>(
-        64, slice.num_cycles - b * 64);
-    for (std::size_t c = 0; c < cycles; ++c) {
-      const auto row = rows.begin() + static_cast<std::ptrdiff_t>(
-                                          c * row_words);
-      rows_->append_row(BitVec::from_words(
-          slice.num_wires,
-          std::vector<std::uint64_t>(
-              row, row + static_cast<std::ptrdiff_t>(row_words))));
-    }
-  }
-}
-
 // --- AsyncTraceSink ----------------------------------------------------------
 
 struct AsyncTraceSink::Impl {
@@ -322,6 +288,49 @@ void TransposedTraceSource::stream(TraceSink& sink) {
     c.slice = cycle_slice(*trace_, base / 64, len);
     sink.on_chunk(std::move(c));
   }
+}
+
+// --- gather_trace ------------------------------------------------------------
+
+TransposedTrace gather_trace(TraceSource& source) {
+  class Gather final : public TraceSink {
+  public:
+    Gather(std::size_t wires, std::size_t cycles)
+        : wires_(wires), cycles_(cycles), blocks_((cycles + 63) / 64),
+          words_(wires * blocks_, 0) {}
+
+    void on_chunk(TraceChunk chunk) override {
+      const TransposedSlice& slice = chunk.slice;
+      RIPPLE_CHECK(chunk.base_cycle == gathered_ && gathered_ % 64 == 0 &&
+                       gathered_ + slice.num_cycles <= cycles_ &&
+                       slice.num_wires == wires_,
+                   "trace chunks must cover the declared cycles in order");
+      const std::size_t block = gathered_ / 64;
+      for (std::size_t w = 0; w < wires_; ++w) {
+        std::copy_n(slice.wire_words(w), slice.num_blocks,
+                    words_.begin() +
+                        static_cast<std::ptrdiff_t>(w * blocks_ + block));
+      }
+      gathered_ += slice.num_cycles;
+    }
+
+    TransposedTrace finish() {
+      RIPPLE_CHECK(gathered_ == cycles_,
+                   "trace source delivered a different cycle count than "
+                   "declared");
+      return TransposedTrace::from_words(wires_, cycles_, std::move(words_));
+    }
+
+  private:
+    std::size_t wires_;
+    std::size_t cycles_;
+    std::size_t blocks_;
+    std::vector<std::uint64_t> words_;
+    std::size_t gathered_ = 0;
+  };
+  Gather gather(source.num_wires(), source.num_cycles());
+  source.stream(gather);
+  return gather.finish();
 }
 
 } // namespace ripple::sim

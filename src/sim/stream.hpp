@@ -187,19 +187,6 @@ private:
   std::vector<std::uint64_t> chunk_words_; // wire-major chunk storage
 };
 
-/// Chunk -> row adapter, the inverse of ChunkedTraceRecorder: hands every
-/// cycle of each chunk, in stream order, to `rows` as one row of wire values.
-/// Streaming a source into a Trace (a RowSink) through it yields the
-/// row-major trace the chunks were recorded from.
-class UntransposingSink final : public TraceSink {
-public:
-  explicit UntransposingSink(RowSink& rows) : rows_(&rows) {}
-  void on_chunk(TraceChunk chunk) override;
-
-private:
-  RowSink* rows_;
-};
-
 /// Forwards chunks to `inner` on a dedicated worker thread, so the producer
 /// (simulator) fills chunk k+1 while the consumer (evaluation) digests chunk
 /// k. on_chunk blocks until the worker has finished the previous chunk: at
@@ -225,9 +212,9 @@ private:
 };
 
 /// A whole in-memory TransposedTrace replayed as borrowed chunk slices
-/// (no copies): adapts in-memory traces (evaluate_mates/rank_mates, bench
-/// traces scored by the pipeline's evaluate/select stages) onto the
-/// streaming accumulators.
+/// (no copies): adapts in-memory traces (the benches' setup traces scored
+/// by the pipeline's evaluate/select stages) onto the streaming
+/// accumulators.
 class TransposedTraceSource final : public TraceSource {
 public:
   /// `trace` must outlive the source. chunk_cycles must be a positive
@@ -246,6 +233,10 @@ private:
   const TransposedTrace* trace_;
   std::size_t chunk_cycles_;
 };
+
+/// Stream `source` once into one whole TransposedTrace, copying each
+/// chunk's words into place: the inverse of TransposedTraceSource.
+[[nodiscard]] TransposedTrace gather_trace(TraceSource& source);
 
 /// Chunked counterpart of record_trace: run `sim` for `cycles` cycles and
 /// emit finished TransposedTrace chunks of `chunk_cycles` cycles each to

@@ -2,11 +2,13 @@
 // example binaries and assert the one binary frame — every binary honours
 // --report=json:FILE and --trace-out=FILE, and a shared flag the binary
 // would ignore, an out-of-range value or an unwritable output path exits 2
-// before any work (nothing on stdout, nothing in the cache). Binary paths
+// before any work (nothing on stdout, nothing in the cache); ablation A4
+// runs end to end on short traces. Binary paths
 // arrive via the environment (set by tests/CMakeLists.txt from the build's
 // target files); a missing one fails the test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -118,6 +120,26 @@ TEST(CliSmoke, ExamplesWriteReportAndTrace) {
     EXPECT_NE(trace.find("\"name\": \"stage:find_mates\""), std::string::npos)
         << trace;
   }
+}
+
+/// Ablation A4 runs end to end on short traces: one CSV row per budget k.
+TEST(CliSmoke, MultiCycleAblationPrintsEveryBudget) {
+  const std::string bin = binary("ABLATION_MULTICYCLE_BIN");
+  ASSERT_FALSE(bin.empty());
+  TempDir dir;
+  ASSERT_EQ(run(dir.path, {bin, "--no-cache", "--csv", "--cycles=256"}), 0)
+      << read_file(dir.path / "stderr");
+  std::istringstream out(read_file(dir.path / "stdout"));
+  std::string line;
+  ASSERT_TRUE(std::getline(out, line));
+  EXPECT_EQ(line, "k cycles,AVR FF,AVR FF w/o RF,MSP430 FF,MSP430 FF w/o RF");
+  for (const char* k : {"1,", "2,", "4,", "8,", "16,"}) {
+    ASSERT_TRUE(std::getline(out, line)) << "missing row k = " << k;
+    EXPECT_EQ(line.rfind(k, 0), 0u) << line;
+    EXPECT_EQ(std::count(line.begin(), line.end(), '%'), 4) << line;
+  }
+  ASSERT_TRUE(std::getline(out, line));
+  EXPECT_EQ(line, "") << "exactly five k rows";
 }
 
 /// A flag the binary would ignore, an out-of-range value and an unwritable

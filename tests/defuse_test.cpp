@@ -21,11 +21,11 @@ const AvrCore& core() {
   return c;
 }
 
-sim::Trace trace_of(const Program& p, std::size_t cycles) {
+sim::TransposedTrace trace_of(const Program& p, std::size_t cycles) {
   AvrSystem sys(core(), p);
   sim::Trace trace(core().netlist);
   sys.run_stream(cycles, trace);
-  return trace;
+  return sim::TransposedTrace(trace);
 }
 
 TEST(DefUse, AccessExtractionMatchesProgram) {
@@ -36,7 +36,7 @@ TEST(DefUse, AccessExtractionMatchesProgram) {
 halt:
     rjmp halt
 )");
-  const sim::Trace trace = trace_of(p, 12);
+  const sim::TransposedTrace trace = trace_of(p, 12);
   const AvrRegAccesses acc = analyze_avr_accesses(core().netlist, trace);
 
   // Pipeline: instruction i enters EX at cycle i+1 (cycle 0 is the fill).
@@ -60,7 +60,7 @@ TEST(DefUse, LoadStoreReadXPointerAtExCycle) {
 halt:
     rjmp halt
 )");
-  const sim::Trace trace = trace_of(p, 8);
+  const sim::TransposedTrace trace = trace_of(p, 8);
   const AvrRegAccesses acc = analyze_avr_accesses(core().netlist, trace);
   // st X, r26 is in EX at cycle 2; the X pointer is read there (EX-cycle
   // combinational read) and also captured as the store operand in cycle 1.
@@ -79,7 +79,7 @@ TEST(DefUse, OverwrittenRegisterIsBenignUntilTheWrite) {
 halt:
     rjmp halt
 )");
-  const sim::Trace trace = trace_of(p, 16);
+  const sim::TransposedTrace trace = trace_of(p, 16);
   const AvrRegAccesses acc = analyze_avr_accesses(core().netlist, trace);
   const DefUseResult r = defuse_prune(acc);
   // Between the first write and the second (cycles 2..5) a fault in r20
@@ -101,7 +101,7 @@ TEST(DefUse, ReadBeforeWriteIsNotBenign) {
 halt:
     rjmp halt
 )");
-  const sim::Trace trace = trace_of(p, 12);
+  const sim::TransposedTrace trace = trace_of(p, 12);
   const DefUseResult r =
       defuse_prune(analyze_avr_accesses(core().netlist, trace));
   // At cycle 2 the next access is the out-read itself -> effective.
@@ -111,7 +111,7 @@ halt:
 }
 
 TEST(DefUse, FractionsSaneOnWorkloads) {
-  const sim::Trace trace = trace_of(cores::avr::fib_program(), 1500);
+  const sim::TransposedTrace trace = trace_of(cores::avr::fib_program(), 1500);
   const DefUseResult r =
       defuse_prune(analyze_avr_accesses(core().netlist, trace));
   EXPECT_GT(r.benign_fraction(), 0.01);
@@ -137,7 +137,7 @@ void expect_all_benign(BatchDut& dut, const netlist::Netlist& n,
 TEST(DefUse, BenignVerdictsConfirmedByInjection) {
   static const Program prog = cores::avr::fib_program();
   constexpr std::size_t kCycles = 350;
-  const sim::Trace trace = trace_of(prog, kCycles);
+  const sim::TransposedTrace trace = trace_of(prog, kCycles);
   const DefUseResult r =
       defuse_prune(analyze_avr_accesses(core().netlist, trace));
 
@@ -169,6 +169,14 @@ const cores::msp430::Msp430Core& mcore() {
   return c;
 }
 
+sim::TransposedTrace msp430_trace_of(const cores::msp430::Image& img,
+                                     std::size_t cycles) {
+  cores::msp430::Msp430System sys(mcore(), img);
+  sim::Trace trace(mcore().netlist);
+  sys.run_stream(cycles, trace);
+  return sim::TransposedTrace(trace);
+}
+
 TEST(DefUseMsp430, MovOverwriteIsBenignUntilWrite) {
   const cores::msp430::Image img = cores::msp430::assemble(R"(
     mov #1, r4          ; write r4
@@ -178,9 +186,7 @@ TEST(DefUseMsp430, MovOverwriteIsBenignUntilWrite) {
 halt:
     jmp halt
 )");
-  cores::msp430::Msp430System sys(mcore(), img);
-  sim::Trace trace(mcore().netlist);
-  sys.run_stream(40, trace);
+  const sim::TransposedTrace trace = msp430_trace_of(img, 40);
   const AvrRegAccesses acc = analyze_msp430_accesses(mcore().netlist, trace);
   const DefUseResult r = defuse_prune(acc);
 
@@ -213,9 +219,7 @@ TEST(DefUseMsp430, AutoIncrementReadsThePointer) {
 halt:
     jmp halt
 )");
-  cores::msp430::Msp430System sys(mcore(), img);
-  sim::Trace trace(mcore().netlist);
-  sys.run_stream(30, trace);
+  const sim::TransposedTrace trace = msp430_trace_of(img, 30);
   const AvrRegAccesses acc = analyze_msp430_accesses(mcore().netlist, trace);
   // Some cycle must both read and write r5 (the += 2), and the read must
   // dominate: a pointer fault is never benign at the increment.
@@ -233,9 +237,7 @@ halt:
 TEST(DefUseMsp430, BenignVerdictsConfirmedByInjection) {
   static const cores::msp430::Image img = cores::msp430::fib_image();
   constexpr std::size_t kCycles = 400;
-  cores::msp430::Msp430System tracer(mcore(), img);
-  sim::Trace trace(mcore().netlist);
-  tracer.run_stream(kCycles, trace);
+  const sim::TransposedTrace trace = msp430_trace_of(img, kCycles);
   const DefUseResult r =
       defuse_prune(analyze_msp430_accesses(mcore().netlist, trace));
 

@@ -9,6 +9,7 @@
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "support/oracles.hpp"
+#include "support/row_major.hpp"
 
 namespace ripple::mate {
 namespace {
@@ -140,8 +141,9 @@ TEST(FaultGrid, RendersPaperStyleGrid) {
   const Figure1Circuit fig = build_figure1_circuit();
   const std::vector<WireId> faulty = {fig.a, fig.b, fig.c, fig.d, fig.e};
   const SearchResult r = find_mates(fig.netlist, faulty, {});
-  const sim::Trace trace = fig1_trace(fig, {0, 0, 0xff, 0xff, 0});
-  const std::string grid = render_fault_grid(fig.netlist, r.set, trace);
+  const sim::TransposedTrace trace(fig1_trace(fig, {0, 0, 0xff, 0xff, 0}));
+  sim::TransposedTraceSource source(trace);
+  const std::string grid = render_fault_grid(fig.netlist, r.set, source);
   EXPECT_NE(grid.find('o'), std::string::npos) << grid;
   EXPECT_NE(grid.find('*'), std::string::npos) << grid;
   EXPECT_NE(grid.find("a "), std::string::npos);

@@ -13,6 +13,7 @@
 #include "sim/stream.hpp"
 #include "sim/transposed.hpp"
 #include "support/oracles.hpp"
+#include "support/row_major.hpp"
 #include "util/stopwatch.hpp"
 
 namespace ripple::pipeline {
@@ -34,9 +35,9 @@ TEST(EvalSpeed, StreamingNoSlowerThanScalarOracle) {
                                             pipe.default_params(),
                                             setup.name + " FF")
                                 .set;
-  const sim::Trace& trace = setup.fib_trace;
-  const sim::TransposedTrace words(trace);
-  sim::TransposedTraceSource source(words, pipe.config().trace_chunk_cycles);
+  const sim::Trace trace = sim::untranspose(setup.netlist, setup.fib_trace);
+  sim::TransposedTraceSource source(setup.fib_trace,
+                                    pipe.config().trace_chunk_cycles);
 
   const double eval_scalar = time_two_runs(
       [&] { (void)mate::evaluate_mates_scalar(set, trace); });

@@ -10,6 +10,7 @@
 #include "netlist/random.hpp"
 #include "netlist/verilog.hpp"
 #include "sim/simulator.hpp"
+#include "support/row_major.hpp"
 
 namespace ripple::hafi {
 namespace {

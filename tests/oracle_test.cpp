@@ -12,6 +12,7 @@
 #include "support/golden_run.hpp"
 #include "support/masking.hpp"
 #include "support/reference_sim.hpp"
+#include "support/row_major.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 

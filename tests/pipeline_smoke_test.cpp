@@ -59,8 +59,7 @@ void run_once(const std::filesystem::path& cache_dir, RunResult& out) {
 
   const mate::SearchResult search =
       pipe.find_mates(setup, faulty, params, "smoke");
-  const sim::TransposedTrace fib_words(setup.fib_trace);
-  sim::TransposedTraceSource fib(fib_words);
+  sim::TransposedTraceSource fib(setup.fib_trace);
   const mate::EvalResult eval =
       pipe.evaluate_stream(search.set, fib, setup.fib_trace_fp, "smoke");
   (void)eval;

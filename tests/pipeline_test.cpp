@@ -18,6 +18,7 @@
 #include "sim/stream.hpp"
 #include "sim/transposed.hpp"
 #include "support/oracles.hpp"
+#include "support/row_major.hpp"
 #include "util/options.hpp"
 #include "util/serialize.hpp"
 
@@ -331,15 +332,16 @@ void expect_stages_match_oracle(CoreKind kind, std::size_t cycles,
       pipe.find_mates(setup, setup.ff, params, setup.name + " FF").set;
   ASSERT_FALSE(set.mates.empty());
 
+  const sim::Trace fib_rows = sim::untranspose(setup.netlist, setup.fib_trace);
   const std::vector<std::uint8_t> oracle_eval =
-      bytes(mate::evaluate_mates_scalar(set, setup.fib_trace));
+      bytes(mate::evaluate_mates_scalar(set, fib_rows));
   const std::vector<std::uint8_t> oracle_sel =
-      bytes(mate::rank_mates_scalar(set, setup.fib_trace));
+      bytes(mate::rank_mates_scalar(set, fib_rows));
 
-  const sim::TransposedTrace fib_words(setup.fib_trace);
   mate::EvalAccumulator acc(set);
   AccumulatorSink consumer(acc);
-  sim::TransposedTraceSource chunked(fib_words, config.trace_chunk_cycles);
+  sim::TransposedTraceSource chunked(setup.fib_trace,
+                                     config.trace_chunk_cycles);
   {
     sim::AsyncTraceSink async(consumer);
     chunked.stream(async);
@@ -347,7 +349,7 @@ void expect_stages_match_oracle(CoreKind kind, std::size_t cycles,
   }
   EXPECT_EQ(bytes(acc.finish()), oracle_eval);
 
-  sim::TransposedTraceSource fib(fib_words);
+  sim::TransposedTraceSource fib(setup.fib_trace);
   EXPECT_EQ(
       bytes(pipe.evaluate_stream(set, fib, setup.fib_trace_fp, "in memory")),
       oracle_eval);
