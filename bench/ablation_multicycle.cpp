@@ -4,6 +4,7 @@
 // reach; register-file faults dominate the growth because registers are
 // overwritten cycles — not one cycle — later.
 #include <cstdint>
+#include <string>
 
 #include "hafi/confine.hpp"
 #include "pipeline/harness.hpp"
@@ -16,12 +17,14 @@ namespace {
 
 constexpr unsigned kMaxK = 16;
 
-/// Fraction of (wire, cycle) points masked within k cycles. Every cycle
-/// with k + 1 cycles of headroom counts, so "not converged" never conflates
-/// with "trace ended".
-double masked_share(const CoreSetup& setup, const std::vector<WireId>& wires,
-                    const std::vector<std::vector<std::uint8_t>>& converged,
-                    unsigned k) {
+/// Fraction of (wire, cycle) points masked within k cycles, as a table
+/// cell. Every cycle with k + 1 cycles of headroom counts, so "not
+/// converged" never conflates with "trace ended"; a trace too short to have
+/// such a cycle prints "-".
+std::string masked_share(const CoreSetup& setup,
+                         const std::vector<WireId>& wires,
+                         const std::vector<std::vector<std::uint8_t>>& converged,
+                         unsigned k) {
   std::size_t masked = 0;
   std::size_t space = 0;
   for (std::size_t t = 0; t + k + 1 < setup.fib_trace.num_cycles(); ++t) {
@@ -32,7 +35,8 @@ double masked_share(const CoreSetup& setup, const std::vector<WireId>& wires,
       if (j != 0 && j <= k) ++masked;
     }
   }
-  return static_cast<double>(masked) / static_cast<double>(space);
+  if (space == 0) return "-";
+  return fmt_percent(static_cast<double>(masked) / static_cast<double>(space));
 }
 
 } // namespace
@@ -62,8 +66,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> cells = {std::to_string(k)};
     for (std::size_t c = 0; c < 2; ++c) {
       for (const auto* wires : {&cores[c]->ff, &cores[c]->ff_xrf}) {
-        cells.push_back(
-            fmt_percent(masked_share(*cores[c], *wires, converged[c], k)));
+        cells.push_back(masked_share(*cores[c], *wires, converged[c], k));
       }
     }
     t.add_row(std::move(cells));

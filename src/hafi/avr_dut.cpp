@@ -16,7 +16,9 @@ public:
 
   [[nodiscard]] std::vector<Outcome> run(std::span<const InjectionPoint> points,
                                          std::size_t run_cycles,
-                                         BatchRunStats* stats) override;
+                                         BatchRunStats* stats,
+                                         const GoldenSnapshots* golden)
+      override;
 
 private:
   static constexpr std::size_t kDmemBytes = 256;
@@ -49,12 +51,27 @@ AvrBatchDut::AvrBatchDut(const cores::avr::AvrCore& core,
 
 std::vector<Outcome> AvrBatchDut::run(std::span<const InjectionPoint> points,
                                       std::size_t run_cycles,
-                                      BatchRunStats* stats) {
+                                      BatchRunStats* stats,
+                                      const GoldenSnapshots* golden) {
   const cores::avr::AvrPorts& p = core_->ports;
-  lanes_.begin(sim_, points, run_cycles);
-  std::fill(dmem_.begin(), dmem_.end(), 0);
+  lanes_.begin(sim_, points, run_cycles, golden);
+  // Every lane starts with the golden lane's data memory of the first
+  // cycle: empty, plus the golden writes before that cycle.
+  const std::uint64_t first = sim_.cycle();
+  std::fill(dmem_.begin(), dmem_.begin() + kDmemBytes, 0);
+  const sim::Bus we{p.dmem_we};
+  for (std::uint64_t t = 0; t < first; ++t) {
+    if (golden->bus(we, t) != 0) {
+      dmem_[golden->bus(p.dmem_addr, t)] =
+          static_cast<std::uint8_t>(golden->bus(p.dmem_wdata, t));
+    }
+  }
+  for (std::size_t lane = 1; lane < sim::kBatchLanes; ++lane) {
+    std::copy_n(dmem_.begin(), kDmemBytes,
+                dmem_.begin() + static_cast<std::ptrdiff_t>(lane * kDmemBytes));
+  }
 
-  for (std::uint64_t c = 0; c < run_cycles; ++c) {
+  for (std::uint64_t c = first; c < run_cycles; ++c) {
     // Once every experiment lane is classified the rest of the golden run
     // cannot change any outcome.
     if (lanes_.all_retired()) break;

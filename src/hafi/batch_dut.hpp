@@ -4,10 +4,12 @@
 // lanes — lane 0 is the golden (fault-free) run, lanes 1..63 each carry one
 // injection experiment — so a single gate-level pass retires a whole batch of
 // the campaign's injection points, the way the paper's FPGA fabric checks
-// every run against the golden run online. All lanes share the boot sequence
-// (every lane starts from the same reset state and program image);
-// environment state that can diverge per lane (data memory, the I/O event
-// log) is vectorized per lane inside the implementation.
+// every run against the golden run online. All lanes share one start: the
+// reset state and program image, or — given GoldenSnapshots — the golden
+// state of the pass's first injection cycle, so that the golden prefix every
+// lane would only mirror is never simulated. Environment state that can
+// diverge per lane (data memory, the I/O event log) is vectorized per lane
+// inside the implementation.
 //
 // Divergence handling, per cycle:
 //   * an I/O event that deviates from the golden lane's event stream pins
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "sim/batch.hpp"
+#include "sim/transposed.hpp"
 #include "util/assert.hpp"
 
 namespace ripple::hafi {
@@ -62,7 +65,7 @@ inline constexpr std::size_t kExperimentLanes = sim::kBatchLanes - 1;
 
 /// Where a pass's lane-cycles went. Each carried lane spends every cycle
 /// the pass simulates in exactly one phase, so the three sum to
-/// lanes x cycles.
+/// lanes x cycles; a pass started at c0 counts from c0.
 struct LaneCycles {
   std::uint64_t pre_injection = 0; // mirroring the golden run before the SEU
   std::uint64_t live = 0;          // from the SEU until classified
@@ -84,8 +87,50 @@ struct BatchRunStats {
   std::size_t lanes_retired_early = 0; // classified before the run ended
   std::uint64_t lane_cycles_saved = 0; // cycles not simulated thanks to that
   std::uint64_t cycles = 0;            // clock cycles the pass simulated
-  std::uint64_t gate_evals = 0;        // gate evaluations, the reset included
+  std::uint64_t gate_evals = 0;        // gate evaluations, a reset included
   LaneCycles lane_cycles;
+};
+
+/// The golden run's flop state and primary outputs, cycle by cycle: what a
+/// batch pass needs to start at any cycle c0 of the golden run instead of at
+/// reset. Every flop word is the golden Q bit of c0 in all 64 lanes; the
+/// harness rebuilds its memories as the program image plus the golden
+/// writes before c0, read back from its write strobe, address and data —
+/// primary outputs, which every harness constructor checks with
+/// BatchSimulator::require_primary_output. O((flops + outputs) x cycles)
+/// bits, never the whole trace.
+class GoldenSnapshots {
+public:
+  /// The wires a snapshot reads, each once: every flop's Q wire in FlopId
+  /// order, then every primary output.
+  [[nodiscard]] static std::vector<WireId> wires(const netlist::Netlist& n);
+
+  /// `captured` holds wires(n) in that order, e.g. a sim::WireCapture of
+  /// the golden run.
+  GoldenSnapshots(const netlist::Netlist& n, sim::TransposedTrace captured);
+
+  [[nodiscard]] std::size_t num_cycles() const {
+    return captured_.num_cycles();
+  }
+
+  /// Every flop's golden state at the start of `cycle`, broadcast to all
+  /// lanes, in FlopId order (BatchSimulator::load_state's layout).
+  [[nodiscard]] std::vector<std::uint64_t> flop_words(
+      std::uint64_t cycle) const;
+
+  /// The golden value of a bus of primary outputs in `cycle`
+  /// (little-endian, as BatchSimulator::read_bus).
+  [[nodiscard]] std::uint64_t bus(const sim::Bus& bus,
+                                  std::uint64_t cycle) const;
+
+private:
+  [[nodiscard]] bool bit(std::uint32_t column, std::uint64_t cycle) const {
+    return (captured_.wire_stream(column)[cycle / 64] >> (cycle % 64)) & 1u;
+  }
+
+  sim::TransposedTrace captured_;
+  std::vector<std::uint32_t> column_; // per netlist wire; kNone if not held
+  std::vector<std::uint32_t> q_column_; // per flop
 };
 
 /// Shared per-lane bookkeeping for BatchDut implementations: injection
@@ -95,9 +140,14 @@ struct BatchRunStats {
 /// observable divergence here; everything below is core-independent.
 class BatchLaneState {
 public:
-  /// Start a pass on `sim` (reset here): points[i] rides in lane i+1.
+  /// Start a pass on `sim`: points[i] rides in lane i+1. Without `golden`
+  /// the pass starts at reset; with it, at its first injection cycle c0 with
+  /// every lane in the golden state of c0 (the harness rebuilds its
+  /// memories for c0, reading sim.cycle()). Before its injection a lane is
+  /// bit-identical to the golden lane, so both starts give the same
+  /// outcomes and retirements.
   void begin(sim::BatchSimulator& sim, std::span<const InjectionPoint> points,
-             std::size_t run_cycles) {
+             std::size_t run_cycles, const GoldenSnapshots* golden) {
     RIPPLE_CHECK(points.size() <= kExperimentLanes,
                  "batch pass carries at most ", kExperimentLanes,
                  " experiments, got ", points.size());
@@ -121,7 +171,13 @@ public:
                      });
     cursor_ = 0;
     evals_at_begin_ = sim.gate_evals();
-    sim.reset();
+    if (golden == nullptr || points.empty()) {
+      sim.reset();
+    } else {
+      const std::uint64_t first = points[order_.front()].cycle;
+      sim.load_state(golden->flop_words(first), first);
+    }
+    first_cycle_ = sim.cycle();
   }
 
   [[nodiscard]] static unsigned lane_of(std::size_t point_index) {
@@ -197,14 +253,15 @@ public:
           mem_diff_[lane] != 0 ? Outcome::Latent : Outcome::Benign;
     }
     active_ = 0;
-    stats_.cycles = sim.cycle();
+    const std::uint64_t end = sim.cycle();
+    stats_.cycles = end - first_cycle_;
     stats_.gate_evals = sim.gate_evals() - evals_at_begin_;
     for (std::size_t i = 0; i < points_.size(); ++i) {
-      const std::uint64_t injected = std::min(points_[i].cycle, stats_.cycles);
-      const std::uint64_t retired = std::min(retired_at_[i], stats_.cycles);
-      stats_.lane_cycles.pre_injection += injected;
+      const std::uint64_t injected = std::min(points_[i].cycle, end);
+      const std::uint64_t retired = std::min(retired_at_[i], end);
+      stats_.lane_cycles.pre_injection += injected - first_cycle_;
       stats_.lane_cycles.live += retired - injected;
-      stats_.lane_cycles.idle += stats_.cycles - retired;
+      stats_.lane_cycles.idle += end - retired;
     }
     if (stats != nullptr) *stats = stats_;
     return std::move(outcomes_);
@@ -231,6 +288,7 @@ private:
   std::vector<std::size_t> order_; // point indices sorted by injection cycle
   std::size_t cursor_ = 0;
   std::uint64_t evals_at_begin_ = 0; // the simulator's count before reset
+  std::uint64_t first_cycle_ = 0;    // the pass's start: 0 or c0
   BatchRunStats stats_;
 };
 
@@ -238,15 +296,20 @@ class BatchDut {
 public:
   virtual ~BatchDut() = default;
 
-  /// Execute one batch pass: boot every lane from reset, flip points[i]'s
-  /// flop in lane i+1 at the start of points[i].cycle, run `run_cycles`
-  /// cycles (stopping early once every lane is retired) and classify each
-  /// lane against the golden lane. Returns outcomes in points order;
-  /// points.size() must be <= kExperimentLanes. The pass is self-contained:
+  /// Execute one batch pass: start every lane from reset — or, given
+  /// `golden`, from the golden state of the points' first injection cycle
+  /// c0 — flip points[i]'s flop in lane i+1 at the start of
+  /// points[i].cycle, run up to cycle `run_cycles` (stopping early once
+  /// every lane is retired) and classify each lane against the golden lane.
+  /// Returns outcomes in points order; points.size() must be <=
+  /// kExperimentLanes. Both starts give the same outcomes, retirements and
+  /// live and idle lane-cycles; from a snapshot `cycles` is lower by c0 and
+  /// pre-injection lane-cycles by lanes x c0. The pass is self-contained:
   /// run() may be called repeatedly on one BatchDut.
   [[nodiscard]] virtual std::vector<Outcome> run(
       std::span<const InjectionPoint> points, std::size_t run_cycles,
-      BatchRunStats* stats = nullptr) = 0;
+      BatchRunStats* stats = nullptr,
+      const GoldenSnapshots* golden = nullptr) = 0;
 };
 
 using BatchDutFactory = std::function<std::unique_ptr<BatchDut>()>;

@@ -1,5 +1,6 @@
 #include "hafi/campaign.hpp"
 
+#include <atomic>
 #include <mutex>
 #include <unordered_map>
 
@@ -22,14 +23,15 @@ std::string_view outcome_name(Outcome o) {
   return "?";
 }
 
-/// Default shard size: aim for enough shards that the fan-out load-balances
-/// well past 8 workers, but keep shards large enough that the per-shard
-/// bookkeeping (hook calls, checkpoint artifacts) stays negligible. The size
-/// depends only on the point count — never on the thread count — so shard
-/// boundaries (and therefore checkpoint artifacts) are stable across
-/// --threads values. Generous shards are aligned up to the 63-lane batch
-/// width so the default plan of a large campaign packs full passes; small
-/// campaigns keep fine-grained shards for thread-level parallelism.
+/// Default shard size: aim for enough shards that checkpoints stay
+/// fine-grained and a window of kWindowShards shards holds many passes of
+/// points, but keep shards large enough that the per-shard bookkeeping (hook
+/// calls, checkpoint artifacts) stays negligible. The size depends only on
+/// the point count — never on the thread count — so shard boundaries (and
+/// therefore checkpoint artifacts) are stable across --threads values.
+/// Generous shards stay aligned up to the 63-lane batch width: passes pack
+/// whole windows, but another size would change the shard partition and so
+/// every checkpoint key.
 std::size_t auto_shard_size(std::size_t num_points) {
   constexpr std::size_t kTargetShards = 64;
   constexpr std::size_t kMaxShardSize = 504; // 8 full 63-lane passes
@@ -97,6 +99,7 @@ Campaign::Campaign(CampaignTarget target, CampaignConfig config,
 
 CampaignResult Campaign::run(const ShardHooks& hooks) {
   const CampaignPlan& plan = plan_;
+  const netlist::Netlist& n = *target_.netlist;
   const bool pruning = config_.mode != CampaignMode::Baseline;
 
   // Pruning decisions map each flop to its fault row of the MATE set.
@@ -104,22 +107,19 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
   std::unordered_map<FlopId, std::size_t> fault_index;
   if (pruning) {
     for (std::size_t i = 0; i < mates_->faulty_wires.size(); ++i) {
-      const netlist::Wire& w = target_.netlist->wire(mates_->faulty_wires[i]);
+      const netlist::Wire& w = n.wire(mates_->faulty_wires[i]);
       RIPPLE_CHECK(w.driver_kind == netlist::DriverKind::Flop,
                    "campaign MATE sets must target flop outputs");
       fault_index.emplace(w.driver_flop, i);
     }
   }
 
-  // --- shard fan-out --------------------------------------------------------
   const std::size_t num_shards = plan.num_shards();
   std::vector<ShardResult> shards(num_shards);
   std::vector<bool> resumed(num_shards, false);
-  std::vector<double> shard_seconds(num_shards, 0.0);
 
-  // Per-shard resolution and engine counts, reported through ShardProgress
-  // (so all zero for resumed shards). Indexed by shard, so workers write
-  // without synchronization.
+  // Per-shard resolution, share of the pass time and the window's engine
+  // counts, reported through ShardProgress (so all zero for resumed shards).
   std::vector<ShardProgress> counts(num_shards);
 
   // Resume pass: collect previously persisted shards before spinning up
@@ -148,24 +148,23 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     pending.push_back(s);
   }
 
-  // One fan-out for the label blocks and the shards: the host's executor,
-  // or a private ThreadPool made on first use. One shard per scheduling step
-  // (grain 1): shard sizes already amortize the claim cost, and shard wall
-  // times can be skewed by pruning.
+  // One fan-out for the label blocks and the batch passes: the host's
+  // executor, or a private ThreadPool made on first use. One pass per
+  // scheduling step (grain 1): a pass is thousands of gate sweeps.
   std::optional<ThreadPool> pool;
   const ShardExecutor execute =
       hooks.execute
           ? hooks.execute
-          : ShardExecutor([&](std::size_t n,
+          : ShardExecutor([&](std::size_t count,
                               const std::function<void(std::size_t)>& task) {
               if (!pool) pool.emplace(config_.threads);
-              pool->parallel_for_index(n, task, 1);
+              pool->parallel_for_index(count, task, 1);
             });
 
   // --- golden run ---------------------------------------------------------
   // The MATEs checked on the fault-free run, as the FPGA fabric would online:
-  // one cycle bitmask of proven-benign faults per fault row. Only shards
-  // that execute consult it, so a fully resumed campaign reads no trace.
+  // one cycle bitmask of proven-benign faults per fault row. Only pending
+  // shards consult it, so a fully resumed campaign reads no trace.
   std::vector<BitVec> benign;
   if (pruning && !pending.empty()) {
     benign = mate::benign_masks(*mates_, *golden_);
@@ -176,23 +175,110 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     return it != fault_index.end() && benign[it->second].get(point.cycle);
   };
   const bool validate = config_.mode == CampaignMode::Validate;
-
-  // The confinement labels resolve points without a lane, which can save a
-  // pass only in a shard with more than one pass of points to execute
-  // (ceil(k / 63) = 1 for every k <= 63); otherwise the trace is not read
-  // for them. MATE pruning is decided first, so a pruned point stays pruned.
   const auto needs_lane = [&](const InjectionPoint& point) {
     return validate || !is_pruned(point);
   };
-  const bool label =
-      std::any_of(pending.begin(), pending.end(), [&](std::size_t s) {
-        const std::span<const InjectionPoint> points = plan.shard(s);
-        return static_cast<std::size_t>(std::count_if(
-                   points.begin(), points.end(), needs_lane)) >
-               kExperimentLanes;
-      });
+
+  // --- windows --------------------------------------------------------------
+  // kWindowShards consecutive pending shards pack their lane points into
+  // shared passes. Windows follow the pending list, so they differ between
+  // resume patterns; only the engine counters see them.
+  const std::size_t num_windows =
+      (pending.size() + kWindowShards - 1) / kWindowShards;
+  const auto window_shards = [&](std::size_t w) {
+    const std::size_t begin = w * kWindowShards;
+    return std::span<const std::size_t>(pending).subspan(
+        begin, std::min(kWindowShards, pending.size() - begin));
+  };
+
+  // The confinement labels resolve points without a lane, which can save a
+  // pass only in a window with more than one pass of points to execute
+  // (ceil(k / 63) = 1 for every k <= 63); otherwise the trace is not read
+  // for them and every pass starts at reset. MATE pruning is decided first,
+  // so a pruned point stays pruned. The labels' stream also captures the
+  // golden states the passes start from.
+  bool label = false;
+  for (std::size_t w = 0; w < num_windows && !label; ++w) {
+    std::size_t lanes = 0;
+    for (const std::size_t s : window_shards(w)) {
+      const std::span<const InjectionPoint> points = plan.shard(s);
+      lanes += static_cast<std::size_t>(
+          std::count_if(points.begin(), points.end(), needs_lane));
+    }
+    label = lanes > kExperimentLanes;
+  }
   std::vector<BitVec> confined;
-  if (label) confined = confined_masks(*target_.netlist, *golden_, execute);
+  std::optional<GoldenSnapshots> snapshots;
+  if (label) {
+    sim::WireCapture capture(golden_->num_cycles(), GoldenSnapshots::wires(n));
+    sim::TeeSource tapped(*golden_, capture);
+    confined = confined_masks(n, tapped, execute);
+    snapshots.emplace(n, capture.take());
+  }
+
+  // Pruning decisions first, then the label-resolved points (executed,
+  // Benign); the rest take a lane. A window's lane points, stable-sorted by
+  // injection cycle, are cut into passes of 63: a pass starts from the
+  // golden state of its first injection, so its mates inject close behind.
+  struct Lane {
+    std::size_t shard;
+    std::size_t experiment; // index into the shard's experiments
+  };
+  struct Window {
+    std::vector<Lane> lanes;
+    std::size_t first_pass = 0;
+    std::size_t num_passes = 0;
+  };
+  struct Pass {
+    std::size_t window;
+    std::size_t begin, end; // the window's lanes [begin, end)
+    BatchRunStats stats;    // written by the pass's task
+    double seconds = 0.0;
+  };
+  std::vector<Window> windows(num_windows);
+  std::vector<Pass> passes;
+  const auto experiment_of = [&](const Lane& lane) -> Experiment& {
+    return shards[lane.shard].experiments[lane.experiment];
+  };
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    Window& window = windows[w];
+    for (const std::size_t s : window_shards(w)) {
+      ShardResult& result = shards[s];
+      ShardProgress& stats = counts[s];
+      result.shard = static_cast<std::uint32_t>(s);
+      const std::span<const InjectionPoint> points = plan.shard(s);
+      result.experiments.reserve(points.size());
+      for (const InjectionPoint& point : points) {
+        Experiment exp;
+        exp.point = point;
+        exp.pruned = is_pruned(point);
+        if (!exp.pruned && !confined.empty() &&
+            confined[point.flop.index()].get(point.cycle)) {
+          exp.executed = true;
+          ++stats.confined;
+        } else if (needs_lane(point)) {
+          window.lanes.push_back(Lane{s, result.experiments.size()});
+          ++stats.executed;
+        }
+        result.experiments.push_back(exp);
+      }
+    }
+    std::stable_sort(window.lanes.begin(), window.lanes.end(),
+                     [&](const Lane& a, const Lane& b) {
+                       return experiment_of(a).point.cycle <
+                              experiment_of(b).point.cycle;
+                     });
+    window.first_pass = passes.size();
+    for (std::size_t b = 0; b < window.lanes.size(); b += kExperimentLanes) {
+      passes.push_back(Pass{
+          w, b, std::min(window.lanes.size(), b + kExperimentLanes), {}, 0.0});
+    }
+    window.num_passes = passes.size() - window.first_pass;
+  }
+  std::vector<std::atomic<std::size_t>> passes_left(num_windows);
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    passes_left[w].store(windows[w].num_passes, std::memory_order_relaxed);
+  }
 
   std::mutex hook_mutex; // serializes store/progress hook invocations
   std::size_t shards_done = 0;
@@ -205,9 +291,43 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     p.shard = s;
     p.shards_done = shards_done;
     p.num_shards = num_shards;
-    p.seconds = shard_seconds[s];
     p.resumed = resumed[s];
     hooks.progress(p);
+  };
+
+  // A finished window: its engine counts go to its first shard, each shard
+  // gets its lane points' share of the passes' thread-seconds, and every
+  // shard is stored and reported.
+  const auto finish_window = [&](std::size_t w) {
+    const Window& window = windows[w];
+    const std::span<const std::size_t> members = window_shards(w);
+    ShardProgress& engine = counts[members.front()];
+    double seconds = 0.0;
+    for (std::size_t i = 0; i < window.num_passes; ++i) {
+      const Pass& pass = passes[window.first_pass + i];
+      ++engine.dut_passes;
+      engine.lane_slots += kExperimentLanes;
+      engine.lanes += pass.stats.lanes;
+      engine.pass_cycles += pass.stats.cycles;
+      engine.lanes_retired_early += pass.stats.lanes_retired_early;
+      engine.lane_cycles_saved += pass.stats.lane_cycles_saved;
+      engine.lane_cycles += pass.stats.lane_cycles;
+      seconds += pass.seconds;
+    }
+    for (const std::size_t s : members) {
+      counts[s].seconds =
+          window.lanes.empty()
+              ? 0.0
+              : seconds * static_cast<double>(counts[s].executed) /
+                    static_cast<double>(window.lanes.size());
+    }
+    std::lock_guard lock(hook_mutex);
+    for (const std::size_t s : members) {
+      obs::Span span("hafi", "shard");
+      if (span.active()) span.set_detail(strprintf("shard %zu", s));
+      if (hooks.store) hooks.store(shards[s]);
+      emit_progress(s);
+    }
   };
 
   {
@@ -216,74 +336,43 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
       if (resumed[s]) emit_progress(s);
     }
   }
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    if (windows[w].num_passes == 0) finish_window(w);
+  }
 
-  const auto execute_shard = [&](std::size_t pending_index) {
-    const std::size_t s = pending[pending_index];
-    obs::Span shard_span("hafi", "shard");
-    if (shard_span.active()) shard_span.set_detail(strprintf("shard %zu", s));
+  // One task per pass, window-major. Each pass boots its own DUT; the task
+  // that finishes a window's last pass stores and reports the window.
+  const auto run_pass = [&](std::size_t index) {
+    Pass& pass = passes[index];
+    const std::vector<Lane>& lanes = windows[pass.window].lanes;
+    obs::Span span("hafi", "dut_pass");
     Stopwatch watch;
-    ShardResult& result = shards[s];
-    result.shard = static_cast<std::uint32_t>(s);
-    const std::span<const InjectionPoint> points = plan.shard(s);
-
-    // Pruning decisions first, then the label-resolved points (executed,
-    // Benign); the rest run in lanes, packed 63 at a time into batch passes.
-    ShardProgress& stats = counts[s];
-    result.experiments.reserve(points.size());
-    std::vector<std::size_t> exec;
-    exec.reserve(points.size());
-    for (const InjectionPoint& point : points) {
-      Experiment exp;
-      exp.point = point;
-      exp.pruned = is_pruned(point);
-      if (!exp.pruned && !confined.empty() &&
-          confined[point.flop.index()].get(point.cycle)) {
-        exp.executed = true;
-        ++stats.confined;
-      } else if (needs_lane(point)) {
-        exec.push_back(result.experiments.size());
-      }
-      result.experiments.push_back(exp);
+    std::vector<InjectionPoint> points;
+    points.reserve(pass.end - pass.begin);
+    for (std::size_t i = pass.begin; i < pass.end; ++i) {
+      points.push_back(experiment_of(lanes[i]).point);
     }
-
-    stats.executed = exec.size();
-    if (!exec.empty()) {
-      const auto batch_dut = target_.batch_factory();
-      std::vector<InjectionPoint> group;
-      group.reserve(kExperimentLanes);
-      for (std::size_t g = 0; g < exec.size(); g += kExperimentLanes) {
-        const std::size_t end = std::min(exec.size(), g + kExperimentLanes);
-        group.clear();
-        for (std::size_t i = g; i < end; ++i) {
-          group.push_back(result.experiments[exec[i]].point);
-        }
-        BatchRunStats pass;
-        obs::Span pass_span("hafi", "dut_pass");
-        if (pass_span.active()) {
-          pass_span.set_detail(strprintf("%zu lanes", group.size()));
-        }
-        const std::vector<Outcome> outcomes =
-            batch_dut->run(group, config_.run_cycles, &pass);
-        for (std::size_t i = g; i < end; ++i) {
-          Experiment& exp = result.experiments[exec[i]];
-          exp.executed = true;
-          exp.outcome = outcomes[i - g];
-        }
-        ++stats.dut_passes;
-        stats.lane_slots += kExperimentLanes;
-        stats.lanes_retired_early += pass.lanes_retired_early;
-        stats.lane_cycles_saved += pass.lane_cycles_saved;
-        stats.lane_cycles += pass.lane_cycles;
-      }
+    if (span.active()) {
+      span.set_detail(strprintf(
+          "%zu lanes from cycle %llu", points.size(),
+          static_cast<unsigned long long>(snapshots ? points.front().cycle
+                                                    : 0)));
     }
-    shard_seconds[s] = watch.seconds();
-
-    std::lock_guard lock(hook_mutex);
-    if (hooks.store) hooks.store(result);
-    emit_progress(s);
+    const std::vector<Outcome> outcomes = target_.batch_factory()->run(
+        points, config_.run_cycles, &pass.stats,
+        snapshots ? &*snapshots : nullptr);
+    for (std::size_t i = pass.begin; i < pass.end; ++i) {
+      Experiment& exp = experiment_of(lanes[i]);
+      exp.executed = true;
+      exp.outcome = outcomes[i - pass.begin];
+    }
+    pass.seconds = watch.seconds();
+    if (passes_left[pass.window].fetch_sub(1, std::memory_order_acq_rel) ==
+        1) {
+      finish_window(pass.window);
+    }
   };
-
-  if (!pending.empty()) execute(pending.size(), execute_shard);
+  if (!passes.empty()) execute(passes.size(), run_pass);
 
   // --- deterministic merge --------------------------------------------------
   // Shard-index order, independent of completion order, thread count and

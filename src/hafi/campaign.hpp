@@ -8,17 +8,25 @@
 // and can optionally still be executed to validate soundness.
 //
 // Every injection is independent, so the engine partitions the injection-
-// point list into fixed shards and fans them out across a ThreadPool; each
-// worker boots its own 64-lane BatchDut through the target's factory and
-// packs the shard's executed points 63 at a time into batch passes (lane 0
-// carries the golden run), so one gate-level pass retires a whole batch.
-// When a shard has more than one pass of points to execute, the golden
-// run's confinement labels (hafi/confine.hpp) resolve every injection they
-// prove Benign without a lane, recorded exactly as its execution would be.
-// Shards are merged in shard-index order, so the CampaignResult — including
-// the per-experiment outcome list — is byte-identical for any thread count
-// and any resume pattern, and to the one-boot-per-experiment scalar oracle
-// in tests/support.
+// point list into fixed shards, the unit of results and checkpoints, and
+// packs the work of kWindowShards consecutive pending shards (a window)
+// into shared 64-lane batch passes (lane 0 carries the golden run). Per
+// window, MATE pruning is decided first; when some window has more than
+// one pass of points to execute, the golden run's confinement labels
+// (hafi/confine.hpp) then resolve every injection they prove Benign without
+// a lane, recorded exactly as its execution would be. The remaining points
+// are stable-sorted by injection cycle and cut into 63-lane passes, and a
+// labelled campaign starts each pass from the golden state of its first
+// injection cycle (GoldenSnapshots, captured by the labels' one stream of
+// the golden run) instead of at reset. The passes fan out one task each,
+// window by window, over a private ThreadPool or the host's executor; each
+// boots its own BatchDut through the target's factory, and the task that
+// finishes a window's last pass stores and reports its shards.
+// A lane's outcome does not depend on its pass mates, and shards are merged
+// in shard-index order, so the CampaignResult — including the
+// per-experiment outcome list — is byte-identical for any thread count and
+// any resume pattern (which may change the windows), and to the
+// one-boot-per-experiment scalar oracle in tests/support.
 // Shard hooks let callers persist finished shards (the pipeline layer stores
 // them as versioned artifacts) and skip them on resume after an interrupt.
 #pragma once
@@ -76,7 +84,7 @@ struct CampaignConfig {
   std::uint64_t seed = 1;
   /// Pruned and Validate require a MATE set (Campaign constructor).
   CampaignMode mode = CampaignMode::Baseline;
-  /// Worker threads for the shard fan-out; 0 = hardware concurrency.
+  /// Worker threads for the pass fan-out; 0 = hardware concurrency.
   /// Never affects results (shards merge in deterministic order).
   std::size_t threads = 0;
   /// Injection points per shard; 0 picks a size from the plan (deterministic
@@ -86,13 +94,18 @@ struct CampaignConfig {
   bool operator==(const CampaignConfig&) const = default;
 };
 
-/// External shard fan-out: run `task(i)` for every i in [0, n) on whatever
-/// workers the host provides and return once all of them finished. Installed
-/// via ShardHooks::execute; without one the campaign spins up a private
+/// External fan-out of a campaign's work (its label blocks, then one task
+/// per batch pass): run `task(i)` for every i in [0, n) on whatever workers
+/// the host provides and return once all of them finished. Installed via
+/// ShardHooks::execute; without one the campaign spins up a private
 /// ThreadPool per run. The serve layer injects a fair shared scheduler here
 /// so many concurrent campaigns multiplex one pool.
 using ShardExecutor = std::function<void(
     std::size_t n, const std::function<void(std::size_t)>& task)>;
+
+/// Pending shards whose lane points share batch passes. A constant: it
+/// changes only how passes are packed, never a result.
+inline constexpr std::size_t kWindowShards = 8;
 
 /// The campaign's work list: the sampled (or exhaustive) injection points
 /// plus the shard partition over them. Produced by the campaign itself from
@@ -177,8 +190,8 @@ public:
   /// Pruned/Validate mode also needs `mates`, targeting flop Q wires of the
   /// netlist (ignored in Baseline mode). Both are borrowed (they must
   /// outlive the campaign); `golden` is streamed only by run(), and only
-  /// when a shard executes. Throws ripple::Error on a missing or misshapen
-  /// piece.
+  /// when a shard executes: once for the MATEs (Pruned and Validate) and
+  /// once for the labels and snapshots, when some window needs them. Throws ripple::Error on a missing or misshapen piece.
   Campaign(CampaignTarget target, CampaignConfig config,
            sim::TraceSource* golden, const mate::MateSet* mates = nullptr);
 
@@ -187,21 +200,29 @@ public:
   /// baseline and pruned campaigns compare like for like.
   [[nodiscard]] const CampaignPlan& plan() const { return plan_; }
 
-  /// Per-shard progress record, delivered to ShardHooks::progress in merge
-  /// (shard-index) order.
+  /// Per-shard progress record, delivered to ShardHooks::progress: every
+  /// resumed shard first (in shard-index order), then the executed shards
+  /// window by window as windows finish, in shard-index order within one.
   struct ShardProgress {
     std::size_t shard = 0;
     std::size_t shards_done = 0; // including this one
     std::size_t num_shards = 0;
-    double seconds = 0.0;       // this shard's execution wall time
+    /// This shard's share of its window's pass thread-seconds, in
+    /// proportion to its lane points (0 for resumed shards).
+    double seconds = 0.0;
     bool resumed = false;       // served by ShardHooks::load, not executed
-    // How the shard's executed experiments were resolved, and the engine
-    // work (all zero for resumed shards — nothing ran). A shard's
-    // experiments with `executed` set number executed + confined.
+    // How the shard's executed experiments were resolved (all zero for
+    // resumed shards — nothing ran). A shard's experiments with `executed`
+    // set number executed + confined.
     std::size_t executed = 0;   // simulated in a batch lane
     std::size_t confined = 0;   // proven Benign by the confinement labels
-    std::size_t dut_passes = 0; // gate-level batch passes
-    std::size_t lane_slots = 0; // experiment capacity those passes offered
+    // The engine work of the shard's window, reported once, on the window's
+    // first shard, and zero on every other shard, so totals stay exact.
+    std::size_t dut_passes = 0;  // gate-level batch passes
+    std::size_t lane_slots = 0;  // experiment capacity those passes offered
+    std::size_t lanes = 0;       // experiments they carried (the window's
+                                 // executed)
+    std::uint64_t pass_cycles = 0;       // cycles they simulated
     std::size_t lanes_retired_early = 0; // classified before the run ended
     std::uint64_t lane_cycles_saved = 0; // cycles skipped by early retirement
     LaneCycles lane_cycles;              // where the passes' lane-cycles went
@@ -215,12 +236,13 @@ public:
     /// A result whose experiments do not match the plan (stale artifact) is
     /// discarded and the shard re-executes.
     std::function<std::optional<ShardResult>(std::size_t index)> load;
-    /// Called once per *executed* shard (not for resumed ones).
+    /// Called once per *executed* shard (not for resumed ones), when its
+    /// window's last pass finished.
     std::function<void(const ShardResult&)> store;
     std::function<void(const ShardProgress&)> progress;
-    /// Shard fan-out executor; empty = a private ThreadPool per run. Never
-    /// affects results (shards still merge in shard-index order), only where
-    /// the work runs.
+    /// Fan-out executor for the label blocks and the passes; empty = a
+    /// private ThreadPool per run. Never affects results (shards still merge
+    /// in shard-index order), only where the work runs.
     ShardExecutor execute;
   };
 

@@ -18,7 +18,9 @@ public:
 
   [[nodiscard]] std::vector<Outcome> run(std::span<const InjectionPoint> points,
                                          std::size_t run_cycles,
-                                         BatchRunStats* stats) override;
+                                         BatchRunStats* stats,
+                                         const GoldenSnapshots* golden)
+      override;
 
 private:
   static constexpr std::size_t kMemWords = 1u << 15;
@@ -49,18 +51,32 @@ Msp430BatchDut::Msp430BatchDut(const cores::msp430::Msp430Core& core,
 
 std::vector<Outcome> Msp430BatchDut::run(std::span<const InjectionPoint> points,
                                          std::size_t run_cycles,
-                                         BatchRunStats* stats) {
+                                         BatchRunStats* stats,
+                                         const GoldenSnapshots* golden) {
   using cores::msp430::kIoBase;
   const cores::msp430::Msp430Ports& p = core_->ports;
-  lanes_.begin(sim_, points, run_cycles);
-  // Only lanes 0..points.size() are ever simulated; seed just those.
-  for (std::size_t lane = 0; lane <= points.size(); ++lane) {
-    std::copy(image_.begin(), image_.end(),
-              memory_.begin() +
-                  static_cast<std::ptrdiff_t>(lane * kMemWords));
+  lanes_.begin(sim_, points, run_cycles, golden);
+  // The golden lane's memory of the first cycle: the image plus the golden
+  // stores before that cycle. Only lanes 0..points.size() are ever
+  // simulated; each starts from a copy of it.
+  const std::uint64_t first = sim_.cycle();
+  std::copy(image_.begin(), image_.end(), memory_.begin());
+  const sim::Bus we{p.mem_we};
+  for (std::uint64_t t = 0; t < first; ++t) {
+    if (golden->bus(we, t) == 0) continue;
+    const auto addr = static_cast<std::uint16_t>(golden->bus(p.mem_addr, t));
+    if (addr < kIoBase) {
+      memory_[(addr >> 1) & 0x7fff] =
+          static_cast<std::uint16_t>(golden->bus(p.mem_wdata, t));
+    }
+  }
+  for (std::size_t lane = 1; lane <= points.size(); ++lane) {
+    std::copy_n(memory_.begin(), kMemWords,
+                memory_.begin() +
+                    static_cast<std::ptrdiff_t>(lane * kMemWords));
   }
 
-  for (std::uint64_t c = 0; c < run_cycles; ++c) {
+  for (std::uint64_t c = first; c < run_cycles; ++c) {
     if (lanes_.all_retired()) break;
     lanes_.inject(sim_, c);
 

@@ -9,7 +9,9 @@
 namespace ripple::hafi {
 
 /// The unified word memory is vectorized per lane (each used lane re-seeded
-/// from the program image per pass); memory-mapped stores at kIoBase and up
+/// per pass from the program image, plus the golden stores before the pass's
+/// first cycle when it starts from a snapshot); memory-mapped stores at
+/// kIoBase and up
 /// become the per-cycle observable compare against the golden lane. The
 /// factory captures core and image by reference (both must outlive the
 /// campaign).

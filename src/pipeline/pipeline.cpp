@@ -480,14 +480,15 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
   };
 
   // Per-shard throughput/ETA narration plus the counters that end up in
-  // --report=json. Executed-shard wall times feed the ETA; resumed shards
-  // (zero cost) deliberately do not.
+  // --report=json. Executed shards' shares of their windows' pass time feed
+  // the ETA; resumed shards (zero cost) deliberately do not.
   EtaTracker eta;
   std::size_t lane_executions = 0;
   std::size_t confined = 0;
   std::size_t shards_resumed = 0;
   double busy_seconds = 0.0;
   std::size_t dut_passes = 0;
+  std::uint64_t pass_cycles = 0;
   std::size_t lane_slots = 0;
   std::size_t lanes_retired_early = 0;
   std::uint64_t lane_cycles_saved = 0;
@@ -509,9 +510,10 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
       cache_->store(shard_cache_key(shard.shard), w.bytes());
     };
   }
-  // Executed-shard wall times feed the shard_seconds histogram (report v2)
-  // alongside the lane-utilization distribution; resolved once so the
-  // per-shard hot path is two relaxed atomic adds per record.
+  // Executed shards' times feed the shard_seconds histogram (report v2)
+  // alongside the per-window lane-utilization distribution (recorded on the
+  // shard that carries its window's passes); resolved once so the per-shard
+  // hot path is two relaxed atomic adds per record.
   constexpr double kShardSecondsBounds[] = {0.001, 0.003, 0.01, 0.03, 0.1,
                                             0.3,   1.0,   3.0,  10.0, 30.0,
                                             100.0};
@@ -531,13 +533,14 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
       busy_seconds += p.seconds;
       shard_seconds_hist.record(p.seconds);
       if (p.lane_slots > 0) {
-        lane_utilization_hist.record(static_cast<double>(p.executed) /
+        lane_utilization_hist.record(static_cast<double>(p.lanes) /
                                      static_cast<double>(p.lane_slots));
       }
     }
     lane_executions += p.executed;
     confined += p.confined;
     dut_passes += p.dut_passes;
+    pass_cycles += p.pass_cycles;
     lane_slots += p.lane_slots;
     lanes_retired_early += p.lanes_retired_early;
     lane_cycles_saved += p.lane_cycles_saved;
@@ -593,6 +596,7 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
                  static_cast<double>(result.total)
            : 0.0},
       {"dut_passes", static_cast<double>(dut_passes)},
+      {"pass_cycles", static_cast<double>(pass_cycles)},
       {"lanes_retired_early", static_cast<double>(lanes_retired_early)},
       {"lane_cycles_saved", static_cast<double>(lane_cycles_saved)},
       {"pre_injection_lane_cycles",

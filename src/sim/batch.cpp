@@ -147,6 +147,14 @@ void BatchSimulator::reset() {
   eval();
 }
 
+void BatchSimulator::load_state(std::span<const std::uint64_t> flops,
+                                std::uint64_t cycle) {
+  RIPPLE_CHECK(flops.size() == state_.size(), "state of ", flops.size(),
+               " flops loaded into a netlist of ", state_.size());
+  std::copy(flops.begin(), flops.end(), state_.begin());
+  cycle_ = cycle;
+}
+
 void BatchSimulator::set_input(WireId w, std::uint64_t lanes) {
   RIPPLE_ASSERT(netlist_->wire(w).driver_kind == DriverKind::PrimaryInput,
                 "set_input on non-input wire '", netlist_->wire(w).name, "'");

@@ -81,6 +81,11 @@ public:
   /// counter and settle. Inputs keep their last driven values.
   void reset();
 
+  /// Load every flop's state word (FlopId order) and set the cycle counter:
+  /// a run resumed mid-way from a saved state. Like flip_flop, it takes
+  /// effect at the next eval_state(), so it evaluates no gate.
+  void load_state(std::span<const std::uint64_t> flops, std::uint64_t cycle);
+
   /// Gate evaluations so far: each phase call adds its gate count.
   [[nodiscard]] std::uint64_t gate_evals() const { return gate_evals_; }
 

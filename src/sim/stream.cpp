@@ -290,47 +290,61 @@ void TransposedTraceSource::stream(TraceSink& sink) {
   }
 }
 
-// --- gather_trace ------------------------------------------------------------
+// --- WireCapture / TeeSource / gather_trace -------------------------------
+
+WireCapture::WireCapture(std::size_t num_cycles, std::vector<WireId> wires)
+    : wires_(std::move(wires)), cycles_(num_cycles),
+      blocks_((num_cycles + 63) / 64), words_(wires_.size() * blocks_, 0) {}
+
+void WireCapture::on_chunk(TraceChunk chunk) {
+  const TransposedSlice& slice = chunk.slice;
+  RIPPLE_CHECK(chunk.base_cycle == captured_ && captured_ % 64 == 0 &&
+                   captured_ + slice.num_cycles <= cycles_,
+               "trace chunks must cover the declared cycles in order");
+  const std::size_t block = captured_ / 64;
+  for (std::size_t i = 0; i < wires_.size(); ++i) {
+    RIPPLE_CHECK(wires_[i].index() < slice.num_wires, "captured wire ",
+                 wires_[i].index(), " lies outside a ", slice.num_wires,
+                 "-wire trace");
+    std::copy_n(slice.wire_words(wires_[i].index()), slice.num_blocks,
+                words_.begin() +
+                    static_cast<std::ptrdiff_t>(i * blocks_ + block));
+  }
+  captured_ += slice.num_cycles;
+}
+
+TransposedTrace WireCapture::take() {
+  RIPPLE_CHECK(captured_ == cycles_,
+               "trace source delivered a different cycle count than "
+               "declared");
+  return TransposedTrace::from_words(wires_.size(), cycles_,
+                                     std::move(words_));
+}
+
+void TeeSource::stream(TraceSink& sink) {
+  struct Tee final : TraceSink {
+    TraceSink* tap;
+    TraceSink* sink;
+    void on_chunk(TraceChunk chunk) override {
+      tap->on_chunk(chunk);
+      sink->on_chunk(std::move(chunk));
+    }
+  };
+  Tee tee;
+  tee.tap = tap_;
+  tee.sink = &sink;
+  inner_->stream(tee);
+}
 
 TransposedTrace gather_trace(TraceSource& source) {
-  class Gather final : public TraceSink {
-  public:
-    Gather(std::size_t wires, std::size_t cycles)
-        : wires_(wires), cycles_(cycles), blocks_((cycles + 63) / 64),
-          words_(wires * blocks_, 0) {}
-
-    void on_chunk(TraceChunk chunk) override {
-      const TransposedSlice& slice = chunk.slice;
-      RIPPLE_CHECK(chunk.base_cycle == gathered_ && gathered_ % 64 == 0 &&
-                       gathered_ + slice.num_cycles <= cycles_ &&
-                       slice.num_wires == wires_,
-                   "trace chunks must cover the declared cycles in order");
-      const std::size_t block = gathered_ / 64;
-      for (std::size_t w = 0; w < wires_; ++w) {
-        std::copy_n(slice.wire_words(w), slice.num_blocks,
-                    words_.begin() +
-                        static_cast<std::ptrdiff_t>(w * blocks_ + block));
-      }
-      gathered_ += slice.num_cycles;
-    }
-
-    TransposedTrace finish() {
-      RIPPLE_CHECK(gathered_ == cycles_,
-                   "trace source delivered a different cycle count than "
-                   "declared");
-      return TransposedTrace::from_words(wires_, cycles_, std::move(words_));
-    }
-
-  private:
-    std::size_t wires_;
-    std::size_t cycles_;
-    std::size_t blocks_;
-    std::vector<std::uint64_t> words_;
-    std::size_t gathered_ = 0;
-  };
-  Gather gather(source.num_wires(), source.num_cycles());
+  std::vector<WireId> wires;
+  wires.reserve(source.num_wires());
+  for (std::size_t w = 0; w < source.num_wires(); ++w) {
+    wires.push_back(WireId{static_cast<WireId::value_type>(w)});
+  }
+  WireCapture gather(source.num_cycles(), std::move(wires));
   source.stream(gather);
-  return gather.finish();
+  return gather.take();
 }
 
 } // namespace ripple::sim

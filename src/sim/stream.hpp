@@ -234,6 +234,51 @@ private:
   std::size_t chunk_cycles_;
 };
 
+/// Copies the chosen wires' words out of every chunk into one wire-major
+/// trace: wire i of take() is wires[i]. Over every wire it is gather_trace;
+/// fed by a TeeSource it keeps a few wires of a stream that another consumer
+/// reads, without streaming the source twice.
+class WireCapture final : public TraceSink {
+public:
+  WireCapture(std::size_t num_cycles, std::vector<WireId> wires);
+
+  void on_chunk(TraceChunk chunk) override;
+
+  /// The captured trace. Throws ripple::Error unless the chunks covered
+  /// every declared cycle.
+  [[nodiscard]] TransposedTrace take();
+
+private:
+  std::vector<WireId> wires_;
+  std::size_t cycles_;
+  std::size_t blocks_;
+  std::vector<std::uint64_t> words_;
+  std::size_t captured_ = 0;
+};
+
+/// `inner` with a tap: stream() hands every chunk to `tap`, then to the
+/// consumer, so one stream of the source feeds both. `inner` and `tap` must
+/// outlive the source.
+class TeeSource final : public TraceSource {
+public:
+  TeeSource(TraceSource& inner, TraceSink& tap) : inner_(&inner), tap_(&tap) {}
+
+  [[nodiscard]] std::size_t num_wires() const override {
+    return inner_->num_wires();
+  }
+  [[nodiscard]] std::size_t num_cycles() const override {
+    return inner_->num_cycles();
+  }
+  [[nodiscard]] std::size_t chunk_cycles() const override {
+    return inner_->chunk_cycles();
+  }
+  void stream(TraceSink& sink) override;
+
+private:
+  TraceSource* inner_;
+  TraceSink* tap_;
+};
+
 /// Stream `source` once into one whole TransposedTrace, copying each
 /// chunk's words into place: the inverse of TransposedTraceSource.
 [[nodiscard]] TransposedTrace gather_trace(TraceSource& source);

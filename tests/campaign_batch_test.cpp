@@ -192,19 +192,30 @@ TEST(CampaignBatch, ScalarCheckpointsReplayUnderBitparAfterKill) {
 struct LaneRun {
   CampaignResult result;
   std::size_t dut_passes = 0;
+  std::uint64_t pass_cycles = 0;
   std::size_t confined = 0;
 };
 
-/// Runs a Baseline campaign of `cfg` on `t`, checking every shard's lane
-/// accounting: of a shard's E executed experiments, C were resolved by the
+/// Runs a Baseline campaign of `cfg` on `t`, checking every window's lane
+/// accounting: of a window's E executed experiments, C were resolved by the
 /// confinement labels, and the other E - C ran in ceil((E - C) / 63) passes
-/// of 63 lane slots each.
+/// of 63 lane slots each, reported on one shard of the window. With no shard
+/// resumed, window w holds shards [8w, 8w + 8).
 LaneRun run_checking_lanes(const Target& t, const CampaignConfig& cfg) {
+  struct Window {
+    std::size_t executed = 0;        // experiments with `executed` set
+    std::size_t confined = 0;
+    std::size_t lane_executions = 0; // ShardProgress::executed, summed
+    std::size_t dut_passes = 0;
+    std::size_t lane_slots = 0;
+    std::size_t lanes = 0;
+    std::size_t reporting = 0; // shards that carry engine counts
+  };
   LaneRun run;
   std::size_t lane_executions = 0;
-  std::size_t lane_slots = 0;
   std::size_t retired = 0;
   std::map<std::size_t, std::size_t> executed; // per shard, from its result
+  std::map<std::size_t, Window> windows;
   Campaign::ShardHooks hooks;
   hooks.store = [&](const ShardResult& shard) {
     for (const Experiment& e : shard.experiments) {
@@ -215,34 +226,50 @@ LaneRun run_checking_lanes(const Target& t, const CampaignConfig& cfg) {
     lane_executions += p.executed;
     run.confined += p.confined;
     run.dut_passes += p.dut_passes;
-    lane_slots += p.lane_slots;
+    run.pass_cycles += p.pass_cycles;
     retired += p.lanes_retired_early;
     EXPECT_EQ(p.executed + p.confined, executed[p.shard]);
-    EXPECT_EQ(p.dut_passes, (executed[p.shard] - p.confined +
-                             kExperimentLanes - 1) /
-                                kExperimentLanes);
     EXPECT_EQ(p.lane_slots, p.dut_passes * kExperimentLanes);
-    EXPECT_LE(p.executed, p.lane_slots); // lane utilization <= 1
+    Window& w = windows[p.shard / kWindowShards];
+    w.executed += executed[p.shard];
+    w.confined += p.confined;
+    w.lane_executions += p.executed;
+    w.dut_passes += p.dut_passes;
+    w.lane_slots += p.lane_slots;
+    w.lanes += p.lanes;
+    w.reporting += p.dut_passes > 0 ? 1 : 0;
   };
   const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
   Campaign campaign(t.runtime.target(), cfg, golden.get());
   run.result = campaign.run(hooks);
   EXPECT_EQ(lane_executions + run.confined, run.result.executed);
   EXPECT_LE(retired, lane_executions);
+  for (const auto& [index, w] : windows) {
+    SCOPED_TRACE(::testing::Message() << "window " << index);
+    EXPECT_EQ(w.dut_passes,
+              (w.executed - w.confined + kExperimentLanes - 1) /
+                  kExperimentLanes);
+    EXPECT_EQ(w.lanes, w.lane_executions);
+    EXPECT_LE(w.lane_executions, w.lane_slots); // lane utilization <= 1
+    EXPECT_LE(w.reporting, 1u);
+  }
   return run;
 }
 
 TEST(CampaignBatch, LaneUtilizationAccounting) {
-  // 8-point shards fit one pass each, so far fewer passes than experiments,
-  // and no labels are computed for them.
+  // Six 8-point shards make one window that fits one pass, so far fewer
+  // passes than experiments, and no labels are computed for it.
   CampaignConfig cfg = small_config(48, 300);
   const LaneRun small = run_checking_lanes(avr_target(), cfg);
   EXPECT_LT(small.dut_passes, small.result.executed);
   EXPECT_EQ(small.confined, 0u);
 
-  // Shards of two 63-lane passes of points (126 and 24), on both cores,
-  // byte-identical to the scalar oracle. The labels resolve enough of the
-  // 126-point shard to fit one pass: 2 passes instead of 3, pinned exactly.
+  // One window of a 126-point and a 24-point shard, two 63-lane passes of
+  // points and more, on both cores, byte-identical to the scalar oracle. The
+  // labels resolve enough of it to fit two passes on the AVR (3 without
+  // them) and one on the MSP430, pinned exactly, and each pass starts at its
+  // first injection: sorted by injection cycle, the AVR's two passes
+  // simulate 238 of their 500 cycles, the MSP430's one pass 238 of 250.
   cfg.run_cycles = 250;
   cfg.sample = 150;
   cfg.seed = 23;
@@ -251,15 +278,74 @@ TEST(CampaignBatch, LaneUtilizationAccounting) {
     const Target* target;
     std::size_t confined;
     std::size_t dut_passes;
+    std::uint64_t pass_cycles;
   };
-  for (const Pin& pin : {Pin{&avr_target(), 86, 2},
-                         Pin{&msp430_target(), 106, 2}}) {
+  for (const Pin& pin : {Pin{&avr_target(), 86, 2, 238},
+                         Pin{&msp430_target(), 106, 1, 238}}) {
     const Target& t = *pin.target;
     SCOPED_TRACE(t.runtime.netlist->name());
     const LaneRun run = run_checking_lanes(t, cfg);
     EXPECT_EQ(run.confined, pin.confined);
     EXPECT_EQ(run.dut_passes, pin.dut_passes);
+    EXPECT_EQ(run.pass_cycles, pin.pass_cycles);
     EXPECT_EQ(result_bytes(run.result), result_bytes(oracle_result(t, cfg)));
+  }
+}
+
+TEST(CampaignBatch, ResumedWindowsMatchTheOracle) {
+  // 17 shards of 12 points: unresumed, windows of 8 shards (96 points) are
+  // labelled and start their passes from snapshots. With shards 0, 3 and 9
+  // checkpointed (cut from the oracle's result) the pending shards form
+  // other windows, which must change no byte of the result.
+  const Target& t = avr_target();
+  for (const CampaignMode mode :
+       {CampaignMode::Baseline, CampaignMode::Pruned}) {
+    CampaignConfig cfg = small_config(200, 300);
+    cfg.shard_size = 12;
+    cfg.mode = mode;
+    const CampaignResult expected = oracle_result(t, cfg);
+    const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "mode=" << mode_name(mode) << " threads=" << threads);
+      cfg.threads = threads;
+      Campaign campaign(t.runtime.target(), cfg, golden.get(),
+                        mates_for(t, mode));
+      const CampaignPlan& plan = campaign.plan();
+      ASSERT_EQ(plan.num_shards(), 17u);
+      std::map<std::size_t, ShardResult> persisted;
+      for (const std::size_t s : {0u, 3u, 9u}) {
+        ShardResult shard;
+        shard.shard = static_cast<std::uint32_t>(s);
+        shard.experiments.assign(
+            expected.experiments.begin() +
+                static_cast<std::ptrdiff_t>(plan.shard_begin(s)),
+            expected.experiments.begin() +
+                static_cast<std::ptrdiff_t>(plan.shard_end(s)));
+        persisted.emplace(s, std::move(shard));
+      }
+      std::size_t resumed = 0;
+      std::size_t confined = 0;
+      std::size_t stored = 0;
+      Campaign::ShardHooks hooks;
+      hooks.load = [&](std::size_t index) -> std::optional<ShardResult> {
+        const auto it = persisted.find(index);
+        if (it == persisted.end()) return std::nullopt;
+        return it->second;
+      };
+      hooks.store = [&](const ShardResult& shard) {
+        EXPECT_EQ(persisted.count(shard.shard), 0u);
+        ++stored;
+      };
+      hooks.progress = [&](const Campaign::ShardProgress& p) {
+        resumed += p.resumed ? 1 : 0;
+        confined += p.confined;
+      };
+      EXPECT_EQ(result_bytes(campaign.run(hooks)), result_bytes(expected));
+      EXPECT_EQ(resumed, persisted.size());
+      EXPECT_EQ(stored, plan.num_shards() - persisted.size());
+      EXPECT_GT(confined, 0u);
+    }
   }
 }
 

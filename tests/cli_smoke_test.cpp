@@ -142,6 +142,21 @@ TEST(CliSmoke, MultiCycleAblationPrintsEveryBudget) {
   EXPECT_EQ(line, "") << "exactly five k rows";
 }
 
+TEST(CliSmoke, MultiCycleAblationMarksBudgetsLongerThanTheTrace) {
+  // At 10 cycles no cycle has the 17 cycles of headroom k = 16 needs: its
+  // four cells print "-", never a 0 / 0 "nan", and the shorter budgets
+  // still count.
+  const std::string bin = binary("ABLATION_MULTICYCLE_BIN");
+  ASSERT_FALSE(bin.empty());
+  TempDir dir;
+  ASSERT_EQ(run(dir.path, {bin, "--no-cache", "--csv", "--cycles=10"}), 0)
+      << read_file(dir.path / "stderr");
+  const std::string out = read_file(dir.path / "stdout");
+  EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+  EXPECT_NE(out.find("\n1,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\n16,-,-,-,-\n"), std::string::npos) << out;
+}
+
 /// A flag the binary would ignore, an out-of-range value and an unwritable
 /// output path are usage errors: exit 2 with nothing on stdout and nothing
 /// in the cache.

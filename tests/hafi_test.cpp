@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cores/avr/programs.hpp"
 #include "hafi/campaign.hpp"
 #include "mate/search.hpp"
 #include "pipeline/registry.hpp"
 #include "support/golden_run.hpp"
 #include "support/scalar_campaign.hpp"
+#include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace ripple::hafi {
 namespace {
@@ -244,6 +248,87 @@ TEST(BatchDutPass, CountsLaneCyclesByPhase) {
     EXPECT_EQ(stats.lane_cycles.live, pin.live) << pin.core;
     EXPECT_EQ(stats.lane_cycles.idle, pin.idle) << pin.core;
   }
+}
+
+TEST(BatchDutSnapshot, MatchesThePassFromReset) {
+  // A pass started from the golden snapshot of its first injection cycle c0
+  // is the pass from reset without its golden prefix: the same outcomes,
+  // retirements and live and idle lane-cycles, c0 fewer cycles and lanes x
+  // c0 fewer pre-injection lane-cycles, and no reset sweep. Random 63-lane
+  // point sets on both cores x five workloads, among them one whose first
+  // injection is at cycle 0 and one whose first is near the run's end.
+  constexpr std::size_t kRunCycles = 400;
+  std::size_t non_benign = 0;
+  for (const char* core : {"avr", "msp430"}) {
+    for (const char* workload : {"fib", "conv", "sort", "crc", "irq"}) {
+      const pipeline::CoreRuntime rt =
+          pipeline::CoreRegistry::global().make(core, workload);
+      const netlist::Netlist& n = *rt.netlist;
+      const auto golden = pipeline::golden_run(rt, kRunCycles);
+      sim::WireCapture capture(kRunCycles, GoldenSnapshots::wires(n));
+      golden->stream(capture);
+      const GoldenSnapshots snapshots(n, capture.take());
+
+      Rng rng(0x5eed + n.num_flops());
+      // Point sets by the cycle range they inject in: the whole run (with
+      // one injection at cycle 0), a 40-cycle window as a sorted campaign
+      // pass has, the run's last 8 cycles, and a short pass mid-run.
+      struct Range {
+        std::uint64_t first, span;
+        std::size_t lanes;
+      };
+      const std::uint64_t mid = 100 + rng.next_below(200);
+      for (const Range& range :
+           {Range{0, kRunCycles, kExperimentLanes},
+            Range{mid, 40, kExperimentLanes},
+            Range{kRunCycles - 8, 8, kExperimentLanes},
+            Range{mid / 2, 150, 17}}) {
+        std::vector<InjectionPoint> points;
+        for (std::size_t i = 0; i < range.lanes; ++i) {
+          points.push_back(InjectionPoint{
+              FlopId(static_cast<std::uint32_t>(rng.next_below(n.num_flops()))),
+              range.first + rng.next_below(range.span)});
+        }
+        if (range.first == 0) points[rng.next_below(points.size())].cycle = 0;
+        const std::uint64_t c0 =
+            std::min_element(points.begin(), points.end(),
+                             [](const InjectionPoint& a,
+                                const InjectionPoint& b) {
+                               return a.cycle < b.cycle;
+                             })
+                ->cycle;
+        SCOPED_TRACE(strprintf("%s %s, first injection at cycle %llu", core,
+                               workload,
+                               static_cast<unsigned long long>(c0)));
+
+        // One DUT for both starts: a snapshot pass leaves nothing behind
+        // that the reset pass after it could see.
+        const std::unique_ptr<BatchDut> dut = rt.batch_factory();
+        BatchRunStats snap;
+        const std::vector<Outcome> from_snapshot =
+            dut->run(points, kRunCycles, &snap, &snapshots);
+        BatchRunStats reset;
+        const std::vector<Outcome> from_reset =
+            dut->run(points, kRunCycles, &reset);
+
+        EXPECT_EQ(from_snapshot, from_reset);
+        EXPECT_EQ(snap.lanes, reset.lanes);
+        EXPECT_EQ(snap.lanes_retired_early, reset.lanes_retired_early);
+        EXPECT_EQ(snap.lane_cycles_saved, reset.lane_cycles_saved);
+        EXPECT_EQ(snap.lane_cycles.live, reset.lane_cycles.live);
+        EXPECT_EQ(snap.lane_cycles.idle, reset.lane_cycles.idle);
+        EXPECT_EQ(snap.cycles, reset.cycles - c0);
+        EXPECT_EQ(snap.lane_cycles.pre_injection,
+                  reset.lane_cycles.pre_injection - points.size() * c0);
+        EXPECT_EQ(snap.gate_evals, snap.cycles * n.num_gates());
+        non_benign += static_cast<std::size_t>(
+            std::count_if(from_reset.begin(), from_reset.end(),
+                          [](Outcome o) { return o != Outcome::Benign; }));
+      }
+    }
+  }
+  // The comparison covers diverging lanes, not only benign ones.
+  EXPECT_GT(non_benign, 0u);
 }
 
 } // namespace

@@ -226,8 +226,11 @@ TEST(MultiCycleOracle, MonotoneInKOnAvr) {
 // Both cores' workloads, as the campaign streams them: the sweep at k = 16
 // equals the oracle on every flop and cycle. One instance per (core,
 // workload), so ctest spreads the oracle's re-simulation over its workers.
-class ConvergenceCycles
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+// The names are std::strings so that GetParam() prints their text: a
+// const char* pair prints its addresses, which differ from run to run and
+// would give the ctest names a different suffix on every discovery.
+using CoreWorkload = std::pair<std::string, std::string>;
+class ConvergenceCycles : public ::testing::TestWithParam<CoreWorkload> {};
 
 TEST_P(ConvergenceCycles, MatchesOracle) {
   const auto [core, workload] = GetParam();
@@ -240,13 +243,11 @@ TEST_P(ConvergenceCycles, MatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, ConvergenceCycles,
-    ::testing::Values(std::pair{"avr", "fib"}, std::pair{"avr", "conv"},
-                      std::pair{"avr", "crc"}, std::pair{"msp430", "fib"},
-                      std::pair{"msp430", "conv"},
-                      std::pair{"msp430", "crc"}),
-    [](const auto& info) {
-      return std::string(info.param.first) + "_" + info.param.second;
-    });
+    ::testing::Values(CoreWorkload{"avr", "fib"}, CoreWorkload{"avr", "conv"},
+                      CoreWorkload{"avr", "crc"}, CoreWorkload{"msp430", "fib"},
+                      CoreWorkload{"msp430", "conv"},
+                      CoreWorkload{"msp430", "crc"}),
+    [](const auto& info) { return info.param.first + "_" + info.param.second; });
 
 } // namespace
 } // namespace ripple::sim

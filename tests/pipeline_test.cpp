@@ -468,16 +468,19 @@ TEST(Pipeline, ResumedPrunedReplayReadsNoTrace) {
 }
 
 TEST(Pipeline, BaselineReadsTheGoldenRunOnlyForLabels) {
-  // Shards that fit one pass each cannot save a pass, so a Baseline run()
-  // computes no labels and streams no trace at all. With 126-point shards
-  // the labels resolve points without a lane, and the stage counts them.
+  // Windows that fit one pass each cannot save a pass, so a Baseline run()
+  // computes no labels and streams no trace at all: 19 shards of 7 points
+  // make windows of 56, 56 and 18 points, one pass from reset each. One
+  // window of two 126-point shards has 130 points to execute: the labels
+  // resolve points without a lane, the same stream captures the snapshots
+  // its passes start from, and the stage counts both.
   CampaignRequest request;
   request.core = "msp430";
   request.config.run_cycles = 200;
   request.config.sample = 130;
   request.config.seed = 5;
   request.config.threads = 2;
-  request.config.shard_size = 63; // 3 shards, one pass each
+  request.config.shard_size = 7;
 
   CampaignPipeline pipe;
   const auto one_pass = std::make_shared<Recorder>();
@@ -486,10 +489,12 @@ TEST(Pipeline, BaselineReadsTheGoldenRunOnlyForLabels) {
   pipe.remove_observer(one_pass);
   EXPECT_TRUE(one_pass->named("record_trace").empty());
   const StageStats stage = one_pass->named("campaign").at(0);
+  EXPECT_EQ(counter(stage, "shards"), 19.0);
   EXPECT_EQ(counter(stage, "confined"), 0.0);
   EXPECT_EQ(counter(stage, "dut_passes"), 3.0);
+  EXPECT_EQ(counter(stage, "pass_cycles"), 600.0);
 
-  request.config.shard_size = 126; // 2 shards
+  request.config.shard_size = 126; // 2 shards, one window
   const auto labelled = std::make_shared<Recorder>();
   pipe.add_observer(labelled);
   const hafi::CampaignResult result = pipe.run(request);
@@ -498,7 +503,11 @@ TEST(Pipeline, BaselineReadsTheGoldenRunOnlyForLabels) {
   EXPECT_GT(counter(lstage, "confined"), 0.0);
   EXPECT_EQ(counter(lstage, "executed"), static_cast<double>(result.executed));
   EXPECT_LE(counter(lstage, "lane_utilization"), 1.0);
-  EXPECT_EQ(counter(lstage, "dut_passes"), 2.0);
+  // The 40 points left share one pass, and it starts at its first
+  // injection, cycle 1, not at reset.
+  EXPECT_EQ(counter(lstage, "confined"), 90.0);
+  EXPECT_EQ(counter(lstage, "dut_passes"), 1.0);
+  EXPECT_EQ(counter(lstage, "pass_cycles"), 199.0);
   // The labels change how points were resolved, never their outcomes.
   EXPECT_EQ(result.experiments, plain.experiments);
 }
