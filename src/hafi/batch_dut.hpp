@@ -206,10 +206,6 @@ public:
     }
   }
 
-  /// Addresses where the lane's memory differs from the golden lane's.
-  [[nodiscard]] std::uint64_t mem_diff(unsigned lane) const {
-    return mem_diff_[lane];
-  }
   void bump_mem_diff(unsigned lane, bool was_equal, bool is_equal) {
     if (was_equal && !is_equal) {
       ++mem_diff_[lane];

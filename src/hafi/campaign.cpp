@@ -42,6 +42,63 @@ std::size_t auto_shard_size(std::size_t num_points) {
   return std::clamp<std::size_t>(size, 1, kMaxShardSize);
 }
 
+/// The deterministic merge: shard-index order, independent of completion
+/// order, thread count and resume pattern, so the result is byte-identical
+/// for any --threads value. Throws SoundnessError when a pruned experiment
+/// executed to a non-benign outcome (Validate mode).
+CampaignResult merge_shards(const CampaignPlan& plan,
+                            const std::vector<ShardResult>& shards) {
+  CampaignResult result;
+  result.total = plan.points.size();
+  result.experiments.reserve(plan.points.size());
+  std::vector<SoundnessViolation> violations;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    for (const Experiment& exp : shards[s].experiments) {
+      if (exp.pruned) ++result.pruned;
+      if (exp.executed) {
+        ++result.executed;
+        switch (exp.outcome) {
+          case Outcome::Benign: ++result.benign; break;
+          case Outcome::Latent: ++result.latent; break;
+          case Outcome::Sdc: ++result.sdc; break;
+        }
+        if (exp.pruned) {
+          if (exp.outcome == Outcome::Benign) {
+            ++result.pruned_confirmed;
+          } else {
+            violations.push_back(SoundnessViolation{s, exp.point,
+                                                    exp.outcome});
+          }
+        }
+      }
+      result.experiments.push_back(exp);
+    }
+  }
+
+  if (!violations.empty()) {
+    std::string report = strprintf(
+        "MATE soundness violated: %zu pruned injection(s) executed to a "
+        "non-benign outcome under validate mode",
+        violations.size());
+    std::size_t current_shard = violations.front().shard + 1; // force header
+    for (const SoundnessViolation& v : violations) {
+      if (v.shard != current_shard) {
+        current_shard = v.shard;
+        report += strprintf("\n  shard %zu [points %zu..%zu):",
+                            v.shard, plan.shard_begin(v.shard),
+                            plan.shard_end(v.shard));
+      }
+      report += strprintf("\n    flop %u, cycle %llu -> %.*s",
+                          v.point.flop.value(),
+                          static_cast<unsigned long long>(v.point.cycle),
+                          static_cast<int>(outcome_name(v.outcome).size()),
+                          outcome_name(v.outcome).data());
+    }
+    throw SoundnessError(std::move(report), std::move(violations));
+  }
+  return result;
+}
+
 } // namespace
 
 std::string_view mode_name(CampaignMode mode) {
@@ -100,18 +157,19 @@ Campaign::Campaign(CampaignTarget target, CampaignConfig config,
 CampaignResult Campaign::run(const ShardHooks& hooks) {
   const CampaignPlan& plan = plan_;
   const netlist::Netlist& n = *target_.netlist;
-  const bool pruning = config_.mode != CampaignMode::Baseline;
 
-  // Pruning decisions map each flop to its fault row of the MATE set.
-  // Baseline needs none; every batch pass carries its own golden lane.
+  // Pruning decisions map each flop to its fault row of the MATE set; a
+  // Baseline campaign consults none. Every batch pass carries its own golden
+  // lane.
+  static const mate::MateSet kNoMates;
+  const mate::MateSet& mates =
+      config_.mode == CampaignMode::Baseline ? kNoMates : *mates_;
   std::unordered_map<FlopId, std::size_t> fault_index;
-  if (pruning) {
-    for (std::size_t i = 0; i < mates_->faulty_wires.size(); ++i) {
-      const netlist::Wire& w = n.wire(mates_->faulty_wires[i]);
-      RIPPLE_CHECK(w.driver_kind == netlist::DriverKind::Flop,
-                   "campaign MATE sets must target flop outputs");
-      fault_index.emplace(w.driver_flop, i);
-    }
+  for (std::size_t i = 0; i < mates.faulty_wires.size(); ++i) {
+    const netlist::Wire& w = n.wire(mates.faulty_wires[i]);
+    RIPPLE_CHECK(w.driver_kind == netlist::DriverKind::Flop,
+                 "campaign MATE sets must target flop outputs");
+    fault_index.emplace(w.driver_flop, i);
   }
 
   const std::size_t num_shards = plan.num_shards();
@@ -148,6 +206,27 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     pending.push_back(s);
   }
 
+  std::mutex hook_mutex; // serializes store/progress hook invocations
+  std::size_t shards_done = 0;
+  const auto emit_progress = [&](std::size_t s) {
+    // Once passes run, the caller holds hook_mutex.
+    ++shards_done;
+    if (!hooks.progress) return;
+    ShardProgress p = counts[s];
+    p.shard = s;
+    p.shards_done = shards_done;
+    p.num_shards = num_shards;
+    p.resumed = resumed[s];
+    hooks.progress(p);
+  };
+
+  // Resumed shards report first, in shard-index order. A fully resumed
+  // campaign reads no trace and runs no pass.
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    if (resumed[s]) emit_progress(s);
+  }
+  if (pending.empty()) return merge_shards(plan, shards);
+
   // One fan-out for the label blocks and the batch passes: the host's
   // executor, or a private ThreadPool made on first use. One pass per
   // scheduling step (grain 1): a pass is thousands of gate sweeps.
@@ -162,22 +241,16 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
             });
 
   // --- golden run ---------------------------------------------------------
-  // The MATEs checked on the fault-free run, as the FPGA fabric would online:
-  // one cycle bitmask of proven-benign faults per fault row. Only pending
-  // shards consult it, so a fully resumed campaign reads no trace.
-  std::vector<BitVec> benign;
-  if (pruning && !pending.empty()) {
-    benign = mate::benign_masks(*mates_, *golden_);
-  }
-  const auto is_pruned = [&](const InjectionPoint& point) {
-    if (!pruning) return false;
-    const auto it = fault_index.find(point.flop);
-    return it != fault_index.end() && benign[it->second].get(point.cycle);
-  };
+  // Streamed once. Each chunk goes to the capture of the golden states the
+  // passes start from, to the MATEs — checked on the fault-free run, as the
+  // FPGA fabric would online — and then to the confinement sweep.
+  sim::WireCapture capture(golden_->num_cycles(), GoldenSnapshots::wires(n));
+  mate::BenignMaskSink triggers(mates, golden_->num_cycles());
+  sim::TeeSource tapped(*golden_, {&capture, &triggers});
+  const std::vector<BitVec> confined = confined_masks(n, tapped, execute);
+  const std::vector<BitVec> benign = triggers.take();
+  const GoldenSnapshots snapshots(n, capture.take());
   const bool validate = config_.mode == CampaignMode::Validate;
-  const auto needs_lane = [&](const InjectionPoint& point) {
-    return validate || !is_pruned(point);
-  };
 
   // --- windows --------------------------------------------------------------
   // kWindowShards consecutive pending shards pack their lane points into
@@ -191,35 +264,11 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
         begin, std::min(kWindowShards, pending.size() - begin));
   };
 
-  // The confinement labels resolve points without a lane, which can save a
-  // pass only in a window with more than one pass of points to execute
-  // (ceil(k / 63) = 1 for every k <= 63); otherwise the trace is not read
-  // for them and every pass starts at reset. MATE pruning is decided first,
-  // so a pruned point stays pruned. The labels' stream also captures the
-  // golden states the passes start from.
-  bool label = false;
-  for (std::size_t w = 0; w < num_windows && !label; ++w) {
-    std::size_t lanes = 0;
-    for (const std::size_t s : window_shards(w)) {
-      const std::span<const InjectionPoint> points = plan.shard(s);
-      lanes += static_cast<std::size_t>(
-          std::count_if(points.begin(), points.end(), needs_lane));
-    }
-    label = lanes > kExperimentLanes;
-  }
-  std::vector<BitVec> confined;
-  std::optional<GoldenSnapshots> snapshots;
-  if (label) {
-    sim::WireCapture capture(golden_->num_cycles(), GoldenSnapshots::wires(n));
-    sim::TeeSource tapped(*golden_, capture);
-    confined = confined_masks(n, tapped, execute);
-    snapshots.emplace(n, capture.take());
-  }
-
-  // Pruning decisions first, then the label-resolved points (executed,
-  // Benign); the rest take a lane. A window's lane points, stable-sorted by
-  // injection cycle, are cut into passes of 63: a pass starts from the
-  // golden state of its first injection, so its mates inject close behind.
+  // Pruning decisions first, so a pruned point stays pruned, then the
+  // label-resolved points (executed, Benign); the rest take a lane. A
+  // window's lane points, stable-sorted by injection cycle, are cut into
+  // passes of 63: a pass starts from the golden state of its first
+  // injection, so its mates inject close behind.
   struct Lane {
     std::size_t shard;
     std::size_t experiment; // index into the shard's experiments
@@ -251,12 +300,13 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
       for (const InjectionPoint& point : points) {
         Experiment exp;
         exp.point = point;
-        exp.pruned = is_pruned(point);
-        if (!exp.pruned && !confined.empty() &&
-            confined[point.flop.index()].get(point.cycle)) {
+        const auto fault = fault_index.find(point.flop);
+        exp.pruned = fault != fault_index.end() &&
+                     benign[fault->second].get(point.cycle);
+        if (!exp.pruned && confined[point.flop.index()].get(point.cycle)) {
           exp.executed = true;
           ++stats.confined;
-        } else if (needs_lane(point)) {
+        } else if (validate || !exp.pruned) {
           window.lanes.push_back(Lane{s, result.experiments.size()});
           ++stats.executed;
         }
@@ -279,21 +329,6 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
   for (std::size_t w = 0; w < num_windows; ++w) {
     passes_left[w].store(windows[w].num_passes, std::memory_order_relaxed);
   }
-
-  std::mutex hook_mutex; // serializes store/progress hook invocations
-  std::size_t shards_done = 0;
-
-  const auto emit_progress = [&](std::size_t s) {
-    // Caller holds hook_mutex.
-    ++shards_done;
-    if (!hooks.progress) return;
-    ShardProgress p = counts[s];
-    p.shard = s;
-    p.shards_done = shards_done;
-    p.num_shards = num_shards;
-    p.resumed = resumed[s];
-    hooks.progress(p);
-  };
 
   // A finished window: its engine counts go to its first shard, each shard
   // gets its lane points' share of the passes' thread-seconds, and every
@@ -330,12 +365,6 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     }
   };
 
-  {
-    std::lock_guard lock(hook_mutex);
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      if (resumed[s]) emit_progress(s);
-    }
-  }
   for (std::size_t w = 0; w < num_windows; ++w) {
     if (windows[w].num_passes == 0) finish_window(w);
   }
@@ -355,12 +384,10 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     if (span.active()) {
       span.set_detail(strprintf(
           "%zu lanes from cycle %llu", points.size(),
-          static_cast<unsigned long long>(snapshots ? points.front().cycle
-                                                    : 0)));
+          static_cast<unsigned long long>(points.front().cycle)));
     }
     const std::vector<Outcome> outcomes = target_.batch_factory()->run(
-        points, config_.run_cycles, &pass.stats,
-        snapshots ? &*snapshots : nullptr);
+        points, config_.run_cycles, &pass.stats, &snapshots);
     for (std::size_t i = pass.begin; i < pass.end; ++i) {
       Experiment& exp = experiment_of(lanes[i]);
       exp.executed = true;
@@ -373,59 +400,7 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
     }
   };
   if (!passes.empty()) execute(passes.size(), run_pass);
-
-  // --- deterministic merge --------------------------------------------------
-  // Shard-index order, independent of completion order, thread count and
-  // resume pattern: the result is byte-identical for any --threads value.
-  CampaignResult result;
-  result.total = plan.points.size();
-  result.experiments.reserve(plan.points.size());
-  std::vector<SoundnessViolation> violations;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    for (const Experiment& exp : shards[s].experiments) {
-      if (exp.pruned) ++result.pruned;
-      if (exp.executed) {
-        ++result.executed;
-        switch (exp.outcome) {
-          case Outcome::Benign: ++result.benign; break;
-          case Outcome::Latent: ++result.latent; break;
-          case Outcome::Sdc: ++result.sdc; break;
-        }
-        if (exp.pruned) {
-          if (exp.outcome == Outcome::Benign) {
-            ++result.pruned_confirmed;
-          } else {
-            violations.push_back(SoundnessViolation{s, exp.point,
-                                                    exp.outcome});
-          }
-        }
-      }
-      result.experiments.push_back(exp);
-    }
-  }
-
-  if (!violations.empty()) {
-    std::string report = strprintf(
-        "MATE soundness violated: %zu pruned injection(s) executed to a "
-        "non-benign outcome under validate mode",
-        violations.size());
-    std::size_t current_shard = violations.front().shard + 1; // force header
-    for (const SoundnessViolation& v : violations) {
-      if (v.shard != current_shard) {
-        current_shard = v.shard;
-        report += strprintf("\n  shard %zu [points %zu..%zu):",
-                            v.shard, plan.shard_begin(v.shard),
-                            plan.shard_end(v.shard));
-      }
-      report += strprintf("\n    flop %u, cycle %llu -> %.*s",
-                          v.point.flop.value(),
-                          static_cast<unsigned long long>(v.point.cycle),
-                          static_cast<int>(outcome_name(v.outcome).size()),
-                          outcome_name(v.outcome).data());
-    }
-    throw SoundnessError(std::move(report), std::move(violations));
-  }
-  return result;
+  return merge_shards(plan, shards);
 }
 
 } // namespace ripple::hafi

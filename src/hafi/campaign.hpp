@@ -10,15 +10,15 @@
 // Every injection is independent, so the engine partitions the injection-
 // point list into fixed shards, the unit of results and checkpoints, and
 // packs the work of kWindowShards consecutive pending shards (a window)
-// into shared 64-lane batch passes (lane 0 carries the golden run). Per
-// window, MATE pruning is decided first; when some window has more than
-// one pass of points to execute, the golden run's confinement labels
-// (hafi/confine.hpp) then resolve every injection they prove Benign without
-// a lane, recorded exactly as its execution would be. The remaining points
-// are stable-sorted by injection cycle and cut into 63-lane passes, and a
-// labelled campaign starts each pass from the golden state of its first
-// injection cycle (GoldenSnapshots, captured by the labels' one stream of
-// the golden run) instead of at reset. The passes fan out one task each,
+// into shared 64-lane batch passes (lane 0 carries the golden run). The
+// golden run is streamed once: each chunk feeds the GoldenSnapshots
+// capture, the MATE trigger masks (Pruned and Validate) and the
+// confinement labels (hafi/confine.hpp). MATE pruning is decided first;
+// the labels then resolve every injection they prove Benign without a
+// lane, recorded exactly as its execution would be. The remaining points
+// of a window are stable-sorted by injection cycle and cut into 63-lane
+// passes, and each pass starts from the golden state of its first
+// injection cycle instead of at reset. The passes fan out one task each,
 // window by window, over a private ThreadPool or the host's executor; each
 // boots its own BatchDut through the target's factory, and the task that
 // finishes a window's last pass stores and reports its shards.
@@ -189,9 +189,9 @@ public:
   /// which the MATEs are checked the way the FPGA fabric checks them online.
   /// Pruned/Validate mode also needs `mates`, targeting flop Q wires of the
   /// netlist (ignored in Baseline mode). Both are borrowed (they must
-  /// outlive the campaign); `golden` is streamed only by run(), and only
-  /// when a shard executes: once for the MATEs (Pruned and Validate) and
-  /// once for the labels and snapshots, when some window needs them. Throws ripple::Error on a missing or misshapen piece.
+  /// outlive the campaign); `golden` is streamed only by run(), exactly
+  /// once when a shard executes and never when every shard resumes. Throws
+  /// ripple::Error on a missing or misshapen piece.
   Campaign(CampaignTarget target, CampaignConfig config,
            sim::TraceSource* golden, const mate::MateSet* mates = nullptr);
 
@@ -247,7 +247,9 @@ public:
   };
 
   /// Run the campaign in config.mode. Throws SoundnessError in Validate
-  /// mode if any pruned injection executes to a non-benign outcome.
+  /// mode if any pruned injection executes to a non-benign outcome, and
+  /// ripple::Error, before any pass runs, if `golden` delivers its chunks
+  /// out of order or short of run_cycles.
   [[nodiscard]] CampaignResult run(const ShardHooks& hooks = {});
 
 private:

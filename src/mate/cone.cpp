@@ -10,10 +10,6 @@ bool FaultCone::contains_wire(WireId w) const {
   return std::binary_search(wires.begin(), wires.end(), w);
 }
 
-bool FaultCone::contains_gate(GateId g) const {
-  return std::find(gates.begin(), gates.end(), g) != gates.end();
-}
-
 FaultCone compute_cone(const netlist::Netlist& n,
                        std::span<const WireId> origins,
                        const std::vector<std::uint32_t>& topo_positions) {

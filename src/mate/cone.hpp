@@ -36,7 +36,6 @@ struct FaultCone {
   std::vector<WireId> observers;
 
   [[nodiscard]] bool contains_wire(WireId w) const;
-  [[nodiscard]] bool contains_gate(GateId g) const;
 };
 
 /// GateId -> position in a levelized order of the netlist (sim::levelize);

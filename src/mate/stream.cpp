@@ -4,12 +4,63 @@
 #include <array>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ripple::mate {
+
+/// One MATE as the word-parallel kernel reads it: its literals as (wire
+/// index, invert mask) — indices, not pointers, because the backing words
+/// change with every chunk — and the faults it masks as a bitset over
+/// set.faulty_wires.
+struct detail::MatePlan {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> literals;
+  BitVec mask;
+
+  /// `cycles` (lanes of block `block` of `slice`) ANDed with every literal:
+  /// the cycles in which the MATE triggers.
+  [[nodiscard]] std::uint64_t trigger(const sim::TransposedSlice& slice,
+                                      std::size_t block,
+                                      std::uint64_t cycles) const {
+    for (const auto& [wire, invert] : literals) {
+      cycles &= slice.wire_words(wire)[block] ^ invert;
+      if (cycles == 0) break;
+    }
+    return cycles;
+  }
+};
+
 namespace {
+
+/// The plans of every MATE of `set`, in set order: the one plan builder of
+/// the accumulators and BenignMaskSink.
+std::vector<detail::MatePlan> mate_plans(const MateSet& set) {
+  std::unordered_map<WireId, std::size_t> fault_index;
+  fault_index.reserve(set.faulty_wires.size());
+  for (std::size_t i = 0; i < set.faulty_wires.size(); ++i) {
+    fault_index.emplace(set.faulty_wires[i], i);
+  }
+  std::vector<detail::MatePlan> plans(set.mates.size());
+  for (std::size_t m = 0; m < set.mates.size(); ++m) {
+    detail::MatePlan& plan = plans[m];
+    plan.mask = BitVec(set.faulty_wires.size());
+    for (WireId w : set.mates[m].masked_wires) {
+      const auto it = fault_index.find(w);
+      RIPPLE_ASSERT(it != fault_index.end(),
+                    "MATE masks a wire outside the faulty set");
+      plan.mask.set(it->second, true);
+    }
+    plan.literals.reserve(set.mates[m].cube.size());
+    for (const Literal& l : set.mates[m].cube.literals()) {
+      plan.literals.emplace_back(
+          static_cast<std::uint32_t>(l.wire.index()),
+          l.value ? 0 : ~std::uint64_t{0});
+    }
+  }
+  return plans;
+}
 
 /// Runs `fn(begin, end, partial)` over the 64-cycle blocks [0, blocks),
 /// split into one contiguous range per worker. Each worker gets enough
@@ -44,39 +95,9 @@ std::vector<Partial> run_block_ranges(std::size_t threads, std::size_t blocks,
 
 } // namespace
 
-/// Literal streams as (wire index, invert mask) — indices, not pointers,
-/// because the backing words change with every chunk.
-struct EvalAccumulator::Plan {
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> literals;
-  BitVec mask;
-};
-
 EvalAccumulator::EvalAccumulator(const MateSet& set, std::size_t threads)
-    : set_(&set), threads_(threads) {
-  std::unordered_map<WireId, std::size_t> fault_index;
-  fault_index.reserve(set.faulty_wires.size());
-  for (std::size_t i = 0; i < set.faulty_wires.size(); ++i) {
-    fault_index.emplace(set.faulty_wires[i], i);
-  }
-  plans_.resize(set.mates.size());
-  for (std::size_t m = 0; m < set.mates.size(); ++m) {
-    Plan& plan = plans_[m];
-    plan.mask = BitVec(set.faulty_wires.size());
-    for (WireId w : set.mates[m].masked_wires) {
-      const auto it = fault_index.find(w);
-      RIPPLE_ASSERT(it != fault_index.end(),
-                    "MATE masks a wire outside the faulty set");
-      plan.mask.set(it->second, true);
-    }
-    plan.literals.reserve(set.mates[m].cube.size());
-    for (const Literal& l : set.mates[m].cube.literals()) {
-      plan.literals.emplace_back(
-          static_cast<std::uint32_t>(l.wire.index()),
-          l.value ? 0 : ~std::uint64_t{0});
-    }
-  }
-  triggers_.assign(set.mates.size(), 0);
-}
+    : set_(&set), threads_(threads), plans_(mate_plans(set)),
+      triggers_(set.mates.size(), 0) {}
 
 EvalAccumulator::~EvalAccumulator() = default;
 
@@ -107,12 +128,8 @@ void EvalAccumulator::consume(const sim::TransposedSlice& slice,
       const std::uint64_t valid = slice.block_mask(b);
       std::uint64_t used = 0; // cycles of this block with >= 1 trigger
       for (std::size_t m = 0; m < plans_.size(); ++m) {
-        const Plan& plan = plans_[m];
-        std::uint64_t trig = valid;
-        for (const auto& [wire, invert] : plan.literals) {
-          trig &= slice.wire_words(wire)[b] ^ invert;
-          if (trig == 0) break;
-        }
+        const detail::MatePlan& plan = plans_[m];
+        const std::uint64_t trig = plan.trigger(slice, b, valid);
         if (trig == 0) continue;
         out.triggers[m] +=
             static_cast<std::size_t>(__builtin_popcountll(trig));
@@ -162,8 +179,6 @@ EvalResult EvalAccumulator::finish() {
 RankAccumulator::RankAccumulator(const MateSet& set, std::size_t threads)
     : volumes_(set, threads) {}
 
-RankAccumulator::~RankAccumulator() = default;
-
 void RankAccumulator::consume_volumes(const sim::TransposedSlice& slice,
                                       std::size_t base_cycle) {
   RIPPLE_CHECK(!gains_begun_, "consume_volumes after begin_gains");
@@ -186,7 +201,7 @@ void RankAccumulator::consume_gains(const sim::TransposedSlice& slice,
   RIPPLE_CHECK(gain_cycles_ % 64 == 0,
                "only the final chunk may end off a 64-cycle block");
 
-  const std::vector<EvalAccumulator::Plan>& plans = volumes_.plans_;
+  const std::vector<detail::MatePlan>& plans = volumes_.plans_;
   const std::size_t blocks = slice.num_blocks;
 
   // Per block: re-derive the trigger words (same AND-tree as pass 1), build
@@ -204,11 +219,7 @@ void RankAccumulator::consume_gains(const sim::TransposedSlice& slice,
       const std::uint64_t valid = slice.block_mask(b);
       std::uint64_t used = 0;
       for (std::size_t m = 0; m < plans.size(); ++m) {
-        std::uint64_t trig = valid;
-        for (const auto& [wire, invert] : plans[m].literals) {
-          trig &= slice.wire_words(wire)[b] ^ invert;
-          if (trig == 0) break;
-        }
+        const std::uint64_t trig = plans[m].trigger(slice, b, valid);
         for (std::uint64_t w = trig; w != 0; w &= w - 1) {
           const unsigned c = static_cast<unsigned>(__builtin_ctzll(w));
           triggered[c].push_back(static_cast<std::uint32_t>(m));
@@ -291,47 +302,53 @@ EvalResult evaluate_mates_stream(const MateSet& set, sim::TraceSource& source,
   return acc.finish();
 }
 
-std::vector<BitVec> benign_masks(const MateSet& set,
-                                 sim::TraceSource& source) {
-  const EvalAccumulator acc(set, 1); // for its literal plans only
-  const std::size_t words_per_wire = (source.num_cycles() + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> words(
-      set.faulty_wires.size(), std::vector<std::uint64_t>(words_per_wire));
-  std::size_t cycles = 0;
-  stream_through(
-      source, /*overlap=*/false,
-      [&](const sim::TransposedSlice& slice, std::size_t base) {
-        RIPPLE_CHECK(base == cycles && cycles % 64 == 0 &&
-                         cycles + slice.num_cycles <= words_per_wire * 64,
-                     "trace chunks must cover the declared cycles in order");
-        for (std::size_t b = 0; b < slice.num_blocks; ++b) {
-          for (const EvalAccumulator::Plan& plan : acc.plans_) {
-            std::uint64_t trig = slice.block_mask(b);
-            for (const auto& [wire, invert] : plan.literals) {
-              trig &= slice.wire_words(wire)[b] ^ invert;
-              if (trig == 0) break;
-            }
-            if (trig == 0) continue;
-            const std::vector<std::uint64_t>& mask = plan.mask.words();
-            for (std::size_t mw = 0; mw < mask.size(); ++mw) {
-              for (std::uint64_t m = mask[mw]; m != 0; m &= m - 1) {
-                const std::size_t i =
-                    mw * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
-                words[i][base / 64 + b] |= trig;
-              }
-            }
-          }
+BenignMaskSink::BenignMaskSink(const MateSet& set, std::size_t num_cycles)
+    : plans_(mate_plans(set)), cycles_(num_cycles),
+      words_(set.faulty_wires.size(),
+             std::vector<std::uint64_t>((num_cycles + 63) / 64, 0)) {}
+
+BenignMaskSink::~BenignMaskSink() = default;
+
+void BenignMaskSink::on_chunk(sim::TraceChunk chunk) {
+  const sim::TransposedSlice& slice = chunk.slice;
+  RIPPLE_CHECK(chunk.base_cycle == consumed_ && consumed_ % 64 == 0 &&
+                   consumed_ + slice.num_cycles <= cycles_,
+               "trace chunks must cover the declared cycles in order");
+  const std::size_t first_word = consumed_ / 64;
+  for (std::size_t b = 0; b < slice.num_blocks; ++b) {
+    const std::uint64_t valid = slice.block_mask(b);
+    for (const detail::MatePlan& plan : plans_) {
+      const std::uint64_t trig = plan.trigger(slice, b, valid);
+      if (trig == 0) continue;
+      const std::vector<std::uint64_t>& mask = plan.mask.words();
+      for (std::size_t mw = 0; mw < mask.size(); ++mw) {
+        for (std::uint64_t m = mask[mw]; m != 0; m &= m - 1) {
+          const std::size_t i =
+              mw * 64 + static_cast<std::size_t>(__builtin_ctzll(m));
+          words_[i][first_word + b] |= trig;
         }
-        cycles += slice.num_cycles;
-      });
-  RIPPLE_CHECK(cycles == source.num_cycles(),
+      }
+    }
+  }
+  consumed_ += slice.num_cycles;
+}
+
+std::vector<BitVec> BenignMaskSink::take() {
+  RIPPLE_CHECK(consumed_ == cycles_,
                "trace source delivered a different cycle count than declared");
   std::vector<BitVec> masks;
-  masks.reserve(words.size());
-  for (std::vector<std::uint64_t>& w : words) {
-    masks.push_back(BitVec::from_words(cycles, std::move(w)));
+  masks.reserve(words_.size());
+  for (std::vector<std::uint64_t>& w : words_) {
+    masks.push_back(BitVec::from_words(cycles_, std::move(w)));
   }
   return masks;
+}
+
+std::vector<BitVec> benign_masks(const MateSet& set,
+                                 sim::TraceSource& source) {
+  BenignMaskSink sink(set, source.num_cycles());
+  source.stream(sink);
+  return sink.take();
 }
 
 SelectionResult rank_mates_stream(const MateSet& set, sim::TraceSource& source,

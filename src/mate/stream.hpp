@@ -1,5 +1,5 @@
 // Streaming MATE evaluation over chunked transposed traces: the one
-// evaluate/select engine, and (benign_masks) the campaign's pruning
+// evaluate/select engine, and (BenignMaskSink) the campaign's pruning
 // decisions on its golden run.
 //
 // The accumulators score a trace chunk-by-chunk from a sim::TraceSource with
@@ -31,6 +31,10 @@
 
 namespace ripple::mate {
 
+namespace detail {
+struct MatePlan; // one MATE as the word-parallel kernel reads it
+} // namespace detail
+
 /// Incremental MATE evaluation over in-order 64-aligned trace chunks.
 ///
 ///   EvalAccumulator acc(set);
@@ -58,18 +62,14 @@ class EvalAccumulator {
   [[nodiscard]] EvalResult finish();
 
  private:
-  struct Plan; // literal (wire, invert) pairs + dense masked bitset
-
   const MateSet* set_;
   std::size_t threads_;
-  std::vector<Plan> plans_;
+  std::vector<detail::MatePlan> plans_;
   std::vector<std::size_t> triggers_; // per MATE
   std::size_t masked_faults_ = 0;
   std::size_t cycles_ = 0;
 
   friend class RankAccumulator;
-  friend std::vector<BitVec> benign_masks(const MateSet& set,
-                                          sim::TraceSource& source);
 };
 
 /// Incremental ranking over a replayable trace stream. Ranking needs two
@@ -89,7 +89,6 @@ class EvalAccumulator {
 class RankAccumulator {
  public:
   explicit RankAccumulator(const MateSet& set, std::size_t threads = 0);
-  ~RankAccumulator();
 
   RankAccumulator(const RankAccumulator&) = delete;
   RankAccumulator& operator=(const RankAccumulator&) = delete;
@@ -131,11 +130,31 @@ class RankAccumulator {
                                                 std::size_t threads = 0,
                                                 bool overlap = true);
 
-/// Which faults the triggered MATEs prove benign: masks[i] has bit c set
-/// when some MATE masking set.faulty_wires[i] triggers in cycle c of
-/// `source` (one pass, inline). The evaluate kernel's per-block trigger
-/// words, ORed into one cycle bitmask per faulty wire — what a HAFI fabric
-/// checks online against the golden run.
+/// Which faults the triggered MATEs prove benign, read chunk by chunk:
+/// take()[i] has bit c set when some MATE masking set.faulty_wires[i]
+/// triggers in cycle c. The evaluate kernel's per-block trigger words, ORed
+/// into one cycle bitmask per faulty wire — what a HAFI fabric checks
+/// online against the golden run. Chunks must cover `num_cycles` cycles in
+/// order; `set` must outlive the sink.
+class BenignMaskSink final : public sim::TraceSink {
+ public:
+  BenignMaskSink(const MateSet& set, std::size_t num_cycles);
+  ~BenignMaskSink() override;
+
+  void on_chunk(sim::TraceChunk chunk) override;
+
+  /// The masks, one per faulty wire. Throws ripple::Error unless the chunks
+  /// covered every declared cycle.
+  [[nodiscard]] std::vector<BitVec> take();
+
+ private:
+  std::vector<detail::MatePlan> plans_;
+  std::size_t cycles_;
+  std::size_t consumed_ = 0;
+  std::vector<std::vector<std::uint64_t>> words_; // per faulty wire
+};
+
+/// A BenignMaskSink over one stream of `source`.
 [[nodiscard]] std::vector<BitVec> benign_masks(const MateSet& set,
                                                sim::TraceSource& source);
 

@@ -322,6 +322,8 @@ ChunkedTraceStream::ChunkedTraceStream(CampaignPipeline& pipeline,
                "--trace-chunk-cycles must be a positive multiple of 64, got ",
                chunk_cycles_);
   RIPPLE_CHECK(cycles_ > 0, "empty trace stream");
+  RIPPLE_CHECK(rt_.boot != nullptr, "trace stream of workload '",
+               rt_.workload, "' has no workload boot");
 }
 
 void ChunkedTraceStream::stream(sim::TraceSink& sink) {
@@ -454,8 +456,8 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
   if (spec.config.threads == 0) spec.config.threads = config_.threads;
 
   StageScope scope(*this, "stage:campaign", "campaign", std::move(detail));
-  // The golden run is the workload's chunk stream: the confinement labels
-  // and the MATEs are read off it, only if a shard executes.
+  // The golden run is the workload's chunk stream, read once if a shard
+  // executes: the MATEs, the confinement labels and the snapshots.
   const bool pruning = spec.config.mode != hafi::CampaignMode::Baseline;
   ChunkedTraceStream golden(*this, spec.runtime, spec.config.run_cycles);
   hafi::Campaign campaign(spec.runtime.target(), spec.config, &golden,

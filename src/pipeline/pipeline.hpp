@@ -226,11 +226,11 @@ public:
   /// (0 falls back to the pipeline's --threads), per-shard progress with
   /// injections/sec, pruned-rate and ETA via the observers, and optional
   /// shard checkpointing per `spec.resume`. The golden run is a
-  /// ChunkedTraceStream of run_cycles cycles, read only when a shard
-  /// executes: by Pruned/Validate for their MATEs, and in every mode for the
-  /// confinement labels when a pending shard has more than 63 points to
-  /// execute. Throws hafi::SoundnessError (with its per-shard violation
-  /// report) in Validate mode.
+  /// ChunkedTraceStream of run_cycles cycles, streamed once when a shard
+  /// executes (one record_trace stage) and never when every shard resumes;
+  /// that one stream feeds the MATE pruning, the confinement labels and the
+  /// snapshots the passes start from. Throws hafi::SoundnessError (with its
+  /// per-shard violation report) in Validate mode.
   [[nodiscard]] hafi::CampaignResult campaign(CampaignSpec spec,
                                               std::string detail = {});
 
@@ -249,10 +249,6 @@ public:
 
   [[nodiscard]] ArtifactCache& cache() { return *cache_; }
   [[nodiscard]] const ArtifactCache& cache() const { return *cache_; }
-  /// The shared cache handle (pass to another pipeline to share artifacts).
-  [[nodiscard]] std::shared_ptr<ArtifactCache> shared_cache() const {
-    return cache_;
-  }
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
 
   /// Default SearchParams with the pipeline's --threads applied.

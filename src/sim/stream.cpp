@@ -323,15 +323,15 @@ TransposedTrace WireCapture::take() {
 
 void TeeSource::stream(TraceSink& sink) {
   struct Tee final : TraceSink {
-    TraceSink* tap;
+    const std::vector<TraceSink*>* taps;
     TraceSink* sink;
     void on_chunk(TraceChunk chunk) override {
-      tap->on_chunk(chunk);
+      for (TraceSink* tap : *taps) tap->on_chunk(chunk);
       sink->on_chunk(std::move(chunk));
     }
   };
   Tee tee;
-  tee.tap = tap_;
+  tee.taps = &taps_;
   tee.sink = &sink;
   inner_->stream(tee);
 }

@@ -162,8 +162,6 @@ public:
   /// all total_cycles - first_cycle rows were appended.
   void finish();
 
-  [[nodiscard]] std::size_t cycles_recorded() const { return cycle_; }
-
 private:
   void flush_block();
   void begin_chunk();
@@ -236,7 +234,7 @@ private:
 
 /// Copies the chosen wires' words out of every chunk into one wire-major
 /// trace: wire i of take() is wires[i]. Over every wire it is gather_trace;
-/// fed by a TeeSource it keeps a few wires of a stream that another consumer
+/// as a TeeSource tap it keeps a few wires of a stream that another consumer
 /// reads, without streaming the source twice.
 class WireCapture final : public TraceSink {
 public:
@@ -256,12 +254,13 @@ private:
   std::size_t captured_ = 0;
 };
 
-/// `inner` with a tap: stream() hands every chunk to `tap`, then to the
-/// consumer, so one stream of the source feeds both. `inner` and `tap` must
-/// outlive the source.
+/// `inner` with taps: stream() hands every chunk to each tap in order, then
+/// to the consumer, so one stream of the source feeds them all. `inner` and
+/// the taps must outlive the source.
 class TeeSource final : public TraceSource {
 public:
-  TeeSource(TraceSource& inner, TraceSink& tap) : inner_(&inner), tap_(&tap) {}
+  TeeSource(TraceSource& inner, std::vector<TraceSink*> taps)
+      : inner_(&inner), taps_(std::move(taps)) {}
 
   [[nodiscard]] std::size_t num_wires() const override {
     return inner_->num_wires();
@@ -276,7 +275,7 @@ public:
 
 private:
   TraceSource* inner_;
-  TraceSink* tap_;
+  std::vector<TraceSink*> taps_;
 };
 
 /// Stream `source` once into one whole TransposedTrace, copying each

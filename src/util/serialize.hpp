@@ -43,11 +43,6 @@ public:
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  void u64_vec(std::span<const std::uint64_t> v) {
-    u64(v.size());
-    for (std::uint64_t x : v) u64(x);
-  }
-
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
@@ -106,15 +101,6 @@ public:
     std::vector<std::uint8_t> v(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                 bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += static_cast<std::size_t>(n);
-    return v;
-  }
-
-  [[nodiscard]] std::vector<std::uint64_t> u64_vec() {
-    const std::uint64_t n = u64();
-    need(n * 8);
-    std::vector<std::uint64_t> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(u64());
     return v;
   }
 

@@ -1,13 +1,14 @@
 // The 64-lane batch engine against the one-boot-per-experiment scalar
 // oracle (tests/support): the registry's production targets must produce a
 // byte-identical CampaignResult to the oracle across both cores, all three
-// CampaignModes and any thread count — the production golden run (a chunk
-// stream scored by mate::benign_masks and labelled by hafi::confined_masks)
-// against the oracle's own (a scalar trace scored by benign_matrix, every
-// point executed) — and checkpoints cut from the oracle's result must replay
+// CampaignModes and any thread count — the production golden run (one chunk
+// stream feeding mate::BenignMaskSink and hafi::confined_masks) against the
+// oracle's own (a scalar trace scored by benign_matrix, every point
+// executed) — and checkpoints cut from the oracle's result must replay
 // under the batch engine after a kill. Also pins down the lane-utilization
 // accounting that feeds the --report=json counters and the campaign's
-// refusal of incomplete targets and missing or misshapen golden runs.
+// refusal of incomplete targets and of missing, misshapen or broken golden
+// runs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -87,16 +88,15 @@ CampaignResult oracle_result(const Target& t, const CampaignConfig& cfg) {
                              mates_for(t, cfg.mode));
 }
 
-/// Both shard shapes of the oracle-identity checks: `small` shards fit one
-/// pass each, so no labels are computed; 126-point shards of `sample`
-/// points have two passes of points to execute and are labelled.
+/// Both shard shapes of the oracle-identity checks, each labelled: `small`
+/// shards make one window that fits one pass, and 126-point shards of
+/// `sample` points one window of more than two passes of points.
 void expect_matches_oracle(const Target& t, const CampaignConfig& small,
                            std::size_t sample) {
-  CampaignConfig labelled = small;
-  labelled.sample = sample;
-  labelled.shard_size = 2 * kExperimentLanes;
-  for (const CampaignConfig& base : {small, labelled}) {
-    const bool labels = base.shard_size > kExperimentLanes;
+  CampaignConfig large = small;
+  large.sample = sample;
+  large.shard_size = 2 * kExperimentLanes;
+  for (const CampaignConfig& base : {small, large}) {
     for (const CampaignMode mode :
          {CampaignMode::Baseline, CampaignMode::Pruned,
           CampaignMode::Validate}) {
@@ -123,7 +123,7 @@ void expect_matches_oracle(const Target& t, const CampaignConfig& small,
             << "batch engine differs from the scalar oracle: mode="
             << mode_name(mode) << " threads=" << threads
             << " shard_size=" << cfg.shard_size;
-        EXPECT_EQ(confined > 0, labels)
+        EXPECT_GT(confined, 0u)
             << "mode=" << mode_name(mode) << " threads=" << threads
             << " shard_size=" << cfg.shard_size;
       }
@@ -258,11 +258,11 @@ LaneRun run_checking_lanes(const Target& t, const CampaignConfig& cfg) {
 
 TEST(CampaignBatch, LaneUtilizationAccounting) {
   // Six 8-point shards make one window that fits one pass, so far fewer
-  // passes than experiments, and no labels are computed for it.
+  // passes than experiments; it is labelled like every window.
   CampaignConfig cfg = small_config(48, 300);
   const LaneRun small = run_checking_lanes(avr_target(), cfg);
   EXPECT_LT(small.dut_passes, small.result.executed);
-  EXPECT_EQ(small.confined, 0u);
+  EXPECT_GT(small.confined, 0u);
 
   // One window of a 126-point and a 24-point shard, two 63-lane passes of
   // points and more, on both cores, byte-identical to the scalar oracle. The
@@ -408,6 +408,79 @@ TEST(CampaignBatch, RejectsGoldenRunOfTheWrongShape) {
             << e.what();
       }
       EXPECT_EQ(golden.streams, 0u);
+    }
+  }
+}
+
+TEST(CampaignBatch, RejectsAGoldenRunThatBreaksItsContract) {
+  // A golden run that declares run_cycles but delivers a 64-cycle block
+  // fewer, or delivers a chunk out of order, is refused with an Error
+  // before any pass boots a DUT and before any shard is stored: in Baseline
+  // at a small shape (one window, one pass) and in Pruned mode. The same
+  // chunks delivered whole and in order run.
+  enum class Flaw { None, Short, Reordered };
+  struct Chunks final : sim::TraceSource {
+    const sim::TransposedTrace* trace = nullptr;
+    Flaw flaw = Flaw::None;
+    [[nodiscard]] std::size_t num_wires() const override {
+      return trace->num_wires();
+    }
+    [[nodiscard]] std::size_t num_cycles() const override {
+      return trace->num_cycles();
+    }
+    [[nodiscard]] std::size_t chunk_cycles() const override { return 64; }
+    void stream(sim::TraceSink& sink) override {
+      struct Collect final : sim::TraceSink {
+        std::vector<sim::TraceChunk> chunks;
+        void on_chunk(sim::TraceChunk chunk) override {
+          chunks.push_back(std::move(chunk));
+        }
+      } collect;
+      sim::TransposedTraceSource(*trace, 64).stream(collect);
+      std::vector<sim::TraceChunk>& chunks = collect.chunks;
+      if (flaw == Flaw::Short) chunks.pop_back();
+      if (flaw == Flaw::Reordered) std::swap(chunks[1], chunks[2]);
+      for (sim::TraceChunk& chunk : chunks) sink.on_chunk(std::move(chunk));
+    }
+  };
+  const Target& t = avr_target();
+  CampaignConfig cfg = small_config(24, 256); // 3 shards of 8, 4 blocks
+  const auto golden = pipeline::golden_run(t.runtime, cfg.run_cycles);
+  const sim::TransposedTrace trace = sim::gather_trace(*golden);
+  for (const CampaignMode mode :
+       {CampaignMode::Baseline, CampaignMode::Pruned}) {
+    cfg.mode = mode;
+    for (const Flaw flaw : {Flaw::None, Flaw::Short, Flaw::Reordered}) {
+      SCOPED_TRACE(::testing::Message() << "mode=" << mode_name(mode)
+                                        << " flaw=" << static_cast<int>(flaw));
+      Chunks source;
+      source.trace = &trace;
+      source.flaw = flaw;
+      CampaignTarget target = t.runtime.target();
+      std::size_t boots = 0;
+      target.batch_factory = [&boots, inner = target.batch_factory] {
+        ++boots;
+        return inner();
+      };
+      std::size_t stored = 0;
+      Campaign::ShardHooks hooks;
+      hooks.store = [&](const ShardResult&) { ++stored; };
+      Campaign campaign(target, cfg, &source, mates_for(t, mode));
+      if (flaw == Flaw::None) {
+        EXPECT_EQ(campaign.run(hooks).total, 24u);
+        EXPECT_GT(boots, 0u);
+        EXPECT_EQ(stored, 3u);
+        continue;
+      }
+      try {
+        (void)campaign.run(hooks);
+        ADD_FAILURE() << "accepted a broken golden run";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("declared"), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(boots, 0u);
+      EXPECT_EQ(stored, 0u);
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "cores/avr/programs.hpp"
 #include "cores/avr/system.hpp"
 #include "mate/example.hpp"
+#include "mate/search.hpp"
 #include "mate/stream.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/cache.hpp"
@@ -467,49 +468,72 @@ TEST(Pipeline, ResumedPrunedReplayReadsNoTrace) {
   EXPECT_EQ(counter(base_replay, "executed"), 130.0);
 }
 
-TEST(Pipeline, BaselineReadsTheGoldenRunOnlyForLabels) {
-  // Windows that fit one pass each cannot save a pass, so a Baseline run()
-  // computes no labels and streams no trace at all: 19 shards of 7 points
-  // make windows of 56, 56 and 18 points, one pass from reset each. One
-  // window of two 126-point shards has 130 points to execute: the labels
-  // resolve points without a lane, the same stream captures the snapshots
-  // its passes start from, and the stage counts both.
-  CampaignRequest request;
-  request.core = "msp430";
-  request.config.run_cycles = 200;
-  request.config.sample = 130;
-  request.config.seed = 5;
-  request.config.threads = 2;
-  request.config.shard_size = 7;
+TEST(Pipeline, ColdCampaignReadsTheGoldenRunOnce) {
+  // Whenever a shard executes, campaign() streams its golden run exactly
+  // once, in every mode and shard shape: that one stream feeds the MATE
+  // pruning, the confinement labels and the snapshots every pass starts
+  // from. Without a cache it simulates the workload; with every shard
+  // resumed no trace is read. campaign() is driven directly, so every
+  // record_trace stage is the golden run's. 19 shards of 7 points make
+  // windows of 56, 56 and 18 points, 2 shards of 126 one window of 130.
+  const CoreRuntime rt = CoreRegistry::global().make("avr", "fib");
+  mate::SearchParams params;
+  params.threads = 2;
+  const mate::MateSet mates =
+      mate::find_mates(*rt.netlist, mate::all_flop_wires(*rt.netlist), params)
+          .set;
+  TempDir tmp;
+  for (const bool cached : {true, false}) {
+    PipelineConfig config;
+    config.threads = 2;
+    config.cache_dir = tmp.path;
+    config.use_cache = cached;
+    CampaignPipeline pipe(config);
+    for (const std::size_t shard_size : {std::size_t{7}, std::size_t{126}}) {
+      for (const hafi::CampaignMode mode :
+           {hafi::CampaignMode::Baseline, hafi::CampaignMode::Pruned,
+            hafi::CampaignMode::Validate}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (cached ? "cached" : "uncached") << ", " << shard_size
+                     << "-point shards, " << hafi::mode_name(mode));
+        CampaignSpec spec;
+        spec.runtime = rt;
+        spec.config.run_cycles = 200;
+        spec.config.sample = 130;
+        spec.config.seed = 5;
+        spec.config.shard_size = shard_size;
+        spec.config.mode = mode;
+        spec.mates = mode == hafi::CampaignMode::Baseline ? nullptr : &mates;
+        spec.resume = cached;
+        const auto run_recorded = [&] {
+          const auto rec = std::make_shared<Recorder>();
+          pipe.add_observer(rec);
+          (void)pipe.campaign(spec);
+          pipe.remove_observer(rec);
+          return rec;
+        };
 
-  CampaignPipeline pipe;
-  const auto one_pass = std::make_shared<Recorder>();
-  pipe.add_observer(one_pass);
-  const hafi::CampaignResult plain = pipe.run(request);
-  pipe.remove_observer(one_pass);
-  EXPECT_TRUE(one_pass->named("record_trace").empty());
-  const StageStats stage = one_pass->named("campaign").at(0);
-  EXPECT_EQ(counter(stage, "shards"), 19.0);
-  EXPECT_EQ(counter(stage, "confined"), 0.0);
-  EXPECT_EQ(counter(stage, "dut_passes"), 3.0);
-  EXPECT_EQ(counter(stage, "pass_cycles"), 600.0);
+        const auto cold = run_recorded();
+        const std::vector<StageStats> traces = cold->named("record_trace");
+        ASSERT_EQ(traces.size(), 1u);
+        if (!cached) {
+          EXPECT_GT(counter(traces[0], "chunk_misses"), 0.0);
+        }
+        const StageStats stage = cold->named("campaign").at(0);
+        EXPECT_EQ(counter(stage, "shards"), shard_size == 7 ? 19.0 : 2.0);
+        EXPECT_GT(counter(stage, "confined"), 0.0);
+        EXPECT_LT(counter(stage, "pass_cycles"),
+                  counter(stage, "dut_passes") * 200.0);
 
-  request.config.shard_size = 126; // 2 shards, one window
-  const auto labelled = std::make_shared<Recorder>();
-  pipe.add_observer(labelled);
-  const hafi::CampaignResult result = pipe.run(request);
-  EXPECT_EQ(labelled->named("record_trace").size(), 1u);
-  const StageStats lstage = labelled->named("campaign").at(0);
-  EXPECT_GT(counter(lstage, "confined"), 0.0);
-  EXPECT_EQ(counter(lstage, "executed"), static_cast<double>(result.executed));
-  EXPECT_LE(counter(lstage, "lane_utilization"), 1.0);
-  // The 40 points left share one pass, and it starts at its first
-  // injection, cycle 1, not at reset.
-  EXPECT_EQ(counter(lstage, "confined"), 90.0);
-  EXPECT_EQ(counter(lstage, "dut_passes"), 1.0);
-  EXPECT_EQ(counter(lstage, "pass_cycles"), 199.0);
-  // The labels change how points were resolved, never their outcomes.
-  EXPECT_EQ(result.experiments, plain.experiments);
+        if (cached) {
+          const auto resumed = run_recorded();
+          EXPECT_TRUE(resumed->named("record_trace").empty());
+          EXPECT_EQ(counter(resumed->named("campaign").at(0), "shards_resumed"),
+                    counter(stage, "shards"));
+        }
+      }
+    }
+  }
 }
 
 TEST(PipelineOptions, ParsesSharedFlags) {

@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include "cores/avr/programs.hpp"
-#include "hafi/avr_dut.hpp"
 #include "hafi/campaign.hpp"
 #include "pipeline/artifact.hpp"
 #include "pipeline/pipeline.hpp"
@@ -254,14 +253,10 @@ TEST(Request, RunMatchesHandAssembledSpec) {
   CampaignPipeline pipe(config);
   const hafi::CampaignResult from_request = pipe.run(request);
 
-  const auto core = std::make_shared<const cores::avr::AvrCore>(
-      cores::avr::build_avr_core(true));
-  const cores::avr::Program program = cores::avr::fib_program();
+  // Assembled by hand from the AVR maker for a binary's own program: every
+  // campaign streams its golden run, so the runtime needs a workload boot.
   CampaignSpec spec;
-  spec.runtime.netlist =
-      std::shared_ptr<const netlist::Netlist>(core, &core->netlist);
-  spec.runtime.fingerprint = fingerprint(core->netlist);
-  spec.runtime.batch_factory = hafi::make_avr_batch_factory(*core, program);
+  spec.runtime = avr_runtime(cores::avr::fib_program(), "fib");
   spec.config = request.config;
   const hafi::CampaignResult from_spec =
       pipe.campaign(std::move(spec), "hand-assembled");

@@ -1,6 +1,7 @@
-// The golden run a Pruned or Validate hafi::Campaign scores its MATEs on,
-// built the way CampaignPipeline::campaign builds it: the runtime's workload
-// as a pipeline::ChunkedTraceStream. The pipeline here has no cache
+// The golden run every hafi::Campaign streams once (its MATE pruning,
+// confinement labels and pass snapshots), built the way
+// CampaignPipeline::campaign builds it: the runtime's workload as a
+// pipeline::ChunkedTraceStream. The pipeline here has no cache
 // directory, so every stream() simulates the workload afresh.
 #pragma once
 
