@@ -219,9 +219,6 @@ isr:                    ; the "timer interrupt"
 
 Program fib_program() { return assemble(fib_source()); }
 Program conv_program() { return assemble(conv_source()); }
-Program sort_program() { return assemble(sort_source()); }
-Program crc_program() { return assemble(crc_source()); }
-Program irq_program() { return assemble(irq_source()); }
 
 const std::vector<std::string_view>& workload_names() {
   static const std::vector<std::string_view> names = {"fib", "conv", "sort",

@@ -37,9 +37,6 @@ namespace ripple::cores::avr {
 
 [[nodiscard]] Program fib_program();
 [[nodiscard]] Program conv_program();
-[[nodiscard]] Program sort_program();
-[[nodiscard]] Program crc_program();
-[[nodiscard]] Program irq_program();
 
 /// All workload names, in presentation order: "fib", "conv", "sort", "crc",
 /// "irq". Shared spelling with the MSP430 registry and the pipeline's

@@ -198,9 +198,6 @@ isr:                    ; the "timer interrupt"
 
 Image fib_image() { return assemble(fib_source()); }
 Image conv_image() { return assemble(conv_source()); }
-Image sort_image() { return assemble(sort_source()); }
-Image crc_image() { return assemble(crc_source()); }
-Image irq_image() { return assemble(irq_source()); }
 
 const std::vector<std::string_view>& workload_names() {
   static const std::vector<std::string_view> names = {"fib", "conv", "sort",

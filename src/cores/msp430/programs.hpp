@@ -30,9 +30,6 @@ namespace ripple::cores::msp430 {
 
 [[nodiscard]] Image fib_image();
 [[nodiscard]] Image conv_image();
-[[nodiscard]] Image sort_image();
-[[nodiscard]] Image crc_image();
-[[nodiscard]] Image irq_image();
 
 /// All workload names, in presentation order: "fib", "conv", "sort", "crc",
 /// "irq". Shared spelling with the AVR registry and the pipeline's workload

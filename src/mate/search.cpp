@@ -14,14 +14,24 @@
 namespace ripple::mate {
 namespace {
 
+/// splitmix64's finalizer: spreads a term id over 64 bits, so the sum of a
+/// path's mixed term ids is an order-free key of its term set.
+std::uint64_t mix_id(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// Search state for a single faulty wire. Reusable across wires: run_group
-/// resets the per-wire state but keeps the term/BitVec scratch capacity, so
-/// a pool worker constructs one of these, not one per wire.
+/// resets the per-wire state but keeps the scratch capacity, and the DFS
+/// leaves the wire-value array as it found it, so a pool worker constructs
+/// one of these, not one per wire.
 class WireSearch {
 public:
   WireSearch(const netlist::Netlist& n, const SearchParams& params,
              const std::vector<std::uint32_t>& topo)
-      : n_(n), params_(params), topo_(topo) {}
+      : n_(n), params_(params), topo_(topo), value_(n.num_wires(), kFree) {}
 
   /// Runs the per-wire pipeline; fills `outcome` and returns found MATEs.
   std::vector<Cube> run(WireId wire, WireOutcome& outcome) {
@@ -56,7 +66,6 @@ public:
       outcome.mates_found = 1;
       return {Cube{}};
     }
-    num_paths_ = pr.paths.size();
 
     terms_.clear();
     if (!collect_terms(cone, pr)) {
@@ -64,30 +73,28 @@ public:
       return {};
     }
 
-    // Order terms by coverage (most-blocking first) for effective pruning.
+    // Order terms by the paths they block (most first) for effective
+    // pruning; ties by cube.
     order_.resize(terms_.size());
     for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
     std::sort(order_.begin(), order_.end(),
               [&](std::size_t a, std::size_t b) {
-                const std::size_t ca = terms_[a].blocks.popcount();
-                const std::size_t cb = terms_[b].blocks.popcount();
-                if (ca != cb) return ca > cb;
+                if (terms_[a].paths != terms_[b].paths) {
+                  return terms_[a].paths > terms_[b].paths;
+                }
                 return terms_[a].cube < terms_[b].cube;
               });
 
     // Suffix coverage: union of blocks of order_[i..]; prunes branches that
-    // can no longer reach full coverage.
-    suffix_.assign(order_.size() + 1, BitVec(num_paths_));
+    // can no longer reach full coverage. Every class has a term, so all
+    // terms together cover every class.
+    suffix_.assign(order_.size() + 1, BitVec(num_classes_));
     for (std::size_t i = order_.size(); i-- > 0;) {
       suffix_[i] = suffix_[i + 1];
       suffix_[i] |= terms_[order_[i]].blocks;
     }
-    full_ = BitVec(num_paths_, true);
-    if (!(suffix_[0] == full_)) {
-      // Even all terms together cannot block every path.
-      outcome.status = WireStatus::Unmaskable;
-      return {};
-    }
+    full_ = BitVec(num_classes_, true);
+    RIPPLE_ASSERT(suffix_[0] == full_, "a path class without a term");
 
     recorder_.clear();
     candidates_ = 0;
@@ -95,8 +102,9 @@ public:
     // Per-depth coverage scratch (depth = chosen_.size()): dfs copies the
     // parent's coverage into slot depth+1 instead of heap-allocating a
     // BitVec per node. Slot 0 is the empty initial coverage.
-    cov_stack_.assign(params_.max_terms + 1, BitVec(num_paths_));
-    dfs(0, Cube{});
+    cov_stack_.assign(params_.max_terms + 1, BitVec(num_classes_));
+    RIPPLE_ASSERT(assigned_.empty());
+    dfs(0);
 
     outcome.candidates_tried = candidates_;
     outcome.mates_found = recorder_.size();
@@ -108,8 +116,12 @@ public:
 private:
   struct Term {
     Cube cube;
-    BitVec blocks; // over paths
+    BitVec blocks;         // over path classes
+    std::size_t paths = 0; // paths blocked: the sizes of those classes
   };
+
+  static constexpr std::uint8_t kFree = 2; // value_ of an unassigned wire
+  static constexpr std::uint32_t kNoClass = ~std::uint32_t{0};
 
   /// Collect instantiated gate-masking terms for every (gate, entry wire)
   /// pair on some path. A path's fault enters each of its gates through a
@@ -125,11 +137,23 @@ private:
   /// Term indices are assigned in first-encounter order, so the hashed maps
   /// here yield the exact term list the old ordered-map version produced.
   ///
+  /// Paths blocked by exactly the same terms form one class, and each
+  /// term's blocks hold one bit per class. A path's de-duplicated term ids
+  /// (a per-term stamp) are keyed by the sum of their mixed ids; a key hit
+  /// is confirmed when the class has as many terms as the path and every
+  /// one carries the path's stamp. No per-path allocation, no sort.
+  ///
   /// Returns false when a path has no maskable gate at all (early abort,
   /// paper Section 4: such a wire is unmaskable within the depth horizon).
   bool collect_terms(const FaultCone& cone, const PathEnumResult& pr) {
     term_index_.clear();
     terms_of_.clear();
+    stamp_.clear();
+    class_by_key_.clear();
+    class_next_.clear();
+    class_paths_.clear();
+    class_terms_.clear();
+    class_begin_.assign(1, 0);
 
     const GateMaskingTable& gm = GateMaskingTable::instance();
     const auto collect = [&](GateId g, WireId entry)
@@ -167,7 +191,8 @@ private:
         const auto [it, inserted] =
             term_index_.try_emplace(std::move(cube), terms_.size());
         if (inserted) {
-          terms_.push_back(Term{it->first, BitVec(num_paths_)});
+          terms_.push_back(Term{it->first, BitVec(), 0});
+          stamp_.push_back(0);
         }
         slot.push_back(it->second);
       }
@@ -176,26 +201,66 @@ private:
 
     for (std::size_t pi = 0; pi < pr.paths.size(); ++pi) {
       const Path& p = pr.paths[pi];
-      bool maskable = false;
+      const std::size_t stamp = pi + 1;
+      path_terms_.clear();
+      std::uint64_t key = 0;
       WireId entry = p.origin;
       for (GateId g : p.gates) {
         for (std::size_t t : collect(g, entry)) {
-          terms_[t].blocks.set(pi, true);
-          maskable = true;
+          if (stamp_[t] == stamp) continue;
+          stamp_[t] = stamp;
+          path_terms_.push_back(t);
+          key += mix_id(t);
         }
         entry = n_.gate(g).output;
       }
-      if (!maskable && !p.gates.empty()) return false;
-      if (p.gates.empty()) return false; // origin itself is observable
+      // No maskable gate, or the origin itself is observable.
+      if (path_terms_.empty()) return false;
+
+      const auto head = class_by_key_.try_emplace(key, kNoClass).first;
+      std::uint32_t c = head->second;
+      while (c != kNoClass && !same_terms(c, stamp)) c = class_next_[c];
+      if (c == kNoClass) {
+        c = static_cast<std::uint32_t>(class_paths_.size());
+        class_next_.push_back(head->second);
+        head->second = c;
+        class_paths_.push_back(0);
+        class_terms_.insert(class_terms_.end(), path_terms_.begin(),
+                            path_terms_.end());
+        class_begin_.push_back(class_terms_.size());
+      }
+      ++class_paths_[c];
+    }
+
+    num_classes_ = class_paths_.size();
+    for (Term& t : terms_) t.blocks = BitVec(num_classes_);
+    for (std::size_t c = 0; c < num_classes_; ++c) {
+      for (std::size_t k = class_begin_[c]; k < class_begin_[c + 1]; ++k) {
+        Term& t = terms_[class_terms_[k]];
+        t.blocks.set(c, true);
+        t.paths += class_paths_[c];
+      }
+    }
+    return true;
+  }
+
+  /// Does class `c` hold exactly the terms of the path stamped `stamp`
+  /// (path_terms_)?
+  bool same_terms(std::uint32_t c, std::size_t stamp) const {
+    const std::size_t begin = class_begin_[c];
+    const std::size_t end = class_begin_[c + 1];
+    if (end - begin != path_terms_.size()) return false;
+    for (std::size_t k = begin; k < end; ++k) {
+      if (stamp_[class_terms_[k]] != stamp) return false;
     }
     return true;
   }
 
   /// Depth-first enumeration of term combinations in `order_` index order.
-  /// `conj` is the conjunction of the chosen terms; the union of their
-  /// blocked paths lives in cov_stack_[chosen_.size()] (per-depth scratch,
-  /// no per-node heap allocation).
-  void dfs(std::size_t from, const Cube& conj) {
+  /// The chosen terms' literals are assigned in value_ (recorded on
+  /// assigned_, undone on return); the union of their blocked classes lives
+  /// in cov_stack_[chosen_.size()]. No per-node heap allocation.
+  void dfs(std::size_t from) {
     if (budget_exhausted()) return;
     const std::size_t depth = chosen_.size();
     const BitVec& covered = cov_stack_[depth];
@@ -205,18 +270,22 @@ private:
       if (recorder_.size() >= params_.max_mates_per_wire) return;
 
       // Prune: remaining terms (including i) can no longer complete
-      // coverage. full_ is all-ones over the paths, so coverage completion
+      // coverage. full_ is all-ones over the classes, so coverage completion
       // is a popcount of the un-materialized union.
-      if (covered.popcount_or(suffix_[i]) != num_paths_) return;
+      if (covered.popcount_or(suffix_[i]) != num_classes_) return;
 
       const Term& t = terms_[order_[i]];
 
       // Useless term: adds no newly blocked path.
       if (t.blocks.is_subset_of(covered)) continue;
 
-      const std::optional<Cube> next = conj.conjoin(t.cube);
+      const std::size_t mark = assigned_.size();
+      const bool consistent = assign(t.cube);
       ++candidates_;
-      if (!next) continue; // contradictory literals
+      if (!consistent) { // contradictory literals
+        undo(mark);
+        continue;
+      }
 
       chosen_.push_back(order_[i]);
       BitVec& next_cov = cov_stack_[depth + 1];
@@ -224,39 +293,85 @@ private:
       next_cov |= t.blocks;
 
       if (next_cov == full_) {
-        record(*next);
+        record();
       } else {
-        dfs(i + 1, *next);
+        dfs(i + 1);
       }
       chosen_.pop_back();
+      undo(mark);
     }
+  }
+
+  /// Assigns `cube`'s literals in value_; false at the first literal that
+  /// contradicts an assigned wire. Newly assigned literals go on assigned_
+  /// either way, for the caller's undo.
+  bool assign(const Cube& cube) {
+    for (const Literal& l : cube.literals()) {
+      std::uint8_t& v = value_[l.wire.index()];
+      const auto want = static_cast<std::uint8_t>(l.value ? 1 : 0);
+      if (v == kFree) {
+        v = want;
+        assigned_.push_back(l);
+      } else if (v != want) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Frees every wire assigned since assigned_ held `mark` literals.
+  void undo(std::size_t mark) {
+    for (std::size_t k = mark; k < assigned_.size(); ++k) {
+      value_[assigned_[k].wire.index()] = kFree;
+    }
+    assigned_.resize(mark);
   }
 
   bool budget_exhausted() const {
     return candidates_ >= params_.max_candidates_per_wire;
   }
 
-  void record(const Cube& cube) {
+  /// The conjunction is the assigned literals; the sorting constructor
+  /// yields the cube Cube::conjoin's merge would have built.
+  void record() {
     std::vector<std::size_t> set = chosen_;
     std::sort(set.begin(), set.end());
-    recorder_.add(std::move(set), cube);
+    recorder_.add(std::move(set), Cube(assigned_));
   }
 
   const netlist::Netlist& n_;
   const SearchParams& params_;
   const std::vector<std::uint32_t>& topo_;
 
-  std::size_t num_paths_ = 0;
   std::vector<Term> terms_;
   // collect_terms scratch: cube -> index into terms_, and the term list per
   // (gate << 32 | entry wire) pair. Node-based maps, so the references the
   // collect lambda hands out stay valid across later insertions.
   std::unordered_map<Cube, std::size_t> term_index_;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> terms_of_;
+  // Path classes: stamp_[term] is the last path (index + 1) that collected
+  // the term; path_terms_ the current path's distinct terms. Class c holds
+  // class_paths_[c] paths and the terms class_terms_[class_begin_[c] ..
+  // class_begin_[c + 1]); class_by_key_ maps a term-set key to the newest
+  // class with that key, class_next_ chains older ones.
+  std::vector<std::size_t> stamp_;
+  std::vector<std::size_t> path_terms_;
+  std::unordered_map<std::uint64_t, std::uint32_t> class_by_key_;
+  std::vector<std::uint32_t> class_next_;
+  std::vector<std::size_t> class_paths_;
+  std::vector<std::size_t> class_terms_;
+  std::vector<std::size_t> class_begin_;
+  std::size_t num_classes_ = 0;
+
   std::vector<std::size_t> order_;
   std::vector<BitVec> suffix_;
   BitVec full_;
   std::vector<BitVec> cov_stack_; // per-depth dfs coverage scratch
+
+  // In-place conjunction: value_[wire] is kFree, 0 or 1; assigned_ lists
+  // the assigned literals in assignment order (the undo stack).
+  std::vector<std::uint8_t> value_;
+  std::vector<Literal> assigned_;
 
   MinimalCubeRecorder recorder_;
   std::vector<std::size_t> chosen_;
@@ -517,7 +632,7 @@ SearchResult find_mates(const netlist::Netlist& n,
   }
   result.set.faulty_wires = faulty_wires;
   result.seconds = watch.seconds();
-  result.threads_used = pool.thread_count();
+  result.threads_used = pool.participants();
   return result;
 }
 

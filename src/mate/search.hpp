@@ -6,7 +6,10 @@
 //   3. collect gate-masking terms over border wires   (gate_masking.hpp)
 //   4. enumerate conjunctions of up to `max_terms` terms as MATE candidates,
 //      bounded by `max_candidates_per_wire`; a candidate that blocks every
-//      path is a MATE
+//      path is a MATE. The DFS assigns a candidate's literals in place (a
+//      per-wire value array with an undo stack; no allocation per
+//      candidate) and tests coverage over classes of paths that exactly
+//      the same terms block, one bit per class
 //   5. merge identical cubes across wires (one MATE may mask many faults)
 //
 // Steps 1-4 run once per cone-isomorphism class (mate/iso.hpp): every faulty
@@ -75,8 +78,9 @@ struct SearchResult {
   std::size_t total_mates = 0; // pre-merge: sum over wires of mates_found
   std::size_t unmaskable_wires = 0;
   double seconds = 0.0;
-  /// Worker threads the search ran with (pool size; informational only, not
-  /// part of any cache key — thread count does not change the result).
+  /// Threads the search ran on: the pool's workers plus the calling thread,
+  /// which drains work too (ThreadPool::participants). Informational only,
+  /// not part of any cache key — thread count does not change the result.
   std::size_t threads_used = 0;
   /// Isomorphism classes searched (one representative each). Informational
   /// only, like threads_used: not part of the MATE output.

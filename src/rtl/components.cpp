@@ -31,12 +31,4 @@ void regfile_write(Module& m, const RegFile& rf, const Bus& waddr, WireId wen,
   }
 }
 
-Counter make_counter(Module& m, const std::string& name, std::size_t width,
-                     std::uint64_t step) {
-  Counter c;
-  c.q = m.state(name, width, 0);
-  c.plus_step = m.add(c.q, m.constant_bus(width, step)).sum;
-  return c;
-}
-
 } // namespace ripple::rtl

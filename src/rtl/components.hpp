@@ -28,12 +28,4 @@ struct RegFile {
 void regfile_write(Module& m, const RegFile& rf, const Bus& waddr, WireId wen,
                    const Bus& wdata);
 
-/// An up-counter register: q' = en ? q + step : q. Returns the Q bus.
-struct Counter {
-  Bus q;
-  Bus plus_step; // combinational q + step, reusable by the surrounding logic
-};
-[[nodiscard]] Counter make_counter(Module& m, const std::string& name,
-                                   std::size_t width, std::uint64_t step);
-
 } // namespace ripple::rtl

@@ -123,8 +123,6 @@ public:
   /// a == constant.
   WireId equals_const(const Bus& a, std::uint64_t value);
 
-  WireId reduce_or(const Bus& a) { return or_all(a); }
-  WireId reduce_and(const Bus& a) { return and_all(a); }
   /// 1 iff all bits of a are zero.
   WireId is_zero(const Bus& a) { return not_(or_all(a)); }
 

@@ -87,13 +87,12 @@ void ThreadPool::parallel_for_index(std::size_t n,
                                     std::size_t grain) {
   if (n == 0) return;
 
-  const std::size_t participants = workers_.size() + 1; // pool + caller
   if (grain == 0) {
     // A few batches per participant: large enough that scheduling (one
     // atomic fetch_add per batch) is noise even for per-index work in the
     // tens of nanoseconds, small enough that skewed item costs (MATE search
     // cones differ by orders of magnitude) still rebalance.
-    grain = std::max<std::size_t>(1, n / (participants * 8));
+    grain = std::max<std::size_t>(1, n / (participants() * 8));
   }
 
   auto state = std::make_shared<ForLoopState>();

@@ -30,7 +30,11 @@ public:
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
+  /// Threads that run a parallel_for_index: the workers plus the caller,
+  /// which drains work too.
+  [[nodiscard]] std::size_t participants() const {
+    return workers_.size() + 1;
+  }
 
   /// Run `fn(i)` for every i in [0, n), distributing work over the pool.
   /// Blocks until all iterations finished. Rethrows the first exception.

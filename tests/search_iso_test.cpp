@@ -2,7 +2,10 @@
 // remapping, the both-direction minimality recorder, and the end-to-end
 // guarantee that find_mates is byte-identical to the per-wire oracle of
 // tests/support — on hand-built twins, random circuits and both cores' flop
-// sets and register files, whose exact class counts are pinned.
+// sets and register files, whose exact class counts are pinned. The oracle
+// searches on the reference DFS (one coverage bit per path, Cube::conjoin
+// per candidate), so these suites also check the production DFS (literals
+// assigned in place, coverage over path classes) candidate for candidate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -246,15 +249,28 @@ TEST(SearchIso, GroupTopoOverloadMatchesConvenienceOverload) {
 /// register file. Cone grouping is structural, so each population's class
 /// count is fixed by the netlist; the dedup search must equal the per-wire
 /// oracle on both, at two sets of search parameters trimmed so the oracle
-/// side stays CI-sized.
+/// side stays CI-sized. The full flop sets are also searched at the
+/// production trim (SearchParams' defaults: depth 14, 100 000 candidates
+/// per wire), with the totals pinned.
 class SearchIsoCores : public ::testing::Test {
 protected:
+  /// Totals of a search at the production trim.
+  struct Totals {
+    std::size_t candidates;
+    std::size_t mates;  // pre-merge
+    std::size_t merged; // MATEs after the cross-wire merge
+    std::size_t unmaskable;
+  };
+
   /// `wires` number `expected_wires` and group into exactly `classes`
-  /// isomorphism classes; dedup equals the oracle and reports those classes.
+  /// isomorphism classes; dedup equals the oracle and reports those
+  /// classes. With `production`, also at the production trim, where the
+  /// totals must read `*production`.
   static void expect_population(const Netlist& n,
                                 const std::vector<WireId>& wires,
                                 std::size_t expected_wires,
-                                std::size_t classes) {
+                                std::size_t classes,
+                                const Totals* production = nullptr) {
     ASSERT_EQ(wires.size(), expected_wires);
     ThreadPool pool(2);
     EXPECT_EQ(group_isomorphic_cones(n, wires, pool).classes.size(), classes);
@@ -272,6 +288,19 @@ protected:
       expect_identical(oracle, dedup);
       EXPECT_EQ(dedup.dedup_classes, classes);
     }
+    if (production == nullptr) return;
+    SCOPED_TRACE("production trim");
+    const SearchParams params;
+    ASSERT_EQ(params.path_depth, 14u);
+    ASSERT_EQ(params.max_candidates_per_wire, 100000u);
+    const SearchResult oracle = find_mates_per_wire(n, wires, params);
+    const SearchResult dedup = find_mates(n, wires, params);
+    expect_identical(oracle, dedup);
+    EXPECT_EQ(dedup.dedup_classes, classes);
+    EXPECT_EQ(dedup.total_candidates, production->candidates);
+    EXPECT_EQ(dedup.total_mates, production->mates);
+    EXPECT_EQ(dedup.set.mates.size(), production->merged);
+    EXPECT_EQ(dedup.unmaskable_wires, production->unmaskable);
   }
 
   static std::vector<WireId> regfile_wires(const Netlist& n,
@@ -286,13 +315,15 @@ protected:
 
 TEST_F(SearchIsoCores, AvrFlopSetByteIdentical) {
   const Netlist n = cores::avr::build_avr_core(true).netlist;
-  expect_population(n, all_flop_wires(n), 305, 81);
+  const Totals production{122909, 9548, 1329, 12};
+  expect_population(n, all_flop_wires(n), 305, 81, &production);
   expect_population(n, regfile_wires(n, cores::avr::kRegfilePrefix), 256, 32);
 }
 
 TEST_F(SearchIsoCores, Msp430FlopSetByteIdentical) {
   const Netlist n = cores::msp430::build_msp430_core(true).netlist;
-  expect_population(n, all_flop_wires(n), 311, 296);
+  const Totals production{7072831, 3795, 373, 0};
+  expect_population(n, all_flop_wires(n), 311, 296, &production);
   expect_population(n, regfile_wires(n, cores::msp430::kRegfilePrefix), 224,
                     224);
 }

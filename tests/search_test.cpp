@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cores/avr/core.hpp"
 #include "hafi/confine.hpp"
 #include "mate/example.hpp"
 #include "mate/search.hpp"
@@ -185,6 +186,24 @@ TEST(MateSearch, FaultSetHelpers) {
   const auto no_rf = flop_wires_excluding_prefix(n, "rf");
   ASSERT_EQ(no_rf.size(), 1u);
   EXPECT_EQ(no_rf[0], n.flop(other).q);
+}
+
+// The pool's caller drains work too, so the search runs on threads + 1
+// threads and reports them all. Each thread's timed intervals (cone
+// fingerprints, per-wire searches, remaps) are disjoint and lie inside the
+// search's wall, so busy time never exceeds threads_used x wall.
+TEST(MateSearch, BusySecondsFitTheThreadsItRanOn) {
+  const Netlist n = cores::avr::build_avr_core(true).netlist;
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SearchParams p;
+    p.threads = threads;
+    const SearchResult r = find_mates(n, all_flop_wires(n), p);
+    EXPECT_EQ(r.threads_used, threads + 1);
+    EXPECT_GT(r.busy_seconds, 0.0);
+    EXPECT_LE(r.busy_seconds,
+              static_cast<double>(r.threads_used) * r.seconds);
+  }
 }
 
 // The linchpin property (paper Definition, Section 3): whenever a found MATE

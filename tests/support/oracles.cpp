@@ -6,8 +6,6 @@
 
 #include "util/assert.hpp"
 #include "util/bitvec.hpp"
-#include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ripple::mate {
 namespace {
@@ -128,46 +126,6 @@ std::vector<std::vector<bool>> benign_matrix(const MateSet& set,
     }
   }
   return benign;
-}
-
-SearchResult find_mates_per_wire(const netlist::Netlist& n,
-                                 const std::vector<WireId>& faulty_wires,
-                                 const SearchParams& params) {
-  Stopwatch watch;
-  std::vector<SearchResult> per_wire(faulty_wires.size());
-  ThreadPool pool(params.threads);
-  SearchParams single = params;
-  single.threads = 1;
-  pool.parallel_for_index(faulty_wires.size(), [&](std::size_t i) {
-    per_wire[i] = find_mates(n, {faulty_wires[i]}, single);
-  });
-
-  // Merge identical cubes across wires, first-seen order. A one-wire
-  // result lists the wire once per recorded cube, so replaying its
-  // masked_wires keeps duplicate cubes' multiplicity.
-  SearchResult result;
-  std::unordered_map<Cube, std::size_t> by_cube;
-  for (std::size_t i = 0; i < faulty_wires.size(); ++i) {
-    const WireOutcome& o = per_wire[i].outcomes.at(0);
-    result.outcomes.push_back(o);
-    result.total_candidates += o.candidates_tried;
-    result.total_mates += o.mates_found;
-    if (o.status == WireStatus::Unmaskable) ++result.unmaskable_wires;
-    result.busy_seconds += o.seconds;
-    for (const Mate& m : per_wire[i].set.mates) {
-      const auto [it, inserted] =
-          by_cube.try_emplace(m.cube, result.set.mates.size());
-      if (inserted) result.set.mates.push_back(Mate{m.cube, {}});
-      std::vector<WireId>& masked = result.set.mates[it->second].masked_wires;
-      masked.insert(masked.end(), m.masked_wires.begin(),
-                    m.masked_wires.end());
-    }
-  }
-  result.set.faulty_wires = faulty_wires;
-  result.dedup_classes = faulty_wires.size();
-  result.threads_used = pool.thread_count();
-  result.seconds = watch.seconds();
-  return result;
 }
 
 } // namespace ripple::mate
