@@ -1,7 +1,8 @@
 // M1: google-benchmark micro-benchmarks for the hot paths of the library —
 // gate-level simulation throughput, MATE trace evaluation, cone analysis,
-// path enumeration, per-wire search, the exact one-cycle masking oracle
-// (hafi::masked_masks), the netlist optimizer and the Verilog round-trip.
+// path enumeration, per-wire and full-flop search, the exact one-cycle
+// masking oracle (hafi::masked_masks), the netlist optimizer and the
+// Verilog round-trip.
 #include <benchmark/benchmark.h>
 
 #include "cores/avr/core.hpp"
@@ -122,6 +123,31 @@ void BM_MateSearchPerWire(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MateSearchPerWire);
+
+// The whole search of one core's full flop set (argument 0: AVR, 1:
+// MSP430) at SearchParams' defaults on one pool thread, in wall time (the
+// search runs on the pool, not on the benchmark thread).
+void BM_FindMatesFullFlops(benchmark::State& state) {
+  const bool avr = state.range(0) == 0;
+  const netlist::Netlist& n = avr ? avr_core().netlist : msp_core().netlist;
+  const std::vector<WireId> wires = mate::all_flop_wires(n);
+  mate::SearchParams params;
+  params.threads = 1;
+  std::size_t candidates = 0;
+  for (auto _ : state) {
+    const mate::SearchResult result = mate::find_mates(n, wires, params);
+    candidates += result.total_candidates;
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetLabel(avr ? "avr" : "msp430");
+  state.counters["candidates/s"] = benchmark::Counter(
+      static_cast<double>(candidates), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FindMatesFullFlops)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Every flop of the AVR x every cycle of a 1 000-cycle fib golden run, one
 // label sweep per flop and 64-cycle block on one thread.

@@ -247,7 +247,21 @@ CampaignResult Campaign::run(const ShardHooks& hooks) {
   sim::WireCapture capture(golden_->num_cycles(), GoldenSnapshots::wires(n));
   mate::BenignMaskSink triggers(mates, golden_->num_cycles());
   sim::TeeSource tapped(*golden_, {&capture, &triggers});
-  const std::vector<BitVec> confined = confined_masks(n, tapped, execute);
+  // The label sweep's block tasks share the fan-out with the passes; their
+  // thread-seconds go to the first pending shard's progress record.
+  double label_seconds = 0.0;
+  const ShardExecutor timed_labels =
+      [&](std::size_t count, const std::function<void(std::size_t)>& task) {
+        std::vector<double> seconds(count);
+        execute(count, [&](std::size_t b) {
+          const Stopwatch watch;
+          task(b);
+          seconds[b] = watch.seconds();
+        });
+        for (const double s : seconds) label_seconds += s;
+      };
+  const std::vector<BitVec> confined = confined_masks(n, tapped, timed_labels);
+  counts[pending.front()].label_seconds = label_seconds;
   const std::vector<BitVec> benign = triggers.take();
   const GoldenSnapshots snapshots(n, capture.take());
   const bool validate = config_.mode == CampaignMode::Validate;

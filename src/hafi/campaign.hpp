@@ -210,6 +210,10 @@ public:
     /// This shard's share of its window's pass thread-seconds, in
     /// proportion to its lane points (0 for resumed shards).
     double seconds = 0.0;
+    /// Thread-seconds of the confinement label sweep's block tasks, which
+    /// run on the campaign's fan-out before any pass: reported once, on the
+    /// first pending shard, and zero on every other shard.
+    double label_seconds = 0.0;
     bool resumed = false;       // served by ShardHooks::load, not executed
     // How the shard's executed experiments were resolved (all zero for
     // resumed shards — nothing ran). A shard's experiments with `executed`

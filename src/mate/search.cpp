@@ -31,7 +31,9 @@ class WireSearch {
 public:
   WireSearch(const netlist::Netlist& n, const SearchParams& params,
              const std::vector<std::uint32_t>& topo)
-      : n_(n), params_(params), topo_(topo), value_(n.num_wires(), kFree) {}
+      : n_(n), params_(params), topo_(topo),
+        slots_(n.num_gates() * cell::kMaxInputs),
+        value_(n.num_wires(), kFree) {}
 
   /// Runs the per-wire pipeline; fills `outcome` and returns found MATEs.
   std::vector<Cube> run(WireId wire, WireOutcome& outcome) {
@@ -84,25 +86,11 @@ public:
                 }
                 return terms_[a].cube < terms_[b].cube;
               });
-
-    // Suffix coverage: union of blocks of order_[i..]; prunes branches that
-    // can no longer reach full coverage. Every class has a term, so all
-    // terms together cover every class.
-    suffix_.assign(order_.size() + 1, BitVec(num_classes_));
-    for (std::size_t i = order_.size(); i-- > 0;) {
-      suffix_[i] = suffix_[i + 1];
-      suffix_[i] |= terms_[order_[i]].blocks;
-    }
-    full_ = BitVec(num_classes_, true);
-    RIPPLE_ASSERT(suffix_[0] == full_, "a path class without a term");
+    lay_out_rows();
 
     recorder_.clear();
     candidates_ = 0;
     chosen_.clear();
-    // Per-depth coverage scratch (depth = chosen_.size()): dfs copies the
-    // parent's coverage into slot depth+1 instead of heap-allocating a
-    // BitVec per node. Slot 0 is the empty initial coverage.
-    cov_stack_.assign(params_.max_terms + 1, BitVec(num_classes_));
     RIPPLE_ASSERT(assigned_.empty());
     dfs(0);
 
@@ -116,12 +104,20 @@ public:
 private:
   struct Term {
     Cube cube;
-    BitVec blocks;         // over path classes
-    std::size_t paths = 0; // paths blocked: the sizes of those classes
+    std::size_t paths = 0; // paths blocked: the sizes of its classes
+  };
+
+  /// The term ids of one (gate, entry pin) pair: slot_terms_[begin, end),
+  /// valid when `generation` is the current collect_terms call's.
+  struct TermSlot {
+    std::size_t generation = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
   };
 
   static constexpr std::uint8_t kFree = 2; // value_ of an unassigned wire
   static constexpr std::uint32_t kNoClass = ~std::uint32_t{0};
+  static constexpr std::uint64_t kOnes = ~std::uint64_t{0};
 
   /// Collect instantiated gate-masking terms for every (gate, entry wire)
   /// pair on some path. A path's fault enters each of its gates through a
@@ -134,20 +130,23 @@ private:
   /// otherwise saturate gates ("all pins faulty") and lose all masking
   /// capability.
   ///
-  /// Term indices are assigned in first-encounter order, so the hashed maps
-  /// here yield the exact term list the old ordered-map version produced.
+  /// A pair's terms are looked up in slots_ by the gate and the first pin
+  /// bound to the entry wire (which names the wire), built on the pair's
+  /// first encounter. Term indices are assigned in first-encounter order
+  /// over the paths, so they do not depend on how the pairs are stored.
   ///
-  /// Paths blocked by exactly the same terms form one class, and each
-  /// term's blocks hold one bit per class. A path's de-duplicated term ids
-  /// (a per-term stamp) are keyed by the sum of their mixed ids; a key hit
-  /// is confirmed when the class has as many terms as the path and every
-  /// one carries the path's stamp. No per-path allocation, no sort.
+  /// Paths blocked by exactly the same terms form one class. A path's
+  /// de-duplicated term ids (a per-term stamp) are keyed by the sum of their
+  /// mixed ids; a key hit is confirmed when the class has as many terms as
+  /// the path and every one carries the path's stamp. No per-path
+  /// allocation, no sort.
   ///
   /// Returns false when a path has no maskable gate at all (early abort,
   /// paper Section 4: such a wire is unmaskable within the depth horizon).
   bool collect_terms(const FaultCone& cone, const PathEnumResult& pr) {
     term_index_.clear();
-    terms_of_.clear();
+    ++generation_;
+    slot_terms_.clear();
     stamp_.clear();
     class_by_key_.clear();
     class_next_.clear();
@@ -156,22 +155,26 @@ private:
     class_begin_.assign(1, 0);
 
     const GateMaskingTable& gm = GateMaskingTable::instance();
-    const auto collect = [&](GateId g, WireId entry)
-        -> const std::vector<std::size_t>& {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(g.value()) << 32) | entry.value();
-      const auto found = terms_of_.find(key);
-      if (found != terms_of_.end()) return found->second;
-      auto& slot = terms_of_[key];
-
+    const auto collect = [&](GateId g,
+                             WireId entry) -> std::span<const std::size_t> {
       const netlist::Gate& gate = n_.gate(g);
+      std::size_t first = 0;
+      while (first < gate.inputs.size() && gate.inputs[first] != entry) {
+        ++first;
+      }
+      RIPPLE_ASSERT(first < gate.inputs.size(),
+                    "path gate does not read its entry");
+      TermSlot& slot = slots_[g.index() * cell::kMaxInputs + first];
+      if (slot.generation == generation_) return terms_in(slot);
+      slot.generation = generation_;
+      slot.begin = static_cast<std::uint32_t>(slot_terms_.size());
+
       std::uint8_t faulty_mask = 0;
-      for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
+      for (std::size_t pin = first; pin < gate.inputs.size(); ++pin) {
         if (gate.inputs[pin] == entry) {
           faulty_mask |= static_cast<std::uint8_t>(1u << pin);
         }
       }
-      RIPPLE_ASSERT(faulty_mask != 0, "path gate does not read its entry");
       for (const PinCube& pc : gm.terms(gate.kind, faulty_mask)) {
         // Instantiate over border wires; a cube relying on a mistrusted
         // (cone) wire cannot be evaluated on golden values.
@@ -191,12 +194,13 @@ private:
         const auto [it, inserted] =
             term_index_.try_emplace(std::move(cube), terms_.size());
         if (inserted) {
-          terms_.push_back(Term{it->first, BitVec(), 0});
+          terms_.push_back(Term{it->first, 0});
           stamp_.push_back(0);
         }
-        slot.push_back(it->second);
+        slot_terms_.push_back(it->second);
       }
-      return slot;
+      slot.end = static_cast<std::uint32_t>(slot_terms_.size());
+      return terms_in(slot);
     };
 
     for (std::size_t pi = 0; pi < pr.paths.size(); ++pi) {
@@ -233,15 +237,18 @@ private:
     }
 
     num_classes_ = class_paths_.size();
-    for (Term& t : terms_) t.blocks = BitVec(num_classes_);
     for (std::size_t c = 0; c < num_classes_; ++c) {
       for (std::size_t k = class_begin_[c]; k < class_begin_[c + 1]; ++k) {
-        Term& t = terms_[class_terms_[k]];
-        t.blocks.set(c, true);
-        t.paths += class_paths_[c];
+        terms_[class_terms_[k]].paths += class_paths_[c];
       }
     }
     return true;
+  }
+
+  /// The term ids a filled slot holds.
+  std::span<const std::size_t> terms_in(const TermSlot& slot) const {
+    return std::span<const std::size_t>(slot_terms_)
+        .subspan(slot.begin, slot.end - slot.begin);
   }
 
   /// Does class `c` hold exactly the terms of the path stamped `stamp`
@@ -256,31 +263,104 @@ private:
     return true;
   }
 
-  /// Depth-first enumeration of term combinations in `order_` index order.
+  /// Lays the sorted terms out in DFS order, words_ words per row: row i of
+  /// rows_ holds the classes the term at position i blocks, row i of
+  /// suffix_ the union of rows i.. (row T is empty), and lits_ row i's
+  /// literals from lit_begin_[i]. cov_ gets one row per DFS depth, row 0
+  /// the empty coverage. No row sets a bit at or past num_classes_.
+  void lay_out_rows() {
+    const std::size_t num_terms = order_.size();
+    words_ = (num_classes_ + 63) / 64;
+    const std::size_t live = num_classes_ % 64;
+    tail_ = live == 0 ? kOnes : (std::uint64_t{1} << live) - 1;
+
+    position_.resize(num_terms);
+    lits_.clear();
+    lit_begin_.assign(1, 0);
+    for (std::size_t i = 0; i < num_terms; ++i) {
+      position_[order_[i]] = i;
+      const std::vector<Literal>& l = terms_[order_[i]].cube.literals();
+      lits_.insert(lits_.end(), l.begin(), l.end());
+      lit_begin_.push_back(lits_.size());
+    }
+
+    rows_.assign(num_terms * words_, 0);
+    for (std::size_t c = 0; c < num_classes_; ++c) {
+      const std::uint64_t bit = std::uint64_t{1} << (c & 63);
+      for (std::size_t k = class_begin_[c]; k < class_begin_[c + 1]; ++k) {
+        rows_[position_[class_terms_[k]] * words_ + (c >> 6)] |= bit;
+      }
+    }
+    suffix_.assign((num_terms + 1) * words_, 0);
+    for (std::size_t i = num_terms; i-- > 0;) {
+      for (std::size_t w = 0; w < words_; ++w) {
+        suffix_[i * words_ + w] =
+            suffix_[(i + 1) * words_ + w] | rows_[i * words_ + w];
+      }
+    }
+    // Every class has a term, so all terms together cover every class.
+    RIPPLE_ASSERT(covers_all(&suffix_[0], &suffix_[0]),
+                  "a path class without a term");
+    cov_.assign((params_.max_terms + 1) * words_, 0);
+  }
+
+  /// Is every class set in a | b? Each word must be all ones, the last one
+  /// under tail_, its live bits. No row sets a dead bit, so this is exactly
+  /// "the union's popcount is num_classes_".
+  bool covers_all(const std::uint64_t* a, const std::uint64_t* b) const {
+    const std::size_t last = words_ - 1;
+    std::uint64_t all = (a[last] | b[last]) | ~tail_;
+    for (std::size_t w = 0; w < last; ++w) all &= a[w] | b[w];
+    return all == kOnes;
+  }
+
+  /// next = covered | row in one pass; true when next covers every class.
+  bool cover_with(std::uint64_t* next, const std::uint64_t* covered,
+                  const std::uint64_t* row) const {
+    const std::size_t last = words_ - 1;
+    std::uint64_t all = kOnes;
+    for (std::size_t w = 0; w < last; ++w) {
+      const std::uint64_t x = covered[w] | row[w];
+      next[w] = x;
+      all &= x;
+    }
+    next[last] = covered[last] | row[last];
+    return (all & (next[last] | ~tail_)) == kOnes;
+  }
+
+  /// Does `row` block only classes `covered` already holds?
+  bool adds_nothing(const std::uint64_t* row,
+                    const std::uint64_t* covered) const {
+    for (std::size_t w = 0; w < words_; ++w) {
+      if ((row[w] & ~covered[w]) != 0) return false;
+    }
+    return true;
+  }
+
+  /// Depth-first enumeration of term combinations in DFS order (`order_`).
   /// The chosen terms' literals are assigned in value_ (recorded on
-  /// assigned_, undone on return); the union of their blocked classes lives
-  /// in cov_stack_[chosen_.size()]. No per-node heap allocation.
+  /// assigned_, undone on return); the union of their blocked classes is
+  /// cov_'s row chosen_.size(). No per-node heap allocation.
   void dfs(std::size_t from) {
     if (budget_exhausted()) return;
     const std::size_t depth = chosen_.size();
-    const BitVec& covered = cov_stack_[depth];
+    const std::uint64_t* covered = &cov_[depth * words_];
     for (std::size_t i = from; i < order_.size(); ++i) {
       if (budget_exhausted()) return;
       if (chosen_.size() >= params_.max_terms) return;
       if (recorder_.size() >= params_.max_mates_per_wire) return;
 
       // Prune: remaining terms (including i) can no longer complete
-      // coverage. full_ is all-ones over the classes, so coverage completion
-      // is a popcount of the un-materialized union.
-      if (covered.popcount_or(suffix_[i]) != num_classes_) return;
+      // coverage.
+      if (!covers_all(covered, &suffix_[i * words_])) return;
 
-      const Term& t = terms_[order_[i]];
+      const std::uint64_t* row = &rows_[i * words_];
 
       // Useless term: adds no newly blocked path.
-      if (t.blocks.is_subset_of(covered)) continue;
+      if (adds_nothing(row, covered)) continue;
 
       const std::size_t mark = assigned_.size();
-      const bool consistent = assign(t.cube);
+      const bool consistent = assign(i);
       ++candidates_;
       if (!consistent) { // contradictory literals
         undo(mark);
@@ -288,11 +368,7 @@ private:
       }
 
       chosen_.push_back(order_[i]);
-      BitVec& next_cov = cov_stack_[depth + 1];
-      next_cov = covered; // copy-assign reuses the slot's capacity
-      next_cov |= t.blocks;
-
-      if (next_cov == full_) {
+      if (cover_with(&cov_[(depth + 1) * words_], covered, row)) {
         record();
       } else {
         dfs(i + 1);
@@ -302,11 +378,12 @@ private:
     }
   }
 
-  /// Assigns `cube`'s literals in value_; false at the first literal that
-  /// contradicts an assigned wire. Newly assigned literals go on assigned_
-  /// either way, for the caller's undo.
-  bool assign(const Cube& cube) {
-    for (const Literal& l : cube.literals()) {
+  /// Assigns the literals of the term at DFS position `row` in value_;
+  /// false at the first literal that contradicts an assigned wire. Newly
+  /// assigned literals go on assigned_ either way, for the caller's undo.
+  bool assign(std::size_t row) {
+    for (std::size_t k = lit_begin_[row]; k < lit_begin_[row + 1]; ++k) {
+      const Literal& l = lits_[k];
       std::uint8_t& v = value_[l.wire.index()];
       const auto want = static_cast<std::uint8_t>(l.value ? 1 : 0);
       if (v == kFree) {
@@ -344,11 +421,13 @@ private:
   const std::vector<std::uint32_t>& topo_;
 
   std::vector<Term> terms_;
-  // collect_terms scratch: cube -> index into terms_, and the term list per
-  // (gate << 32 | entry wire) pair. Node-based maps, so the references the
-  // collect lambda hands out stay valid across later insertions.
+  // collect_terms scratch: cube -> index into terms_, and the term ids of
+  // each (gate, first entry pin) pair, slots_[gate * cell::kMaxInputs +
+  // pin], stamped with the collect_terms call (generation_) that built them.
   std::unordered_map<Cube, std::size_t> term_index_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> terms_of_;
+  std::vector<TermSlot> slots_;
+  std::vector<std::size_t> slot_terms_;
+  std::size_t generation_ = 0;
   // Path classes: stamp_[term] is the last path (index + 1) that collected
   // the term; path_terms_ the current path's distinct terms. Class c holds
   // class_paths_[c] paths and the terms class_terms_[class_begin_[c] ..
@@ -363,10 +442,18 @@ private:
   std::vector<std::size_t> class_begin_;
   std::size_t num_classes_ = 0;
 
+  // DFS order and its flat rows (lay_out_rows): order_[i] is the term id at
+  // position i, position_ the inverse. words_ words per row; tail_ masks
+  // the last word's live bits.
   std::vector<std::size_t> order_;
-  std::vector<BitVec> suffix_;
-  BitVec full_;
-  std::vector<BitVec> cov_stack_; // per-depth dfs coverage scratch
+  std::vector<std::size_t> position_;
+  std::size_t words_ = 0;
+  std::uint64_t tail_ = 0;
+  std::vector<std::uint64_t> rows_;
+  std::vector<std::uint64_t> suffix_;
+  std::vector<std::uint64_t> cov_;
+  std::vector<Literal> lits_;
+  std::vector<std::size_t> lit_begin_;
 
   // In-place conjunction: value_[wire] is kFree, 0 or 1; assigned_ lists
   // the assigned literals in assignment order (the undo stack).
@@ -379,7 +466,7 @@ private:
 };
 
 /// Hands out idle WireSearch instances so each pool worker keeps one warm
-/// (term/BitVec scratch) instead of constructing per wire. The pool has no
+/// (term and row scratch) instead of constructing per wire. The pool has no
 /// worker ids, so this is a mutex-guarded free list; the lock is taken twice
 /// per wire, negligible against a search.
 class SearcherPool {

@@ -9,7 +9,9 @@
 //      path is a MATE. The DFS assigns a candidate's literals in place (a
 //      per-wire value array with an undo stack; no allocation per
 //      candidate) and tests coverage over classes of paths that exactly
-//      the same terms block, one bit per class
+//      the same terms block, one bit per class: the terms' class bits lie
+//      in flat word rows in DFS order, and each coverage test is word
+//      ORs and ANDs against all ones, with no popcount
 //   5. merge identical cubes across wires (one MATE may mask many faults)
 //
 // Steps 1-4 run once per cone-isomorphism class (mate/iso.hpp): every faulty

@@ -489,6 +489,7 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
   std::size_t confined = 0;
   std::size_t shards_resumed = 0;
   double busy_seconds = 0.0;
+  double label_seconds = 0.0;
   std::size_t dut_passes = 0;
   std::uint64_t pass_cycles = 0;
   std::size_t lane_slots = 0;
@@ -532,7 +533,8 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
       ++shards_resumed;
     } else {
       eta.add(p.seconds);
-      busy_seconds += p.seconds;
+      busy_seconds += p.seconds + p.label_seconds;
+      label_seconds += p.label_seconds;
       shard_seconds_hist.record(p.seconds);
       if (p.lane_slots > 0) {
         lane_utilization_hist.record(static_cast<double>(p.lanes) /
@@ -574,6 +576,9 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
                       ? spec.config.threads
                       : std::max<std::size_t>(
                             1, std::thread::hardware_concurrency());
+  // The campaign's private ThreadPool drains work on its workers and on the
+  // calling thread (ThreadPool::participants).
+  if (!hooks.execute) ++stats.threads;
   if (stats.seconds > 0.0) {
     stats.utilization = std::min(
         1.0, busy_seconds / (static_cast<double>(stats.threads) *
@@ -597,6 +602,7 @@ hafi::CampaignResult CampaignPipeline::campaign(CampaignSpec spec,
            ? static_cast<double>(result.pruned) /
                  static_cast<double>(result.total)
            : 0.0},
+      {"label_seconds", label_seconds},
       {"dut_passes", static_cast<double>(dut_passes)},
       {"pass_cycles", static_cast<double>(pass_cycles)},
       {"lanes_retired_early", static_cast<double>(lanes_retired_early)},

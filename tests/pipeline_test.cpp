@@ -536,6 +536,41 @@ TEST(Pipeline, ColdCampaignReadsTheGoldenRunOnce) {
   }
 }
 
+TEST(Pipeline, CampaignStageCountsTheLabelSweep) {
+  // The constant-true MATE over every flop prunes every point, so the
+  // campaign runs no pass, but it still streams the golden run and sweeps
+  // the confinement labels on its pool: the stage's busy time is the
+  // sweep's, over the pool's workers plus the calling thread.
+  const CoreRuntime rt = CoreRegistry::global().make("avr", "fib");
+  mate::MateSet mates;
+  mates.faulty_wires = mate::all_flop_wires(*rt.netlist);
+  mates.mates.push_back(mate::Mate{mate::Cube{}, mates.faulty_wires});
+
+  PipelineConfig config;
+  config.threads = 2;
+  config.use_cache = false;
+  CampaignPipeline pipe(config);
+  const auto rec = std::make_shared<Recorder>();
+  pipe.add_observer(rec);
+  CampaignSpec spec;
+  spec.runtime = rt;
+  spec.config.run_cycles = 200;
+  spec.config.sample = 130;
+  spec.config.seed = 5;
+  spec.config.shard_size = 7;
+  spec.config.mode = hafi::CampaignMode::Pruned;
+  spec.mates = &mates;
+  const hafi::CampaignResult result = pipe.campaign(spec);
+  EXPECT_EQ(result.pruned, result.total);
+
+  const StageStats stage = rec->named("campaign").at(0);
+  EXPECT_EQ(counter(stage, "dut_passes"), 0.0);
+  EXPECT_GT(counter(stage, "label_seconds"), 0.0);
+  EXPECT_GT(stage.utilization, 0.0);
+  EXPECT_LE(stage.utilization, 1.0);
+  EXPECT_EQ(stage.threads, 3u);
+}
+
 TEST(PipelineOptions, ParsesSharedFlags) {
   OptionParser parser("prog", "test");
   PipelineOptions opts;

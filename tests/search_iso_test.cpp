@@ -5,7 +5,8 @@
 // sets and register files, whose exact class counts are pinned. The oracle
 // searches on the reference DFS (one coverage bit per path, Cube::conjoin
 // per candidate), so these suites also check the production DFS (literals
-// assigned in place, coverage over path classes) candidate for candidate.
+// assigned in place, coverage over path classes in flat word rows)
+// candidate for candidate, also at class counts on 64-bit word boundaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "netlist/random.hpp"
 #include "support/oracles.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace ripple::mate {
 namespace {
@@ -226,6 +228,37 @@ TEST(SearchIso, RandomCircuitsByteIdentical) {
     expect_identical(oracle, dedup);
     EXPECT_GE(dedup.dedup_classes, 1u);
     EXPECT_LE(dedup.dedup_classes, wires.size());
+  }
+}
+
+/// One flop whose Q feeds k AND2 gates, each with its own primary-input
+/// side input and its own primary output: k paths in k classes, one term
+/// each, so the DFS's coverage rows are exactly k bits wide. The only MATE
+/// conjoins all k terms, and the DFS reaches it on its k-th candidate; at
+/// k = 64 and 128 the last coverage word has no dead bit.
+TEST(SearchIso, ClassCountsAtWordBoundaries) {
+  for (const std::size_t k : {1, 63, 64, 65, 128}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    Netlist n;
+    const FlopId f = n.add_flop("f", false);
+    n.connect_flop(f, n.add_input("d"));
+    for (std::size_t j = 0; j < k; ++j) {
+      const WireId side = n.add_input(strprintf("side%zu", j));
+      n.mark_output(n.add_gate_new(Kind::And2, {n.flop(f).q, side},
+                                   strprintf("and%zu", j)));
+    }
+    SearchParams params;
+    params.max_terms = static_cast<unsigned>(k);
+    params.threads = 1;
+    const std::vector<WireId> wires = {n.flop(f).q};
+    const SearchResult oracle = find_mates_per_wire(n, wires, params);
+    const SearchResult dedup = find_mates(n, wires, params);
+    expect_identical(oracle, dedup);
+    ASSERT_EQ(dedup.outcomes.size(), 1u);
+    EXPECT_EQ(dedup.outcomes[0].num_paths, k);
+    EXPECT_EQ(dedup.outcomes[0].candidates_tried, k);
+    ASSERT_EQ(dedup.set.mates.size(), 1u);
+    EXPECT_EQ(dedup.set.mates[0].cube.size(), k);
   }
 }
 
